@@ -111,16 +111,16 @@ class CmpConfig:
     #: either way; disable here (or via REPRO_NO_FASTFORWARD=1) only to
     #: cross-check or to step the naive loop under a debugger.
     fast_forward: bool = True
-    #: Columnar vectorized engines: the cores phase keeps per-node
-    #: counters and deadlines in numpy arrays with replayed RNG draws,
-    #: the network tick (mesh and FSOI) derives per-cycle worklists
-    #: and fast-forward horizons from write-through readiness columns,
-    #: and coherence messages batch through a per-cycle mailbox into
-    #: fused per-type kernels (repro.coherence.vector), so passive
-    #: nodes/routers/lanes cost nothing per cycle and protocol dispatch
-    #: sheds its layers of indirection (docs/performance.md).  Results
-    #: are bit-identical either way; disable here (or via
-    #: REPRO_NO_VECTOR=1) to run the object-per-entity reference loops.
+    #: Columnar engines for the cores and the coherence dispatch (the
+    #: networks have one engine each and ignore this flag): the cores
+    #: phase keeps per-node counters and deadlines in numpy arrays with
+    #: replayed RNG draws (repro.cpu.vector), and coherence messages
+    #: batch through a per-cycle mailbox into fused per-type kernels
+    #: (repro.coherence.vector), so passive nodes cost nothing per
+    #: cycle and protocol dispatch sheds its layers of indirection
+    #: (docs/performance.md).  Results are bit-identical either way;
+    #: disable here (or via REPRO_NO_VECTOR=1) to run the
+    #: object-per-node cores and the reference coherence handlers.
     vectorized: bool = True
     seed: int = 0
 
@@ -172,10 +172,9 @@ class CmpSystem:
         n = config.num_nodes
         self._rng = RngHub(config.seed)
 
-        # The vectorized flag covers both columnar engines — the cores
-        # phase (repro.cpu.vector) and the network tick (repro.mesh.vector
-        # / repro.core.vector) — so it must be resolved before the
-        # network is built.
+        # The vectorized flag covers the columnar cores phase
+        # (repro.cpu.vector) and the fused coherence dispatch
+        # (repro.coherence.vector).
         self._vector_on = config.vectorized and os.environ.get(
             "REPRO_NO_VECTOR", ""
         ) in ("", "0")
@@ -381,12 +380,7 @@ class CmpSystem:
                 fsoi_kwargs["lanes"] = config.fsoi_lanes
             if config.faults is not None:
                 fsoi_kwargs["faults"] = config.faults
-            fsoi_cls = FsoiNetwork
-            if self._vector_on:
-                from repro.core.vector import VectorFsoiNetwork
-
-                fsoi_cls = VectorFsoiNetwork
-            return fsoi_cls(
+            return FsoiNetwork(
                 FsoiConfig(
                     num_nodes=n,
                     optimizations=config.optimizations,
@@ -398,12 +392,7 @@ class CmpSystem:
                 rng=self._rng.child("fsoi"),
             )
         if kind == "mesh":
-            mesh_cls = MeshNetwork
-            if self._vector_on:
-                from repro.mesh.vector import VectorMeshNetwork
-
-                mesh_cls = VectorMeshNetwork
-            return mesh_cls(
+            return MeshNetwork(
                 MeshConfig(
                     num_nodes=n, bandwidth_scale=config.mesh_bandwidth_scale
                 )

@@ -58,11 +58,29 @@ from repro.net.packet import (
 from repro.util.events import CycleCalendar
 from repro.util.rng import RngHub
 
-__all__ = ["FsoiConfig", "FsoiNetwork"]
+__all__ = ["FsoiConfig", "FsoiNetwork", "NEVER", "slot_horizon"]
+
+#: "Nothing pending" readiness value: later than any simulated cycle.
+NEVER = 1 << 62
 
 
 def _noop() -> None:
     pass
+
+
+def slot_horizon(earliest_ready: int, cycle: int, slot_len: int) -> int | None:
+    """First slot boundary at which a pending transmission can start.
+
+    Slotted ALOHA quantizes transmission starts: a packet eligible at
+    ``earliest_ready`` (clamped to ``cycle`` — an overdue packet starts
+    at the *next* boundary, not a past one) goes out at the first
+    multiple of ``slot_len`` at or after that.  ``None`` when nothing is
+    pending (``earliest_ready`` at or past :data:`NEVER`).
+    """
+    if earliest_ready >= NEVER:
+        return None
+    eligible = earliest_ready if earliest_ready > cycle else cycle
+    return ((eligible + slot_len - 1) // slot_len) * slot_len
 
 
 @dataclass(frozen=True)
@@ -151,8 +169,53 @@ class _LaneState:
         self.retx_seq = 0
 
 
+class _LaneIndex:
+    """One lane's scheduling index (docs/performance.md).
+
+    ``ready[node]`` is the earliest cycle the node's oldest eligible
+    packet may transmit — ``min(retransmission releases, queue-head
+    scheduled cycle)``, :data:`NEVER` when it has nothing pending.  The
+    lane minimum is cached: a write below it lowers it exactly, a write
+    that raises the cell holding it only marks it stale, and the next
+    reader folds the list once.
+    """
+
+    __slots__ = ("ready", "_min", "_stale")
+
+    def __init__(self, num_nodes: int):
+        self.ready = [NEVER] * num_nodes
+        self._min = NEVER  # <= the true minimum; equal unless _stale
+        self._stale = False
+
+    def update(self, node: int, ready: int) -> None:
+        old = self.ready[node]
+        if ready == old:
+            return
+        self.ready[node] = ready
+        if ready < self._min:
+            self._min = ready
+            self._stale = False
+        elif old == self._min:
+            self._stale = True
+
+    def minimum(self) -> int:
+        if self._stale:
+            self._min = min(self.ready)
+            self._stale = False
+        return self._min
+
+
 class FsoiNetwork(Interconnect):
-    """Cycle-accurate model of the free-space optical interconnect."""
+    """Cycle-accurate model of the free-space optical interconnect.
+
+    Slot boundaries visit only the nodes whose :class:`_LaneIndex`
+    readiness is due, in ascending order (a node whose readiness lies
+    in the future would pick nothing and change nothing), and the
+    fast-forward horizon is the lane minimum rounded up to a boundary.
+    Under a fault plan every node is visited instead: sender-side lane
+    sparing probes (``lane_suppressed``) un-mark healed lanes as a side
+    effect of being queried, also for nodes with nothing to send.
+    """
 
     def __init__(self, config: FsoiConfig, rng: RngHub | None = None):
         super().__init__(config.num_nodes)
@@ -199,9 +262,15 @@ class FsoiNetwork(Interconnect):
         self._due = self._calendar._heap
         self._conf_due = self.confirmations._calendar._heap
         # Pending transmissions (queued + backed-off) per lane.  Kept
-        # incrementally so quiescent() and the fast-forward horizon are
-        # O(1) checks instead of O(N·lanes) scans per tick.
+        # incrementally so quiescent() is an O(1) check instead of an
+        # O(N·lanes) scan per tick.
         self._lane_pending = {LaneKind.META: 0, LaneKind.DATA: 0}
+        # When each (lane, node) can next transmit: which nodes a slot
+        # boundary visits, and the fast-forward horizon.
+        self._index = {
+            lane: _LaneIndex(config.num_nodes)
+            for lane in (LaneKind.META, LaneKind.DATA)
+        }
         # Slot lengths, precomputed once for the tick/horizon hot paths
         # (the tuple form avoids a dict-view allocation every cycle).
         self._slot_len = {
@@ -229,6 +298,10 @@ class FsoiNetwork(Interconnect):
                 "slots": group.counter("slots_elapsed"),
                 "delivered": group.counter("delivered"),
             }
+        # Bumped at every slot boundary — the tick hot path.
+        self._slots_counter = {
+            lane: counters["slots"] for lane, counters in self._lane_stats.items()
+        }
         data_group = stats.group(LaneKind.DATA.value)
         self._data_collision_types = {
             kind: data_group.counter(f"collisions_{kind}")
@@ -344,7 +417,8 @@ class FsoiNetwork(Interconnect):
         The horizon is the min over: the confirmation calendar, the
         outcome calendar, and — per lane with pending transmissions —
         the first slot boundary at or after the earliest packet becomes
-        eligible.  The pure-ALOHA ablation (``slotted=False``) starts
+        eligible (:func:`slot_horizon` of the lane index's minimum).
+        The pure-ALOHA ablation (``slotted=False``) starts
         transmissions on any cycle, so it pins the horizon to "now"
         (fast-forward inhibited).  While a fault plan has a lane marked
         down, every slot boundary must still be evaluated (the sender's
@@ -357,25 +431,9 @@ class FsoiNetwork(Interconnect):
         c = self._calendar.next_cycle()
         if c is not None and (horizon is None or c < horizon):
             horizon = c
-        for lane, slot_len in self._slot_len.items():
-            if self._lane_pending[lane] == 0:
-                continue
-            earliest = None
-            for state in self._state[lane]:
-                for entry in state.retx:
-                    if earliest is None or entry.release < earliest:
-                        earliest = entry.release
-                queue = state.queue
-                if queue:
-                    ready = queue[0].scheduled_cycle
-                    if earliest is None or ready < earliest:
-                        earliest = ready
-            if earliest is None:  # pragma: no cover - counter invariant
-                continue
-            if earliest < cycle:
-                earliest = cycle
-            boundary = ((earliest + slot_len - 1) // slot_len) * slot_len
-            if horizon is None or boundary < horizon:
+        for lane, slot_len in self._slot_items:
+            boundary = slot_horizon(self._index[lane].minimum(), cycle, slot_len)
+            if boundary is not None and (horizon is None or boundary < horizon):
                 horizon = boundary
         if self._injector is not None and self._injector.suppression_active:
             for slot_len in self._slot_len.values():
@@ -402,22 +460,27 @@ class FsoiNetwork(Interconnect):
     # ------------------------------------------------------------------
 
     def _start_slot(self, lane: LaneKind, cycle: int) -> None:
-        lane_stats = self._lane_stats[lane]
-        lane_stats["slots"].add()
-        if self._lane_pending[lane] == 0 and self._injector is None:
-            # Idle slot: no queued or retransmitting packet on this lane
-            # (``_lane_pending`` counts both), so the per-node gather
-            # below would find nothing.  Only safe without an injector —
-            # lane-sparing probes have per-slot side effects of their own.
-            return
-        slot_len = self.lanes.slot_cycles(lane)
+        self._slots_counter[lane].value += 1
         inj = self._injector
+        if inj is not None:
+            nodes = range(self.num_nodes)
+        else:
+            index = self._index[lane]
+            if index.minimum() > cycle:
+                return  # idle lane, or nothing eligible yet
+            nodes = [
+                node for node, ready in enumerate(index.ready) if ready <= cycle
+            ]
+        tx_counter = self._lane_stats[lane]["tx"]
+        bits_counter = self.stats.bits_sent
+        slot_len = self._slot_len[lane]
+        states = self._state[lane]
 
         # Gather this slot's transmissions: one per node, retransmissions
         # take priority over fresh queue heads (they are older traffic).
         sends: list[tuple[Packet, int]] = []
-        for node in range(self.num_nodes):
-            state = self._state[lane][node]
+        for node in nodes:
+            state = states[node]
             if inj is not None and inj.lane_suppressed(node, lane, cycle):
                 # Lane sparing: the sender has detected its dead lane and
                 # stops lighting it — queued traffic fast-fails straight
@@ -441,32 +504,37 @@ class FsoiNetwork(Interconnect):
             if packet.first_tx_cycle < 0:
                 packet.first_tx_cycle = cycle
             setup = state.opa.steer(packet.dst) if state.opa is not None else 0
-            lane_stats["tx"].add()
-            self.stats.bits_sent.add(packet.bits)
+            tx_counter.value += 1
+            bits_counter.value += packet.bits
             if TRACE.enabled:
                 TRACE.emit(
                     "tx", cat="fsoi", cycle=cycle, node=packet.src,
                     lane=lane.value, packet=packet.uid, dur=slot_len,
                     dst=packet.dst, retries=packet.retries,
                 )
-            if inj is not None and inj.tx_lane_dead(node, lane, cycle):
-                # Dark transmission: the VCSEL array emits nothing, so no
-                # receiver sees the packet and no confirmation comes back;
-                # the sender reacts exactly as to a collision.
-                if inj.note_dark_send(node, lane):
-                    self._fault_stats["lane_down_events"].add()
-                    if TRACE.enabled:
-                        TRACE.emit(
-                            "fault_lane_down", cat="fault", cycle=cycle,
-                            node=node, lane=lane.value,
-                        )
-                self._fault_lost(lane, cycle, slot_len, packet, setup)
-                continue
             if inj is not None:
+                if inj.tx_lane_dead(node, lane, cycle):
+                    # Dark transmission: the VCSEL array emits nothing, so
+                    # no receiver sees the packet and no confirmation comes
+                    # back; the sender reacts exactly as to a collision.
+                    if inj.note_dark_send(node, lane):
+                        self._fault_stats["lane_down_events"].add()
+                        if TRACE.enabled:
+                            TRACE.emit(
+                                "fault_lane_down", cat="fault", cycle=cycle,
+                                node=node, lane=lane.value,
+                            )
+                    self._fault_lost(lane, cycle, slot_len, packet, setup)
+                    continue
                 inj.note_successful_send(node, lane)
             sends.append((packet, setup))
 
         if not sends:
+            return
+        if len(sends) == 1 and inj is None:
+            # A lone transmission cannot collide whichever receiver it
+            # lands on (receiver_for is pure without a health vector).
+            self._handle_solo(lane, cycle, slot_len, sends[0])
             return
 
         # Group by (destination, receiver) — the static sender partition,
@@ -638,14 +706,41 @@ class FsoiNetwork(Interconnect):
         return None
 
     def _note_lane_state(self, lane: LaneKind, node: int) -> None:
-        """Hook: node ``node``'s pending work on ``lane`` just changed.
+        """Node ``node``'s pending work on ``lane`` just changed: refresh
+        its readiness in the lane index.
 
         Called after every queue/retransmission mutation (enqueue, pick,
-        back-off, resolution-hint reschedule).  The reference engine
-        ignores it; the columnar engine (``repro.core.vector``)
-        overrides it to keep its per-node readiness columns
-        write-through.
+        back-off, resolution-hint reschedule).  Only the queue *head*
+        counts — FIFO order means a later packet cannot transmit before
+        the head does, which is what :meth:`_pick_transmission` inspects.
         """
+        state = self._state[lane][node]
+        ready = NEVER
+        for entry in state.retx:
+            if entry.release < ready:
+                ready = entry.release
+        queue = state.queue
+        if queue and queue[0].scheduled_cycle < ready:
+            ready = queue[0].scheduled_cycle
+        self._index[lane].update(node, ready)
+
+    def audit(self) -> None:
+        """The lane indexes and pending counters must agree with a
+        recount of the queues and retransmission lists."""
+        for lane, states in self._state.items():
+            index = self._index[lane]
+            for node, state in enumerate(states):
+                pending = [entry.release for entry in state.retx]
+                if state.queue:
+                    pending.append(state.queue[0].scheduled_cycle)
+                assert index.ready[node] == min(pending, default=NEVER)
+            assert self._lane_pending[lane] == sum(
+                len(state.retx) + len(state.queue) for state in states
+            )
+            if index._stale:
+                assert index._min <= min(index.ready)
+            else:
+                assert index._min == min(index.ready)
 
     # ------------------------------------------------------------------
     # Outcomes

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.mesh.router import Flit, Router
-from repro.mesh.routing import Port, mesh_hops, mesh_side, neighbor
+from repro.mesh.router import NEVER, Flit, Router, free_vc
+from repro.mesh.routing import Port, mesh_hops, mesh_side, neighbor, xy_route
 from repro.net.interface import Interconnect
 from repro.net.packet import Packet
 
@@ -53,13 +53,35 @@ class MeshConfig:
 
 
 class MeshNetwork(Interconnect):
-    """Cycle-level k-ary 2-mesh with wormhole VC routers."""
+    """Cycle-level k-ary 2-mesh with wormhole VC routers.
+
+    Per cycle the network touches only what is due: the nodes in
+    ``_active_inject`` (a queued or half-injected packet) and the
+    routers whose ``Router._ready_min`` has arrived, both in ascending
+    node order.  A router whose heads are all future-ready arbitrates
+    nothing and mutates nothing, and nothing a ticked router does can
+    make another router due in the same cycle (a forwarded flit becomes
+    processable ``router_latency + link_latency >= 1`` cycles later),
+    so the sweep equals ticking every router every cycle
+    (docs/performance.md).
+    """
 
     def __init__(self, config: MeshConfig):
         super().__init__(config.num_nodes)
         self.config = config
         self.side = mesh_side(config.num_nodes)
-        self.routers = self._build_routers()
+        self.routers = [
+            Router(
+                node=i,
+                side=self.side,
+                num_vcs=config.num_vcs,
+                buffer_flits=config.buffer_flits,
+                router_latency=config.router_latency,
+                link_latency=config.link_latency,
+                deliver=self._on_eject,
+            )
+            for i in range(config.num_nodes)
+        ]
         for i, router in enumerate(self.routers):
             for port in (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH):
                 try:
@@ -74,25 +96,10 @@ class MeshNetwork(Interconnect):
         self._inject_state: list[tuple[list[Flit], int] | None] = [
             None
         ] * config.num_nodes
+        # Nodes with a queued or in-progress injection.
+        self._active_inject: set[int] = set()
         self._deliveries: dict[int, list[Packet]] = {}
         self._hops = self.stats.group.latency("hops")
-
-    def _build_routers(self) -> list[Router]:
-        """Router construction hook; the vector engine substitutes its
-        write-through subclass here (``repro.mesh.vector``)."""
-        config = self.config
-        return [
-            Router(
-                node=i,
-                side=self.side,
-                num_vcs=config.num_vcs,
-                buffer_flits=config.buffer_flits,
-                router_latency=config.router_latency,
-                link_latency=config.link_latency,
-                deliver=self._on_eject,
-            )
-            for i in range(config.num_nodes)
-        ]
 
     # -- Interconnect interface ----------------------------------------------
 
@@ -110,6 +117,7 @@ class MeshNetwork(Interconnect):
         packet.enqueue_cycle = cycle
         packet.scheduled_cycle = cycle  # mesh has no intentional scheduling
         queue.append(packet)
+        self._active_inject.add(packet.src)
         self.stats.sent.add()
         self.stats.bits_sent.add(packet.bits)
         return True
@@ -122,17 +130,17 @@ class MeshNetwork(Interconnect):
                 self._deliver(packet, cycle)
             if self.post_delivery is not None:
                 self.post_delivery()  # drain the coherence mailbox
-        for node in range(self.num_nodes):
-            self._inject(node, cycle)
+        if self._active_inject:
+            for node in sorted(self._active_inject):
+                self._inject(node, cycle)
         for router in self.routers:
-            router.tick(cycle)
+            if router._ready_min <= cycle:
+                router.tick(cycle)
 
     def quiescent(self) -> bool:
-        if self._deliveries:
+        if self._deliveries or self._active_inject:
             return False
-        if any(self._inject_queues) or any(s is not None for s in self._inject_state):
-            return False
-        return all(router.occupancy() == 0 for router in self.routers)
+        return not any(router._buffered for router in self.routers)
 
     def next_event(self, cycle: int) -> int | None:
         """Fast-forward horizon: min over pending ejections, per-router
@@ -148,30 +156,23 @@ class MeshNetwork(Interconnect):
         lets fast-forward engage on mesh runs whose only live work is
         buffered traffic maturing through router/link latencies.
         """
-        for node, state in enumerate(self._inject_state):
+        for node in self._active_inject:
+            state = self._inject_state[node]
+            local = self.routers[node].inputs[Port.LOCAL]
             if state is None:
-                continue
-            if self.routers[node].credits(Port.LOCAL, state[1]) > 0:
+                if free_vc(local) is not None:
+                    return cycle
+            elif local[state[1]].capacity > len(local[state[1]].flits):
                 return cycle
-        for node, queue in enumerate(self._inject_queues):
-            if (
-                queue
-                and self._inject_state[node] is None
-                and self._allocate_injection_vc(self.routers[node]) is not None
-            ):
-                return cycle
-        horizon = min(self._deliveries) if self._deliveries else None
-        if horizon is not None and horizon <= cycle:
-            return cycle
+        horizon = min(self._deliveries) if self._deliveries else NEVER
         for router in self.routers:
-            c = router.next_event(cycle)
-            if c is None:
-                continue
-            if c <= cycle:
-                return cycle
-            if horizon is None or c < horizon:
-                horizon = c
-        return horizon
+            if router._ready_min < horizon:
+                horizon = router._ready_min
+        if horizon == NEVER:
+            return None
+        # A ready head pins "now" even when flow-control blocked — a
+        # neighbour's forward can free its credit on any cycle.
+        return horizon if horizon > cycle else cycle
 
     # -- injection / ejection -----------------------------------------------
 
@@ -179,33 +180,26 @@ class MeshNetwork(Interconnect):
         """Push at most one flit per cycle into the local input port."""
         state = self._inject_state[node]
         router = self.routers[node]
+        local = router.inputs[Port.LOCAL]
         if state is None:
-            queue = self._inject_queues[node]
-            if not queue:
-                return
-            packet = queue[0]
-            vc = self._allocate_injection_vc(router)
+            vc = free_vc(local)
             if vc is None:
                 return  # all local VCs busy or full
-            queue.popleft()
+            packet = self._inject_queues[node].popleft()
             packet.first_tx_cycle = cycle
             packet.final_tx_cycle = cycle
             flits = self._make_flits(packet, self.config.flits_for(packet.flits))
             state = (flits, vc)
             self._inject_state[node] = state
         flits, vc = state
-        if router.credits(Port.LOCAL, vc) <= 0:
+        if local[vc].capacity <= len(local[vc].flits):
             return
         flit = flits.pop(0)
         router.accept_flit(Port.LOCAL, vc, flit, cycle + 1)
         if not flits:
             self._inject_state[node] = None
-
-    def _allocate_injection_vc(self, router: Router) -> int | None:
-        for vc in range(self.config.num_vcs):
-            if router.vc_free(Port.LOCAL, vc) and router.credits(Port.LOCAL, vc) > 0:
-                return vc
-        return None
+            if not self._inject_queues[node]:
+                self._active_inject.discard(node)
 
     @staticmethod
     def _make_flits(packet: Packet, count: int) -> list[Flit]:
@@ -223,6 +217,34 @@ class MeshNetwork(Interconnect):
         """Router ejection callback; delivery is stamped at ``cycle``."""
         self._hops.record(mesh_hops(packet.src, packet.dst, self.side))
         self._deliveries.setdefault(cycle, []).append(packet)
+
+    def audit(self) -> None:
+        """The scheduling state must agree with a recount of the buffers
+        and queues it summarises."""
+        for node, router in enumerate(self.routers):
+            ready_min = NEVER
+            occupied = set()
+            for port, buffers in router.inputs.items():
+                for vc, buffer in enumerate(buffers):
+                    requesting = (
+                        buffer.route_port is not None
+                        and (port, vc) in router._requesters[buffer.route_port]
+                    )
+                    assert requesting == bool(buffer.flits)
+                    if buffer.flits:
+                        occupied.add((port, vc))
+                        ready_min = min(ready_min, buffer.flits[0][0])
+                        assert buffer.route_port is xy_route(
+                            node, buffer.owner.dst, self.side
+                        )
+            assert router._occupied == occupied
+            assert sum(map(len, router._requesters.values())) == len(occupied)
+            assert router._ready_min == ready_min
+            assert router._buffered == router.occupancy()
+            busy = self._inject_state[node] is not None or bool(
+                self._inject_queues[node]
+            )
+            assert busy == (node in self._active_inject)
 
     # -- energy accounting -----------------------------------------------------
 

@@ -13,6 +13,11 @@ moment it is sent — in-flight flits count against credits, as in a real
 credit loop).  Head flits additionally need a free downstream VC
 (packet-granularity VC allocation, wormhole body flits follow their
 head).
+
+Scheduling: the router keeps ``_ready_min``, the earliest cycle any of
+its buffered head flits becomes processable (:data:`NEVER` when empty).
+``tick`` returns at once before that cycle, and the mesh network ticks
+only routers whose ``_ready_min`` is due (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -21,11 +26,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.mesh.routing import Port, xy_route
+from repro.mesh.routing import Port, opposite, xy_route
 from repro.net.packet import Packet
 from repro.obs.trace import TRACE
 
-__all__ = ["Flit", "Router"]
+__all__ = ["NEVER", "Flit", "Router", "free_vc"]
+
+#: "Nothing buffered" value of ``Router._ready_min``: later than any
+#: simulated cycle.
+NEVER = 1 << 62
+
+_LOCAL = Port.LOCAL
+_OPPOSITE = {port: opposite(port) for port in Port if port is not Port.LOCAL}
 
 
 @dataclass
@@ -53,13 +65,15 @@ class _VcBuffer:
         self.route_port: Optional[Port] = None  # RC result for the owner
         self.out_vc: Optional[int] = None       # VA result for the owner
 
-    def free_slots(self) -> int:
-        return self.capacity - len(self.flits)
 
-    def head_ready(self, cycle: int) -> Optional[Flit]:
-        if self.flits and self.flits[0][0] <= cycle:
-            return self.flits[0][1]
-        return None
+def free_vc(buffers: list[_VcBuffer]) -> Optional[int]:
+    """First VC of an input port that a new packet's head flit may
+    enter — unallocated (packet-granularity VC allocation) and with a
+    credit — or ``None``."""
+    for vc, buffer in enumerate(buffers):
+        if buffer.owner is None and buffer.capacity > len(buffer.flits):
+            return vc
+    return None
 
 
 class Router:
@@ -106,8 +120,19 @@ class Router:
         # Wired by the network: downstream router per non-local output.
         self.downstream: dict[Port, "Router"] = {}
         self._arbiter_state: dict[Port, int] = {port: 0 for port in Port}
-        self._buffered = 0  # total flits across all input buffers (fast path)
+        self._buffered = 0  # total flits across all input buffers
         self._occupied: set[tuple[Port, int]] = set()  # non-empty (port, vc)
+        # The non-empty (in_port, vc) keys grouped by their owner's route
+        # port, so arbitration walks exactly the VCs requesting each
+        # output.  A non-empty buffer always has a defined route port
+        # (VC allocation is packet-granular: a new head cannot enter
+        # until the previous owner's tail has left), so membership is
+        # stable while the buffer drains.
+        self._requesters: dict[Port, set[tuple[Port, int]]] = {
+            port: set() for port in Port
+        }
+        self._req_items = tuple(self._requesters.items())
+        self._ready_min = NEVER
         # Counters consumed by the Orion-style energy model.
         self.flits_routed = 0
         self.buffer_writes = 0
@@ -119,7 +144,8 @@ class Router:
     def accept_flit(self, port: Port, vc: int, flit: Flit, ready_cycle: int) -> None:
         """Place ``flit`` into input buffer (slot was reserved by credits)."""
         buffer = self.inputs[port][vc]
-        if buffer.free_slots() <= 0:
+        flits = buffer.flits
+        if buffer.capacity <= len(flits):
             raise RuntimeError(
                 f"credit protocol violated: buffer overflow at node {self.node} "
                 f"{port.name}.vc{vc}"
@@ -140,111 +166,79 @@ class Router:
                     port=port.name, vc=vc,
                     route=buffer.route_port.name,
                 )
-        buffer.flits.append((ready_cycle, flit))
+        if not flits:
+            self._occupied.add((port, vc))
+            self._requesters[buffer.route_port].add((port, vc))
+            if ready_cycle < self._ready_min:
+                self._ready_min = ready_cycle
+        flits.append((ready_cycle, flit))
         self._buffered += 1
-        self._occupied.add((port, vc))
         self.buffer_writes += 1
-
-    def credits(self, port: Port, vc: int) -> int:
-        """Free downstream-buffer slots for (``port``, ``vc``)."""
-        return self.inputs[port][vc].free_slots()
-
-    def vc_free(self, port: Port, vc: int) -> bool:
-        """Whether input VC ``vc`` at ``port`` is unallocated."""
-        return self.inputs[port][vc].owner is None
 
     # -- per-cycle operation ---------------------------------------------
 
     def tick(self, cycle: int) -> None:
-        """One cycle: each output port forwards at most one flit."""
-        if self._buffered == 0:
-            return
-        for out_port in Port:
-            self._arbitrate_output(out_port, cycle)
+        """One cycle: each output port forwards at most one flit.
 
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Fast-forward horizon: earliest cycle any head flit is ready.
-
-        ``None`` when empty.  A ready head that is flow-control blocked
-        still pins the horizon to "now" — credits can free on any cycle
-        a neighbour forwards, so the router must keep ticking.
+        Round-robin among the (input port, vc) requesters of each
+        output whose head flit is ready and passes flow control: the
+        winner is the one whose arbitration index ``in_port * num_vcs +
+        vc + 1`` is cyclically nearest at or after the arbiter pointer,
+        and the pointer then moves just past it.  Indices are distinct,
+        so the pick does not depend on set iteration order.
         """
-        if self._buffered == 0:
-            return None
-        earliest = None
-        for port, vc in self._occupied:
-            ready = self.inputs[port][vc].flits[0][0]
-            if ready <= cycle:
-                return cycle
-            if earliest is None or ready < earliest:
-                earliest = ready
-        return earliest
-
-    def _arbitrate_output(self, out_port: Port, cycle: int) -> None:
-        candidates = self._candidates(out_port, cycle)
-        if not candidates:
+        if self._ready_min > cycle:
             return
-        # Round-robin among (input port, vc) requesters.
-        start = self._arbiter_state[out_port]
-        order = sorted(candidates, key=lambda item: (item[0] - start) % 1000)
-        key, buffer, flit = order[0][1]
-        self._arbiter_state[out_port] = order[0][0] + 1
-        self._forward(out_port, key, buffer, flit, cycle)
-
-    def _candidates(self, out_port: Port, cycle: int):
-        """Input VCs with a ready head flit routed to ``out_port``.
-
-        Only occupied buffers are inspected — the arbitration scan is
-        the simulator's hottest loop.
-        """
-        out = []
-        # Sorted iteration keeps runs deterministic (sets are unordered).
-        for in_port, vc in sorted(self._occupied):
-            buffer = self.inputs[in_port][vc]
-            if buffer.route_port is not out_port:
+        inputs = self.inputs
+        num_vcs = self.num_vcs
+        arbiter = self._arbiter_state
+        for out_port, requesters in self._req_items:
+            if not requesters:
                 continue
-            flit = buffer.head_ready(cycle)
-            if flit is None:
-                continue
-            if not self._flow_control_ok(out_port, buffer, flit):
-                continue
-            index = in_port.value * self.num_vcs + vc + 1
-            out.append((index, ((in_port, vc), buffer, flit)))
-        return out
+            if out_port is _LOCAL:
+                dinputs = None  # ejection is never blocked
+            else:
+                dinputs = self.downstream[out_port].inputs[_OPPOSITE[out_port]]
+            start = arbiter[out_port]
+            best_mod = 1000  # exceeds every arbitration index
+            best_key = None
+            for req_key in requesters:
+                in_port, vc = req_key
+                buffer = inputs[in_port][vc]
+                ready, flit = buffer.flits[0]
+                if ready > cycle:
+                    continue
+                if dinputs is not None:
+                    out_vc = buffer.out_vc
+                    if flit.is_head and out_vc is None:
+                        if free_vc(dinputs) is None:
+                            continue
+                    else:
+                        dbuf = dinputs[out_vc]
+                        if dbuf.capacity <= len(dbuf.flits):
+                            continue
+                mod = (in_port * num_vcs + vc + 1 - start) % 1000
+                if mod < best_mod:
+                    best_mod = mod
+                    best_key = req_key
+            if best_key is not None:
+                in_port, vc = best_key
+                arbiter[out_port] = in_port * num_vcs + vc + 2  # index + 1
+                self._forward(out_port, best_key, cycle)
 
-    def _flow_control_ok(self, out_port: Port, buffer: _VcBuffer, flit: Flit) -> bool:
-        if out_port is Port.LOCAL:
-            return True  # ejection is never blocked
-        downstream = self.downstream[out_port]
-        from repro.mesh.routing import opposite
-
-        in_port = opposite(out_port)
-        if flit.is_head and buffer.out_vc is None:
-            # VC allocation: need a free downstream VC with a credit.
-            for vc in range(self.num_vcs):
-                if downstream.vc_free(in_port, vc) and downstream.credits(
-                    in_port, vc
-                ) > 0:
-                    return True
-            return False
-        return downstream.credits(in_port, buffer.out_vc) > 0
-
-    def _forward(
-        self,
-        out_port: Port,
-        key: tuple[Port, int],
-        buffer: _VcBuffer,
-        flit: Flit,
-        cycle: int,
-    ) -> None:
-        buffer.flits.popleft()
+    def _forward(self, out_port: Port, key: tuple[Port, int], cycle: int) -> None:
+        """The head flit of input VC ``key`` won ``out_port`` this cycle."""
+        buffer = self.inputs[key[0]][key[1]]
+        flits = buffer.flits
+        flit = flits.popleft()[1]
         self._buffered -= 1
-        if not buffer.flits:
+        if not flits:
             self._occupied.discard(key)
+            self._requesters[buffer.route_port].discard(key)
         self.buffer_reads += 1
         self.flits_routed += 1
 
-        if out_port is Port.LOCAL:
+        if out_port is _LOCAL:
             if flit.is_tail:
                 if TRACE.enabled:
                     TRACE.emit(
@@ -254,34 +248,33 @@ class Router:
                         src=flit.packet.src,
                     )
                 self.deliver(flit.packet, cycle + self.router_latency)
-                self._release_vc(buffer)
-            return
-
-        downstream = self.downstream[out_port]
-        from repro.mesh.routing import opposite
-
-        in_port = opposite(out_port)
-        if flit.is_head and buffer.out_vc is None:
-            buffer.out_vc = next(
-                vc
-                for vc in range(self.num_vcs)
-                if downstream.vc_free(in_port, vc)
-                and downstream.credits(in_port, vc) > 0
+        else:
+            downstream = self.downstream[out_port]
+            in_port = _OPPOSITE[out_port]
+            if flit.is_head and buffer.out_vc is None:
+                # Arbitration saw a free downstream VC this cycle.
+                buffer.out_vc = free_vc(downstream.inputs[in_port])
+            self.link_flits += 1
+            downstream.accept_flit(
+                in_port, buffer.out_vc, flit,
+                cycle + self.router_latency + self.link_latency,
             )
-        self.link_flits += 1
-        arrival = cycle + self.router_latency + self.link_latency
-        downstream.accept_flit(in_port, buffer.out_vc, flit, arrival)
         if flit.is_tail:
-            self._release_vc(buffer)
-
-    @staticmethod
-    def _release_vc(buffer: _VcBuffer) -> None:
-        buffer.owner = None
-        buffer.route_port = None
-        buffer.out_vc = None
+            buffer.owner = None
+            buffer.route_port = None
+            buffer.out_vc = None
+        # A head left: recompute the earliest remaining head readiness.
+        ready_min = NEVER
+        inputs = self.inputs
+        for port, vc in self._occupied:
+            ready = inputs[port][vc].flits[0][0]
+            if ready < ready_min:
+                ready_min = ready
+        self._ready_min = ready_min
 
     def occupancy(self) -> int:
-        """Total buffered flits (for drain checks)."""
+        """Buffered flits, recounted from the buffers (``audit`` checks
+        the ``_buffered`` counter against it)."""
         return sum(
             len(vc.flits) for vcs in self.inputs.values() for vc in vcs
         )

@@ -1,23 +1,37 @@
-"""The vectorized network engines' equivalence contract.
+"""The network engines' pinned-behaviour contract.
 
-``src/repro/mesh/vector.py`` and ``src/repro/core/vector.py`` replace
-the per-router / per-lane reference ticks with write-through readiness
-columns and due-entity worklists.  The claim mirrors the core engine's
-(``test_vector_equivalence.py``): a vectorized run and the
-object-per-entity reference run of the same configuration produce
-byte-identical ``CmpResults`` and metrics snapshots — the network
-engines must not change a single delivery cycle, arbitration decision
-or collision outcome.  These tests pin that down across the network
-kinds, seeds, system sizes, mesh bandwidth scaling, FSOI optimizations
-and fault plans, plus the engine-selection hatches, and back the
-scaling claim with Bernoulli-driven runs at 256/512/1024 nodes checked
-against the Figure 3 closed form.
+The mesh and FSOI networks each used to exist twice — an
+object-per-entity reference tick and a worklist engine — and this
+suite diffed the two.  The reference ticks are gone; what they computed
+is not.  ``tests/data/network_engine_pins.json`` holds, for every
+configuration the pair tests covered (network kinds, seeds, 16/64
+nodes, mesh bandwidth scaling, the section-5 optimizations, packet
+errors, a fault plan), the sha256 of the canonical ``CmpResults``
+(minus ``loop``), of the metrics snapshot and — for one mesh and one
+FSOI run — of the trace event stream, **recorded from the reference
+engines** at the last commit that had them::
 
-The run-both-and-diff machinery is shared with the other equivalence
-suites via ``tests/conftest.py``.
+    REPRO_NO_VECTOR=1 PYTHONPATH=src python -m pytest \\
+        tests/cmp/test_network_vector_equivalence.py --update-golden \\
+        -k "TestEquivalence and not property and not audit"
+
+(the same command without ``REPRO_NO_VECTOR`` wrote the same bytes).
+The single engines must reproduce every pin — the fast-forward on and
+off runs of a configuration share one; ``--update-golden`` re-records
+them after an *intentional* behaviour change.  Beside the pins:
+post-run ``audit()`` of the scheduling indexes, a hypothesis sweep of
+conservation / audit / fast-forward-invariance (the tick-every-cycle
+loop is the independent check on the O(1) horizons), and
+Bernoulli-driven 256/512/1024-node runs banded against the Figure 3
+closed form.
+
+(The file keeps its pre-pin name so the test ids the suite is tracked
+under stay stable.)
 """
 
-import os
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,120 +42,166 @@ from repro.cmp import CmpConfig, CmpSystem
 from repro.core.analytical import collision_probability
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.core.optimizations import OptimizationConfig
-from repro.core.vector import VectorFsoiNetwork
 from repro.mesh.network import MeshNetwork
-from repro.mesh.vector import VectorMeshNetwork
 from repro.net.packet import LaneKind, Packet
-from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_engine_pair
+from repro.obs import tracing
+from repro.sweep import canonical_json
+from tests.conftest import EQUIVALENCE_FAULT_PLAN, assert_engines_equivalent
 
-#: Tests that inspect the default-selected engine classes only make
-#: sense when the hatch is not pinning the whole process to the
-#: reference engines (CI's second leg runs everything that way).
-requires_vector_default = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_VECTOR", "") not in ("", "0"),
-    reason="REPRO_NO_VECTOR pins the reference engines for the whole "
-    "process, so the vectorized default is not observable",
-)
+PINS_PATH = Path(__file__).parents[1] / "data" / "network_engine_pins.json"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def fingerprint(cycles=1200, trace=False, **config_kwargs):
+    """Run one configuration; return its ``(digests, loop)``."""
+    system = CmpSystem(CmpConfig(**config_kwargs))
+    if trace:
+        with tracing(capacity=1 << 20) as tracer:
+            result = system.run(cycles)
+            assert tracer.dropped == 0
+            # Fast-forward adds only its own cat="loop" skip markers.
+            stream = "\n".join(
+                json.dumps(event.to_chrome(), sort_keys=True)
+                for event in tracer.events()
+                if event.cat != "loop"
+            )
+    else:
+        result = system.run(cycles)
+    results = result.to_dict()
+    loop = results.pop("loop")
+    digests = {
+        "results": _sha(canonical_json(results)),
+        "metrics": _sha(canonical_json(system.metrics_registry().snapshot())),
+    }
+    if trace:
+        digests["trace"] = _sha(stream)
+    return digests, loop
+
+
+@pytest.fixture
+def check_pin(request):
+    """``check_pin(key, **config)``: the run must reproduce pin ``key``
+    (or, under ``--update-golden``, records it); returns the run's loop
+    accounting.  Runs that share a key must agree, so if they do not,
+    the next plain run fails one of them."""
+    update = request.config.getoption("--update-golden")
+
+    def check(key, **run_kwargs):
+        digests, loop = fingerprint(**run_kwargs)
+        pins = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
+        if update:
+            pins[key] = digests
+            PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        else:
+            assert key in pins, (
+                f"no pin {key!r} in {PINS_PATH.name}; record it with "
+                "--update-golden (see the module docstring)"
+            )
+            assert digests == pins[key], (
+                f"{key} diverged from the pinned reference-engine run; if "
+                "the change is intentional, re-record with --update-golden"
+            )
+        return loop
+
+    return check
 
 
 class TestEquivalence:
     @pytest.mark.parametrize(
         "network", ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
     )
-    def test_all_networks(self, compare_engines, network):
-        # Only fsoi and mesh grow vector engines; the other kinds must
-        # stay untouched by the flag (the vectorized cores still feed
-        # them the same packets on the same cycles).
-        compare_engines(
-            "vectorized", app="mp", network=network, num_nodes=16, seed=2
+    def test_all_networks(self, check_pin, network):
+        check_pin(
+            f"mp-{network}-16-seed2",
+            app="mp", network=network, num_nodes=16, seed=2,
         )
 
     @pytest.mark.parametrize("seed", (0, 7))
-    def test_mesh_seeds(self, compare_engines, seed):
-        compare_engines(
-            "vectorized", app="em", network="mesh", num_nodes=16, seed=seed
+    def test_mesh_seeds(self, check_pin, seed):
+        check_pin(
+            f"em-mesh-16-seed{seed}",
+            app="em", network="mesh", num_nodes=16, seed=seed,
         )
 
-    def test_mesh_64_nodes(self, compare_engines):
-        compare_engines(
-            "vectorized",
+    def test_mesh_64_nodes(self, check_pin):
+        check_pin(
+            "ba-mesh-64-seed2",
             app="ba", network="mesh", num_nodes=64, seed=2, cycles=900,
         )
 
-    def test_mesh_bandwidth_scale(self, compare_engines):
+    def test_mesh_bandwidth_scale(self, check_pin):
         # Narrower links stretch packets into more flits — deeper VC
         # occupancy, more credit stalls, more arbitration conflicts.
-        compare_engines(
-            "vectorized",
+        check_pin(
+            "oc-mesh-16-seed6-halfwidth",
             app="oc", network="mesh", num_nodes=16, seed=6,
             mesh_bandwidth_scale=0.5,
         )
 
-    def test_fsoi_64_nodes_phase_array(self, compare_engines):
+    def test_fsoi_64_nodes_phase_array(self, check_pin):
         # 64 nodes turns on the optical phase array, putting the
-        # per-send ``opa.steer`` charge inside the columnar gather.
-        compare_engines(
-            "vectorized",
+        # per-send ``opa.steer`` charge inside the due-node gather.
+        check_pin(
+            "ws-fsoi-64-seed2",
             app="ws", network="fsoi", num_nodes=64, seed=2, cycles=900,
         )
 
-    def test_fsoi_optimizations(self, compare_engines):
+    def test_fsoi_optimizations(self, check_pin):
         # The full §5 design: resolution hints reschedule queued
         # packets in place — a readiness *change* without an enqueue or
-        # dequeue, the subtlest write-through path.
-        compare_engines(
-            "vectorized",
+        # dequeue, the subtlest index update.
+        check_pin(
+            "oc-fsoi-16-seed5-allopts",
             app="oc", network="fsoi", num_nodes=16, seed=5,
             optimizations=OptimizationConfig.all(),
         )
 
-    def test_fsoi_packet_error_rate(self, compare_engines):
+    def test_fsoi_packet_error_rate(self, check_pin):
         # Signaling errors corrupt lone transmissions, so the
         # single-send fast path must still draw the same RNG verdicts.
-        compare_engines(
-            "vectorized",
+        check_pin(
+            "ba-fsoi-16-seed8-per5",
             app="ba", network="fsoi", num_nodes=16, seed=8,
             fsoi_packet_error_rate=0.05,
         )
 
-    def test_faults_on(self, compare_engines):
-        compare_engines(
-            "vectorized",
+    def test_faults_on(self, check_pin):
+        check_pin(
+            "oc-fsoi-16-seed4-faults",
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
         )
 
-    @requires_vector_default
-    def test_faults_fall_back_to_reference_gather(self):
-        # Fault plans keep the reference per-node slot gather (lane
-        # sparing probes are stateful side effects of being queried),
-        # but the readiness columns stay maintained for the horizon.
-        system = CmpSystem(CmpConfig(
-            app="oc", network="fsoi", num_nodes=16, seed=4,
-            faults=EQUIVALENCE_FAULT_PLAN,
-        ))
-        network = system.network
-        assert isinstance(network, VectorFsoiNetwork)
-        assert not network._columnar_slots
-        system.run(1200)
-        network.audit()
-
     @pytest.mark.parametrize("network", ("fsoi", "mesh"))
     @pytest.mark.parametrize("fast_forward", (True, False))
-    def test_composes_with_fast_forward(
-        self, compare_engines, network, fast_forward
-    ):
-        # The vector engines feed the fast-forward loop their own
-        # next_event() horizons; skips and worklist ticks must stack.
-        loop = compare_engines(
-            "vectorized",
+    def test_composes_with_fast_forward(self, check_pin, network, fast_forward):
+        # One pin for both loops: the networks' next_event() horizons
+        # must not let a skip change a single result.
+        loop = check_pin(
+            f"oc-{network}-16-seed1",
             app="oc", network=network, num_nodes=16, seed=1,
             fast_forward=fast_forward,
         )
         if fast_forward:
             assert loop["skipped_cycles"] > 0
+            assert loop["executed_cycles"] + loop["skipped_cycles"] == 1200
         else:
             assert loop == {"executed_cycles": 1200, "skipped_cycles": 0}
+
+    @pytest.mark.parametrize("network", ("fsoi", "mesh"))
+    @pytest.mark.parametrize("fast_forward", (True, False))
+    def test_trace_stream(self, check_pin, network, fast_forward):
+        # Every trace event, in order, with the same packet ids — the
+        # stream tests/obs/test_trace_parity.py used to diff engine
+        # against engine.
+        check_pin(
+            f"fft-{network}-16-seed3-traced",
+            app="fft", network=network, num_nodes=16, seed=3,
+            fast_forward=fast_forward, trace=True,
+        )
 
     @settings(
         max_examples=8,
@@ -153,73 +213,54 @@ class TestEquivalence:
         network=st.sampled_from(["fsoi", "mesh"]),
         seed=st.integers(min_value=0, max_value=50),
         cycles=st.integers(min_value=50, max_value=800),
-        fast_forward=st.booleans(),
     )
-    def test_property_equivalence(
-        self, app, network, seed, cycles, fast_forward
-    ):
-        compare_engine_pair(
-            "vectorized",
-            app=app, network=network, num_nodes=16, seed=seed,
-            cycles=cycles, fast_forward=fast_forward,
-        )
+    def test_property_equivalence(self, app, network, seed, cycles):
+        runs = []
+        for fast_forward in (True, False):
+            system = CmpSystem(CmpConfig(
+                app=app, network=network, num_nodes=16, seed=seed,
+                fast_forward=fast_forward,
+            ))
+            result = system.run(cycles)
+            assert sum(result.instructions_per_core) == result.instructions
+            assert sum(result.core_cycles.values()) == 16 * cycles
+            assert result.packets_delivered <= result.packets_sent
+            system.network.audit()
+            metrics = json.loads(
+                canonical_json(system.metrics_registry().snapshot())
+            )
+            runs.append((result, metrics))
+        fast_loop, naive_loop = assert_engines_equivalent(*runs)
+        assert naive_loop == {"executed_cycles": cycles, "skipped_cycles": 0}
+        assert fast_loop["executed_cycles"] + fast_loop["skipped_cycles"] == cycles
 
-    @requires_vector_default
-    @pytest.mark.parametrize("network", ("fsoi", "mesh"))
-    def test_post_run_audit(self, network):
-        # The columnar bookkeeping must still agree with the scalar
-        # objects after a full run, not just produce the same results.
+    @pytest.mark.parametrize("kind", ("fsoi", "mesh", "fsoi-faults"))
+    def test_post_run_audit(self, kind):
+        # The scheduling indexes must still agree with the queues and
+        # buffers they summarise after a full run.  Under a fault plan
+        # FsoiNetwork takes its full per-node gather (lane-sparing
+        # probes have side effects on idle nodes) while the index keeps
+        # feeding the horizon.
+        faults = EQUIVALENCE_FAULT_PLAN if kind == "fsoi-faults" else None
         system = CmpSystem(CmpConfig(
-            app="oc", network=network, num_nodes=16, seed=3
+            app="oc", network=kind.split("-")[0], num_nodes=16, seed=3,
+            faults=faults,
         ))
+        if faults is not None:
+            assert system.network.fault_injector is not None
         system.run(1200)
         system.network.audit()
 
 
-class TestEngineSelection:
-    """``CmpConfig.vectorized`` / ``REPRO_NO_VECTOR`` pick the classes."""
-
-    @requires_vector_default
-    def test_vectorized_selects_vector_networks(self):
-        for network, cls in (("fsoi", VectorFsoiNetwork),
-                             ("mesh", VectorMeshNetwork)):
-            system = CmpSystem(CmpConfig(
-                app="oc", network=network, num_nodes=16, seed=1
-            ))
-            assert type(system.network) is cls
-
-    def test_config_flag_selects_reference_networks(self):
-        for network, cls in (("fsoi", FsoiNetwork), ("mesh", MeshNetwork)):
-            system = CmpSystem(CmpConfig(
-                app="oc", network=network, num_nodes=16, seed=1,
-                vectorized=False,
-            ))
-            assert type(system.network) is cls
-
-    def test_env_hatch_selects_reference_networks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        system = CmpSystem(CmpConfig(
-            app="oc", network="mesh", num_nodes=16, seed=1
-        ))
-        assert type(system.network) is MeshNetwork
-
-    def test_env_hatch_zero_means_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VECTOR", "0")
-        system = CmpSystem(CmpConfig(
-            app="oc", network="fsoi", num_nodes=16, seed=1
-        ))
-        assert type(system.network) is VectorFsoiNetwork
-
-
 def bernoulli_meta_run(num_nodes, p, seed, cycles):
-    """Uniform Bernoulli meta traffic on the vector engine.
+    """Uniform Bernoulli meta traffic on a bare FSOI channel.
 
     Same driver as ``tests/core/test_analytical_crossval.py`` — every
     meta slot boundary each node offers a packet with probability ``p``
-    to a uniform random peer — but instantiating the *vector* engine at
-    sizes where the reference gather would dominate the run.
+    to a uniform random peer — at sizes where a per-node slot gather
+    would dominate the run.
     """
-    net = VectorFsoiNetwork(FsoiConfig(num_nodes=num_nodes, seed=seed))
+    net = FsoiNetwork(FsoiConfig(num_nodes=num_nodes, seed=seed))
     rng = np.random.default_rng(seed)
     slot = net.lanes.slot_cycles(LaneKind.META)
     for cycle in range(cycles):
@@ -238,13 +279,8 @@ def bernoulli_meta_run(num_nodes, p, seed, cycles):
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("REPRO_NO_VECTOR", "") not in ("", "0"),
-    reason="the scaling study targets the vectorized engines, which "
-    "REPRO_NO_VECTOR pins off for the whole process",
-)
 class TestScaling:
-    """The 256/512/1024-node scaling study the engines exist for.
+    """The 256/512/1024-node scaling study the worklists exist for.
 
     Uniform Bernoulli traffic keeps the Figure 3 closed form's
     assumptions honest at scale (app-driven coherence traffic is
@@ -285,7 +321,7 @@ class TestScaling:
         ))
         result = system.run(cycles)
         network = system.network
-        assert type(network) is VectorMeshNetwork
+        assert type(network) is MeshNetwork
         assert result.cycles == cycles
         assert sum(result.instructions_per_core) == result.instructions
         assert 0 < result.packets_delivered <= result.packets_sent

@@ -162,7 +162,7 @@ class TestScale:
         assert len(result.instructions_per_core) == num_nodes
         assert sum(result.core_cycles.values()) == num_nodes * cycles
         assert 0 < result.packets_delivered <= result.packets_sent
-        # The columnar arrays — core ledgers and the network's
-        # readiness columns — must still agree with the scalar objects.
+        # The core ledger columns must still agree with the scalar
+        # objects, and the network's scheduling index with its queues.
         system._vector.audit()
         system.network.audit()

@@ -15,8 +15,6 @@ The run-both-and-diff machinery is shared with the core- and
 network-engine suites via ``tests/conftest.py``.
 """
 
-import os
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -24,6 +22,7 @@ from hypothesis import strategies as st
 from repro.cmp import CmpConfig, CmpSystem
 from repro.coherence.directory import DirectoryConfig
 from repro.core.optimizations import OptimizationConfig
+from tests.coherence.test_vector_primitives import requires_vector_default
 from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_engine_pair
 
 
@@ -127,6 +126,7 @@ class TestEquivalence:
         )
 
 
+@requires_vector_default
 class TestAudit:
     """Column integrity after real runs, fused and fallback paths both."""
 
@@ -190,11 +190,7 @@ class TestEscapeHatches:
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("REPRO_NO_VECTOR", "") not in ("", "0"),
-    reason="the scale smoke test targets the vectorized engine, which "
-    "REPRO_NO_VECTOR pins off for the whole process",
-)
+@requires_vector_default
 class TestScale:
     """The batching claim at 256/512 nodes: fused drains stay exact.
 

@@ -137,6 +137,43 @@ class TestConservation:
         assert order == [p.uid for p in packets]
 
 
+class TestQuiescence:
+    @staticmethod
+    def recount(net) -> bool:
+        """Quiescence from first principles: nothing queued, nothing
+        half-injected, nothing awaiting ejection, every buffer empty."""
+        return (
+            not net._deliveries
+            and not any(net._inject_queues)
+            and all(state is None for state in net._inject_state)
+            and all(router.occupancy() == 0 for router in net.routers)
+        )
+
+    def test_counters_agree_with_buffer_recount(self):
+        # quiescent() answers from maintained counters; a recount of
+        # every queue and VC buffer must say the same on each cycle —
+        # idle, with traffic in flight, and after the drain.
+        net = make_mesh()
+        assert net.quiescent() and self.recount(net)
+        rng = np.random.default_rng(11)
+        busy_cycles = 0
+        for cycle in range(120):
+            for src in range(16):
+                if cycle < 60 and rng.random() < 0.1:
+                    dst = int(rng.integers(0, 15))
+                    dst = dst if dst < src else dst + 1
+                    lane = LaneKind.DATA if rng.random() < 0.3 else LaneKind.META
+                    net.try_send(Packet(src=src, dst=dst, lane=lane), cycle)
+            net.tick(cycle)
+            assert net.quiescent() == self.recount(net)
+            busy_cycles += not net.quiescent()
+            net.audit()
+        assert busy_cycles > 60
+        drain(net, 120)
+        assert net.quiescent() and self.recount(net)
+        net.audit()
+
+
 class TestActivity:
     def test_activity_counters_consistent(self):
         net = make_mesh()

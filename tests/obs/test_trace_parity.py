@@ -1,10 +1,12 @@
 """Trace parity between the engine variants.
 
-The vectorized columnar engines (core, mesh, FSOI) claim to be
-bit-exact stand-ins for the reference object-per-node loops.  The
+The columnar engines (cores, coherence dispatch) claim to be bit-exact
+stand-ins for the reference object-per-node loops.  The
 results-equivalence suites check the *measured* quantities; this suite
 pins the stronger claim that the **event streams** are identical too —
-every trace event, in order, with the same packet ids.
+every trace event, in order, with the same packet ids.  (The networks
+have one engine each; their streams are pinned against the retired
+reference ticks in ``tests/cmp/test_network_vector_equivalence.py``.)
 
 Packet ids make this sharp: they used to come from a process-global
 counter, so two otherwise identical runs traced different ids
