@@ -320,51 +320,50 @@ class CmpSystem:
         and without this every run would start with an unrepresentative
         compulsory-miss burst.
         """
-        from repro.coherence.directory import DirState
-        from repro.coherence.l1 import L1State
+        from repro.coherence.directory import DirState, WarmLines
         from repro.cpu.sync import SyncManager as SM
 
-        lines: set[int] = set()
-        for core in self.cores:
-            lines.update(core.workload.reuse_lines())
-        lines.update(self.cores[0].workload.shared_lines())
-        lines.add(SM.barrier_line())
         app = self.config.app_signature
-        lines.update(SM.lock_line(i) for i in range(app.lock_count))
-        hot: dict[int, int] = {}  # line -> owning node
-        for node, core in enumerate(self.cores):
-            workload = core.workload
-            for line in workload.reuse_lines()[: app.hot_lines]:
-                hot[line] = node
+        directories, l1s, home_of = self.directories, self.l1s, self.home_of
+        reuse = [core.workload.reuse_lines() for core in self.cores]
+        sync = [SM.barrier_line()]
+        sync.extend(SM.lock_line(i) for i in range(app.lock_count))
+        ranges = [
+            *reuse,
+            self.cores[0].workload.shared_lines(),
+            *(range(line, line + 1) for line in sync),
+        ]
+        hot = {  # line -> owning node
+            line: node
+            for node, span in enumerate(reuse)
+            for line in span[: app.hot_lines]
+        }
         if self.config.directory.capacity_lines is not None:
             # Bounded slices count live entries for capacity pressure,
-            # so the warm set must be materialized eagerly.
+            # so the warm set must be materialized eagerly — and in this
+            # insertion order: eviction order hangs on how the set
+            # iterates.
+            lines: set[int] = set()
+            for span in ranges:
+                lines.update(span)
             for line in lines:
-                entry = self.directories[self.home_of(line)].entry(line)
                 owner = hot.get(line)
                 if owner is None:
-                    entry.state = DirState.DV
-                    continue
-                entry.state = DirState.DM
-                entry.sharers = {owner}
-                l1 = self.l1s[owner]
-                l1.array.insert(line)
-                l1._states[line] = L1State.E
+                    directories[home_of(line)].entry(line).state = DirState.DV
+                else:
+                    directories[home_of(line)].preload_owned(line, owner)
+                    l1s[owner].preload_exclusive(line)
             return
         # Unbounded slices (the calibrated default): only the L1-hot
         # lines get real entries; the DV bulk stays a lazily-consumed
         # warm set shared across slices (home-partitioned, so no two
         # slices ever race on one line).
         for line, owner in hot.items():
-            entry = self.directories[self.home_of(line)].entry(line)
-            entry.state = DirState.DM
-            entry.sharers = {owner}
-            l1 = self.l1s[owner]
-            l1.array.insert(line)
-            l1._states[line] = L1State.E
-        lines.difference_update(hot)
-        for directory in self.directories:
-            directory.preload_valid(lines)
+            directories[home_of(line)].preload_owned(line, owner)
+            l1s[owner].preload_exclusive(line)
+        warm = WarmLines(ranges, consumed=hot)
+        for directory in directories:
+            directory.preload_valid(warm)
 
     # ------------------------------------------------------------------
     # construction helpers

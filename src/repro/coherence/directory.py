@@ -30,6 +30,7 @@ an in-flight packet, both already covered by other horizons.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum, auto
@@ -39,7 +40,7 @@ from repro.coherence.messages import CoherenceMessage, MsgType
 from repro.obs.trace import TRACE
 from repro.util.stats import StatGroup
 
-__all__ = ["DirState", "DirectoryController", "DirectoryConfig"]
+__all__ = ["DirState", "DirectoryController", "DirectoryConfig", "WarmLines"]
 
 SendFn = Callable[[CoherenceMessage, int], None]
 
@@ -100,7 +101,10 @@ class _Entry:
     dirty: bool = False           # L2 copy differs from memory
     requester: int = -1           # beneficiary of the in-flight transaction
     acks_needed: int = 0
-    queued: deque = field(default_factory=deque)
+    #: "z" messages waiting for a stable state: the shared empty tuple
+    #: until the first one queues (most lines never queue; a deque per
+    #: entry was a third of what installing an entry costs).
+    queued: "deque | tuple" = ()
     last_use: int = 0             # LRU clock for capacity eviction
 
     @property
@@ -108,6 +112,42 @@ class _Entry:
         if len(self.sharers) != 1:
             raise RuntimeError(f"owner of a non-DM entry: {self.sharers}")
         return next(iter(self.sharers))
+
+
+class WarmLines:
+    """The warm-start lines as what they are: a few step-1 ``range``s
+    of line numbers minus the lines already consumed.
+
+    Offers the three set operations :class:`DirectoryController` uses —
+    ``in``, ``discard`` and truthiness — with O(log ranges) membership
+    and storage proportional to the lines *touched*, not the lines warm
+    (a 256-node warm start covers ~1 M lines in 258 ranges).
+    """
+
+    def __init__(self, ranges, consumed=()):
+        self._starts: list[int] = []
+        self._stops: list[int] = []
+        for span in sorted((r.start, r.stop) for r in ranges if len(r)):
+            if self._stops and span[0] <= self._stops[-1]:  # overlap: merge
+                self._stops[-1] = max(self._stops[-1], span[1])
+            else:
+                self._starts.append(span[0])
+                self._stops.append(span[1])
+        self._consumed = set(consumed)
+
+    def __contains__(self, line: int) -> bool:
+        index = bisect_right(self._starts, line) - 1
+        return (
+            index >= 0
+            and line < self._stops[index]
+            and line not in self._consumed
+        )
+
+    def discard(self, line: int) -> None:
+        self._consumed.add(line)
+
+    def __bool__(self) -> bool:
+        return bool(self._starts)
 
 
 class DirectoryController:
@@ -131,7 +171,7 @@ class DirectoryController:
         #: consumes) them on first touch.  May be shared between slices
         #: — home interleaving guarantees no two slices are ever asked
         #: about the same line.  See :meth:`preload_valid`.
-        self._warm: set[int] = set()
+        self._warm = WarmLines(())
         self._queued_total = 0
         self._lru_clock = 0
         #: Columnar-engine ledger hook (repro.coherence.vector): called
@@ -175,15 +215,16 @@ class DirectoryController:
             return DirState.DV
         return DirState.DI
 
-    def preload_valid(self, lines: set[int]) -> None:
+    def preload_valid(self, lines: WarmLines) -> None:
         """Warm-start ``lines`` as resident-valid (DV) in this slice.
 
-        Entries are materialized lazily on first touch instead of up
-        front — a 16-node warm start covers ~67k lines of which a short
-        run touches a few hundred, so eager materialization dominates
-        construction cost.  ``lines`` may be a set shared with the
-        other slices (home interleaving partitions it); it is consumed
-        destructively as lines are touched.
+        Nothing is materialized here: :meth:`entry` creates the DV entry
+        on a line's first touch and marks it consumed in ``lines``, so
+        the cost of a warm start follows the lines a run touches (a few
+        hundred in a short run), not the lines that are warm (~67k at 16
+        nodes, ~1 M at 256).  ``lines`` may be one object shared with
+        the other slices — home interleaving guarantees no two slices
+        are ever asked about the same line.
 
         Requires an unbounded slice: capacity accounting counts live
         entries, so a bounded slice must materialize its warm set
@@ -192,6 +233,10 @@ class DirectoryController:
         if self.config.capacity_lines is not None:
             raise ValueError("lazy warm start needs an unbounded L2 slice")
         self._warm = lines
+
+    def preload_owned(self, line: int, owner: int) -> None:
+        """Warm-start ``line`` as held exclusively (DM) by ``owner``'s L1."""
+        self._entries[line] = _Entry(DirState.DM, {owner})
 
     def outstanding(self) -> int:
         return sum(1 for e in self._entries.values() if e.state.is_transient)
@@ -498,6 +543,8 @@ class DirectoryController:
             )
             return
         self._count["queued"].add()
+        if not entry.queued:
+            entry.queued = deque()
         entry.queued.append(msg)
         self._queued_total += 1
         if self.queue_ledger is not None:

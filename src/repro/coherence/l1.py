@@ -128,6 +128,12 @@ class L1Controller:
     def state(self, line: int) -> L1State:
         return self._states.get(line, L1State.I)
 
+    def preload_exclusive(self, line: int) -> None:
+        """Warm-start ``line`` resident in E (its home holds it DM for
+        this node: :meth:`DirectoryController.preload_owned`)."""
+        self.array.insert(line)
+        self._states[line] = L1State.E
+
     def _set_state(self, line: int, state: L1State) -> None:
         if self.ledger is not None:
             self.ledger(self._states.get(line, L1State.I), state)

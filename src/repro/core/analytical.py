@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "collision_probability",
@@ -307,6 +306,9 @@ def optimal_meta_bandwidth(
     >>> 0.25 < optimal_meta_bandwidth() < 0.32
     True
     """
+    # Imported where called: docs/performance.md "Time to first cycle".
+    from scipy.optimize import minimize_scalar
+
     result = minimize_scalar(
         lambda b: bandwidth_latency(b, constants),
         bounds=(1e-3, 1 - 1e-3),

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import minimize_scalar
-
 __all__ = [
     "aloha_throughput",
     "aloha_capacity",
@@ -88,6 +86,9 @@ def saturation_load(num_nodes: int = 16, receivers: int = 2) -> float:
     loads (a few percent), which is *why* accepting collisions is safe:
     the channel is run deep inside its stable region.
     """
+    # Imported where called: docs/performance.md "Time to first cycle".
+    from scipy.optimize import minimize_scalar
+
     result = minimize_scalar(
         lambda p: -lane_goodput(p, num_nodes, receivers),
         bounds=(1e-6, 1.0),

@@ -85,8 +85,12 @@ class FaultInjector:
         self._dark_streak: dict[tuple[int, LaneKind], int] = {}
         self._marked_down: set[tuple[int, LaneKind]] = set()
 
-        # droop_db -> per-bit error rate via the optical chain.
+        # droop_db -> per-bit error rate via the optical chain, resolved
+        # here for every scheduled droop so a run never pays the chain
+        # (and its scipy.special import) inside a tick.
         self._droop_ber_cache: dict[float, float] = {}
+        for droop in self._droops:
+            self.droop_ber(droop.droop_db)
 
     # -- transmit-side faults -------------------------------------------
 

@@ -1,0 +1,123 @@
+"""Time to first cycle: scipy stays off the import path and out of runs.
+
+Module scope imports numpy and the stdlib only; the four closed-form
+helpers that need scipy import it where they call it
+(docs/performance.md, "Time to first cycle").  The checks run in fresh
+subprocesses — inside this pytest process some other test has usually
+loaded scipy already.  The pinned floats were recorded at the last
+commit that imported scipy at module scope, so "lazy" provably changed
+no bit.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.core.analytical import optimal_meta_bandwidth
+from repro.core.queueing import saturation_load
+from repro.optics.noise import ber_from_q, q_from_ber
+
+SRC = Path(__file__).parents[2] / "src"
+
+
+def run_fresh(code: str) -> None:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_no_scipy_on_import_or_in_a_run():
+    run_fresh(
+        """
+import sys
+import repro, repro.sweep, repro.analytics, repro.cli
+from repro.cmp import CmpConfig, CmpSystem
+
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+assert not loaded(), f"imported at module scope: {loaded()[:5]}"
+for network in ("fsoi", "mesh", "l0"):
+    CmpSystem(CmpConfig(num_nodes=16, network=network)).run(200)
+    assert not loaded(), f"{network} run imported {loaded()[:5]}"
+"""
+    )
+
+
+def test_faulted_run_imports_nothing_after_construction():
+    # The droop -> Q-factor -> BER chain needs scipy.special; the
+    # injector resolves it per plan at construction, never under tick.
+    run_fresh(
+        """
+import sys
+from repro.cmp import CmpConfig, CmpSystem
+from repro.faults.plan import FaultPlan, ThermalDroop
+
+plan = FaultPlan(label="droop", droops=(ThermalDroop(droop_db=2.5),), seed=3)
+system = CmpSystem(CmpConfig(num_nodes=16, network="fsoi", faults=plan))
+before = set(sys.modules)
+assert "scipy.special" in before  # the plan's BER is already resolved
+result = system.run(1500)
+faults = result.to_dict()["fsoi"]["faults"]
+assert faults["data"]["injected_corrupt"] > 0  # the droop path ran
+assert set(sys.modules) == before, sorted(set(sys.modules) - before)[:5]
+"""
+    )
+
+
+@pytest.mark.parametrize(
+    "constants, pinned",
+    [
+        (None, "0x1.23ad551976be0p-2"),
+        ((1.0, 2.0, 3.0, 4.0), "0x1.bda5608cd0cb0p-2"),
+        ((0.5, 0.01, 0.2, 0.3), "0x1.9cc4c57acb678p-2"),
+    ],
+)
+def test_optimal_meta_bandwidth_pins(constants, pinned):
+    args = () if constants is None else (constants,)
+    assert optimal_meta_bandwidth(*args).hex() == pinned
+
+
+@pytest.mark.parametrize(
+    "num_nodes, receivers, pinned",
+    [
+        (16, 2, "0x1.ffff37fca52cfp-1"),
+        (16, 1, "0x1.ffff64a44e35fp-1"),
+        (256, 4, "0x1.ffff37fca52cfp-1"),
+    ],
+)
+def test_saturation_load_pins(num_nodes, receivers, pinned):
+    assert saturation_load(num_nodes, receivers).hex() == pinned
+
+
+@pytest.mark.parametrize(
+    "q, pinned",
+    [
+        (0.37, "0x1.6c3a53666bb16p-2"),
+        (3.3, "0x1.fae82e1b2d7b5p-12"),
+        (6.36, "0x1.bba943878654ep-34"),
+        (7.03, "0x1.22ab8c9d4f7a9p-40"),
+        (9.9, "0x1.9298b576811aap-76"),
+    ],
+)
+def test_ber_from_q_pins(q, pinned):
+    assert ber_from_q(q).hex() == pinned
+
+
+@pytest.mark.parametrize(
+    "ber, pinned",
+    [
+        (1e-12, "0x1.c234fba57a329p+2"),
+        (1e-10, "0x1.97203597a2155p+2"),
+        (3.7e-9, "0x1.72057dce63186p+2"),
+        (0.013, "0x1.1cf481db98022p+1"),
+        (0.4999, "0x1.06d6ca8553fc1p-12"),
+    ],
+)
+def test_q_from_ber_pins(ber, pinned):
+    assert q_from_ber(ber).hex() == pinned
