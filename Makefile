@@ -2,7 +2,7 @@
 
 PYTEST ?= python -m pytest
 
-.PHONY: install test test-fast bench pytest-bench figures examples clean
+.PHONY: install test test-fast bench perfbench-smoke pytest-bench figures examples clean
 
 install:
 	pip install -e .
@@ -17,6 +17,11 @@ test-fast:
 # trajectory (exit 1 on a direction-aware regression).
 bench:
 	PYTHONPATH=src python -m repro.cli bench --compare --no-write
+
+# The benchmark of record (BENCHMARK.json), scaled down: all six
+# workloads once, every output check on, < 20 s.
+perfbench-smoke:
+	python3 perfbench/run.py --smoke
 
 # The paper's tables/figures via pytest-benchmark (the old `make bench`).
 pytest-bench:

@@ -212,9 +212,11 @@ class FsoiNetwork(Interconnect):
     readiness is due, in ascending order (a node whose readiness lies
     in the future would pick nothing and change nothing), and the
     fast-forward horizon is the lane minimum rounded up to a boundary.
-    Under a fault plan every node is visited instead: sender-side lane
-    sparing probes (``lane_suppressed``) un-mark healed lanes as a side
-    effect of being queried, also for nodes with nothing to send.
+    Under a fault plan a boundary also visits the nodes whose lane the
+    sender has marked down, due or not: the sparing probe
+    (``lane_suppressed``) un-marks a healed lane as a side effect of
+    being queried.  For every other node the probe is pure and an
+    undue node picks nothing, so skipping it changes nothing.
     """
 
     def __init__(self, config: FsoiConfig, rng: RngHub | None = None):
@@ -462,15 +464,17 @@ class FsoiNetwork(Interconnect):
     def _start_slot(self, lane: LaneKind, cycle: int) -> None:
         self._slots_counter[lane].value += 1
         inj = self._injector
-        if inj is not None:
-            nodes = range(self.num_nodes)
-        else:
-            index = self._index[lane]
-            if index.minimum() > cycle:
-                return  # idle lane, or nothing eligible yet
-            nodes = [
-                node for node, ready in enumerate(index.ready) if ready <= cycle
-            ]
+        index = self._index[lane]
+        # Lanes their sender spares are probed every boundary, due or
+        # not: the probe is what un-marks a healed lane.
+        spared = inj.marked_down(lane) if inj is not None else ()
+        if index.minimum() > cycle and not spared:
+            return  # idle lane, or nothing eligible yet
+        nodes = [
+            node for node, ready in enumerate(index.ready) if ready <= cycle
+        ]
+        if spared:
+            nodes = sorted({*nodes, *spared})
         tx_counter = self._lane_stats[lane]["tx"]
         bits_counter = self.stats.bits_sent
         slot_len = self._slot_len[lane]

@@ -130,6 +130,11 @@ class FaultInjector:
         """
         return bool(self._marked_down)
 
+    def marked_down(self, lane: LaneKind) -> list[int]:
+        """The nodes whose ``lane`` is currently marked down — the only
+        ones for which :meth:`lane_suppressed` is not pure."""
+        return [node for node, marked in self._marked_down if marked is lane]
+
     def lane_suppressed(self, node: int, lane: LaneKind, cycle: int) -> bool:
         """Whether the sender has detected its dead lane and spares it.
 

@@ -61,7 +61,12 @@ class IdealConfig:
 
 
 class IdealNetwork(Interconnect):
-    """Contention-free network with per-source serialization throughput."""
+    """Contention-free network with per-source serialization throughput.
+
+    Per cycle the network visits only ``_active``, the nodes with a
+    queued packet, in ascending order (a node with nothing queued would
+    start nothing).
+    """
 
     def __init__(self, config: IdealConfig):
         super().__init__(config.num_nodes)
@@ -69,6 +74,7 @@ class IdealNetwork(Interconnect):
         self.side = mesh_side(config.num_nodes)
         self._queues: list[deque[Packet]] = [deque() for _ in range(config.num_nodes)]
         self._channel_free_at = [0] * config.num_nodes
+        self._active: set[int] = set()  # nodes with a non-empty queue
         self._deliveries: dict[int, list[Packet]] = {}
 
     def can_accept(self, node, lane) -> bool:  # noqa: D102 - see base class
@@ -85,6 +91,7 @@ class IdealNetwork(Interconnect):
         packet.enqueue_cycle = cycle
         packet.scheduled_cycle = cycle
         queue.append(packet)
+        self._active.add(packet.src)
         self.stats.sent.add()
         self.stats.bits_sent.add(packet.bits)
         return True
@@ -96,15 +103,19 @@ class IdealNetwork(Interconnect):
                 self._deliver(packet, cycle)
             if self.post_delivery is not None:
                 self.post_delivery()  # drain the coherence mailbox
-        for node in range(self.num_nodes):
-            self._pump(node, cycle)
+        if self._active:
+            for node in sorted(self._active):
+                self._pump(node, cycle)
 
     def _pump(self, node: int, cycle: int) -> None:
-        """Start serializing the next packet when the channel is free."""
-        queue = self._queues[node]
-        if not queue or self._channel_free_at[node] > cycle:
+        """Start serializing the next packet of active ``node`` when
+        its channel is free."""
+        if self._channel_free_at[node] > cycle:
             return
+        queue = self._queues[node]
         packet = queue.popleft()
+        if not queue:
+            self._active.discard(node)
         packet.first_tx_cycle = cycle
         packet.final_tx_cycle = cycle
         serialization = (
@@ -124,7 +135,7 @@ class IdealNetwork(Interconnect):
         return hops * per_hop
 
     def quiescent(self) -> bool:
-        return not self._deliveries and not any(self._queues)
+        return not self._deliveries and not self._active
 
     def next_event(self, cycle: int) -> int | None:
         """Fast-forward horizon: min over pending deliveries and, per
@@ -132,9 +143,7 @@ class IdealNetwork(Interconnect):
         horizon = min(self._deliveries) if self._deliveries else None
         if horizon is not None and horizon <= cycle:
             return cycle
-        for node, queue in enumerate(self._queues):
-            if not queue:
-                continue
+        for node in self._active:
             free = self._channel_free_at[node]
             if free <= cycle:
                 return cycle

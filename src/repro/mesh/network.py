@@ -9,6 +9,7 @@ port under the same VC-allocation/credit rules as any other hop.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -47,8 +48,6 @@ class MeshConfig:
 
     def flits_for(self, packet_flits: int) -> int:
         """Flit count after link-width scaling."""
-        import math
-
         return math.ceil(packet_flits / self.bandwidth_scale)
 
 
@@ -85,7 +84,7 @@ class MeshNetwork(Interconnect):
         for i, router in enumerate(self.routers):
             for port in (Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH):
                 try:
-                    router.downstream[port] = self.routers[neighbor(i, port, self.side)]
+                    router.connect(port, self.routers[neighbor(i, port, self.side)])
                 except ValueError:
                     pass  # mesh edge
         self._inject_queues: list[deque[Packet]] = [
@@ -140,7 +139,7 @@ class MeshNetwork(Interconnect):
     def quiescent(self) -> bool:
         if self._deliveries or self._active_inject:
             return False
-        return not any(router._buffered for router in self.routers)
+        return not any(router._occupied for router in self.routers)
 
     def next_event(self, cycle: int) -> int | None:
         """Fast-forward horizon: min over pending ejections, per-router
@@ -226,21 +225,23 @@ class MeshNetwork(Interconnect):
             occupied = set()
             for port, buffers in router.inputs.items():
                 for vc, buffer in enumerate(buffers):
+                    k = port * router.num_vcs + vc
+                    assert router._bufs[k] is buffer
                     requesting = (
                         buffer.route_port is not None
-                        and (port, vc) in router._requesters[buffer.route_port]
+                        and k in router._requesters[buffer.route_port]
                     )
                     assert requesting == bool(buffer.flits)
                     if buffer.flits:
-                        occupied.add((port, vc))
+                        occupied.add(k)
                         ready_min = min(ready_min, buffer.flits[0][0])
                         assert buffer.route_port is xy_route(
                             node, buffer.owner.dst, self.side
                         )
             assert router._occupied == occupied
-            assert sum(map(len, router._requesters.values())) == len(occupied)
+            assert sum(map(len, router._requesters)) == len(occupied)
             assert router._ready_min == ready_min
-            assert router._buffered == router.occupancy()
+            assert router.buffer_writes - router.flits_routed == router.occupancy()
             busy = self._inject_state[node] is not None or bool(
                 self._inject_queues[node]
             )
@@ -250,9 +251,10 @@ class MeshNetwork(Interconnect):
 
     def activity(self) -> dict[str, int]:
         """Aggregate switching activity for the Orion-style energy model."""
+        flits_routed = sum(r.flits_routed for r in self.routers)
         return {
-            "flits_routed": sum(r.flits_routed for r in self.routers),
+            "flits_routed": flits_routed,
             "buffer_writes": sum(r.buffer_writes for r in self.routers),
-            "buffer_reads": sum(r.buffer_reads for r in self.routers),
+            "buffer_reads": flits_routed,  # one read per routed flit
             "link_flits": sum(r.link_flits for r in self.routers),
         }

@@ -18,6 +18,12 @@ Scheduling: the router keeps ``_ready_min``, the earliest cycle any of
 its buffered head flits becomes processable (:data:`NEVER` when empty).
 ``tick`` returns at once before that cycle, and the mesh network ticks
 only routers whose ``_ready_min`` is due (docs/performance.md).
+
+Data layout: input VC ``vc`` of port ``in_port`` is buffer ``k = in_port
+* num_vcs + vc`` — its arbitration index minus one — and that one
+integer keys the flat buffer list, the occupied set and the per-output
+requester sets, in this router and (for the flits it forwards) in the
+downstream one.  ``inputs[port][vc]`` is the same buffers by port.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.mesh.routing import Port, opposite, xy_route
+from repro.mesh.routing import Port, mesh_coordinates, opposite
 from repro.net.packet import Packet
 from repro.obs.trace import TRACE
 
@@ -36,8 +42,9 @@ __all__ = ["NEVER", "Flit", "Router", "free_vc"]
 #: simulated cycle.
 NEVER = 1 << 62
 
-_LOCAL = Port.LOCAL
-_OPPOSITE = {port: opposite(port) for port in Port if port is not Port.LOCAL}
+_EAST, _WEST, _NORTH, _SOUTH, _LOCAL = (
+    Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL
+)
 
 
 @dataclass
@@ -113,37 +120,57 @@ class Router:
         self.num_vcs = num_vcs
         self.router_latency = router_latency
         self.link_latency = link_latency
+        self._hop_cycles = router_latency + link_latency
         self.deliver = deliver
+        self._x, self._y = mesh_coordinates(node, side)
         self.inputs: dict[Port, list[_VcBuffer]] = {
             port: [_VcBuffer(buffer_flits) for _ in range(num_vcs)] for port in Port
         }
-        # Wired by the network: downstream router per non-local output.
-        self.downstream: dict[Port, "Router"] = {}
+        # The same buffers, flat: _bufs[in_port * num_vcs + vc].
+        self._bufs = [buffer for port in Port for buffer in self.inputs[port]]
+        # Arbiter pointer per output: the arbitration index (k + 1) of
+        # the last winner, plus one.  _arb_bound exceeds every index and
+        # every pointer, whatever num_vcs is.
         self._arbiter_state: dict[Port, int] = {port: 0 for port in Port}
-        self._buffered = 0  # total flits across all input buffers
-        self._occupied: set[tuple[Port, int]] = set()  # non-empty (port, vc)
-        # The non-empty (in_port, vc) keys grouped by their owner's route
-        # port, so arbitration walks exactly the VCs requesting each
-        # output.  A non-empty buffer always has a defined route port
-        # (VC allocation is packet-granular: a new head cannot enter
-        # until the previous owner's tail has left), so membership is
-        # stable while the buffer drains.
-        self._requesters: dict[Port, set[tuple[Port, int]]] = {
-            port: set() for port in Port
-        }
-        self._req_items = tuple(self._requesters.items())
+        self._arb_bound = len(self._bufs) + 2
+        self._occupied: set[int] = set()  # k of every non-empty buffer
+        # The non-empty buffers grouped by their owner's route port, so
+        # arbitration walks exactly the VCs requesting each output.  A
+        # non-empty buffer always has a defined route port (VC
+        # allocation is packet-granular: a new head cannot enter until
+        # the previous owner's tail has left), so membership is stable
+        # while the buffer drains.
+        self._requesters: list[set[int]] = [set() for _ in Port]
+        # Per output in port order: (its requester set, (port,
+        # downstream router, the input port it feeds there, that port's
+        # buffers)).  Ejection has no downstream; connect() adds the
+        # rest.
+        self._outputs: list[tuple] = [
+            (self._requesters[_LOCAL], (_LOCAL, None, None, None))
+        ]
         self._ready_min = NEVER
-        # Counters consumed by the Orion-style energy model.
+        # Counters consumed by the Orion-style energy model.  A routed
+        # flit is read from its input buffer exactly once, so buffer
+        # reads are ``flits_routed`` and ``buffer_writes - flits_routed``
+        # flits are buffered.
         self.flits_routed = 0
         self.buffer_writes = 0
-        self.buffer_reads = 0
         self.link_flits = 0
+
+    def connect(self, out_port: Port, downstream: "Router") -> None:
+        """Wire ``out_port`` to the facing input port of ``downstream``."""
+        in_port = opposite(out_port)
+        self._outputs.append((self._requesters[out_port], (
+            out_port, downstream, in_port, downstream.inputs[in_port],
+        )))
+        self._outputs.sort(key=lambda output: output[1][0])
 
     # -- upstream-facing ----------------------------------------------------
 
     def accept_flit(self, port: Port, vc: int, flit: Flit, ready_cycle: int) -> None:
         """Place ``flit`` into input buffer (slot was reserved by credits)."""
-        buffer = self.inputs[port][vc]
+        k = port * self.num_vcs + vc
+        buffer = self._bufs[k]
         flits = buffer.flits
         if buffer.capacity <= len(flits):
             raise RuntimeError(
@@ -156,23 +183,40 @@ class Router:
                     f"VC allocation violated: vc{vc} at node {self.node} "
                     f"{port.name} already owned"
                 )
-            buffer.owner = flit.packet
-            buffer.route_port = xy_route(self.node, flit.packet.dst, self.side)
+            packet = flit.packet
+            buffer.owner = packet
+            # XY dimension-order route (repro.mesh.routing.xy_route)
+            # from this router's cached coordinates.
+            dst = packet.dst
+            side = self.side
+            dx = dst % side
+            if dx > self._x:
+                route = _EAST
+            elif dx < self._x:
+                route = _WEST
+            else:
+                dy = dst // side
+                if dy > self._y:
+                    route = _SOUTH
+                elif dy < self._y:
+                    route = _NORTH
+                else:
+                    route = _LOCAL
+            buffer.route_port = route
             buffer.out_vc = None
             if TRACE.enabled:
                 TRACE.emit(
                     "vc_alloc", cat="mesh", cycle=ready_cycle,
-                    node=self.node, packet=flit.packet.uid,
+                    node=self.node, packet=packet.uid,
                     port=port.name, vc=vc,
-                    route=buffer.route_port.name,
+                    route=route.name,
                 )
         if not flits:
-            self._occupied.add((port, vc))
-            self._requesters[buffer.route_port].add((port, vc))
+            self._occupied.add(k)
+            self._requesters[buffer.route_port].add(k)
             if ready_cycle < self._ready_min:
                 self._ready_min = ready_cycle
         flits.append((ready_cycle, flit))
-        self._buffered += 1
         self.buffer_writes += 1
 
     # -- per-cycle operation ---------------------------------------------
@@ -180,101 +224,125 @@ class Router:
     def tick(self, cycle: int) -> None:
         """One cycle: each output port forwards at most one flit.
 
-        Round-robin among the (input port, vc) requesters of each
-        output whose head flit is ready and passes flow control: the
-        winner is the one whose arbitration index ``in_port * num_vcs +
-        vc + 1`` is cyclically nearest at or after the arbiter pointer,
-        and the pointer then moves just past it.  Indices are distinct,
-        so the pick does not depend on set iteration order.
+        Round-robin among the requesters of each output whose head flit
+        is ready and passes flow control: the winner is the one whose
+        arbitration index ``k + 1`` is cyclically nearest at or after
+        the arbiter pointer, and the pointer then moves just past it.
+        Indices are distinct, so the pick does not depend on set
+        iteration order.  The winner crosses the switch in the same
+        pass: a head flit enters the downstream router through
+        ``accept_flit`` (route computation, VC-allocation check); a body
+        flit follows its head into the VC already allocated, appended
+        here under the same credit check.
+
+        ``_ready_min`` is re-folded once, after the last output: until
+        then only this tick reads the buffers, a neighbour's
+        ``accept_flit`` lowers it by min-update whichever of the two
+        ticks first, and the network reads it only between ticks.
         """
         if self._ready_min > cycle:
             return
-        inputs = self.inputs
-        num_vcs = self.num_vcs
+        bufs = self._bufs
+        bound = self._arb_bound
         arbiter = self._arbiter_state
-        for out_port, requesters in self._req_items:
+        occupied = self._occupied
+        forwarded = link_flits = 0
+        for requesters, output in self._outputs:
             if not requesters:
                 continue
-            if out_port is _LOCAL:
-                dinputs = None  # ejection is never blocked
-            else:
-                dinputs = self.downstream[out_port].inputs[_OPPOSITE[out_port]]
+            out_port, downstream, in_port, dinputs = output
             start = arbiter[out_port]
-            best_mod = 1000  # exceeds every arbitration index
-            best_key = None
-            for req_key in requesters:
-                in_port, vc = req_key
-                buffer = inputs[in_port][vc]
-                ready, flit = buffer.flits[0]
-                if ready > cycle:
+            best = bound
+            best_k = -1
+            # First allocatable downstream VC, looked up for the first
+            # waiting head only (nothing changes it during the pass).
+            free = -1
+            for k in requesters:
+                buffer = bufs[k]
+                if buffer.flits[0][0] > cycle:
                     continue
-                if dinputs is not None:
+                if dinputs is not None:  # ejection is never blocked
                     out_vc = buffer.out_vc
-                    if flit.is_head and out_vc is None:
-                        if free_vc(dinputs) is None:
+                    if out_vc is None:
+                        # A head awaiting VC allocation (body flits
+                        # follow an allocated head).
+                        if free == -1:
+                            free = free_vc(dinputs)
+                        if free is None:
                             continue
                     else:
                         dbuf = dinputs[out_vc]
                         if dbuf.capacity <= len(dbuf.flits):
                             continue
-                mod = (in_port * num_vcs + vc + 1 - start) % 1000
-                if mod < best_mod:
-                    best_mod = mod
-                    best_key = req_key
-            if best_key is not None:
-                in_port, vc = best_key
-                arbiter[out_port] = in_port * num_vcs + vc + 2  # index + 1
-                self._forward(out_port, best_key, cycle)
+                distance = k + 1 - start
+                if distance < 0:
+                    distance += bound
+                if distance < best:
+                    best = distance
+                    best_k = k
+            if best_k < 0:
+                continue
+            arbiter[out_port] = best_k + 2  # winner's index + 1
 
-    def _forward(self, out_port: Port, key: tuple[Port, int], cycle: int) -> None:
-        """The head flit of input VC ``key`` won ``out_port`` this cycle."""
-        buffer = self.inputs[key[0]][key[1]]
-        flits = buffer.flits
-        flit = flits.popleft()[1]
-        self._buffered -= 1
-        if not flits:
-            self._occupied.discard(key)
-            self._requesters[buffer.route_port].discard(key)
-        self.buffer_reads += 1
-        self.flits_routed += 1
-
-        if out_port is _LOCAL:
+            # Switch traversal of the winner.
+            buffer = bufs[best_k]
+            flits = buffer.flits
+            flit = flits.popleft()[1]
+            if not flits:
+                occupied.discard(best_k)
+                requesters.discard(best_k)
+            forwarded += 1
+            if dinputs is None:
+                if flit.is_tail:
+                    if TRACE.enabled:
+                        TRACE.emit(
+                            "eject", cat="mesh",
+                            cycle=cycle + self.router_latency,
+                            node=self.node, packet=flit.packet.uid,
+                            src=flit.packet.src,
+                        )
+                    self.deliver(flit.packet, cycle + self.router_latency)
+            else:
+                link_flits += 1
+                ready = cycle + self._hop_cycles
+                out_vc = buffer.out_vc
+                if out_vc is None:
+                    buffer.out_vc = free
+                    downstream.accept_flit(in_port, free, flit, ready)
+                else:
+                    dbuf = dinputs[out_vc]
+                    dflits = dbuf.flits
+                    if dbuf.capacity <= len(dflits):
+                        raise RuntimeError(
+                            "credit protocol violated: buffer overflow at "
+                            f"node {downstream.node} "
+                            f"{in_port.name}.vc{out_vc}"
+                        )
+                    if not dflits:
+                        dk = in_port * downstream.num_vcs + out_vc
+                        downstream._occupied.add(dk)
+                        downstream._requesters[dbuf.route_port].add(dk)
+                        if ready < downstream._ready_min:
+                            downstream._ready_min = ready
+                    dflits.append((ready, flit))
+                    downstream.buffer_writes += 1
             if flit.is_tail:
-                if TRACE.enabled:
-                    TRACE.emit(
-                        "eject", cat="mesh",
-                        cycle=cycle + self.router_latency,
-                        node=self.node, packet=flit.packet.uid,
-                        src=flit.packet.src,
-                    )
-                self.deliver(flit.packet, cycle + self.router_latency)
-        else:
-            downstream = self.downstream[out_port]
-            in_port = _OPPOSITE[out_port]
-            if flit.is_head and buffer.out_vc is None:
-                # Arbitration saw a free downstream VC this cycle.
-                buffer.out_vc = free_vc(downstream.inputs[in_port])
-            self.link_flits += 1
-            downstream.accept_flit(
-                in_port, buffer.out_vc, flit,
-                cycle + self.router_latency + self.link_latency,
-            )
-        if flit.is_tail:
-            buffer.owner = None
-            buffer.route_port = None
-            buffer.out_vc = None
-        # A head left: recompute the earliest remaining head readiness.
-        ready_min = NEVER
-        inputs = self.inputs
-        for port, vc in self._occupied:
-            ready = inputs[port][vc].flits[0][0]
-            if ready < ready_min:
-                ready_min = ready
-        self._ready_min = ready_min
+                buffer.owner = None
+                buffer.route_port = None
+                buffer.out_vc = None
+
+        if forwarded:
+            self.flits_routed += forwarded
+            self.link_flits += link_flits
+            # Heads left: recompute the earliest remaining readiness.
+            ready_min = NEVER
+            for k in occupied:
+                ready = bufs[k].flits[0][0]
+                if ready < ready_min:
+                    ready_min = ready
+            self._ready_min = ready_min
 
     def occupancy(self) -> int:
         """Buffered flits, recounted from the buffers (``audit`` checks
-        the ``_buffered`` counter against it)."""
-        return sum(
-            len(vc.flits) for vcs in self.inputs.values() for vc in vcs
-        )
+        the write and routed counters against it)."""
+        return sum(len(buffer.flits) for buffer in self._bufs)

@@ -31,7 +31,6 @@ under stay stable.)
 
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,9 +45,11 @@ from repro.mesh.network import MeshNetwork
 from repro.net.packet import LaneKind, Packet
 from repro.obs import tracing
 from repro.sweep import canonical_json
-from tests.conftest import EQUIVALENCE_FAULT_PLAN, assert_engines_equivalent
-
-PINS_PATH = Path(__file__).parents[1] / "data" / "network_engine_pins.json"
+from tests.conftest import (
+    EQUIVALENCE_FAULT_PLAN,
+    assert_engines_equivalent,
+    check_pinned,
+)
 
 
 def _sha(text: str) -> str:
@@ -91,19 +92,7 @@ def check_pin(request):
 
     def check(key, **run_kwargs):
         digests, loop = fingerprint(**run_kwargs)
-        pins = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
-        if update:
-            pins[key] = digests
-            PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
-        else:
-            assert key in pins, (
-                f"no pin {key!r} in {PINS_PATH.name}; record it with "
-                "--update-golden (see the module docstring)"
-            )
-            assert digests == pins[key], (
-                f"{key} diverged from the pinned reference-engine run; if "
-                "the change is intentional, re-record with --update-golden"
-            )
+        check_pinned(update, key, digests)
         return loop
 
     return check
@@ -238,9 +227,8 @@ class TestEquivalence:
     def test_post_run_audit(self, kind):
         # The scheduling indexes must still agree with the queues and
         # buffers they summarise after a full run.  Under a fault plan
-        # FsoiNetwork takes its full per-node gather (lane-sparing
-        # probes have side effects on idle nodes) while the index keeps
-        # feeding the horizon.
+        # FsoiNetwork's slot gather also visits the marked-down nodes
+        # (lane-sparing probes un-mark healed lanes on idle nodes too).
         faults = EQUIVALENCE_FAULT_PLAN if kind == "fsoi-faults" else None
         system = CmpSystem(CmpConfig(
             app="oc", network=kind.split("-")[0], num_nodes=16, seed=3,

@@ -9,6 +9,7 @@ machinery here instead of duplicating it.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,28 @@ EQUIVALENCE_FAULT_PLAN = FaultPlan(
     confirmation_drops=(ConfirmationDrop(0.05),),
     seed=11,
 )
+
+
+#: Digests of network behaviour recorded from earlier implementations
+#: (tests/cmp/test_network_vector_equivalence.py, tests/net/test_channel_pins.py).
+PINS_PATH = Path(__file__).parent / "data" / "network_engine_pins.json"
+
+
+def check_pinned(update: bool, key: str, digests: dict) -> None:
+    """``digests`` must equal pin ``key`` of :data:`PINS_PATH`; with
+    ``update`` (``--update-golden``) the pin is recorded instead."""
+    pins = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
+    if update:
+        pins[key] = digests
+        PINS_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        return
+    assert key in pins, (
+        f"no pin {key!r} in {PINS_PATH.name}; record it with --update-golden"
+    )
+    assert digests == pins[key], (
+        f"{key} diverged from its pinned run; if the change is "
+        "intentional, re-record with --update-golden"
+    )
 
 
 def run_engine(cycles: int = 1200, **config_kwargs):

@@ -103,3 +103,50 @@ class TestCreditDiscipline:
             Router(0, 4, 0, 2, 4, 1, lambda p, c: None)
         with pytest.raises(ValueError):
             Router(0, 4, 2, 2, 0, 1, lambda p, c: None)
+
+
+class TestArbitrationBound:
+    """The round-robin wrap is derived from ``num_vcs``: arbitration
+    indices run to ``5 * num_vcs``, past 1000 from 200 VCs per port up,
+    and no fixed modulus orders them."""
+
+    NUM_VCS = 250
+    KEYS = [(Port.EAST, 0), (Port.SOUTH, 0), (Port.SOUTH, 249)]  # 251, 1001, 1250
+
+    def index(self, key):
+        return key[0] * self.NUM_VCS + key[1] + 1
+
+    def ejection_order(self, start):
+        delivered = []
+        router = Router(
+            node=5, side=4, num_vcs=self.NUM_VCS, buffer_flits=2,
+            router_latency=4, link_latency=1,
+            deliver=lambda packet, cycle: delivered.append(packet),
+        )
+        packet_of = {}
+        for key in self.KEYS:
+            packet_of[key] = Packet(src=0, dst=5, lane=LaneKind.META)
+            router.accept_flit(
+                *key, Flit(packet_of[key], 0, is_head=True, is_tail=True), 0
+            )
+        router._arbiter_state[Port.LOCAL] = start
+        pointers = []
+        for cycle in range(len(self.KEYS)):
+            router.tick(cycle)
+            pointers.append(router._arbiter_state[Port.LOCAL])
+        order = [
+            next(k for k, p in packet_of.items() if p is packet)
+            for packet in delivered
+        ]
+        assert pointers == [self.index(key) + 1 for key in order]
+        return order
+
+    def test_ascending_from_a_fresh_pointer(self):
+        assert self.ejection_order(0) == self.KEYS
+
+    @pytest.mark.parametrize("first", range(3))
+    def test_wraps_past_index_1000(self, first):
+        # Pointer just past requester ``first - 1``: service starts at
+        # ``first`` and wraps around to the lower indices.
+        start = self.index(self.KEYS[first - 1]) + 1 if first else 0
+        assert self.ejection_order(start) == self.KEYS[first:] + self.KEYS[:first]

@@ -1,0 +1,166 @@
+"""Pinned behaviour of the paths the CMP-load pins barely reach.
+
+``tests/cmp/test_network_vector_equivalence.py`` holds both networks to
+digests of whole ``CmpSystem`` runs, but at CMP load a mesh output port
+rarely has two ready requesters and the fault-plan slot gather rarely
+has a marked-down lane.  These pins drive exactly those paths:
+
+* a bare :class:`MeshNetwork` under seeded incast bursts (64 nodes) and
+  uniform Bernoulli offers at p = 0.1 (256 nodes) — round-robin
+  arbitration between contending inputs, VC exhaustion, credit stalls —
+  pinning the ``(uid, dst, deliver_cycle)`` sequence, the stat tree and
+  the switching activity, with ``audit()`` every 50 cycles;
+* the ``fault_*`` trace events of the CI faults-smoke plan (a data-lane
+  kill that heals mid-run, a thermal droop, dropped confirmations,
+  give-up), i.e. which node was suppressed, marked down and un-marked
+  at which slot boundary.
+
+The digests live beside the CMP-load pins in
+``tests/data/network_engine_pins.json`` under their own keys and were
+recorded at the commit *before* the flat-index router and the
+due-or-marked-down fault gather landed (ISSUE 15)::
+
+    PYTHONPATH=src python -m pytest tests/net/test_channel_pins.py --update-golden
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.cmp import CmpConfig, CmpSystem
+from repro.faults import ConfirmationDrop, FaultPlan, LaneFault, ThermalDroop
+from repro.mesh.network import MeshConfig, MeshNetwork
+from repro.net.packet import LaneKind, Packet
+from repro.obs import tracing
+from repro.sweep import canonical_json
+from tests.conftest import check_pinned
+
+DRAIN_CAP = 20_000
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(canonical_json(value).encode()).hexdigest()
+
+
+@pytest.fixture
+def check_pin(request):
+    """``check_pin(key, digests)``: compare against (or, under
+    ``--update-golden``, record) pin ``key``."""
+    update = request.config.getoption("--update-golden")
+    return lambda key, digests: check_pinned(update, key, digests)
+
+
+def uniform_offers(rng, nodes, cycles, p):
+    """Bernoulli(p) offers per node per cycle to a uniform random peer:
+    ``[(cycle, src, dst, is_data), ...]`` in cycle order."""
+    cycle, src = np.nonzero(rng.random((cycles, nodes)) < p)
+    dst = rng.integers(0, nodes - 1, len(src))
+    dst += dst >= src
+    is_data = rng.random(len(src)) < 0.5
+    return list(zip(cycle.tolist(), src.tolist(), dst.tolist(), is_data.tolist()))
+
+
+def incast_offers(rng, nodes, cycles, period, fan):
+    """Every ``period`` cycles ``fan`` distinct senders target one
+    receiver, over a 2 % uniform background."""
+    offers = uniform_offers(rng, nodes, cycles, 0.02)
+    for cycle in range(period, cycles, period):
+        receiver = int(rng.integers(nodes))
+        senders = rng.choice(nodes - 1, size=fan, replace=False)
+        senders += senders >= receiver
+        is_data = rng.random(fan) < 0.5
+        offers += [
+            (cycle, int(src), receiver, bool(data))
+            for src, data in zip(senders, is_data)
+        ]
+    offers.sort(key=lambda offer: offer[0])  # stable: background first
+    return offers
+
+
+def drive_mesh(nodes, cycles, offers):
+    """Offer the schedule to a bare mesh, drain it, return its digests."""
+    net = MeshNetwork(MeshConfig(num_nodes=nodes))
+    delivered = []
+    for node in range(nodes):
+        net.set_delivery_callback(
+            node, lambda p: delivered.append((p.uid, p.dst, p.deliver_cycle))
+        )
+    by_cycle = {}
+    for uid, (cycle, src, dst, is_data) in enumerate(offers):
+        lane = LaneKind.DATA if is_data else LaneKind.META
+        by_cycle.setdefault(cycle, []).append(
+            Packet(src=src, dst=dst, lane=lane, uid=uid)
+        )
+    cycle = 0
+    while cycle < cycles or not net.quiescent():
+        assert cycle < cycles + DRAIN_CAP, "mesh did not drain"
+        for packet in by_cycle.get(cycle, ()):
+            net.try_send(packet, cycle)
+        net.tick(cycle)
+        if cycle % 50 == 0:
+            net.audit()
+        cycle += 1
+    net.audit()
+    stats = net.stats.group.as_dict()
+    assert len(delivered) == stats["packets_delivered"] == stats["packets_sent"]
+    assert stats["packets_sent"] + stats["send_refused"] == len(offers)
+    return {
+        "deliveries": _sha(delivered),
+        "stats": _sha(stats),
+        "activity": _sha(net.activity()),
+    }, stats
+
+
+class TestContendedMesh:
+    def test_incast_64(self, check_pin):
+        rng = np.random.default_rng(1501)
+        offers = incast_offers(rng, 64, 2400, period=200, fan=16)
+        digests, stats = drive_mesh(64, 2400, offers)
+        # 16-to-1 bursts queue behind one ejection port: far above the
+        # uncontended ~25-cycle transit.
+        assert stats["total_delay"]["max"] > 60
+        check_pin("bare-mesh-64-incast200x16", digests)
+
+    def test_uniform_256(self, check_pin):
+        rng = np.random.default_rng(1502)
+        offers = uniform_offers(rng, 256, 300, 0.10)
+        digests, stats = drive_mesh(256, 300, offers)
+        assert stats["packets_delivered"] > 5000
+        check_pin("bare-mesh-256-uniform-p10", digests)
+
+
+#: The plan of the CI ``faults-smoke`` job (``repro faults --kill
+#: 3:data:0:1200 --droop 3.0:500:2500 --drop-confirmations 0.05
+#: --giveup 12``): the killed lane heals at cycle 1200 of 4000.
+SMOKE_PLAN = FaultPlan(
+    label="cli",
+    lane_faults=(LaneFault(node=3, lane="data", start=0, end=1200),),
+    droops=(ThermalDroop(droop_db=3.0, start=500, end=2500),),
+    confirmation_drops=(ConfirmationDrop(rate=0.05),),
+    giveup_retries=12,
+    seed=0,
+)
+
+
+class TestFaultGather:
+    @pytest.mark.parametrize("fast_forward", (True, False))
+    def test_fault_events_of_smoke_plan(self, check_pin, fast_forward):
+        system = CmpSystem(CmpConfig(
+            app="oc", network="fsoi", num_nodes=16, faults=SMOKE_PLAN,
+            fast_forward=fast_forward,
+        ))
+        with tracing(capacity=1 << 20, categories=("fault",)) as tracer:
+            system.run(4000)
+            assert tracer.dropped == 0
+            events = [
+                event.to_chrome() for event in tracer.events()
+                if event.name.startswith("fault_")
+            ]
+        names = {event["name"] for event in events}
+        assert {"fault_lane_down", "fault_suppressed"} <= names
+        # The lane healed: node 3 transmitted data again afterwards.
+        injector = system.network.fault_injector
+        assert not injector.suppression_active
+        system.network.audit()
+        check_pin("oc-fsoi-16-smoke-plan-fault-events", {"trace": _sha(events)})

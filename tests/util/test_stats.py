@@ -119,6 +119,46 @@ class TestLatencyStat:
         stat.record(2)
         assert set(stat.summary()) == {"count", "mean", "min", "p50", "p95", "max"}
 
+    @given(
+        st.one_of(
+            # Cycle counts: few distinct values, many repeats.
+            st.lists(st.integers(-50, 400), min_size=1, max_size=200),
+            st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=60),
+            st.lists(
+                st.one_of(st.integers(-5, 5), st.sampled_from([0.5, 2.0, -0.0, 3.25])),
+                min_size=1, max_size=80,
+            ),
+        )
+    )
+    def test_counted_samples_match_a_sorted_list(self, values):
+        # The value -> count table against the list of samples it
+        # replaced: same numbers, and floats throughout.
+        stat = LatencyStat("t")
+        for v in values:
+            stat.record(v)
+        ordered = sorted(float(v) for v in values)
+        n = len(ordered)
+        assert stat.count == n
+        assert stat.minimum == ordered[0] and type(stat.minimum) is float
+        assert stat.maximum == ordered[-1] and type(stat.maximum) is float
+        for q in (0, 50, 95, 100):
+            nearest_rank = ordered[max(0, math.ceil(q / 100.0 * n) - 1)]
+            assert stat.percentile(q) == nearest_rank
+            assert type(stat.percentile(q)) is float
+        assert type(stat.mean) is float
+        if all(v == int(v) for v in values):
+            assert stat.mean == sum(ordered) / n  # integer sums are exact
+        else:
+            assert stat.mean == pytest.approx(math.fsum(ordered) / n, rel=1e-9, abs=1e-6)
+        assert [type(v) for v in stat.summary().values()] == [int] + [float] * 5
+
+    def test_memory_follows_distinct_values(self):
+        stat = LatencyStat("t")
+        for i in range(10_000):
+            stat.record(i % 7)
+        assert stat.count == 10_000
+        assert len(stat._counts) == 7
+
 
 class TestHistogram:
     def test_binning(self):
