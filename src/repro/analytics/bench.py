@@ -61,8 +61,7 @@ MICRO_CYCLES = 2_000
 #: Networks the micro profiles cover.  ``l0`` (the ideal single-cycle
 #: network) is the coherence-dominated point: with transport reduced to
 #: a calendar hop, ``profile.l0.coherence.us_per_cycle`` isolates the
-#: protocol-dispatch cost the columnar coherence engine targets, free
-#: of slot/collision bookkeeping noise.
+#: protocol-dispatch cost, free of slot/collision bookkeeping noise.
 MICRO_NETWORKS = ("fsoi", "mesh", "l0")
 
 #: Pinned macro sweep grid.

@@ -26,12 +26,28 @@ import itertools
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import partial
+from heapq import heappush
 from time import perf_counter
+from types import MethodType
 from typing import Optional, Union
 
 from repro.coherence.directory import DirectoryConfig, DirectoryController
 from repro.coherence.l1 import L1Config, L1Controller
-from repro.coherence.messages import CoherenceMessage, MsgType
+from repro.coherence.messages import (
+    DATA_E,
+    DATA_M,
+    DATA_S,
+    EXC_ACK,
+    INV,
+    INV_ACK,
+    MEM_READ,
+    MEM_WRITE,
+    WB_ANNOUNCE,
+    CoherenceMessage,
+    MsgType,
+    make_message,
+)
 from repro.core.lanes import LaneConfig
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.core.optimizations import OptimizationConfig
@@ -56,18 +72,6 @@ from repro.workloads.splash2 import AppSignature, AppWorkload, signature
 __all__ = ["CmpConfig", "CmpSystem", "run_app", "NETWORK_KINDS"]
 
 NETWORK_KINDS = ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
-
-#: Message types handled by the directory slice (vs. the L1 / memory).
-_DIRECTORY_TYPES = frozenset(
-    {
-        MsgType.REQ_SH, MsgType.REQ_EX, MsgType.REQ_UPG,
-        MsgType.WRITEBACK, MsgType.WB_ANNOUNCE,
-        MsgType.INV_ACK, MsgType.INV_ACK_DATA,
-        MsgType.DWG_ACK, MsgType.DWG_ACK_DATA,
-        MsgType.MEM_ACK,
-    }
-)
-_MEMORY_TYPES = frozenset({MsgType.MEM_READ, MsgType.MEM_WRITE})
 
 #: §4.4 per-line ordering sentinel: a line with a message in flight but
 #: nothing queued behind it.  Shared so ``_send_from`` does not allocate
@@ -111,16 +115,13 @@ class CmpConfig:
     #: either way; disable here (or via REPRO_NO_FASTFORWARD=1) only to
     #: cross-check or to step the naive loop under a debugger.
     fast_forward: bool = True
-    #: Columnar engines for the cores and the coherence dispatch (the
-    #: networks have one engine each and ignore this flag): the cores
-    #: phase keeps per-node counters and deadlines in numpy arrays with
-    #: replayed RNG draws (repro.cpu.vector), and coherence messages
-    #: batch through a per-cycle mailbox into fused per-type kernels
-    #: (repro.coherence.vector), so passive nodes cost nothing per
-    #: cycle and protocol dispatch sheds its layers of indirection
-    #: (docs/performance.md).  Results are bit-identical either way;
-    #: disable here (or via REPRO_NO_VECTOR=1) to run the
-    #: object-per-node cores and the reference coherence handlers.
+    #: Columnar engine for the cores (the networks and the coherence
+    #: dispatch have one implementation each and ignore this flag): the
+    #: cores phase keeps per-node counters and deadlines in numpy
+    #: arrays with replayed RNG draws (repro.cpu.vector), so passive
+    #: nodes cost nothing per cycle (docs/performance.md).  Results are
+    #: bit-identical either way; disable here (or via
+    #: REPRO_NO_VECTOR=1) to run the object-per-node cores.
     vectorized: bool = True
     seed: int = 0
 
@@ -172,9 +173,8 @@ class CmpSystem:
         n = config.num_nodes
         self._rng = RngHub(config.seed)
 
-        # The vectorized flag covers the columnar cores phase
-        # (repro.cpu.vector) and the fused coherence dispatch
-        # (repro.coherence.vector).
+        # The vectorized flag selects the columnar cores phase
+        # (repro.cpu.vector).
         self._vector_on = config.vectorized and os.environ.get(
             "REPRO_NO_VECTOR", ""
         ) in ("", "0")
@@ -209,7 +209,9 @@ class CmpSystem:
         ]
         mem_config = MemoryConfig.from_gbps(config.memory_gbps)
         self.memory = {
-            node: MemoryController(node, self._sender_for(node), mem_config)
+            node: MemoryController(
+                node, partial(self._send_from, node), mem_config
+            )
             for node in self.controller_nodes
         }
 
@@ -225,13 +227,14 @@ class CmpSystem:
         )
         self.l1s = [
             L1Controller(
-                node, self._sender_for(node), self.home_of, l1_config
+                node, partial(self._send_from, node), self.home_of, l1_config
             )
             for node in range(n)
         ]
         self.directories = [
             DirectoryController(
-                node, self._sender_for(node), self.memory_node_of, dir_config
+                node, partial(self._send_from, node), self.memory_node_of,
+                dir_config,
             )
             for node in range(n)
         ]
@@ -289,23 +292,9 @@ class CmpSystem:
         self._request_issue: dict[tuple[int, int], int] = {}
         self.reply_latency = Histogram("reply_latency", 0, 200, 20)
 
-        # Columnar coherence engine (repro.coherence.vector): deliveries
-        # collect into a per-cycle mailbox the network drains between
-        # its delivery and transmit phases, and hot stable-state
-        # transitions run as fused per-MsgType kernels.  Bit-exact with
-        # the inline reference dispatch kept below
-        # (tests/coherence/test_vector_equivalence.py).
-        if self._vector_on:
-            from repro.coherence.vector import CoherenceVectorEngine
-
-            self._coherence = CoherenceVectorEngine(self)
-            on_packet = self._coherence.on_packet
-            self.network.post_delivery = self._coherence.drain
-        else:
-            self._coherence = None
-            on_packet = self._on_packet
+        self._handlers = self._build_handlers()
         for node in range(n):
-            self.network.set_delivery_callback(node, on_packet)
+            self.network.set_delivery_callback(node, self._on_packet)
 
         if config.warm_start:
             self._warm_start()
@@ -415,11 +404,62 @@ class CmpSystem:
         index = self.home_of(line) % self.config.memory_channels
         return self.controller_nodes[index]
 
-    def _sender_for(self, node: int):
-        def send(msg: CoherenceMessage, delay: int) -> None:
-            self._send_from(node, msg, delay)
+    def _build_handlers(self) -> list:
+        """The coherence jump table: ``table[mtype._value_][dest]`` is
+        the function that handles a ``mtype`` message delivered to node
+        ``dest`` — the controllers' own Table 2 handlers
+        (``L1Controller.HANDLERS`` / ``DirectoryController.HANDLERS``),
+        bound per node, plus the three things only the system knows: a
+        memory controller's arrival cycle, Figure 5's request-to-reply
+        latency, and §5.2's data-packet expectation at the home node.
+        """
+        n = self.config.num_nodes
+        table: list = [None] * (len(MsgType) + 1)  # auto() values start at 1
+        for controllers, handlers in (
+            (self.l1s, L1Controller.HANDLERS),
+            (self.directories, DirectoryController.HANDLERS),
+        ):
+            for mtype, handler in handlers.items():
+                table[mtype._value_] = [
+                    MethodType(handler, controller)
+                    for controller in controllers
+                ]
 
-        return send
+        memory = self.memory
+
+        def on_memory(msg: CoherenceMessage) -> None:
+            memory[msg.dest].handle(msg, self.cycle)
+
+        table[MEM_READ._value_] = table[MEM_WRITE._value_] = [on_memory] * n
+
+        request_issue = self._request_issue
+        record = self.reply_latency.record
+
+        def timed(fills: list):
+            def on_reply(msg: CoherenceMessage) -> None:
+                dest = msg.dest
+                issued = request_issue.pop((dest, msg.line), None)
+                if issued is not None:
+                    record(self.cycle - issued)
+                fills[dest](msg)
+
+            return [on_reply] * n
+
+        for mtype in (DATA_S, DATA_E, DATA_M, EXC_ACK):
+            table[mtype._value_] = timed(table[mtype._value_])
+
+        if self._is_fsoi and self.config.optimizations.split_writeback:
+            expect_data_from = self.network.expect_data_from
+            announced = table[WB_ANNOUNCE._value_]
+
+            def on_wb_announce(msg: CoherenceMessage) -> None:
+                dest = msg.dest
+                if msg.sender != dest:  # crossed the network
+                    expect_data_from(dest, msg.sender)
+                announced[dest](msg)
+
+            table[WB_ANNOUNCE._value_] = [on_wb_announce] * n
+        return table
 
     # ------------------------------------------------------------------
     # message transport
@@ -437,50 +477,63 @@ class CmpSystem:
         if msg.mtype.is_request and msg.sender == msg.requester:
             self._request_issue[(msg.requester, msg.line)] = self.cycle
         key = (node, msg.line)
-        pending = self._line_pending.get(key)
+        line_pending = self._line_pending
+        pending = line_pending.get(key)
         if pending is None:
             # Mark the line in flight with the shared sentinel; the real
             # deque is only allocated if a second message actually queues
             # behind this one (most lines never do).
-            self._line_pending[key] = _LINE_IN_FLIGHT
+            line_pending[key] = _LINE_IN_FLIGHT
             self._transmit(node, msg, delay)
-            return
-        if pending is _LINE_IN_FLIGHT:
-            pending = self._line_pending[key] = deque()
-        pending.append((msg, delay))
+        elif pending is _LINE_IN_FLIGHT:
+            line_pending[key] = deque(((msg, delay),))
+        else:
+            pending.append((msg, delay))
 
     def _transmit(self, node: int, msg: CoherenceMessage, delay: int) -> None:
-        # Inlines _at so the common immediate case (delay 0, remote)
-        # neither allocates the action closure nor pays the extra frame.
+        # Past/present cycles run now (the tick sweep has already passed
+        # them, so a calendar entry would never fire), which also spares
+        # the common immediate case (delay 0, remote) the action object.
         cycle = self.cycle
         if msg.dest == node:
             due = cycle + delay + self.config.local_latency
             if due <= cycle:
-                self._complete_local(node, msg)
+                self._deliver(msg, node)
                 return
-            self._calendar.schedule(
-                due, lambda: self._complete_local(node, msg)
-            )
-            return
-        due = cycle + delay
-        if due <= cycle:
-            self._inject(node, msg)
-            return
-        self._calendar.schedule(due, lambda: self._inject(node, msg))
+            action = partial(self._deliver, msg, node)
+        else:
+            due = cycle + delay
+            if due <= cycle:
+                self._inject(node, msg)
+                return
+            action = partial(self._inject, node, msg)
+        # == self._calendar.schedule(due, action), minus the call frame.
+        calendar = self._calendar
+        calendar._seq = seq = calendar._seq + 1
+        heappush(self._due, (due, seq, action))
 
-    def _complete_local(self, node: int, msg: CoherenceMessage) -> None:
-        engine = self._coherence
-        if engine is not None:
-            engine.complete_local(node, msg)
-            return
+    def _on_packet(self, packet: Packet) -> None:
+        self._deliver(packet.payload, packet.src)
+
+    def _deliver(self, msg: CoherenceMessage, holder: Optional[int]) -> None:
+        """Run a delivered message's handler at the delivery instant,
+        then release ``holder``'s §4.4 hold on the line (``None``: a
+        §5.1 confirmation-synthesized ack, which never held one).
+
+        The one site every delivery passes through — network packets,
+        local completions and confirmation acks — and so the one place
+        the profiler's "coherence" phase is taken.
+        """
         if PROFILER.enabled:
             t0 = perf_counter()
-            self._dispatch(msg.dest, msg)
-            self._release_line(node, msg.line)
+            self._handlers[msg.mtype._value_][msg.dest](msg)
+            if holder is not None:
+                self._release_line(holder, msg.line)
             PROFILER.add("coherence", perf_counter() - t0)
             return
-        self._dispatch(msg.dest, msg)
-        self._release_line(node, msg.line)
+        self._handlers[msg.mtype._value_][msg.dest](msg)
+        if holder is not None:
+            self._release_line(holder, msg.line)
 
     def _release_line(self, node: int, line: int) -> None:
         key = (node, line)
@@ -517,68 +570,14 @@ class CmpSystem:
             mtype.pkt_expects_data,
             next(self._packet_uid),
         )
-        if (
-            self._is_fsoi
-            and mtype is MsgType.INV
-            and msg.ack_via_confirmation
-        ):
-            home = node
-            target = msg.dest
-            ack = CoherenceMessage(
-                mtype=MsgType.INV_ACK,
-                line=msg.line,
-                sender=target,
-                dest=home,
-                requester=msg.requester,
+        if mtype is INV and msg.ack_via_confirmation and self._is_fsoi:
+            # §5.1: the confirmation of this packet's delivery stands in
+            # for the sharer's InvAck at the home directory.
+            ack = make_message(
+                INV_ACK, msg.line, msg.dest, node, msg.requester
             )
-            directory = self.directories[home]
-
-            def _confirm_ack() -> None:
-                if PROFILER.enabled:
-                    t0 = perf_counter()
-                    directory.handle(ack)
-                    PROFILER.add("coherence", perf_counter() - t0)
-                else:
-                    directory.handle(ack)
-
-            packet.on_confirmed = _confirm_ack
+            packet.on_confirmed = partial(self._deliver, ack, None)
         return packet
-
-    def _on_packet(self, packet: Packet) -> None:
-        if PROFILER.enabled:
-            t0 = perf_counter()
-            self._dispatch_packet(packet)
-            PROFILER.add("coherence", perf_counter() - t0)
-            return
-        self._dispatch_packet(packet)
-
-    def _dispatch_packet(self, packet: Packet) -> None:
-        msg = packet.payload
-        if (
-            self._is_fsoi
-            and msg.mtype is MsgType.WB_ANNOUNCE
-            and self.config.optimizations.split_writeback
-        ):
-            self.network.expect_data_from(msg.dest, msg.sender)
-        self._dispatch(msg.dest, msg)
-        self._release_line(packet.src, msg.line)
-
-    def _dispatch(self, node: int, msg: CoherenceMessage) -> None:
-        mtype = msg.mtype
-        if mtype in _MEMORY_TYPES:
-            self.memory[node].handle(msg, self.cycle)
-            return
-        if mtype in _DIRECTORY_TYPES:
-            self.directories[node].handle(msg)
-            return
-        # L1-bound: record read-miss reply latency for Figure 5.
-        if mtype in (
-            MsgType.DATA_S, MsgType.DATA_E, MsgType.DATA_M, MsgType.EXC_ACK
-        ):
-            issued = self._request_issue.pop((node, msg.line), None)
-            if issued is not None:
-                self.reply_latency.record(self.cycle - issued)
-        self.l1s[node].handle(msg)
 
     def _at(self, cycle: int, action) -> None:
         # Clamp past/present cycles to "run now": the tick sweep has
@@ -724,10 +723,6 @@ class CmpSystem:
             # A backed-up injection retries (and counts a refusal)
             # every cycle, exactly as the naive loop does.
             return cycle
-        if self._coherence is not None:
-            c = self._coherence.next_event(cycle)
-            if c is not None:  # pragma: no cover - drained within the tick
-                return cycle
         if self._vector is not None:
             c = self._vector.next_core_event(cycle)
             if c is not None:

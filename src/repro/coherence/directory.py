@@ -36,7 +36,30 @@ from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import Callable, Optional
 
-from repro.coherence.messages import CoherenceMessage, MsgType
+from repro.coherence.messages import (
+    DATA_E,
+    DATA_M,
+    DATA_S,
+    DWG,
+    DWG_ACK,
+    DWG_ACK_DATA,
+    EXC_ACK,
+    INV,
+    INV_ACK,
+    INV_ACK_DATA,
+    MEM_ACK,
+    MEM_READ,
+    MEM_WRITE,
+    REQ_EX,
+    REQ_SH,
+    REQ_UPG,
+    RETRY,
+    WB_ANNOUNCE,
+    WRITEBACK,
+    CoherenceMessage,
+    MsgType,
+    make_message,
+)
 from repro.obs.trace import TRACE
 from repro.util.stats import StatGroup
 
@@ -64,16 +87,18 @@ class DirState(Enum):
     # ``is_transient`` is a precomputed member attribute (filled in
     # below): it gates every request and every queue drain, where a
     # plain attribute load beats a property call plus a tuple scan.
-    # ``code`` is a dense integer for the columnar engine's state
-    # gathers (repro.coherence.vector).
     is_transient: bool
-    code: int
 
 
 for _member in DirState:
     _member.is_transient = _member.name not in ("DI", "DV", "DS", "DM")
-    _member.code = _member.value
 del _member
+
+# Members as module constants (see repro.coherence.messages).
+(
+    _DI, _DV, _DS, _DM, _DI_DSD, _DI_DMD, _DS_DIA, _DS_DMDA, _DS_DMA,
+    _DM_DID, _DM_DSD, _DM_DMD, _DM_DSA, _DM_DMA,
+) = DirState
 
 
 @dataclass
@@ -96,7 +121,7 @@ class DirectoryConfig:
 class _Entry:
     """Directory state for one line homed at this slice."""
 
-    state: DirState = DirState.DI
+    state: DirState = _DI
     sharers: set[int] = field(default_factory=set)
     dirty: bool = False           # L2 copy differs from memory
     requester: int = -1           # beneficiary of the in-flight transaction
@@ -174,15 +199,10 @@ class DirectoryController:
         self._warm = WarmLines(())
         self._queued_total = 0
         self._lru_clock = 0
-        #: Columnar-engine ledger hook (repro.coherence.vector): called
-        #: with the delta (+1 enqueue, -1 drain) whenever the "z" queue
-        #: population changes, so the engine's per-node queued column
-        #: stays write-through.  ``None`` (the default) keeps the
-        #: reference path cost at a single predicate check.
-        self.queue_ledger: Optional[Callable[[int], None]] = None
+        self._l2_latency = self.config.l2_latency
         stats = stats or StatGroup(f"dir.{node}")
         self.stats = stats
-        self._count = {
+        count = self._count = {
             name: stats.counter(name)
             for name in (
                 "requests", "mem_reads", "mem_writes", "invalidations_sent",
@@ -190,6 +210,12 @@ class DirectoryController:
                 "writebacks", "conf_acked_invs", "capacity_evictions",
             )
         }
+        # The handlers bump these once per message.
+        self._requests = count["requests"]
+        self._mem_reads = count["mem_reads"]
+        self._invalidations_sent = count["invalidations_sent"]
+        self._downgrades_sent = count["downgrades_sent"]
+        self._writebacks = count["writebacks"]
 
     # -- lookups -------------------------------------------------------------
 
@@ -203,7 +229,7 @@ class DirectoryController:
                 # alone carries the state (an eviction back to DI must
                 # not resurrect as DV on the next touch).
                 warm.discard(line)
-                ent.state = DirState.DV
+                ent.state = _DV
             self._entries[line] = ent
         return ent
 
@@ -212,8 +238,8 @@ class DirectoryController:
         if ent is not None:
             return ent.state
         if self._warm and line in self._warm:
-            return DirState.DV
-        return DirState.DI
+            return _DV
+        return _DI
 
     def preload_valid(self, lines: WarmLines) -> None:
         """Warm-start ``lines`` as resident-valid (DV) in this slice.
@@ -236,7 +262,7 @@ class DirectoryController:
 
     def preload_owned(self, line: int, owner: int) -> None:
         """Warm-start ``line`` as held exclusively (DM) by ``owner``'s L1."""
-        self._entries[line] = _Entry(DirState.DM, {owner})
+        self._entries[line] = _Entry(_DM, {owner})
 
     def outstanding(self) -> int:
         return sum(1 for e in self._entries.values() if e.state.is_transient)
@@ -244,287 +270,257 @@ class DirectoryController:
     # -- event entry point -----------------------------------------------------
 
     def handle(self, msg: CoherenceMessage) -> None:
-        entry = self.entry(msg.line)
-        self._lru_clock += 1
-        entry.last_use = self._lru_clock
+        """Run ``msg`` through its Table 2 column (:data:`HANDLERS`)."""
+        handler = self.HANDLERS.get(msg.mtype)
+        if handler is None:
+            raise RuntimeError(f"directory at {self.node} cannot handle {msg}")
+        handler(self, msg)
+
+    def _touch(self, msg: CoherenceMessage) -> _Entry:
+        """Every event's preamble: the line's entry, LRU-stamped."""
+        ent = self._entries.get(msg.line)
+        if ent is None:
+            ent = self.entry(msg.line)  # cold: materialize / warm set
+        self._lru_clock = clock = self._lru_clock + 1
+        ent.last_use = clock
         if TRACE.enabled:
             TRACE.emit(
                 "dir_event", cat="coherence", node=self.node,
                 line=msg.line, mtype=msg.mtype.name,
-                state=entry.state.name, sender=msg.sender,
+                state=ent.state.name, sender=msg.sender,
             )
-        if msg.mtype is MsgType.WB_ANNOUNCE:
-            return  # §5.2: informational; the network layer uses it
-        if msg.mtype.is_request:
-            self._count["requests"].add()
-            if entry.state.is_transient:
-                self._enqueue_or_nack(entry, msg)
-                return
-            self._handle_request(entry, msg)
-            self._enforce_capacity(protect=msg.line)
+        return ent
+
+    # -- requests ---------------------------------------------------------------
+
+    def _on_request(self, msg: CoherenceMessage) -> None:
+        ent = self._touch(msg)
+        self._requests.value += 1
+        if ent.state.is_transient:
+            self._enqueue_or_nack(ent, msg)  # Table 2's "z"
             return
-        # Non-request events are never "z" for a correctly operating
-        # protocol; dispatch by state.
-        self._handle_response(entry, msg)
-        self._drain(entry, msg.line)
+        self._handle_request(ent, msg)
+        if self.config.capacity_lines is not None:
+            self._enforce_capacity(protect=msg.line)
 
-    # -- requests in stable states ------------------------------------------------
-
-    def _handle_request(self, entry: _Entry, msg: CoherenceMessage) -> None:
+    def _handle_request(self, ent: _Entry, msg: CoherenceMessage) -> None:
+        """A request in a stable state: fresh, or drained from the queue."""
         mtype, line, req = msg.mtype, msg.line, msg.requester
-        if mtype is MsgType.REQ_UPG and req not in entry.sharers:
+        if mtype is REQ_UPG and req not in ent.sharers:
             # Race: the requester was invalidated after sending the
             # upgrade; Table 2's "(Req(Ex))" reinterpretation.
-            self._count["reinterpreted"].add()
-            mtype = MsgType.REQ_EX
+            self._count["reinterpreted"].value += 1
+            mtype = REQ_EX
 
-        state = entry.state
-        if state is DirState.DI:
-            self._fetch_from_memory(entry, line, req, shared=mtype is MsgType.REQ_SH)
-        elif state is DirState.DV:
-            if mtype is MsgType.REQ_SH:
-                self._reply(line, req, MsgType.DATA_E)
-            else:
-                self._reply(line, req, MsgType.DATA_M)
-            entry.sharers = {req}
-            entry.state = DirState.DM
-        elif state is DirState.DS:
-            self._request_in_ds(entry, line, req, mtype)
-        elif state is DirState.DM:
-            self._request_in_dm(entry, line, req, mtype)
-        else:  # pragma: no cover - guarded by caller
+        state = ent.state
+        if state is _DM:
+            owner = ent.owner
+            ent.requester = req
+            ent.acks_needed = 1
+            if mtype is REQ_SH:
+                self._downgrades_sent.value += 1
+                self.send(
+                    make_message(DWG, line, self.node, owner, req),
+                    self._l2_latency,
+                )
+                ent.state = _DM_DSD
+            else:  # REQ_EX, or REQ_UPG reinterpreted above
+                self._invalidate(line, (owner,), sharer_inv=False)
+                ent.state = _DM_DMD
+        elif state is _DS:
+            if mtype is REQ_SH:
+                self._reply(line, req, DATA_S)
+                ent.sharers.add(req)
+                return
+            targets = ent.sharers - {req}
+            ent.requester = req
+            if targets:
+                self._invalidate(line, targets, sharer_inv=True)
+                ent.acks_needed = len(targets)
+                ent.sharers -= targets
+                ent.state = _DS_DMA if mtype is REQ_UPG else _DS_DMDA
+            else:  # sole sharer requesting exclusivity
+                self._reply(line, req, EXC_ACK if mtype is REQ_UPG else DATA_M)
+                ent.sharers = {req}
+                ent.state = _DM
+        elif state is _DV:
+            self._reply(line, req, DATA_E if mtype is REQ_SH else DATA_M)
+            ent.sharers = {req}
+            ent.state = _DM
+        elif state is _DI:
+            self._mem_reads.value += 1
+            ent.requester = req
+            ent.state = _DI_DSD if mtype is REQ_SH else _DI_DMD
+            node = self.node
+            self.send(
+                make_message(
+                    MEM_READ, line, node, self.memory_node_of(line), node
+                ),
+                self._l2_latency,
+            )
+        else:  # pragma: no cover - guarded by the callers
             raise RuntimeError(f"request dispatched in transient {state}")
 
-    def _request_in_ds(
-        self, entry: _Entry, line: int, req: int, mtype: MsgType
-    ) -> None:
-        if mtype is MsgType.REQ_SH:
-            self._reply(line, req, MsgType.DATA_S)
-            entry.sharers.add(req)
-            return
-        targets = entry.sharers - {req}
-        entry.requester = req
-        if not targets:
-            # Sole sharer requesting exclusivity.
-            if mtype is MsgType.REQ_UPG:
-                self._reply(line, req, MsgType.EXC_ACK, data=False)
-            else:
-                self._reply(line, req, MsgType.DATA_M)
-            entry.sharers = {req}
-            entry.state = DirState.DM
-            return
-        self._invalidate(line, targets, sharer_inv=True)
-        entry.acks_needed = len(targets)
-        entry.sharers -= targets
-        entry.state = (
-            DirState.DS_DMA if mtype is MsgType.REQ_UPG else DirState.DS_DMDA
-        )
-
-    def _request_in_dm(
-        self, entry: _Entry, line: int, req: int, mtype: MsgType
-    ) -> None:
-        owner = entry.owner
-        entry.requester = req
-        entry.acks_needed = 1
-        if mtype is MsgType.REQ_SH:
-            self._count["downgrades_sent"].add()
-            self.send(
-                CoherenceMessage(
-                    mtype=MsgType.DWG, line=line, sender=self.node,
-                    dest=owner, requester=req,
-                ),
-                self.config.l2_latency,
-            )
-            entry.state = DirState.DM_DSD
-        else:  # REQ_EX, or REQ_UPG reinterpreted above
-            self._invalidate(line, {owner}, sharer_inv=False)
-            entry.state = DirState.DM_DMD
-
     # -- responses / completions ------------------------------------------------
+    #
+    # Never "z" for a correctly operating protocol; each dispatches by
+    # state and then drains the requests that queued behind it.
 
-    def _handle_response(self, entry: _Entry, msg: CoherenceMessage) -> None:
-        state = entry.state
-        mtype = msg.mtype
+    def _on_wb_announce(self, msg: CoherenceMessage) -> None:
+        self._touch(msg)  # §5.2: informational; the network layer uses it
+
+    def _on_writeback(self, msg: CoherenceMessage) -> None:
+        ent = self._touch(msg)
+        self._writebacks.value += 1
+        ent.dirty = True
+        state = ent.state
+        if state is _DM:
+            ent.sharers.clear()
+            ent.state = _DV
+        elif state is _DM_DID:
+            ent.state = _DS_DIA  # still awaiting the InvAck
+        elif state is _DM_DSD:
+            ent.state = _DM_DSA
+        elif state is _DM_DMD:
+            ent.state = _DM_DMA
+        else:
+            raise RuntimeError(f"WriteBack in {state.name}: {msg}")
+        if ent.queued:
+            self._drain(ent)
+
+    def _on_mem_ack(self, msg: CoherenceMessage) -> None:
+        ent = self._touch(msg)
+        state = ent.state
+        if state is _DI_DSD:
+            self._grant(ent, msg.line, DATA_E)
+        elif state is _DI_DMD:
+            self._grant(ent, msg.line, DATA_M)
+        else:
+            raise RuntimeError(f"MemAck in {state.name}: {msg}")
+        ent.dirty = False
+        if ent.queued:
+            self._drain(ent)
+
+    def _on_inv_ack(self, msg: CoherenceMessage) -> None:
+        ent = self._touch(msg)
         line = msg.line
+        if msg.mtype is INV_ACK_DATA:
+            ent.dirty = True
+        state = ent.state
+        if state is _DS_DMDA or state is _DS_DMA or state is _DS_DIA:
+            ent.acks_needed -= 1
+            if ent.acks_needed <= 0:
+                if state is _DS_DIA:  # evicting
+                    self._evict_line(ent, line)
+                else:
+                    self._grant(
+                        ent, line, DATA_M if state is _DS_DMDA else EXC_ACK
+                    )
+        elif state is _DM_DMD or state is _DM_DMA:
+            self._grant(ent, line, DATA_M)
+        elif state is _DM_DID:
+            self._evict_line(ent, line)
+        else:
+            raise RuntimeError(f"InvAck in {state.name}: {msg}")
+        if ent.queued:
+            self._drain(ent)
 
-        if mtype is MsgType.WRITEBACK:
-            self._count["writebacks"].add()
-            entry.dirty = True
-            if state is DirState.DM:
-                entry.sharers.clear()
-                entry.state = DirState.DV
-            elif state is DirState.DM_DID:
-                entry.state = DirState.DS_DIA  # still awaiting the InvAck
-            elif state is DirState.DM_DSD:
-                entry.state = DirState.DM_DSA
-            elif state is DirState.DM_DMD:
-                entry.state = DirState.DM_DMA
-            else:
-                raise RuntimeError(f"WriteBack in {state.name}: {msg}")
-            return
-
-        if mtype is MsgType.MEM_ACK:
-            if state is DirState.DI_DSD:
-                self._reply(line, entry.requester, MsgType.DATA_E)
-            elif state is DirState.DI_DMD:
-                self._reply(line, entry.requester, MsgType.DATA_M)
-            else:
-                raise RuntimeError(f"MemAck in {state.name}: {msg}")
-            entry.dirty = False
-            entry.sharers = {entry.requester}
-            self._finish(entry)
-            return
-
-        if mtype in (MsgType.INV_ACK, MsgType.INV_ACK_DATA):
-            self._on_inv_ack(entry, msg)
-            return
-
-        if mtype in (MsgType.DWG_ACK, MsgType.DWG_ACK_DATA):
-            self._on_dwg_ack(entry, msg)
-            return
-
-        raise RuntimeError(f"directory at {self.node} cannot handle {msg}")
-
-    def _on_inv_ack(self, entry: _Entry, msg: CoherenceMessage) -> None:
-        state, line = entry.state, msg.line
-        if msg.mtype is MsgType.INV_ACK_DATA:
-            entry.dirty = True
-        if state in (DirState.DS_DMDA, DirState.DS_DMA, DirState.DS_DIA):
-            entry.acks_needed -= 1
-            if entry.acks_needed > 0:
-                return
-            if state is DirState.DS_DMDA:
-                self._reply(line, entry.requester, MsgType.DATA_M)
-                entry.sharers = {entry.requester}
-                self._finish(entry)
-            elif state is DirState.DS_DMA:
-                self._reply(line, entry.requester, MsgType.EXC_ACK, data=False)
-                entry.sharers = {entry.requester}
-                self._finish(entry)
-            else:  # DS_DIA — evicting
-                self._evict_line(entry, line)
-            return
-        if state is DirState.DM_DMD or state is DirState.DM_DMA:
-            self._reply(line, entry.requester, MsgType.DATA_M)
-            entry.sharers = {entry.requester}
-            self._finish(entry)
-            return
-        if state is DirState.DM_DID:
-            self._evict_line(entry, line)
-            return
-        raise RuntimeError(f"InvAck in {state.name}: {msg}")
-
-    def _on_dwg_ack(self, entry: _Entry, msg: CoherenceMessage) -> None:
-        state, line = entry.state, msg.line
-        if msg.mtype is MsgType.DWG_ACK_DATA:
-            entry.dirty = True
-        if state is DirState.DM_DSD:
+    def _on_dwg_ack(self, msg: CoherenceMessage) -> None:
+        ent = self._touch(msg)
+        line = msg.line
+        if msg.mtype is DWG_ACK_DATA:
+            ent.dirty = True
+        state = ent.state
+        if state is _DM_DSD:
             # Owner downgraded to S; requester joins as S.  (See module
             # docstring for the DS-vs-DM table deviation.)
-            self._reply(line, entry.requester, MsgType.DATA_S)
-            entry.sharers.add(entry.requester)
-            entry.state = DirState.DS
-            self._finish(entry, already_stable=True)
-            return
-        if state is DirState.DM_DSA:
+            self._reply(line, ent.requester, DATA_S)
+            ent.sharers.add(ent.requester)
+            ent.state = _DS
+            ent.requester = -1
+            ent.acks_needed = 0
+        elif state is _DM_DSA:
             # Owner wrote back before the downgrade landed: requester is
             # now the only holder and gets the line exclusively.
-            self._reply(line, entry.requester, MsgType.DATA_E)
-            entry.sharers = {entry.requester}
-            self._finish(entry)
-            return
-        raise RuntimeError(f"DwgAck in {state.name}: {msg}")
+            self._grant(ent, line, DATA_E)
+        else:
+            raise RuntimeError(f"DwgAck in {state.name}: {msg}")
+        if ent.queued:
+            self._drain(ent)
 
     # -- L2 replacement (the Repl column) -----------------------------------------
 
     def replace(self, line: int) -> None:
         """Evict ``line`` from this L2 slice (the directory Repl event)."""
         entry = self._entries.get(line)
-        if entry is None or entry.state is DirState.DI:
+        if entry is None or entry.state is _DI:
             return
         state = entry.state
         if state.is_transient:
             raise RuntimeError(f"cannot replace line {line:#x} in {state.name}")
-        if state is DirState.DV:
+        if state is _DV:
             self._evict_line(entry, line)
-        elif state is DirState.DS:
+        elif state is _DS:
             targets = set(entry.sharers)
             self._invalidate(line, targets, sharer_inv=True)
             entry.acks_needed = len(targets)
             entry.sharers.clear()
-            entry.state = DirState.DS_DIA
+            entry.state = _DS_DIA
         else:  # DM
-            self._invalidate(line, {entry.owner}, sharer_inv=False)
+            self._invalidate(line, (entry.owner,), sharer_inv=False)
             entry.acks_needed = 1
-            entry.state = DirState.DM_DID
+            entry.state = _DM_DID
 
     def _evict_line(self, entry: _Entry, line: int) -> None:
         if entry.dirty:
-            self._count["mem_writes"].add()
+            self._count["mem_writes"].value += 1
+            node = self.node
             self.send(
-                CoherenceMessage(
-                    mtype=MsgType.MEM_WRITE, line=line, sender=self.node,
-                    dest=self.memory_node_of(line), requester=self.node,
+                make_message(
+                    MEM_WRITE, line, node, self.memory_node_of(line), node
                 ),
-                self.config.l2_latency,
+                self._l2_latency,
             )
-        entry.state = DirState.DI
+        entry.state = _DI
         entry.sharers.clear()
         entry.dirty = False
-        self._drain(entry, line)
-        if not entry.queued and entry.state is DirState.DI:
+        self._drain(entry)
+        if not entry.queued and entry.state is _DI:
             self._entries.pop(line, None)
 
     # -- helpers ----------------------------------------------------------------
 
-    def _fetch_from_memory(
-        self, entry: _Entry, line: int, req: int, shared: bool
-    ) -> None:
-        self._count["mem_reads"].add()
-        entry.requester = req
-        entry.state = DirState.DI_DSD if shared else DirState.DI_DMD
-        self.send(
-            CoherenceMessage(
-                mtype=MsgType.MEM_READ, line=line, sender=self.node,
-                dest=self.memory_node_of(line), requester=self.node,
-            ),
-            self.config.l2_latency,
-        )
-
-    def _invalidate(self, line: int, targets: set[int], sharer_inv: bool) -> None:
+    def _invalidate(self, line: int, targets, sharer_inv: bool) -> None:
+        node = self.node
         for target in sorted(targets):
-            self._count["invalidations_sent"].add()
+            self._invalidations_sent.value += 1
             # §5.1 applies only to *remote* sharer invalidations: a local
             # delivery never crosses the network, so there is no
             # confirmation to stand in for the acknowledgment.
             use_conf = (
-                sharer_inv
-                and self.config.confirmation_ack
-                and target != self.node
+                sharer_inv and self.config.confirmation_ack and target != node
             )
             if use_conf:
-                self._count["conf_acked_invs"].add()
+                self._count["conf_acked_invs"].value += 1
             self.send(
-                CoherenceMessage(
-                    mtype=MsgType.INV, line=line, sender=self.node,
-                    dest=target, requester=self.node,
-                    ack_via_confirmation=use_conf,
-                ),
-                self.config.l2_latency,
+                make_message(INV, line, node, target, node, use_conf),
+                self._l2_latency,
             )
 
-    def _reply(self, line: int, dest: int, mtype: MsgType, data: bool = True) -> None:
+    def _reply(self, line: int, dest: int, mtype: MsgType) -> None:
         self.send(
-            CoherenceMessage(
-                mtype=mtype, line=line, sender=self.node,
-                dest=dest, requester=dest,
-            ),
-            self.config.l2_latency,
+            make_message(mtype, line, self.node, dest, dest), self._l2_latency
         )
 
-    def _finish(self, entry: _Entry, already_stable: bool = False) -> None:
-        if not already_stable:
-            entry.state = DirState.DM
+    def _grant(self, entry: _Entry, line: int, mtype: MsgType) -> None:
+        """Complete the transaction: ``mtype`` goes to the requester,
+        who becomes the line's only holder (DM)."""
+        req = entry.requester
+        self.send(
+            make_message(mtype, line, self.node, req, req), self._l2_latency
+        )
+        entry.sharers = {req}
+        entry.state = _DM
         entry.requester = -1
         entry.acks_needed = 0
 
@@ -533,30 +529,21 @@ class DirectoryController:
             len(entry.queued) >= self.config.line_queue_depth
             or self._queued_total >= self.config.request_queue_depth
         ):
-            self._count["nacks_sent"].add()
-            self.send(
-                CoherenceMessage(
-                    mtype=MsgType.RETRY, line=msg.line, sender=self.node,
-                    dest=msg.requester, requester=msg.requester,
-                ),
-                0,
-            )
+            self._count["nacks_sent"].value += 1
+            req = msg.requester
+            self.send(make_message(RETRY, msg.line, self.node, req, req), 0)
             return
-        self._count["queued"].add()
+        self._count["queued"].value += 1
         if not entry.queued:
             entry.queued = deque()
         entry.queued.append(msg)
         self._queued_total += 1
-        if self.queue_ledger is not None:
-            self.queue_ledger(1)
 
-    def _drain(self, entry: _Entry, line: int) -> None:
+    def _drain(self, entry: _Entry) -> None:
         """Process queued requests while the line is stable."""
         while entry.queued and not entry.state.is_transient:
             msg = entry.queued.popleft()
             self._queued_total -= 1
-            if self.queue_ledger is not None:
-                self.queue_ledger(-1)
             self._handle_request(entry, msg)
 
     def _enforce_capacity(self, protect: int) -> None:
@@ -575,7 +562,7 @@ class DirectoryController:
         live = [
             (line, entry)
             for line, entry in self._entries.items()
-            if entry.state is not DirState.DI
+            if entry.state is not _DI
         ]
         if len(live) <= capacity:
             return
@@ -588,5 +575,22 @@ class DirectoryController:
             return
         excess = len(live) - capacity
         for _use, line in sorted(candidates)[:excess]:
-            self._count["capacity_evictions"].add()
+            self._count["capacity_evictions"].value += 1
             self.replace(line)
+
+    #: Table 2's event columns: message type -> handler.  The CMP layer
+    #: builds its per-node jump table from this map, so a delivered
+    #: message runs the same function whether it arrives through
+    #: :meth:`handle` or through ``CmpSystem``.
+    HANDLERS = {
+        REQ_SH: _on_request,
+        REQ_EX: _on_request,
+        REQ_UPG: _on_request,
+        WRITEBACK: _on_writeback,
+        WB_ANNOUNCE: _on_wb_announce,
+        INV_ACK: _on_inv_ack,
+        INV_ACK_DATA: _on_inv_ack,
+        DWG_ACK: _on_dwg_ack,
+        DWG_ACK_DATA: _on_dwg_ack,
+        MEM_ACK: _on_mem_ack,
+    }

@@ -27,7 +27,27 @@ from dataclasses import dataclass
 from enum import Enum, auto
 from typing import Callable, Optional
 
-from repro.coherence.messages import CoherenceMessage, MsgType
+from repro.coherence.messages import (
+    DATA_E,
+    DATA_M,
+    DATA_S,
+    DWG,
+    DWG_ACK,
+    DWG_ACK_DATA,
+    EXC_ACK,
+    INV,
+    INV_ACK,
+    INV_ACK_DATA,
+    REQ_EX,
+    REQ_SH,
+    REQ_UPG,
+    RETRY,
+    WB_ANNOUNCE,
+    WRITEBACK,
+    CoherenceMessage,
+    MsgType,
+    make_message,
+)
 from repro.obs.trace import TRACE
 from repro.util.cache import CacheArray
 from repro.util.stats import StatGroup
@@ -50,22 +70,28 @@ class L1State(Enum):
     # ``is_transient`` is a precomputed member attribute (filled in
     # below): it is tested on every CPU access and every directory-side
     # event, where a plain attribute load beats a property call plus a
-    # tuple scan.  ``code`` is a dense integer for the columnar engine's
-    # state gathers (repro.coherence.vector).
+    # tuple scan.
     is_transient: bool
-    code: int
 
 
 for _member in L1State:
     _member.is_transient = _member.name in ("I_SD", "I_MD", "S_MA")
-    _member.code = _member.value
 del _member
+
+# Members as module constants (see repro.coherence.messages).
+_I, _S, _E, _M, _I_SD, _I_MD, _S_MA = L1State
+
+#: NACKed transient state -> the request to resend.
+_RESEND = {_I_SD: REQ_SH, _I_MD: REQ_EX, _S_MA: REQ_UPG}
 
 
 class AccessResult(Enum):
     HIT = auto()
     MISS = auto()   # request issued; core will be called back on fill
     STALL = auto()  # line in a transient state ("z"); retry later
+
+
+_HIT, _MISS, _STALL = AccessResult
 
 
 @dataclass
@@ -99,13 +125,6 @@ class L1Controller:
         self.config = config or L1Config()
         self.on_fill = on_fill or (lambda line: None)
         self._states: dict[int, L1State] = {}
-        #: Columnar-engine ledger hook (repro.coherence.vector): called
-        #: as ``ledger(old_state, new_state)`` from :meth:`_set_state` so
-        #: the engine's per-node transient-line column stays write-through
-        #: for the reference code paths its fused kernels do not cover.
-        #: ``None`` (the default) keeps the reference path cost at a
-        #: single predicate check.
-        self.ledger: Optional[Callable[[L1State, L1State], None]] = None
         self.array = CacheArray.from_geometry(
             self.config.capacity_bytes,
             self.config.line_bytes,
@@ -114,7 +133,7 @@ class L1Controller:
         )
         stats = stats or StatGroup(f"l1.{node}")
         self.stats = stats
-        self._count = {
+        count = self._count = {
             name: stats.counter(name)
             for name in (
                 "read_hits", "write_hits", "read_misses", "write_misses",
@@ -122,25 +141,22 @@ class L1Controller:
                 "writebacks", "retries", "acks_suppressed",
             )
         }
+        # The directory-side handlers bump these once per message.
+        self._invalidations = count["invalidations"]
+        self._downgrades = count["downgrades"]
+        self._writebacks = count["writebacks"]
+        self._acks_suppressed = count["acks_suppressed"]
 
     # -- state helpers -----------------------------------------------------
 
     def state(self, line: int) -> L1State:
-        return self._states.get(line, L1State.I)
+        return self._states.get(line, _I)
 
     def preload_exclusive(self, line: int) -> None:
         """Warm-start ``line`` resident in E (its home holds it DM for
         this node: :meth:`DirectoryController.preload_owned`)."""
         self.array.insert(line)
-        self._states[line] = L1State.E
-
-    def _set_state(self, line: int, state: L1State) -> None:
-        if self.ledger is not None:
-            self.ledger(self._states.get(line, L1State.I), state)
-        if state is L1State.I:
-            self._states.pop(line, None)
-        else:
-            self._states[line] = state
+        self._states[line] = _E
 
     def outstanding(self) -> int:
         """Number of lines in transient states (live misses)."""
@@ -150,206 +166,197 @@ class L1Controller:
 
     def access(self, line: int, is_write: bool) -> AccessResult:
         """One load or store; may issue a request to the home directory."""
-        state = self.state(line)
+        states = self._states
+        state = states.get(line, _I)
         if state.is_transient:
-            self._count["stalls"].add()
-            return AccessResult.STALL
+            self._count["stalls"].value += 1
+            return _STALL
 
-        if state is L1State.I:
+        if state is _I:
             if is_write:
-                self._count["write_misses"].add()
-                self._request(line, MsgType.REQ_EX)
-                self._set_state(line, L1State.I_MD)
+                self._count["write_misses"].value += 1
+                self._request(line, REQ_EX)
+                states[line] = _I_MD
             else:
-                self._count["read_misses"].add()
-                self._request(line, MsgType.REQ_SH)
-                self._set_state(line, L1State.I_SD)
-            return AccessResult.MISS
+                self._count["read_misses"].value += 1
+                self._request(line, REQ_SH)
+                states[line] = _I_SD
+            return _MISS
 
         self.array.touch(line)
-        if state is L1State.S:
+        if state is _S:
             if is_write:
-                self._count["upgrades"].add()
-                self._request(line, MsgType.REQ_UPG)
-                self._set_state(line, L1State.S_MA)
-                return AccessResult.MISS
-            self._count["read_hits"].add()
-            return AccessResult.HIT
+                self._count["upgrades"].value += 1
+                self._request(line, REQ_UPG)
+                states[line] = _S_MA
+                return _MISS
+            self._count["read_hits"].value += 1
+            return _HIT
 
         # E or M: reads and writes both hit; a write to E silently
         # upgrades to M (the exclusive state's whole point).
         if is_write:
-            self._count["write_hits"].add()
-            self._set_state(line, L1State.M)
+            self._count["write_hits"].value += 1
+            states[line] = _M
         else:
-            self._count["read_hits"].add()
-        return AccessResult.HIT
+            self._count["read_hits"].value += 1
+        return _HIT
 
     def _request(self, line: int, mtype: MsgType) -> None:
+        if line < 0:  # the one place a line address becomes a message
+            raise ValueError(f"negative line address: {line}")
         if TRACE.enabled:
             TRACE.emit(
                 "l1_request", cat="coherence", node=self.node,
                 line=line, mtype=mtype.name,
             )
-        self.send(
-            CoherenceMessage(
-                mtype=mtype,
-                line=line,
-                sender=self.node,
-                dest=self.home_of(line),
-                requester=self.node,
-            ),
-            0,
-        )
+        node = self.node
+        self.send(make_message(mtype, line, node, self.home_of(line), node), 0)
 
     def _evict(self, line: int) -> None:
-        """The Repl column: silent for clean lines, writeback for M."""
-        state = self.state(line)
-        if state is L1State.M:
-            self._count["writebacks"].add()
+        """The Repl column: silent for clean lines, writeback for M.
+
+        The victim is never transient (``is_evictable`` excludes
+        transient lines from replacement)."""
+        if self._states.pop(line, _I) is _M:
+            self._writebacks.value += 1
+            node = self.node
             home = self.home_of(line)
             delay = 0
             if self.config.split_writeback:
                 # §5.2: announce first so the home expects the data packet.
-                self.send(
-                    CoherenceMessage(
-                        mtype=MsgType.WB_ANNOUNCE,
-                        line=line,
-                        sender=self.node,
-                        dest=home,
-                        requester=self.node,
-                    ),
-                    0,
-                )
+                self.send(make_message(WB_ANNOUNCE, line, node, home, node), 0)
                 delay = self.config.wb_announce_lead
-            self.send(
-                CoherenceMessage(
-                    mtype=MsgType.WRITEBACK,
-                    line=line,
-                    sender=self.node,
-                    dest=home,
-                    requester=self.node,
-                ),
-                delay,
-            )
-        self._set_state(line, L1State.I)
+            self.send(make_message(WRITEBACK, line, node, home, node), delay)
 
     # -- directory side (Data / ExcAck / Inv / Dwg / Retry columns) -----------
 
     def handle(self, msg: CoherenceMessage) -> None:
-        mtype = msg.mtype
-        if TRACE.enabled:
-            TRACE.emit(
-                "l1_event", cat="coherence", node=self.node,
-                line=msg.line, mtype=mtype.name,
-                state=self.state(msg.line).name,
-            )
-        if mtype in (MsgType.DATA_S, MsgType.DATA_E, MsgType.DATA_M):
-            self._on_data(msg)
-        elif mtype is MsgType.EXC_ACK:
-            self._on_exc_ack(msg)
-        elif mtype is MsgType.INV:
-            self._on_inv(msg)
-        elif mtype is MsgType.DWG:
-            self._on_dwg(msg)
-        elif mtype is MsgType.RETRY:
-            self._on_retry(msg)
-        else:
+        """Run ``msg`` through its Table 2 column (:data:`HANDLERS`)."""
+        handler = self.HANDLERS.get(msg.mtype)
+        if handler is None:
             raise ValueError(f"L1 at node {self.node} cannot handle {msg}")
+        handler(self, msg)
+
+    def _trace_event(self, msg: CoherenceMessage, state: L1State) -> None:
+        TRACE.emit(
+            "l1_event", cat="coherence", node=self.node,
+            line=msg.line, mtype=msg.mtype.name, state=state.name,
+        )
 
     def _on_data(self, msg: CoherenceMessage) -> None:
-        line, state = msg.line, self.state(msg.line)
-        if state is L1State.I_SD:
-            if msg.mtype is MsgType.DATA_M:
+        line = msg.line
+        states = self._states
+        state = states.get(line, _I)
+        if TRACE.enabled:
+            self._trace_event(msg, state)
+        mtype = msg.mtype
+        if state is _I_SD:
+            if mtype is DATA_M:
                 raise RuntimeError(f"DATA_M for a read miss: {msg}")
-            new = L1State.S if msg.mtype is MsgType.DATA_S else L1State.E
-        elif state is L1State.I_MD:
-            if msg.mtype is not MsgType.DATA_M:
-                raise RuntimeError(f"{msg.mtype.name} for a write miss: {msg}")
-            new = L1State.M
+            new = _S if mtype is DATA_S else _E
+        elif state is _I_MD:
+            if mtype is not DATA_M:
+                raise RuntimeError(f"{mtype.name} for a write miss: {msg}")
+            new = _M
         else:
             raise RuntimeError(f"unexpected data in {state.name}: {msg}")
         victim = self.array.insert(line)
         if victim is not None:
             self._evict(victim)
-        self._set_state(line, new)
+        states[line] = new
         self.on_fill(line)
 
     def _on_exc_ack(self, msg: CoherenceMessage) -> None:
-        if self.state(msg.line) is not L1State.S_MA:
-            raise RuntimeError(f"ExcAck in {self.state(msg.line).name}: {msg}")
-        self._set_state(msg.line, L1State.M)
-        self.on_fill(msg.line)
+        line = msg.line
+        state = self._states.get(line, _I)
+        if TRACE.enabled:
+            self._trace_event(msg, state)
+        if state is not _S_MA:
+            raise RuntimeError(f"ExcAck in {state.name}: {msg}")
+        self._states[line] = _M
+        self.on_fill(line)
 
     def _on_inv(self, msg: CoherenceMessage) -> None:
-        line, state = msg.line, self.state(msg.line)
-        self._count["invalidations"].add()
-        if state is L1State.M:
-            self._ack(msg, MsgType.INV_ACK_DATA)
+        line = msg.line
+        states = self._states
+        state = states.get(line, _I)
+        if TRACE.enabled:
+            self._trace_event(msg, state)
+        self._invalidations.value += 1
+        if state is _M:
+            self._ack(msg, INV_ACK_DATA)
             self.array.remove(line)
-            self._set_state(line, L1State.I)
+            del states[line]
             return
         # Data-less acknowledgment cases.
-        if state in (L1State.S, L1State.E):
+        if state is _S or state is _E:
             self.array.remove(line)
-            self._set_state(line, L1State.I)
-        elif state is L1State.S_MA:
+            del states[line]
+        elif state is _S_MA:
             # Our upgrade lost the race; it becomes a full write miss and
             # the directory reinterprets the queued Req(Upg) as Req(Ex).
             self.array.remove(line)
-            self._set_state(line, L1State.I_MD)
+            states[line] = _I_MD
         # I / I.SD / I.MD: acknowledge and stay (Table 2 row entries).
-        suppress = msg.ack_via_confirmation and state is not L1State.E
-        if suppress:
-            self._count["acks_suppressed"].add()
+        if msg.ack_via_confirmation and state is not _E:
+            self._acks_suppressed.value += 1
         else:
-            self._ack(msg, MsgType.INV_ACK)
+            self._ack(msg, INV_ACK)
 
     def _on_dwg(self, msg: CoherenceMessage) -> None:
-        line, state = msg.line, self.state(msg.line)
-        self._count["downgrades"].add()
-        if state in (L1State.S, L1State.S_MA):
+        line = msg.line
+        states = self._states
+        state = states.get(line, _I)
+        if TRACE.enabled:
+            self._trace_event(msg, state)
+        self._downgrades.value += 1
+        if state is _S or state is _S_MA:
             # Table 2 marks both error: the line is already Shared.
             raise RuntimeError(f"Dwg to a shared line: {msg}")
-        if state is L1State.M:
-            self._ack(msg, MsgType.DWG_ACK_DATA)
-            self._set_state(line, L1State.S)
+        if state is _M:
+            self._ack(msg, DWG_ACK_DATA)
+            states[line] = _S
             return
-        if state is L1State.E:
-            self._set_state(line, L1State.S)
+        if state is _E:
+            states[line] = _S
         # I / I.SD / I.MD: acknowledge and stay.
-        self._ack(msg, MsgType.DWG_ACK)
+        self._ack(msg, DWG_ACK)
 
     def _on_retry(self, msg: CoherenceMessage) -> None:
         """NACK from the directory: resend the outstanding request."""
-        state = self.state(msg.line)
-        resend = {
-            L1State.I_SD: MsgType.REQ_SH,
-            L1State.I_MD: MsgType.REQ_EX,
-            L1State.S_MA: MsgType.REQ_UPG,
-        }.get(state)
+        line = msg.line
+        state = self._states.get(line, _I)
+        if TRACE.enabled:
+            self._trace_event(msg, state)
+        resend = _RESEND.get(state)
         if resend is None:
             return  # the transaction already resolved another way
-        self._count["retries"].add()
+        self._count["retries"].value += 1
+        node = self.node
         self.send(
-            CoherenceMessage(
-                mtype=resend,
-                line=msg.line,
-                sender=self.node,
-                dest=self.home_of(msg.line),
-                requester=self.node,
-            ),
+            make_message(resend, line, node, self.home_of(line), node),
             self.config.retry_delay,
         )
 
     def _ack(self, cause: CoherenceMessage, mtype: MsgType) -> None:
         self.send(
-            CoherenceMessage(
-                mtype=mtype,
-                line=cause.line,
-                sender=self.node,
-                dest=cause.sender,
-                requester=cause.requester,
+            make_message(
+                mtype, cause.line, self.node, cause.sender, cause.requester
             ),
             0,
         )
+
+    #: Table 2's directory-side columns: message type -> handler.  The
+    #: CMP layer builds its per-node jump table from this map, so a
+    #: delivered message runs the same function whether it arrives
+    #: through :meth:`handle` or through ``CmpSystem``.
+    HANDLERS = {
+        DATA_S: _on_data,
+        DATA_E: _on_data,
+        DATA_M: _on_data,
+        EXC_ACK: _on_exc_ack,
+        INV: _on_inv,
+        DWG: _on_dwg,
+        RETRY: _on_retry,
+    }

@@ -102,6 +102,16 @@ for _member in MsgType:
     )
 del _member
 
+#: The members as module constants, in definition order: the handlers
+#: compare message types once or more per message, and on CPython 3.11
+#: a module global costs a tenth of the ``MsgType.X`` descriptor lookup.
+(
+    REQ_SH, REQ_EX, REQ_UPG, WRITEBACK, WB_ANNOUNCE,
+    INV_ACK, INV_ACK_DATA, DWG_ACK, DWG_ACK_DATA,
+    DATA_S, DATA_E, DATA_M, EXC_ACK, INV, DWG, RETRY,
+    MEM_READ, MEM_WRITE, MEM_ACK,
+) = MsgType
+
 
 @dataclass(slots=True)
 class CoherenceMessage:
@@ -152,10 +162,9 @@ def make_message(
 
     Bit-identical to calling the dataclass — the uid comes from the same
     ``itertools.count`` — minus the ``__post_init__`` negative-line
-    check, which callers on the message fast path (the columnar
-    coherence engine, ``repro.coherence.vector``) satisfy by
-    construction: every line address they send is taken from a message
-    that was already validated on entry.
+    check, which the controllers' send sites satisfy by construction:
+    every line address they send comes from a message that was already
+    validated on entry or from a line resident in a cache array.
     """
     msg = _new_message(CoherenceMessage)
     msg.mtype = mtype

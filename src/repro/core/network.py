@@ -395,8 +395,6 @@ class FsoiNetwork(Interconnect):
         due = self._due
         if due and due[0][0] <= cycle:
             self._calendar.run_due(cycle)  # scheduled outcomes
-            if self.post_delivery is not None:
-                self.post_delivery()  # drain the coherence mailbox
         for lane, slot_len in self._slot_items:
             if not self.config.slotted:
                 self._start_unslotted(lane, cycle)

@@ -99,8 +99,6 @@ class CoronaNetwork(Interconnect):
         if deliveries is not None:
             for packet in deliveries:  # arrival order
                 self._deliver(packet, cycle)
-            if self.post_delivery is not None:
-                self.post_delivery()  # drain the coherence mailbox
         for channel in self._channels:
             self._advance_token(channel, cycle)
 

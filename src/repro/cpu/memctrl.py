@@ -16,7 +16,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.coherence.messages import CoherenceMessage, MsgType
+from repro.coherence.messages import (
+    MEM_ACK,
+    MEM_READ,
+    MEM_WRITE,
+    CoherenceMessage,
+    make_message,
+)
 from repro.util.stats import StatGroup
 
 __all__ = ["MemoryConfig", "MemoryController"]
@@ -64,7 +70,7 @@ class MemoryController:
     __slots__ = (
         "node", "send", "config", "_queue", "_busy_until", "stats",
         "reads", "writes", "queue_wait", "_arrival", "_occupancy",
-        "_reply_delay", "ledger",
+        "_reply_delay",
     )
 
     def __init__(
@@ -89,42 +95,30 @@ class MemoryController:
         # config-derived constants out of the per-transfer path.
         self._occupancy = self.config.occupancy_cycles
         self._reply_delay = self.config.latency + self._occupancy
-        #: Columnar-engine ledger hook (repro.coherence.vector): called
-        #: with the queue-depth delta (+1 enqueue, -1 transfer start) so
-        #: the engine's channel-backlog column stays write-through.
-        self.ledger = None
 
     def handle(self, msg: CoherenceMessage, cycle: int) -> None:
-        if msg.mtype not in (MsgType.MEM_READ, MsgType.MEM_WRITE):
+        mtype = msg.mtype
+        if mtype is not MEM_READ and mtype is not MEM_WRITE:
             raise ValueError(f"memory controller got {msg}")
         self._arrival[msg.uid] = cycle
         self._queue.append(msg)
-        if self.ledger is not None:
-            self.ledger(1)
 
     def tick(self, cycle: int) -> None:
         """Start the next transfer when the channel frees up."""
         if not self._queue or self._busy_until > cycle:
             return
         msg = self._queue.popleft()
-        if self.ledger is not None:
-            self.ledger(-1)
         self.queue_wait.record(cycle - self._arrival.pop(msg.uid))
         self._busy_until = cycle + self._occupancy
-        if msg.mtype is MsgType.MEM_WRITE:
+        if msg.mtype is MEM_WRITE:
             self.writes.add()
             return  # fire-and-forget
         self.reads.add()
-        reply_delay = self._reply_delay
         self.send(
-            CoherenceMessage(
-                mtype=MsgType.MEM_ACK,
-                line=msg.line,
-                sender=self.node,
-                dest=msg.sender,
-                requester=msg.requester,
+            make_message(
+                MEM_ACK, msg.line, self.node, msg.sender, msg.requester
             ),
-            reply_delay,
+            self._reply_delay,
         )
 
     def next_event(self, cycle: int) -> Optional[int]:

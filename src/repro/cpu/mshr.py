@@ -14,7 +14,7 @@ __all__ = ["MshrFile"]
 class MshrFile:
     """Tracks lines with in-flight misses; bounded capacity."""
 
-    __slots__ = ("limit", "_lines", "allocation_failures", "ledger")
+    __slots__ = ("limit", "_lines", "allocation_failures")
 
     def __init__(self, limit: int = 8):
         if limit < 1:
@@ -22,11 +22,6 @@ class MshrFile:
         self.limit = limit
         self._lines: set[int] = set()
         self.allocation_failures = 0
-        #: Columnar-engine ledger hook (repro.coherence.vector): called
-        #: with the occupancy delta (+1 allocate, -1 release) so the
-        #: engine's MSHR-completion column stays write-through.  ``None``
-        #: (the default) keeps the reference path cost at one check.
-        self.ledger = None
 
     def contains(self, line: int) -> bool:
         return line in self._lines
@@ -43,15 +38,10 @@ class MshrFile:
             self.allocation_failures += 1
             return False
         self._lines.add(line)
-        if self.ledger is not None:
-            self.ledger(1)
         return True
 
     def release(self, line: int) -> None:
-        if line in self._lines:
-            self._lines.discard(line)
-            if self.ledger is not None:
-                self.ledger(-1)
+        self._lines.discard(line)
 
     @property
     def in_use(self) -> int:

@@ -711,11 +711,6 @@ def _build_issue(core: "ColumnarCore"):
                         cache_touch(line)
                         c_upgrades.value += 1
                         l1_request(line, REQ_UPG)
-                        # Read the ledger live: the coherence engine
-                        # installs it after this loop is compiled.
-                        ledger = l1.ledger
-                        if ledger is not None:
-                            ledger(S, S_MA)
                         states[line] = S_MA
                         instr += 1
                         try:
@@ -754,8 +749,6 @@ def _build_issue(core: "ColumnarCore"):
                         cache.misses += 1
                     if is_write:
                         c_write_hits.value += 1
-                        # No ledger call: E -> M and M -> M are both
-                        # stable-to-stable (transient delta is zero).
                         states[line] = M
                     else:
                         c_read_hits.value += 1

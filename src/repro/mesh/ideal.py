@@ -101,8 +101,6 @@ class IdealNetwork(Interconnect):
         if deliveries is not None:
             for packet in deliveries:  # arrival order
                 self._deliver(packet, cycle)
-            if self.post_delivery is not None:
-                self.post_delivery()  # drain the coherence mailbox
         if self._active:
             for node in sorted(self._active):
                 self._pump(node, cycle)

@@ -127,8 +127,6 @@ class MeshNetwork(Interconnect):
         if deliveries is not None:
             for packet in deliveries:  # arrival order
                 self._deliver(packet, cycle)
-            if self.post_delivery is not None:
-                self.post_delivery()  # drain the coherence mailbox
         if self._active_inject:
             for node in sorted(self._active_inject):
                 self._inject(node, cycle)

@@ -81,13 +81,6 @@ class Interconnect(abc.ABC):
         self.stats = InterconnectStats()
         self._callbacks: list[Optional[DeliveryCallback]] = [None] * num_nodes
         self._traffic: dict[tuple[int, int], int] = {}
-        #: Per-cycle mailbox drain hook (repro.coherence.vector): when
-        #: set, every ``tick`` implementation invokes it after its
-        #: delivery phase and *before* any same-cycle transmit work
-        #: (slot starts, injections, token advances), so handler sends
-        #: triggered by this cycle's deliveries still land in the same
-        #: cycle's queues exactly as inline dispatch would.
-        self.post_delivery: Optional[Callable[[], None]] = None
 
     # -- wiring -----------------------------------------------------------
 

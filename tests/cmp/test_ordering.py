@@ -9,6 +9,7 @@ events.  These tests pin the mechanism itself.
 import pytest
 
 from repro.cmp import CmpConfig, CmpSystem
+from repro.coherence.directory import DirectoryController
 from repro.coherence.messages import CoherenceMessage, MsgType
 
 
@@ -16,12 +17,6 @@ def make_system(**kwargs):
     kwargs.setdefault("num_nodes", 16)
     kwargs.setdefault("app", "ba")
     kwargs.setdefault("network", "fsoi")
-    # These tests spy on _dispatch and stub directory.handle — hooks the
-    # coherence engine's fused kernels legitimately bypass — so they pin
-    # the reference transport path.  The engine's copy of the §4.4
-    # ordering logic is covered by
-    # tests/coherence/test_vector_equivalence.py.
-    kwargs.setdefault("vectorized", False)
     return CmpSystem(CmpConfig(**kwargs))
 
 
@@ -29,6 +24,26 @@ def msg(mtype, line, sender, dest):
     return CoherenceMessage(
         mtype=mtype, line=line, sender=sender, dest=dest, requester=sender
     )
+
+
+def stub_directory(system, node, handler=lambda message: None):
+    """Point ``node``'s directory rows of the jump table at ``handler``
+    (these tests plant messages Table 2 would reject, e.g. a WriteBack
+    in DI)."""
+    for mtype in DirectoryController.HANDLERS:
+        system._handlers[mtype._value_][node] = handler
+
+
+def watch_deliveries(system, watched, log, key=lambda message: message.mtype):
+    """Log ``key(message)`` as each watched message is delivered."""
+    original = system._deliver
+
+    def spy(message, holder):
+        if message.uid in watched:
+            log.append(key(message))
+        original(message, holder)
+
+    system._deliver = spy
 
 
 class TestPerLineOrdering:
@@ -39,16 +54,8 @@ class TestPerLineOrdering:
         second = msg(MsgType.DWG_ACK, line, 1, 3)
         watched = {first.uid, second.uid}
         delivered = []
-        original = system._dispatch
-
-        def spy(node, message):
-            if message.uid in watched:
-                delivered.append(message.mtype)
-            original(node, message)
-
-        system._dispatch = spy
-        # WRITEBACK in DI would blow up the directory; route to a stub.
-        system.directories[3].handle = lambda m: None
+        watch_deliveries(system, watched, delivered)
+        stub_directory(system, 3)
         system._send_from(1, first, 0)
         system._send_from(1, second, 0)
         # The data packet takes 5+ cycles; the meta ack would take 2 if
@@ -62,20 +69,12 @@ class TestPerLineOrdering:
 
     def test_different_lines_not_serialized(self):
         system = make_system(warm_start=False)
-        system.directories[3].handle = lambda m: None
-        system.directories[4].handle = lambda m: None
+        stub_directory(system, 3)
+        stub_directory(system, 4)
         slow = msg(MsgType.WRITEBACK, 0x3, 1, 3)   # data lane, 5 cycles
         fast = msg(MsgType.INV_ACK, 0x4, 1, 4)     # meta lane, 2 cycles
-        watched = {slow.uid, fast.uid}
         order = []
-        original = system._dispatch
-
-        def spy(node, message):
-            if message.uid in watched:
-                order.append(message.mtype)
-            original(node, message)
-
-        system._dispatch = spy
+        watch_deliveries(system, {slow.uid, fast.uid}, order)
         system._send_from(1, slow, 0)
         system._send_from(1, fast, 0)
         for _ in range(20):
@@ -84,7 +83,7 @@ class TestPerLineOrdering:
 
     def test_pending_state_cleaned_up(self):
         system = make_system(warm_start=False)
-        system.directories[3].handle = lambda m: None
+        stub_directory(system, 3)
         system._send_from(1, msg(MsgType.INV_ACK, 0x3, 1, 3), 0)
         for _ in range(10):
             system.tick()
@@ -92,19 +91,13 @@ class TestPerLineOrdering:
 
     def test_queue_drains_in_fifo_order(self):
         system = make_system(warm_start=False)
-        system.directories[3].handle = lambda m: None
+        stub_directory(system, 3)
         kinds = [MsgType.INV_ACK, MsgType.DWG_ACK, MsgType.INV_ACK]
         messages = [msg(kind, 0x3, 1, 3) for kind in kinds]
-        watched = {m.uid for m in messages}
         order = []
-        original = system._dispatch
-
-        def spy(node, message):
-            if message.uid in watched:
-                order.append(message.uid)
-            original(node, message)
-
-        system._dispatch = spy
+        watch_deliveries(
+            system, {m.uid for m in messages}, order, key=lambda m: m.uid
+        )
         for message in messages:
             system._send_from(1, message, 0)
         for _ in range(40):
@@ -118,8 +111,9 @@ class TestPerLineOrdering:
         ack = msg(MsgType.DWG_ACK, line, 1, 1)
         watched = {wb.uid, ack.uid}
         received = []
-        system.directories[1].handle = (
-            lambda m: received.append(m.mtype) if m.uid in watched else None
+        stub_directory(
+            system, 1,
+            lambda m: received.append(m.mtype) if m.uid in watched else None,
         )
         system._send_from(1, wb, 0)
         system._send_from(1, ack, 0)

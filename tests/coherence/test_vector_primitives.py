@@ -1,17 +1,21 @@
-"""Unit tests for the columnar coherence engine's building blocks.
+"""Unit tests for the coherence dispatch's building blocks.
 
-Where ``test_vector_equivalence.py`` proves whole runs bit-exact, this
-suite takes the primitives apart: the fused per-``MsgType`` kernels are
-driven one message at a time against the scalar reference handlers on
-identically planted protocol state, the fast constructors
+Where ``test_vector_equivalence.py`` pins whole runs, this suite takes
+the pieces apart: ``CmpSystem``'s jump table is driven one message at a
+time on planted protocol state and held to the Table 2 cells
+transcribed in ``test_table2_matrix.py`` (the same data the standalone
+controllers are checked against — there is one set of handlers, so the
+system must land in the same cell), the fast constructors
 (``make_message`` / ``make_packet``) are compared field-for-field with
 the dataclass originals, the precomputed ``pkt_*`` classification flags
-are re-derived from first principles, and the mailbox/next_event/audit
-machinery is exercised directly.
+are re-derived from first principles, and delivery is shown to dispatch
+inline, once, through the same function whether or not a tracer is on.
+
+(File and class names predate the single dispatch; they are kept so the
+test ids the suite is tracked under stay stable.)
 """
 
-import os
-import random
+from collections import Counter
 
 import pytest
 
@@ -21,28 +25,39 @@ from repro.coherence.l1 import L1State
 from repro.coherence.messages import CoherenceMessage, MsgType, make_message
 from repro.net.packet import LaneKind, Packet, make_packet
 from repro.obs.trace import tracing
+from tests.coherence.test_table2_matrix import (
+    DIR_EFFECTS,
+    L1_EFFECTS,
+    counts,
+    moved,
+)
 
 NUM_NODES = 16
 
 
 # ---------------------------------------------------------------------------
-# harness: twin systems, one per engine, with identical planted state
+# harness: one system, planted state, every send recorded
 # ---------------------------------------------------------------------------
 
 
-def make_pair(**kwargs):
-    """A (vectorized, reference) pair of otherwise identical systems.
+def make_system(**kwargs):
+    """A cold-started system — every directory entry and L1 line begins
+    at I/DI, scenarios plant exactly the state they mean to test — whose
+    controllers log each message they send to ``system.sent``."""
+    system = CmpSystem(CmpConfig(
+        app="oc", network="fsoi", num_nodes=NUM_NODES, seed=9,
+        warm_start=False, **kwargs,
+    ))
+    system.sent = []
+    for controller in (
+        *system.l1s, *system.directories, *system.memory.values()
+    ):
+        def send(msg, delay, inner=controller.send):
+            system.sent.append(msg)
+            inner(msg, delay)
 
-    Cold-started so every directory entry and L1 line begins at
-    I/DI — scenarios plant exactly the state they mean to test.
-    """
-    return [
-        CmpSystem(CmpConfig(
-            app="oc", network="fsoi", num_nodes=NUM_NODES, seed=9,
-            warm_start=False, vectorized=vectorized, **kwargs,
-        ))
-        for vectorized in (True, False)
-    ]
+        controller.send = send
+    return system
 
 
 def plant(system, home, line, state, sharers=(), dirty=False):
@@ -56,164 +71,134 @@ def plant(system, home, line, state, sharers=(), dirty=False):
         l1 = system.l1s[node]
         l1.array.insert(line)
         l1._states[line] = l1_state
+    return ent
 
 
 def deliver(system, src, msg):
-    """Feed one message through the system's delivery entry point.
-
-    The vectorized side goes mailbox -> drain (the wiring the networks
-    use); the reference side dispatches inline, exactly as the naive
-    delivery callback would.
-    """
-    packet = system._packetize(src, msg)
-    engine = system._coherence
-    if engine is not None:
-        engine.on_packet(packet)
-        engine.drain()
-    else:
-        system._on_packet(packet)
+    """Feed one message through the network's delivery callback."""
+    system._on_packet(system._packetize(src, msg))
 
 
-def snapshot(system):
-    """Every uid-free observable the two paths must agree on.
-
-    Message/packet uids are excluded on purpose: the module-level uid
-    counters are shared by both twin systems, so absolute values
-    interleave — the equivalence suite covers uid streams by running
-    each arm in the same allocation order instead.
-    """
-    return {
-        "dirs": [
-            {
-                line: (
-                    ent.state, tuple(sorted(ent.sharers)), ent.dirty,
-                    ent.requester, ent.acks_needed, len(ent.queued),
-                )
-                for line, ent in directory._entries.items()
-            }
-            for directory in system.directories
-        ],
-        "l1s": [dict(l1._states) for l1 in system.l1s],
-        "dir_counts": [
-            {name: c.value for name, c in d._count.items()}
-            for d in system.directories
-        ],
-        "l1_counts": [
-            {name: c.value for name, c in l1._count.items()}
-            for l1 in system.l1s
-        ],
-        # values are either the empty-tuple sentinel or a deque of
-        # queued (msg, delay) pairs; compare keys and depths only
-        "pending": sorted(
-            (key, len(q)) for key, q in system._line_pending.items()
-        ),
-        "calendar": [(cycle, seq) for cycle, seq, _ in system._calendar._heap],
-        "net_sent": system.network.stats.sent.value,
-    }
-
-
-def assert_twins_match(vec, ref):
-    snap_vec, snap_ref = snapshot(vec), snapshot(ref)
-    assert snap_vec == snap_ref
-    vec._coherence.audit()
+def request(mtype, line, requester):
+    return CoherenceMessage(
+        mtype=mtype, line=line, sender=requester,
+        dest=line % NUM_NODES, requester=requester,
+    )
 
 
 # ---------------------------------------------------------------------------
-# fused kernels vs scalar handlers
+# the system's jump table lands in Table 2's cells
 # ---------------------------------------------------------------------------
 
 
-#: These classes drive the coherence engine itself, which
-#: REPRO_NO_VECTOR pins off for the whole process (CI's second leg).
-requires_vector_default = pytest.mark.skipif(
-    os.environ.get("REPRO_NO_VECTOR", "") not in ("", "0"),
-    reason="REPRO_NO_VECTOR pins the reference coherence dispatch for "
-    "the whole process, so there is no engine to drive",
-)
-
-
-@requires_vector_default
 class TestKernelsMatchHandlers:
-    def _home_line(self, rng):
-        line = rng.randrange(NUM_NODES, 1600)
-        return line % NUM_NODES, line
+    def check_directory_cell(self, system, line, cell, mtype, nodes):
+        """Deliver ``mtype`` to the line's home and hold it to
+        ``DIR_EFFECTS[cell]``.  ``nodes`` maps that table's fixture
+        labels (1 and 2 the sharers, 1 the DM owner, 3 the outside
+        requester) onto the nodes this scenario planted."""
+        next_state, sharers, emitted, counters = DIR_EFFECTS[cell]
+        sender = nodes[int(cell[1].partition("@")[2] or 3)]
+        directory = system.directories[line % NUM_NODES]
+        before = counts(directory)
+        del system.sent[:]
+        deliver(system, sender, request(mtype, line, sender))
+        assert directory.state(line) is next_state
+        assert directory.entry(line).sharers == {nodes[n] for n in sharers}
+        assert Counter(m.mtype for m in system.sent) == Counter(emitted)
+        assert moved(before, directory) == counters
+        # The packet's source held no §4.4 line hold to leak.
+        assert (sender, line) not in system._line_pending
 
     @pytest.mark.parametrize("mtype", (MsgType.REQ_SH, MsgType.REQ_EX))
     @pytest.mark.parametrize(
         "state", (DirState.DI, DirState.DV, DirState.DS, DirState.DM)
     )
     def test_requests_against_stable_states(self, mtype, state):
-        rng = random.Random(hash((mtype.name, state.name)) & 0xFFFF)
-        vec, ref = make_pair()
-        for _ in range(8):
-            home, line = self._home_line(rng)
-            requester = (home + rng.randrange(1, NUM_NODES)) % NUM_NODES
-            if state is DirState.DM:
-                sharers = ((home + requester + 1) % NUM_NODES,)
-                if sharers[0] == requester:
-                    sharers = ((sharers[0] + 1) % NUM_NODES,)
-            elif state is DirState.DS:
-                sharers = tuple(
-                    n for n in rng.sample(range(NUM_NODES), 3)
-                    if n != requester
-                ) or ((requester + 1) % NUM_NODES,)
-            else:
-                sharers = ()
-            for system in (vec, ref):
-                plant(system, home, line, state, sharers)
-                deliver(system, requester, CoherenceMessage(
-                    mtype=mtype, line=line, sender=requester,
-                    dest=home, requester=requester,
-                ))
-            assert_twins_match(vec, ref)
+        system = make_system()
+        event = "sh" if mtype is MsgType.REQ_SH else "ex"
+        for line in range(40, 40 + 3 * NUM_NODES, 7):  # homes 8, 15, 6, ...
+            home = line % NUM_NODES
+            nodes = {label: (home + label) % NUM_NODES for label in (1, 2, 3)}
+            sharers = {
+                DirState.DS: (nodes[1], nodes[2]), DirState.DM: (nodes[1],),
+            }.get(state, ())
+            plant(system, home, line, state, sharers)
+            self.check_directory_cell(
+                system, line, (state, event), mtype, nodes
+            )
 
     def test_upgrade_from_a_sharer(self):
-        vec, ref = make_pair()
+        system = make_system()
         home, line = 3, 3 + NUM_NODES
         requester, other = 5, 9
-        for system in (vec, ref):
-            plant(system, home, line, DirState.DS, (requester, other))
-            deliver(system, requester, CoherenceMessage(
-                mtype=MsgType.REQ_UPG, line=line, sender=requester,
-                dest=home, requester=requester,
-            ))
-        assert_twins_match(vec, ref)
+        ent = plant(system, home, line, DirState.DS, (requester, other))
+        self.check_directory_cell(
+            system, line, (DirState.DS, "upg@1"), MsgType.REQ_UPG,
+            {1: requester, 2: other},
+        )
+        assert ent.requester == requester
+        (inv,) = system.sent
+        assert (inv.dest, inv.requester) == (other, home)
 
     def test_invalidate_and_downgrade_at_the_l1(self):
-        vec, ref = make_pair()
-        for scenario, (mtype, l1_state, dir_state) in enumerate((
-            (MsgType.INV, L1State.S, DirState.DS),
-            (MsgType.INV, L1State.M, DirState.DM),
-            (MsgType.DWG, L1State.M, DirState.DM),
+        system = make_system()
+        for scenario, (event, mtype, l1_state, dir_state) in enumerate((
+            ("inv", MsgType.INV, L1State.S, DirState.DS),
+            ("inv", MsgType.INV, L1State.M, DirState.DM),
+            ("dwg", MsgType.DWG, L1State.M, DirState.DM),
         )):
-            home = 2
-            target = 7
+            home, target = 2, 7
             line = home + NUM_NODES * (scenario + 1)
-            for system in (vec, ref):
-                plant(system, home, line, dir_state, (target,))
-                system.l1s[target]._states[line] = l1_state
-                deliver(system, home, CoherenceMessage(
-                    mtype=mtype, line=line, sender=home,
-                    dest=target, requester=11,
-                ))
-            assert_twins_match(vec, ref)
+            plant(system, home, line, dir_state, (target,))
+            l1 = system.l1s[target]
+            l1._states[line] = l1_state
+            next_state, emitted, counters = L1_EFFECTS[l1_state, event]
+            before = counts(l1)
+            del system.sent[:]
+            deliver(system, home, CoherenceMessage(
+                mtype=mtype, line=line, sender=home,
+                dest=target, requester=11,
+            ))
+            assert l1.state(line) is next_state
+            assert [m.mtype for m in system.sent] == emitted
+            assert moved(before, l1) == dict.fromkeys(counters, 1)
+            (ack,) = system.sent
+            assert (ack.dest, ack.requester) == (home, 11)
+            # The ack is in flight: it holds the target's line until
+            # it is delivered.
+            assert (target, line) in system._line_pending
 
     def test_request_to_a_transient_line_queues_identically(self):
-        # Transient-state requests leave the fused fast path
-        # (_enqueue_or_nack): both arms must queue the same way and the
-        # dir_queued mirror must track the reference-path increment.
-        vec, ref = make_pair()
+        # Table 2's "z": the request waits in the line's queue, and the
+        # MemAck that completes the fetch serves it from there.
+        system = make_system()
         home, line = 4, 4 + NUM_NODES
-        for system in (vec, ref):
-            ent = system.directories[home].entry(line)
-            ent.state = DirState.DI_DSD
-            ent.requester = 8
-            deliver(system, 12, CoherenceMessage(
-                mtype=MsgType.REQ_SH, line=line, sender=12,
-                dest=home, requester=12,
-            ))
-        assert_twins_match(vec, ref)
-        assert snapshot(vec)["dirs"][home][line][5] == 1  # one queued msg
+        directory = system.directories[home]
+        ent = directory.entry(line)
+        ent.state = DirState.DI_DSD
+        ent.requester = 8
+        before = counts(directory)
+        deliver(system, 12, request(MsgType.REQ_SH, line, 12))
+        assert ent.state is DirState.DI_DSD and len(ent.queued) == 1
+        assert system.sent == []
+        assert moved(before, directory) == {"requests": 1, "queued": 1}
+        assert directory._queued_total == 1
+        memory = system.memory_node_of(line)
+        deliver(system, memory, CoherenceMessage(
+            mtype=MsgType.MEM_ACK, line=line, sender=memory, dest=home,
+            requester=home,
+        ))
+        # Data(E) to the first requester, then the queued Req(Sh) finds
+        # the line DM and downgrades its new owner.
+        assert [(m.mtype, m.dest) for m in system.sent] == [
+            (MsgType.DATA_E, 8), (MsgType.DWG, 8),
+        ]
+        assert ent.state is DirState.DM_DSD and not ent.queued
+        assert directory._queued_total == 0
+        assert moved(before, directory) == {
+            "requests": 1, "queued": 1, "downgrades_sent": 1,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -273,68 +258,64 @@ class TestFastConstructors:
 
 
 # ---------------------------------------------------------------------------
-# mailbox, horizon, trace interaction
+# delivery: inline, once, the same function with a tracer on
 # ---------------------------------------------------------------------------
 
 
-@requires_vector_default
 class TestMailbox:
     def _request_packet(self, system, src, home, line):
-        return system._packetize(src, CoherenceMessage(
-            mtype=MsgType.REQ_SH, line=line, sender=src,
-            dest=home, requester=src,
-        ))
+        return system._packetize(src, request(MsgType.REQ_SH, line, src))
+
+    def _spy_on_requests(self, system, calls):
+        """Log every call of the jump table's Req(Sh) row; returns the
+        original row."""
+        row = system._handlers[MsgType.REQ_SH._value_]
+        original = list(row)
+        for node, handler in enumerate(original):
+            def spy(msg, node=node, handler=handler):
+                calls.append((node, msg.line, handler))
+                handler(msg)
+
+            row[node] = spy
+        return original
 
     def test_collects_then_drains_in_delivery_order(self):
-        vec, _ = make_pair()
-        engine = vec._coherence
-        order = []
-        original = list(engine._kernels)
-        value = MsgType.REQ_SH._value_
-        engine._kernels[value] = (
-            lambda node, msg, k=original[value]: (
-                order.append((node, msg.line)), k(node, msg)
-            )
-        )
-        plant(vec, 1, 17, DirState.DV)
-        plant(vec, 2, 18, DirState.DV)
-        engine.on_packet(self._request_packet(vec, 5, 1, 17))
-        engine.on_packet(self._request_packet(vec, 6, 2, 18))
-        assert len(engine._mailbox) == 2
-        assert engine.next_event(0) == 0      # queued work pins "now"
-        engine.drain()
-        assert engine._mailbox == []
-        assert engine.next_event(0) is None   # empty mailbox: no horizon
-        assert order == [(5, 17), (6, 18)]
-        engine._kernels[value] = original[value]
+        # Deliveries dispatch at the delivery instant: each handler has
+        # run by the time the network's callback returns.
+        system = make_system()
+        calls = []
+        self._spy_on_requests(system, calls)
+        plant(system, 1, 17, DirState.DV)
+        plant(system, 2, 18, DirState.DV)
+        system._on_packet(self._request_packet(system, 5, 1, 17))
+        assert [(node, line) for node, line, _ in calls] == [(1, 17)]
+        assert system.directories[1].state(17) is DirState.DM
+        system._on_packet(self._request_packet(system, 6, 2, 18))
+        assert [(node, line) for node, line, _ in calls] == [(1, 17), (2, 18)]
 
     def test_requests_counted_once_per_drain(self):
-        vec, _ = make_pair()
-        engine = vec._coherence
-        plant(vec, 1, 17, DirState.DV)
-        plant(vec, 2, 18, DirState.DV)
-        engine.on_packet(self._request_packet(vec, 5, 1, 17))
-        engine.on_packet(self._request_packet(vec, 6, 2, 18))
-        engine.drain()
-        counts = [d._count["requests"].value for d in vec.directories]
-        assert counts[1] == 1 and counts[2] == 1 and sum(counts) == 2
+        system = make_system()
+        plant(system, 1, 17, DirState.DV)
+        plant(system, 2, 18, DirState.DV)
+        system._on_packet(self._request_packet(system, 5, 1, 17))
+        system._on_packet(self._request_packet(system, 6, 2, 18))
+        requests = [d._count["requests"].value for d in system.directories]
+        assert requests[1] == 1 and requests[2] == 1 and sum(requests) == 2
 
     def test_tracing_dispatches_inline(self):
-        vec, _ = make_pair()
-        engine = vec._coherence
-        plant(vec, 1, 17, DirState.DV)
-        with tracing():
-            engine.on_packet(self._request_packet(vec, 5, 1, 17))
-            assert engine._mailbox == []  # handled inline, not queued
-        assert vec.directories[1]._count["requests"].value == 1
-
-    def test_columns_accrue_from_mirrors(self):
-        vec, _ = make_pair()
-        engine = vec._coherence
-        engine._l1_transients[2] = 3
-        engine._mshr_in_use[5] = 1
-        engine.accrue_columns()
-        assert engine.l1_transients[2] == 3
-        assert engine.mshr_in_use[5] == 1
-        engine._l1_transients[2] = 0
-        engine._mshr_in_use[5] = 0
+        # Tracing runs the same handler: the function the jump table
+        # calls for a delivery does not depend on the tracer.
+        system = make_system()
+        calls = []
+        original = self._spy_on_requests(system, calls)
+        plant(system, 1, 17, DirState.DV)
+        plant(system, 1, 33, DirState.DV)
+        system._on_packet(self._request_packet(system, 5, 1, 17))
+        with tracing() as tracer:
+            system._on_packet(self._request_packet(system, 5, 1, 33))
+            events = [e.name for e in tracer.events()]
+        (_, _, plain), (_, _, traced) = calls
+        assert plain is traced is original[1]
+        assert plain.__func__ is type(system.directories[1])._on_request
+        assert "dir_event" in events
+        assert system.directories[1]._count["requests"].value == 2

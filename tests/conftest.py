@@ -2,10 +2,13 @@
 
 Two engine toggles in :class:`~repro.cmp.CmpConfig` claim to be
 invisible in every measured quantity: ``fast_forward`` (the next-event
-loop) and ``vectorized`` (the columnar core engine).  Both equivalence
-suites — ``tests/cmp/test_fastforward.py`` and
-``tests/cmp/test_vector_equivalence.py`` — share the run-both-and-diff
-machinery here instead of duplicating it.
+loop) and ``vectorized`` (the columnar core engine — the networks and
+the coherence dispatch have one implementation each, so a
+``vectorized`` pair differs only in the cores phase).  The equivalence
+suites — ``tests/cmp/test_fastforward.py``,
+``tests/cmp/test_vector_equivalence.py`` and the pair tests of
+``tests/coherence/test_vector_equivalence.py`` — share the
+run-both-and-diff machinery here instead of duplicating it.
 """
 
 import json
@@ -28,8 +31,10 @@ EQUIVALENCE_FAULT_PLAN = FaultPlan(
 )
 
 
-#: Digests of network behaviour recorded from earlier implementations
-#: (tests/cmp/test_network_vector_equivalence.py, tests/net/test_channel_pins.py).
+#: Digests of network and coherence behaviour recorded from earlier
+#: implementations (tests/cmp/test_network_vector_equivalence.py,
+#: tests/net/test_channel_pins.py,
+#: tests/coherence/test_vector_equivalence.py).
 PINS_PATH = Path(__file__).parent / "data" / "network_engine_pins.json"
 
 
@@ -99,8 +104,9 @@ def compare_engine_pair(flag: str, cycles: int = 1200, **config_kwargs):
 
     * ``fast_forward`` — the naive loop skips nothing, and the fast
       loop's executed + skipped covers the same window.
-    * ``vectorized`` — the columnar engine must not change what the
-      simulation loop *does* at all, so the loops are identical.
+    * ``vectorized`` — the pair differs only in the cores phase, and
+      the columnar cores engine must not change what the simulation
+      loop *does* at all, so the loops are identical.
     """
     candidate, reference = run_engine_pair(flag, cycles=cycles, **config_kwargs)
     cand_loop, ref_loop = assert_engines_equivalent(candidate, reference)
