@@ -52,7 +52,7 @@ from repro.core.lanes import LaneConfig
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.core.optimizations import OptimizationConfig
 from repro.corona.network import CoronaConfig, CoronaNetwork
-from repro.cpu.core import Core, CoreConfig, CoreState
+from repro.cpu.core import Core, CoreConfig, CoreState, DueSchedule
 from repro.cpu.memctrl import MemoryConfig, MemoryController
 from repro.cpu.sync import SyncManager
 from repro.cmp.results import CmpResults
@@ -65,7 +65,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import TIMELINE
 from repro.obs.trace import TRACE
 from repro.util.events import CycleCalendar
-from repro.util.rng import RngHub
+from repro.util.rng import RngHub, derive_seed
 from repro.util.stats import Histogram
 from repro.workloads.splash2 import AppSignature, AppWorkload, signature
 
@@ -115,14 +115,6 @@ class CmpConfig:
     #: either way; disable here (or via REPRO_NO_FASTFORWARD=1) only to
     #: cross-check or to step the naive loop under a debugger.
     fast_forward: bool = True
-    #: Columnar engine for the cores (the networks and the coherence
-    #: dispatch have one implementation each and ignore this flag): the
-    #: cores phase keeps per-node counters and deadlines in numpy
-    #: arrays with replayed RNG draws (repro.cpu.vector), so passive
-    #: nodes cost nothing per cycle (docs/performance.md).  Results are
-    #: bit-identical either way; disable here (or via
-    #: REPRO_NO_VECTOR=1) to run the object-per-node cores.
-    vectorized: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -173,11 +165,6 @@ class CmpSystem:
         n = config.num_nodes
         self._rng = RngHub(config.seed)
 
-        # The vectorized flag selects the columnar cores phase
-        # (repro.cpu.vector).
-        self._vector_on = config.vectorized and os.environ.get(
-            "REPRO_NO_VECTOR", ""
-        ) in ("", "0")
         self.network = self._build_network()
         self._is_fsoi = isinstance(self.network, FsoiNetwork)
         self._calendar = CycleCalendar()
@@ -186,7 +173,6 @@ class CmpSystem:
         # cycle is either executed by tick() or jumped by _skip_to().
         self.executed_cycles = 0
         self.skipped_cycles = 0
-        self._pin_core = 0  # last core seen pinning the horizon to "now"
         self._due = self._calendar._heap  # cached guard (never rebound)
         self._fast_forward = config.fast_forward and os.environ.get(
             "REPRO_NO_FASTFORWARD", ""
@@ -239,50 +225,24 @@ class CmpSystem:
             for node in range(n)
         ]
 
-        # Cores and synchronization.  The vectorized engine and the
-        # object-per-node loop are bit-exact alternatives
-        # (tests/cmp/test_vector_equivalence.py); the replayed RNGs
-        # reproduce the named streams' exact draw sequences.
+        # Cores and synchronization.  Each core draws from the named
+        # stream "core.<node>"; the schedule runs the due ones per tick.
         self.sync = SyncManager(n, subscription=opts.llsc_subscription)
         app = config.app_signature
         self.app_label = app.label
-        if self._vector_on:
-            from repro.cpu.vector import (
-                ColumnarCore,
-                ReplayRng,
-                VectorCoreEngine,
+        self._due_cores = DueSchedule(clock=self)
+        self.cores = [
+            Core(
+                node,
+                AppWorkload(app, node, n),
+                self.l1s[node],
+                self.sync,
+                config.core,
+                seed=derive_seed(config.seed, f"core.{node}"),
+                schedule=self._due_cores,
             )
-            from repro.util.rng import derive_seed
-
-            self._vector = VectorCoreEngine(self)
-            self.cores = [
-                ColumnarCore(
-                    self._vector,
-                    node,
-                    AppWorkload(app, node, n),
-                    self.l1s[node],
-                    self.sync,
-                    config.core,
-                    rng=ReplayRng(derive_seed(config.seed, f"core.{node}")),
-                    stats=self._vector.stats_for(node),
-                )
-                for node in range(n)
-            ]
-            self._core_phase = self._vector.core_phase
-        else:
-            self._vector = None
-            self.cores = [
-                Core(
-                    node,
-                    AppWorkload(app, node, n),
-                    self.l1s[node],
-                    self.sync,
-                    config.core,
-                    rng=self._rng.stream(f"core.{node}"),
-                )
-                for node in range(n)
-            ]
-            self._core_phase = self._tick_cores
+            for node in range(n)
+        ]
         self._controllers = tuple(self.memory.values())
         if opts.llsc_subscription:
             self.sync.on_barrier_release = self._signal_barrier_release
@@ -633,7 +593,7 @@ class CmpSystem:
         for controller in self._controllers:
             controller.tick(cycle)
         self.network.tick(cycle)
-        self._core_phase(cycle)
+        self._due_cores.tick(cycle)
         self.executed_cycles += 1
         self.cycle = cycle + 1
 
@@ -647,11 +607,6 @@ class CmpSystem:
                 queue.popleft()
             if not queue:
                 self._overflow_active.discard(node)
-
-    def _tick_cores(self, cycle: int) -> None:
-        """The reference cores phase: tick every core object."""
-        for core in self.cores:
-            core.tick(cycle)
 
     def _tick_profiled(self) -> None:
         """The :meth:`tick` body with per-subsystem wall-time attribution.
@@ -689,7 +644,7 @@ class CmpSystem:
         t4 = perf_counter()
         coh2 = PROFILER.phase_seconds("coherence")
         PROFILER.add("network", (t4 - t3) - (coh2 - coh1))
-        self._core_phase(cycle)
+        self._due_cores.tick(cycle)
         PROFILER.add("cores", perf_counter() - t4)
         PROFILER.cycle_done()
         self.executed_cycles += 1
@@ -706,11 +661,9 @@ class CmpSystem:
         the whole system is quiescent (nothing will ever happen again).
         """
         cycle = self.cycle
-        # Pin cache: a RUNNING core pins the horizon to "now" no matter
-        # what the other subsystems report, and cores run in multi-cycle
-        # bursts — remembering the last pinning core turns the common
-        # fully-active case into a single state check.
-        if self.cores[self._pin_core].state is CoreState.RUNNING:
+        # A RUNNING core pins the horizon to "now" no matter what the
+        # other subsystems report — the common case, one set check.
+        if self._due_cores.running:
             return cycle
         horizon = None
         due = self._due
@@ -723,23 +676,12 @@ class CmpSystem:
             # A backed-up injection retries (and counts a refusal)
             # every cycle, exactly as the naive loop does.
             return cycle
-        if self._vector is not None:
-            c = self._vector.next_core_event(cycle)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if horizon is None or c < horizon:
-                    horizon = c
-        else:
-            for index, core in enumerate(self.cores):
-                c = core.next_event(cycle)
-                if c is not None:
-                    if c <= cycle:
-                        if core.state is CoreState.RUNNING:
-                            self._pin_core = index
-                        return cycle
-                    if horizon is None or c < horizon:
-                        horizon = c
+        c = self._due_cores.next_event(cycle)  # hold releases, spin polls
+        if c is not None:
+            if c <= cycle:
+                return cycle
+            if horizon is None or c < horizon:
+                horizon = c
         for controller in self._controllers:
             c = controller.next_event(cycle)
             if c is not None:
@@ -770,20 +712,16 @@ class CmpSystem:
         """Jump the clock from ``self.cycle`` to ``end`` in one step.
 
         Every per-cycle side effect the naive loop would have produced
-        over ``[cycle, end)`` is applied in bulk: core stall/sync
-        counters (and lock-hold countdowns), the network's elapsed-slot
-        tallies.  Tracing and profiling record the span instead of
-        inhibiting the skip.
+        over ``[cycle, end)`` is applied in bulk: the network's
+        elapsed-slot tallies here, the cores' stall/sync counters by
+        the cores themselves (they charge elapsed cycles at their next
+        transition or read, jumped or not).  Tracing and profiling
+        record the span instead of inhibiting the skip.
         """
         start = self.cycle
         gap = end - start
         if gap <= 0:  # pragma: no cover - callers guarantee end > cycle
             return
-        if self._vector is None:
-            for core in self.cores:
-                core.skip(gap)
-        # else: the columnar ledger accrues the jumped span lazily at
-        # the next transition or flush — no per-core work at all.
         self.network.skip(start, end)
         self.skipped_cycles += gap
         if TRACE.enabled:
@@ -927,9 +865,6 @@ class CmpSystem:
     # ------------------------------------------------------------------
 
     def _results(self) -> CmpResults:
-        if self._vector is not None:
-            self._vector.flush()
-
         def merge(groups) -> dict[str, int]:
             out: dict[str, int] = {}
             for group in groups:
@@ -975,6 +910,7 @@ class CmpSystem:
         mesh_activity = (
             self.network.activity() if isinstance(self.network, MeshNetwork) else {}
         )
+        core_cycles = merge(c.stats for c in self.cores)
         return CmpResults(
             app=self.app_label,
             network=self.config.network,
@@ -995,9 +931,9 @@ class CmpSystem:
                 "lock_retries": self.sync.lock_retries,
             },
             core_cycles={
-                "busy": sum(int(c.busy_cycles) for c in self.cores),
-                "stall": sum(int(c.stall_cycles) for c in self.cores),
-                "sync": sum(int(c.sync_cycles) for c in self.cores),
+                "busy": core_cycles["busy_cycles"],
+                "stall": core_cycles["stall_cycles"],
+                "sync": core_cycles["sync_cycles"],
             },
             reply_latency=self.reply_latency,
             fsoi=fsoi,

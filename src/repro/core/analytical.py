@@ -16,7 +16,7 @@ theoretical calculations"):
    collision-resolution delay of a meta packet under the exponential
    back-off policy (window ``W * B^(r-1)``), including the 2-cycle
    confirmation latency and a background transmission rate ``G``.
-   Like the paper we evaluate it numerically (a vectorized Monte-Carlo
+   Like the paper we evaluate it numerically (a numpy-batched Monte-Carlo
    over the abstract slotted channel — no protocol machinery involved).
 
 3. :func:`optimal_meta_bandwidth` — the §4.3.1 bandwidth-allocation

@@ -1,6 +1,7 @@
 """The interconnect interface every network model implements.
 
-The CMP simulator drives a network exclusively through this interface:
+The CMP simulator drives a network exclusively through this interface
+(the :class:`Interconnect` docstring lists the whole contract):
 
 * :meth:`Interconnect.try_send` — offer a packet; the network may refuse
   (finite source queues), in which case the caller stalls and retries.
@@ -72,7 +73,29 @@ class InterconnectStats:
 
 
 class Interconnect(abc.ABC):
-    """Abstract base class for all network models."""
+    """Abstract base class for all network models.
+
+    The seven methods below (plus :meth:`set_delivery_callback` at
+    wiring time) are all ``CmpSystem`` and the traffic drivers know
+    about a network; which transport is behind them — FSOI, mesh, the
+    ideal L0 / Lr networks, Corona — changes no caller:
+
+    * :meth:`try_send` ``(packet, cycle) -> bool`` — offer a packet;
+      ``False`` means the source queue is full and the caller retries.
+      Never delivers synchronously: arrivals happen inside :meth:`tick`.
+    * :meth:`tick` ``(cycle)`` — one processor cycle; invokes the
+      delivery callbacks of the packets that arrive in it.
+    * :meth:`next_event` ``(cycle) -> Optional[int]`` — the fast-forward
+      horizon: the earliest cycle at which a tick could do anything
+      (``cycle`` itself: tick now; ``None``: idle until the next send).
+    * :meth:`skip` ``(start, end)`` — account for the cycles a jump did
+      not tick, so per-cycle tallies match a run that ticked them.
+    * :meth:`quiescent` ``() -> bool`` — nothing buffered or in flight.
+    * :meth:`can_accept` ``(node, lane) -> bool`` — whether a
+      :meth:`try_send` from ``node`` on ``lane`` would succeed now.
+    * :meth:`audit` ``()`` — recount whatever scheduling index the model
+      keeps against the queues it summarises; raises on a mismatch.
+    """
 
     def __init__(self, num_nodes: int):
         if num_nodes < 2:
@@ -162,3 +185,9 @@ class Interconnect(abc.ABC):
     def quiescent(self) -> bool:
         """True when no packets are buffered or in flight (end-of-run drain)."""
         return int(self.stats.sent) == int(self.stats.delivered)
+
+    def audit(self) -> None:
+        """Cross-check the model's scheduling index against its queues.
+
+        For tests, after a run.  The default has no index to check.
+        """

@@ -17,10 +17,9 @@ The design follows the other two ``repro.obs`` facilities exactly:
   state — no RNG draws, no scheduling changes — so a timelined run is
   bit-identical to a plain one.  Samples are taken at the *start* of
   each window-boundary tick (cycle ``k*window`` sees state after
-  cycles ``< k*window``), which both engine families
-  (``vectorized=True/False``) reach with identical counter values;
-  the exported JSONL is therefore byte-identical across engines and
-  across repeated runs of the same seed
+  cycles ``< k*window``; the cores settle their lazily charged cycle
+  counters when read, so the sample is exact), so the exported JSONL
+  is byte-identical across repeated runs of the same seed
   (``tests/obs/test_timeline.py``).
 * **Fast-forward aware.**  ``CmpSystem._next_event`` caps its jump
   horizon at the collector's next due boundary, so window samples are
@@ -271,9 +270,9 @@ class TimelineCollector:
 
         Runs at the start of every tick; samples when the cycle has
         reached the next window boundary.  Read-only with respect to
-        the simulation — the registry snapshot settles lazy columnar
-        ledgers, which is an accounting materialization the engines
-        already permit between ticks.
+        the simulation — the registry snapshot settles the cores' lazy
+        cycle ledgers, an accounting materialization that is exact
+        between ticks.
         """
         if self._system is None:
             self._bind(system)

@@ -10,6 +10,10 @@ draw pattern does not perturb any other subsystem.
 The derivation uses SHA-256 over ``(root_seed, name)`` so stream seeds are
 statistically independent and stable across Python versions (unlike
 ``hash()``, which is salted per process).
+
+:class:`ReplayRng` serves the same sample sequence as a stream's
+``Generator`` from block-buffered raw words, for the cores, which draw
+scalars by the million.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngHub"]
+__all__ = ["derive_seed", "RngHub", "ReplayRng"]
 
 _MASK_63 = (1 << 63) - 1
 
@@ -75,3 +79,100 @@ class RngHub:
 
     def __repr__(self) -> str:
         return f"RngHub(root_seed={self.root_seed}, streams={len(self._streams)})"
+
+
+class ReplayRng:
+    """Replays ``numpy.random.Generator(PCG64(seed))`` draws from a buffer.
+
+    The cores draw scalars one at a time (op mix, line choice,
+    blocking-fraction), which pays numpy's full ufunc dispatch per draw.
+    This class pulls raw 64-bit words from the bit generator in blocks
+    (``PCG64.random_raw``) and applies the same output transforms the
+    Generator would, so the produced stream is *identical sample for
+    sample* — including PCG64's cross-call stash of the unused high
+    half of a word split for 32-bit output:
+
+    * ``random()`` — ``(word >> 11) * 2**-53`` (53-bit mantissa fill).
+    * ``integers(low, high)`` — Lemire's 32-bit multiply-shift bounded
+      draw with rejection, the path numpy takes for the default
+      ``int64`` dtype whenever the range fits in 32 bits (every draw
+      the workloads make).  A range of one returns ``low`` without
+      consuming a word, exactly as numpy does.
+
+    So ``ReplayRng(derive_seed(root, name))`` yields the samples of
+    ``RngHub(root).stream(name)``.  The equivalence is pinned by
+    hypothesis tests interleaving both call types against a real
+    ``Generator`` over random seeds.
+    """
+
+    __slots__ = ("_raw", "_buffer", "_floats", "_pos", "_has32", "_stash32")
+
+    _BLOCK = 1024
+
+    def __init__(self, seed: int):
+        self._raw = np.random.PCG64(seed).random_raw
+        self._buffer: list[int] = []
+        self._floats: list[float] = []
+        self._pos = 0
+        self._has32 = False
+        self._stash32 = 0
+
+    def _refill(self) -> list[int]:
+        """Replace the exhausted buffer with a fresh block of raw words.
+
+        The ``random()`` transform is precomputed for the whole block:
+        ``(word >> 11) * 2**-53`` is one exact uint64 shift and one
+        float64 multiply whether done by numpy on the block or by
+        Python per word, so ``_floats[i]`` is bitwise what ``random()``
+        would return for ``_buffer[i]``.
+        """
+        raw = self._raw(self._BLOCK)
+        self._buffer = buffer = raw.tolist()
+        self._floats = ((raw >> 11) * 1.1102230246251565e-16).tolist()
+        self._pos = 0
+        return buffer
+
+    def _next64(self) -> int:
+        pos = self._pos
+        buffer = self._buffer
+        if pos >= len(buffer):
+            buffer = self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return buffer[pos]
+
+    def _next32(self) -> int:
+        # PCG64 splits one 64-bit word into two 32-bit outputs: the low
+        # half first, the high half stashed for the next 32-bit request
+        # (64-bit requests bypass and preserve the stash).
+        if self._has32:
+            self._has32 = False
+            return self._stash32
+        word = self._next64()
+        self._stash32 = word >> 32
+        self._has32 = True
+        return word & 0xFFFFFFFF
+
+    def random(self) -> float:
+        """One double in [0, 1), identical to ``Generator.random()``."""
+        pos = self._pos
+        if pos >= len(self._buffer):
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._floats[pos]
+
+    def integers(self, low: int, high: int) -> int:
+        """One int in [low, high), identical to ``Generator.integers``."""
+        rng = high - low - 1  # inclusive range, numpy's convention
+        if rng == 0:
+            return low
+        rng_excl = rng + 1
+        m = self._next32() * rng_excl
+        leftover = m & 0xFFFFFFFF
+        if leftover < rng_excl:
+            threshold = (0xFFFFFFFF - rng) % rng_excl
+            while leftover < threshold:
+                m = self._next32() * rng_excl
+                leftover = m & 0xFFFFFFFF
+        return low + (m >> 32)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cpu.core import Op, OpKind
+from repro.workloads.ops import Op, OpKind
 
 __all__ = ["AppSignature", "AppWorkload", "APPLICATIONS", "signature"]
 
@@ -238,6 +238,19 @@ class AppWorkload:
         self._private_base = _PRIVATE_BASE + node * _REGION
         self._cold_base = self._private_base + signature.hot_lines
         self._stream_base = _STREAM_BASE + node * _REGION
+        # Mesh neighbours, the peers of the "neighbor" comm pattern.
+        side = int(round(num_nodes ** 0.5))
+        x, y = node % side, node // side
+        self._neighbors = [
+            peer
+            for peer, on_chip in (
+                (node - 1, x > 0),
+                (node + 1, x < side - 1),
+                (node - side, y > 0),
+                (node + side, y < side - 1),
+            )
+            if on_chip
+        ]
 
     def next_op(self, rng: np.random.Generator) -> Op:
         """The next instruction for this core."""
@@ -321,22 +334,11 @@ class AppWorkload:
         return _SHARED_BASE + (peer % stride) + offset * stride
 
     def _comm_peer(self, rng: np.random.Generator) -> int:
-        sig = self.signature
         n = self.num_nodes
-        if sig.comm_pattern == "butterfly":
+        if self.signature.comm_pattern == "butterfly":
             stage = self._butterfly_stage
             self._butterfly_stage = (stage + 1) % max(1, n.bit_length() - 1)
             return self.node ^ (1 << stage)
-        # "neighbor": a mesh neighbour (or self for boundary spill).
-        side = int(round(n ** 0.5))
-        x, y = self.node % side, self.node // side
-        candidates = []
-        if x > 0:
-            candidates.append(self.node - 1)
-        if x < side - 1:
-            candidates.append(self.node + 1)
-        if y > 0:
-            candidates.append(self.node - side)
-        if y < side - 1:
-            candidates.append(self.node + side)
-        return candidates[int(rng.integers(0, len(candidates)))]
+        # "neighbor": a mesh neighbour.
+        neighbors = self._neighbors
+        return neighbors[int(rng.integers(0, len(neighbors)))]

@@ -29,7 +29,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from repro.cpu.core import Op, OpKind
+from repro.workloads.ops import Op, OpKind
 
 __all__ = ["TraceWorkload", "parse_trace", "format_op", "record_trace"]
 

@@ -8,8 +8,7 @@ and identical metrics-registry snapshots.  These tests pin that down
 across networks, seeds, system sizes and fault plans, plus the two
 escape hatches (``CmpConfig.fast_forward`` and ``REPRO_NO_FASTFORWARD``).
 
-The run-both-and-diff machinery is shared with the vectorized-engine
-suite (``test_vector_equivalence.py``) via ``tests/conftest.py``.
+The run-both-and-diff machinery lives in ``tests/conftest.py``.
 """
 
 import pytest
@@ -25,25 +24,19 @@ class TestEquivalence:
         "network", ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
     )
     def test_all_networks(self, compare_engines, network):
-        compare_engines(
-            "fast_forward", app="oc", network=network, num_nodes=16, seed=1
-        )
+        compare_engines(app="oc", network=network, num_nodes=16, seed=1)
 
     @pytest.mark.parametrize("seed", (0, 7))
     def test_seeds(self, compare_engines, seed):
-        compare_engines(
-            "fast_forward", app="ba", network="fsoi", num_nodes=16, seed=seed
-        )
+        compare_engines(app="ba", network="fsoi", num_nodes=16, seed=seed)
 
     def test_64_nodes_phase_array(self, compare_engines):
         compare_engines(
-            "fast_forward",
             app="em", network="fsoi", num_nodes=64, seed=2, cycles=900,
         )
 
     def test_faults_on(self, compare_engines):
         compare_engines(
-            "fast_forward",
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
         )
@@ -51,9 +44,7 @@ class TestEquivalence:
     def test_low_activity_run_actually_skips(self, compare_engines):
         # Ocean on the ideal L0 network has windows where every core is
         # blocked at a barrier or on memory — real gaps between events.
-        loop = compare_engines(
-            "fast_forward", app="oc", network="l0", num_nodes=16, seed=1
-        )
+        loop = compare_engines(app="oc", network="l0", num_nodes=16, seed=1)
         assert loop["skipped_cycles"] > 0
 
     @settings(
@@ -69,7 +60,6 @@ class TestEquivalence:
     )
     def test_property_equivalence(self, app, network, seed, cycles):
         compare_engine_pair(
-            "fast_forward",
             app=app, network=network, num_nodes=16, seed=seed, cycles=cycles,
         )
 

@@ -86,12 +86,15 @@ def fingerprint(cycles=1200, trace=False, **config_kwargs):
 def check_pin(request):
     """``check_pin(key, **config)``: the run must reproduce pin ``key``
     (or, under ``--update-golden``, records it); returns the run's loop
-    accounting.  Runs that share a key must agree, so if they do not,
-    the next plain run fails one of them."""
+    accounting, which ``pin_loop=True`` makes part of the pin.  Runs
+    that share a key must agree, so if they do not, the next plain run
+    fails one of them."""
     update = request.config.getoption("--update-golden")
 
-    def check(key, **run_kwargs):
+    def check(key, pin_loop=False, **run_kwargs):
         digests, loop = fingerprint(**run_kwargs)
+        if pin_loop:
+            digests["loop"] = loop
         check_pinned(update, key, digests)
         return loop
 

@@ -1,73 +1,104 @@
-"""The columnar vectorized core engine's equivalence contract.
+"""The cores' pinned-behaviour contract.
 
-``src/repro/cpu/vector.py`` replaces the per-object core tick with
-columnar ledgers, event-scheduled actives and a replayed RNG.  The
-claim is *bit-exactness*: a vectorized run and a naive object-per-node
-run of the same configuration produce byte-identical ``CmpResults``
-(including the ``loop`` field — the engine must not change what the
-simulation loop does) and identical metrics-registry snapshots.  These
-tests pin that down across networks, seeds, system sizes, fault plans
-and both fast-forward settings, plus the escape hatches
-(``CmpConfig.vectorized`` and ``REPRO_NO_VECTOR``), and guard the
-scaling claim with a 256/512/1024-node study.
+The cores used to exist twice — ``repro.cpu.core.Core`` objects ticked
+one by one every cycle, and a columnar engine (numpy ledgers, a due-core
+schedule, a replayed RNG, a fused issue loop) selected by a
+``vectorized`` config flag — and this suite diffed the two.  There is
+one ``Core`` now, scheduled by ``repro.cpu.core.DueSchedule``; what both
+engines computed is held three ways:
 
-The run-both-and-diff machinery is shared with the fast-forward suite
-(``test_fastforward.py``) via ``tests/conftest.py``.
+* :class:`TestEquivalence` checks the configurations the pair tests
+  covered against ``tests/data/network_engine_pins.json``: sha256 of
+  the canonical ``CmpResults`` (minus ``loop``) and of the metrics
+  snapshot, the loop accounting itself for the fast-forward pair, and
+  the ``(cycles, instructions)`` at which a work target is reached.
+  Keys the network / coherence suites already held are shared with
+  them; the rest (and the trace-stream and timeline pins of
+  ``tests/obs/test_trace_parity.py`` and ``tests/obs/test_timeline.py``)
+  were **recorded at 135c206**, the last commit with both engines,
+  once per engine, and the two writes were byte-identical::
+
+      PYTHONPATH=src python -m pytest --update-golden \\
+          -k "(TestEquivalence and not property) or TestVectorizedParity or engine_toggle" \\
+          tests/cmp/test_vector_equivalence.py \\
+          tests/obs/test_trace_parity.py tests/obs/test_timeline.py
+      REPRO_NO_VECTOR=1 PYTHONPATH=src python -m pytest --update-golden ...
+
+* ``test_property_equivalence`` — a core still has two issue loops: the
+  fused generate-and-access loop it runs for an ``AppWorkload`` and the
+  generic ``workload.next_op`` loop for anything else (a trace, a
+  scripted test workload).  The generic loop is the reference: hidden
+  behind ``tests.conftest.NextOpOnly`` the same workloads must produce
+  the same results (``loop`` included) and the same metrics.
+* :class:`TestLazyLedger` — busy / stall / sync cycles are charged at a
+  core's next transition or counter read, not per tick; reading in the
+  middle of a run must neither miss a cycle nor move a result.
+
+:class:`TestScale` guards the scaling claim with a 256/512/1024-node
+study.  (The file keeps its pre-pin name so the test ids the suite is
+tracked under stay stable.)
 """
 
-import os
+import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cmp import CmpConfig, CmpSystem
-from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_engine_pair
+from repro.sweep import canonical_json
+from tests.cmp.test_network_vector_equivalence import check_pin  # noqa: F401
+from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_issue_loops
 
 
 class TestEquivalence:
     @pytest.mark.parametrize(
         "network", ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
     )
-    def test_all_networks(self, compare_engines, network):
-        compare_engines(
-            "vectorized", app="oc", network=network, num_nodes=16, seed=1
+    def test_all_networks(self, check_pin, network):
+        check_pin(
+            f"oc-{network}-16-seed1",
+            app="oc", network=network, num_nodes=16, seed=1,
         )
 
     @pytest.mark.parametrize("seed", (0, 7))
-    def test_seeds(self, compare_engines, seed):
-        compare_engines(
-            "vectorized", app="ba", network="fsoi", num_nodes=16, seed=seed
+    def test_seeds(self, check_pin, seed):
+        check_pin(
+            f"ba-fsoi-16-seed{seed}",
+            app="ba", network="fsoi", num_nodes=16, seed=seed,
         )
 
-    def test_64_nodes(self, compare_engines):
-        compare_engines(
-            "vectorized",
+    def test_64_nodes(self, check_pin):
+        check_pin(
+            "em-fsoi-64-seed2",
             app="em", network="fsoi", num_nodes=64, seed=2, cycles=900,
         )
 
-    def test_faults_on(self, compare_engines):
-        compare_engines(
-            "vectorized",
+    def test_faults_on(self, check_pin):
+        check_pin(
+            "oc-fsoi-16-seed4-faults",
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
         )
 
     @pytest.mark.parametrize("app", ("ro", "tsp", "fft"))
-    def test_lock_and_butterfly_sync_patterns(self, compare_engines, app):
+    def test_lock_and_butterfly_sync_patterns(self, check_pin, app):
         # Radiosity is lock-heavy, TSP holds long critical sections and
         # FFT's butterfly pattern exercises the stage counter — the
-        # sync-state scheduling paths the columnar engine special-cases.
-        compare_engines(
-            "vectorized", app=app, network="mesh", num_nodes=16, seed=5
+        # hold-release and spin-poll deadlines of the due-core schedule.
+        check_pin(
+            f"{app}-mesh-16-seed5",
+            app=app, network="mesh", num_nodes=16, seed=5, cycles=5000,
         )
 
     @pytest.mark.parametrize("fast_forward", (True, False))
-    def test_composes_with_fast_forward(self, compare_engines, fast_forward):
-        # The columnar engine feeds the fast-forward horizon through
-        # next_core_event(); skips and vectorized ticks must stack.
-        loop = compare_engines(
-            "vectorized",
+    def test_composes_with_fast_forward(self, check_pin, fast_forward):
+        # The cores feed the fast-forward horizon ("any core RUNNING",
+        # else the earliest hold release or spin poll), so the split of
+        # the window into executed and skipped cycles is pinned too.
+        loop = check_pin(
+            "oc-l0-16-seed1-" + ("fast-forward" if fast_forward else "every-cycle"),
+            pin_loop=True,
             app="oc", network="l0", num_nodes=16, seed=1,
             fast_forward=fast_forward,
         )
@@ -91,51 +122,77 @@ class TestEquivalence:
     def test_property_equivalence(
         self, app, network, seed, cycles, fast_forward
     ):
-        compare_engine_pair(
-            "vectorized",
+        compare_issue_loops(
             app=app, network=network, num_nodes=16, seed=seed,
             cycles=cycles, fast_forward=fast_forward,
         )
 
-    def test_run_until_instructions_stops_at_same_cycle(self):
-        systems = [
-            CmpSystem(CmpConfig(
-                app="lu", network="l0", num_nodes=16, seed=1,
-                vectorized=vectorized,
-            ))
-            for vectorized in (True, False)
-        ]
-        results = [s.run_until_instructions(20_000) for s in systems]
-        assert results[0].cycles == results[1].cycles
-        assert results[0].instructions == results[1].instructions
+    def test_run_until_instructions_stops_at_same_cycle(self, pinned):
+        result = CmpSystem(CmpConfig(
+            app="lu", network="l0", num_nodes=16, seed=1
+        )).run_until_instructions(20_000)
+        pinned(
+            "lu-l0-16-seed1-until-20000-instructions",
+            {"cycles": result.cycles, "instructions": result.instructions},
+        )
 
 
-class TestEscapeHatches:
-    def test_config_flag_selects_reference_engine(self):
-        system = CmpSystem(CmpConfig(
-            app="oc", network="l0", num_nodes=16, seed=1, vectorized=False
-        ))
-        assert system._vector is None
+def core_cycle_total(snapshot: dict) -> int:
+    """busy + stall + sync over every core of a registry snapshot."""
+    return sum(sum(core.values()) for core in snapshot["core"].values())
 
-    def test_env_hatch_selects_reference_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        system = CmpSystem(CmpConfig(app="oc", network="l0", num_nodes=16, seed=1))
-        assert system._vector is None
 
-    def test_env_hatch_zero_means_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_VECTOR", "0")
-        system = CmpSystem(CmpConfig(app="oc", network="l0", num_nodes=16, seed=1))
-        assert system._vector is not None
+class TestLazyLedger:
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        app=st.sampled_from(["oc", "ba", "mp", "ro", "tsp"]),
+        network=st.sampled_from(["fsoi", "mesh", "lr2"]),
+        seed=st.integers(min_value=0, max_value=50),
+        first=st.integers(min_value=1, max_value=600),
+        second=st.integers(min_value=1, max_value=600),
+        fast_forward=st.booleans(),
+    )
+    def test_lazy_ledger_is_invisible(
+        self, app, network, seed, first, second, fast_forward
+    ):
+        config = CmpConfig(
+            app=app, network=network, num_nodes=16, seed=seed,
+            fast_forward=fast_forward,
+        )
+
+        def results(result):
+            # Rendered at once: a CmpResults holds live stat objects.
+            assert sum(result.core_cycles.values()) == 16 * result.cycles
+            return canonical_json(result.to_dict())
+
+        def metrics(registry):
+            snapshot = json.loads(canonical_json(registry.snapshot()))
+            assert core_cycle_total(snapshot) == 16 * snapshot["run"]["cycles"]
+            return snapshot
+
+        def fresh(cycles):
+            system = CmpSystem(config)
+            return results(system.run(cycles)), metrics(system.metrics_registry())
+
+        # Every core is in exactly one bucket every cycle (checked at
+        # each read), and reading settles the ledger without moving
+        # anything: stopping to look is the same as not stopping.
+        system = CmpSystem(config)
+        registry = system.metrics_registry()
+        midway = results(system.run(first)), metrics(registry)
+        end = results(system.run(second)), metrics(registry)
+        assert midway == fresh(first)
+        assert end == fresh(first + second)
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("REPRO_NO_VECTOR", "") not in ("", "0"),
-    reason="the scale smoke test targets the vectorized engine, which "
-    "REPRO_NO_VECTOR pins off for the whole process",
-)
 class TestScale:
-    """The scaling claim the refactor exists for, at 256/512/1024 nodes.
+    """The scaling claim the due-core schedule exists for, at
+    256/512/1024 nodes.
 
     The network-engine suite
     (``test_network_vector_equivalence.py::TestScaling``) covers the
@@ -152,7 +209,6 @@ class TestScale:
             app="oc", network="fsoi", num_nodes=num_nodes, seed=3
         ))
         result = system.run(cycles)
-        assert system._vector is not None
         # Conservation: per-core instruction counters sum to the total,
         # every node is accounted for in exactly one cycle bucket per
         # cycle, and the network cannot deliver more than was sent.
@@ -162,7 +218,5 @@ class TestScale:
         assert len(result.instructions_per_core) == num_nodes
         assert sum(result.core_cycles.values()) == num_nodes * cycles
         assert 0 < result.packets_delivered <= result.packets_sent
-        # The core ledger columns must still agree with the scalar
-        # objects, and the network's scheduling index with its queues.
-        system._vector.audit()
+        # The network's scheduling index must still agree with its queues.
         system.network.audit()

@@ -22,9 +22,13 @@ The kernels are gone; what both copies computed is not:
 * :func:`test_tracing_does_not_change_results` — tracing, fault plans
   and capacity bounds run the same handler functions as a clean run,
   so switching the tracer on moves no result and no counter.
-* :class:`TestEquivalence` keeps the ``vectorized`` pair tests on the
-  coherence-heavy configurations; the flag now selects only the cores
-  engine, so the pair differs in the cores phase alone.
+* :class:`TestEquivalence` runs the coherence-heavy configurations
+  twice more — once on the cores' fused issue loop, which inlines the
+  L1 hit and upgrade paths, and once with every workload hidden behind
+  ``tests.conftest.NextOpOnly``, which sends every access through
+  ``L1Controller.access`` — and diffs results, loop accounting and
+  metrics (``tests/cmp/test_vector_equivalence.py`` holds the same
+  configurations to their pins).
 * :class:`TestAudit` recounts the occupancy bookkeeping the handlers
   keep (directory "z"-queue totals, MSHRs against transient L1 lines,
   memory-channel arrivals) after clean, faulted and bounded runs.
@@ -45,68 +49,57 @@ from tests.cmp.test_network_vector_equivalence import (  # noqa: F401
     check_pin,
     fingerprint,
 )
-from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_engine_pair
+from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_issue_loops
 
 
 class TestEquivalence:
     @pytest.mark.parametrize(
         "network", ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
     )
-    def test_all_networks(self, compare_engines, network):
-        compare_engines(
-            "vectorized", app="oc", network=network, num_nodes=16, seed=1
-        )
+    def test_all_networks(self, network):
+        compare_issue_loops(app="oc", network=network, num_nodes=16, seed=1)
 
     @pytest.mark.parametrize("seed", (0, 7))
-    def test_seeds(self, compare_engines, seed):
-        compare_engines(
-            "vectorized", app="ba", network="fsoi", num_nodes=16, seed=seed
-        )
+    def test_seeds(self, seed):
+        compare_issue_loops(app="ba", network="fsoi", num_nodes=16, seed=seed)
 
-    def test_64_nodes(self, compare_engines):
-        compare_engines(
-            "vectorized",
+    def test_64_nodes(self):
+        compare_issue_loops(
             app="em", network="fsoi", num_nodes=64, seed=2, cycles=900,
         )
 
-    def test_full_optimization_set(self, compare_engines):
+    def test_full_optimization_set(self):
         # Confirmation-as-ack synthesizes INV_ACKs from the packet's
         # on_confirmed hook, split writebacks route WB_ANNOUNCE on the
         # meta lane, and request spacing delays eligible requests.
-        compare_engines(
-            "vectorized",
+        compare_issue_loops(
             app="oc", network="fsoi", num_nodes=16, seed=5,
             optimizations=OptimizationConfig.all(),
         )
 
-    def test_faults_drop_to_reference_handlers(self, compare_engines):
-        compare_engines(
-            "vectorized",
+    def test_faults_drop_to_reference_handlers(self):
+        compare_issue_loops(
             app="oc", network="fsoi", num_nodes=16, seed=4,
             faults=EQUIVALENCE_FAULT_PLAN,
         )
 
-    def test_capacity_bound_drops_to_reference_handlers(self, compare_engines):
+    def test_capacity_bound_drops_to_reference_handlers(self):
         # Bounded L2 slices turn capacity pressure into Repl recalls.
-        compare_engines(
-            "vectorized",
+        compare_issue_loops(
             app="oc", network="mesh", num_nodes=16, seed=3,
             directory=DirectoryConfig(capacity_lines=64),
         )
 
     @pytest.mark.parametrize("app", ("ro", "tsp", "fft"))
-    def test_lock_and_butterfly_sync_patterns(self, compare_engines, app):
+    def test_lock_and_butterfly_sync_patterns(self, app):
         # Lock-heavy, long-critical-section and butterfly sharing
         # patterns stress REQ_UPG reinterpretation, transient queueing
         # and the invalidation fan-out.
-        compare_engines(
-            "vectorized", app=app, network="mesh", num_nodes=16, seed=5
-        )
+        compare_issue_loops(app=app, network="mesh", num_nodes=16, seed=5)
 
     @pytest.mark.parametrize("fast_forward", (True, False))
-    def test_composes_with_fast_forward(self, compare_engines, fast_forward):
-        loop = compare_engines(
-            "vectorized",
+    def test_composes_with_fast_forward(self, fast_forward):
+        loop = compare_issue_loops(
             app="oc", network="l0", num_nodes=16, seed=1,
             fast_forward=fast_forward,
         )
@@ -134,8 +127,7 @@ class TestEquivalence:
         opts = OptimizationConfig(
             confirmation_ack=confirmation_ack and network == "fsoi"
         )
-        compare_engine_pair(
-            "vectorized",
+        compare_issue_loops(
             app=app, network=network, num_nodes=16, seed=seed,
             cycles=cycles, optimizations=opts,
         )

@@ -1,14 +1,22 @@
-"""Shared pytest configuration and engine-equivalence helpers.
+"""Shared pytest configuration and equivalence helpers.
 
-Two engine toggles in :class:`~repro.cmp.CmpConfig` claim to be
-invisible in every measured quantity: ``fast_forward`` (the next-event
-loop) and ``vectorized`` (the columnar core engine — the networks and
-the coherence dispatch have one implementation each, so a
-``vectorized`` pair differs only in the cores phase).  The equivalence
-suites — ``tests/cmp/test_fastforward.py``,
-``tests/cmp/test_vector_equivalence.py`` and the pair tests of
-``tests/coherence/test_vector_equivalence.py`` — share the
-run-both-and-diff machinery here instead of duplicating it.
+Every layer of the simulator has one implementation, so "equivalence"
+means two things here:
+
+* ``fast_forward`` (the next-event loop) is the one engine toggle left
+  in :class:`~repro.cmp.CmpConfig`; it claims to be invisible in every
+  measured quantity, and :func:`compare_engine_pair` runs it on and off
+  and diffs the two.  (The helpers once took a flag name; the second
+  value, the cores-engine toggle, was deleted with the second cores
+  engine.)
+* a core has two issue loops, chosen by what it can observe of its
+  workload: the fused generate-and-access loop for an ``AppWorkload``
+  and the generic ``workload.next_op`` loop for anything else.
+  :func:`compare_issue_loops` hides the workloads behind
+  :class:`NextOpOnly` to force the generic loop and diffs the runs.
+
+Behaviour that used to be held by a second implementation is held by
+:func:`check_pinned` digests recorded from it before it was deleted.
 """
 
 import json
@@ -31,10 +39,11 @@ EQUIVALENCE_FAULT_PLAN = FaultPlan(
 )
 
 
-#: Digests of network and coherence behaviour recorded from earlier
-#: implementations (tests/cmp/test_network_vector_equivalence.py,
+#: Digests of network, coherence and cores behaviour recorded from
+#: earlier implementations (tests/cmp/test_network_vector_equivalence.py,
 #: tests/net/test_channel_pins.py,
-#: tests/coherence/test_vector_equivalence.py).
+#: tests/coherence/test_vector_equivalence.py,
+#: tests/cmp/test_vector_equivalence.py).
 PINS_PATH = Path(__file__).parent / "data" / "network_engine_pins.json"
 
 
@@ -55,23 +64,38 @@ def check_pinned(update: bool, key: str, digests: dict) -> None:
     )
 
 
-def run_engine(cycles: int = 1200, **config_kwargs):
-    """Run one configuration; return its ``(result, metrics)`` pair."""
+class NextOpOnly:
+    """A workload reduced to ``next_op``: a core cannot tell it is an
+    ``AppWorkload`` underneath, so it runs the generic issue loop."""
+
+    def __init__(self, workload):
+        self._workload = workload
+
+    def next_op(self, rng):
+        return self._workload.next_op(rng)
+
+
+def run_engine(cycles: int = 1200, generic_issue: bool = False, **config_kwargs):
+    """Run one configuration; return its ``(result, metrics)`` pair.
+
+    ``generic_issue`` wraps every core's workload in :class:`NextOpOnly`
+    after construction (the warm start has read the real workloads by
+    then), taking the fused issue loop out of the run.
+    """
     system = CmpSystem(CmpConfig(**config_kwargs))
+    if generic_issue:
+        for core in system.cores:
+            core.workload = NextOpOnly(core.workload)
     result = system.run(cycles)
     metrics = json.loads(canonical_json(system.metrics_registry().snapshot()))
     return result, metrics
 
 
-def run_engine_pair(flag: str, cycles: int = 1200, **config_kwargs):
-    """Run a config twice with engine toggle ``flag`` on and off.
-
-    ``flag`` is a :class:`CmpConfig` boolean field name
-    (``"fast_forward"`` or ``"vectorized"``).  Returns the
-    ``[(result, metrics), ...]`` pairs in (enabled, disabled) order.
-    """
+def run_engine_pair(cycles: int = 1200, **config_kwargs):
+    """Run a config with ``fast_forward`` on and off; returns the
+    ``[(result, metrics), ...]`` pairs in (enabled, disabled) order."""
     return [
-        run_engine(cycles=cycles, **{flag: enabled}, **config_kwargs)
+        run_engine(cycles=cycles, fast_forward=enabled, **config_kwargs)
         for enabled in (True, False)
     ]
 
@@ -95,28 +119,32 @@ def assert_engines_equivalent(candidate, reference):
     return cand_loop, ref_loop
 
 
-def compare_engine_pair(flag: str, cycles: int = 1200, **config_kwargs):
-    """Run a pair, diff it, and check the flag's loop contract.
-
-    Runs ``flag`` on vs off for one configuration, asserts full
-    equivalence, applies the flag's loop-accounting contract and hands
-    back the enabled run's loop dict:
-
-    * ``fast_forward`` — the naive loop skips nothing, and the fast
-      loop's executed + skipped covers the same window.
-    * ``vectorized`` — the pair differs only in the cores phase, and
-      the columnar cores engine must not change what the simulation
-      loop *does* at all, so the loops are identical.
-    """
-    candidate, reference = run_engine_pair(flag, cycles=cycles, **config_kwargs)
+def compare_engine_pair(cycles: int = 1200, **config_kwargs):
+    """Run a ``fast_forward`` pair, diff it, and check the loop
+    contract: the naive loop skips nothing, and the fast loop's
+    executed + skipped covers the same window.  Hands back the
+    fast-forwarded run's loop dict."""
+    candidate, reference = run_engine_pair(cycles=cycles, **config_kwargs)
     cand_loop, ref_loop = assert_engines_equivalent(candidate, reference)
-    if flag == "fast_forward":
-        assert ref_loop["skipped_cycles"] == 0
-        total = cand_loop["executed_cycles"] + cand_loop["skipped_cycles"]
-        assert total == ref_loop["executed_cycles"]
-    else:
-        assert cand_loop == ref_loop
+    assert ref_loop["skipped_cycles"] == 0
+    total = cand_loop["executed_cycles"] + cand_loop["skipped_cycles"]
+    assert total == ref_loop["executed_cycles"]
     return cand_loop
+
+
+def compare_issue_loops(cycles: int = 1200, **config_kwargs):
+    """The fused issue loop against the generic ``next_op`` loop: every
+    result field — ``loop`` included, the choice of issue loop must not
+    change what the simulation loop does — and every metric equal.
+    Returns the (shared) loop dict."""
+    fused, generic = (
+        run_engine(cycles=cycles, generic_issue=generic, **config_kwargs)
+        for generic in (False, True)
+    )
+    fused_dict = fused[0].to_dict()
+    assert canonical_json(fused_dict) == canonical_json(generic[0].to_dict())
+    assert fused[1] == generic[1]
+    return fused_dict["loop"]
 
 
 @pytest.fixture
@@ -127,6 +155,14 @@ def compare_engines():
     function-scoped fixture inside ``@given`` trips health checks).
     """
     return compare_engine_pair
+
+
+@pytest.fixture
+def pinned(request):
+    """``pinned(key, value)``: ``value`` must equal pin ``key`` of
+    :data:`PINS_PATH` (recorded instead under ``--update-golden``)."""
+    update = request.config.getoption("--update-golden")
+    return lambda key, value: check_pinned(update, key, value)
 
 
 def pytest_addoption(parser):

@@ -1,33 +1,27 @@
-"""Property tests for the columnar engine's primitives in isolation.
+"""Property tests for the cores' scheduling and RNG primitives.
 
-The equivalence suite (``tests/cmp/test_vector_equivalence.py``) checks
-the composed system; these tests check each columnar kernel against a
-scalar re-derivation on random state vectors, so a regression points at
-the broken primitive instead of a diverged end-to-end run:
+``tests/cmp/test_vector_equivalence.py`` checks the composed system;
+these tests check each primitive against a scalar re-derivation, so a
+regression points at the broken piece instead of a diverged end-to-end
+run:
 
 * :class:`ReplayRng` against a real ``numpy.random.Generator`` over
   interleaved float and bounded-integer draws (including refills and
   PCG64's cross-call 32-bit stash);
-* :func:`accrue_columns` (the lazy phase-counter charge) against a
-  per-node scalar loop;
-* :func:`hold_release_cycle` / :func:`spin_poll_cycle` against naive
-  tick-by-tick countdown / poll-gate simulations;
-* :func:`mshr_admit_mask` against :class:`MshrFile.allocate`.
+* :func:`hold_release_cycle` / :func:`spin_poll_cycle`, the two
+  deadline rules of the due-core schedule, against tick-by-tick
+  countdown / poll-gate simulations.
+
+(The file keeps the name it had when these were the columnar engine's
+primitives, so the test ids stay stable.)
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpu.mshr import MshrFile
-from repro.cpu.vector import (
-    NUM_BUCKETS,
-    ReplayRng,
-    accrue_columns,
-    hold_release_cycle,
-    mshr_admit_mask,
-    spin_poll_cycle,
-)
+from repro.cpu.core import hold_release_cycle, spin_poll_cycle
+from repro.util.rng import ReplayRng
 
 _DRAW = st.one_of(
     st.just(None),  # a float draw
@@ -80,41 +74,6 @@ class TestReplayRng:
             assert replay.random() == reference.random()
 
 
-class TestAccrueColumns:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(min_value=1, max_value=32))
-    def test_matches_scalar_loop(self, data, n):
-        ints = st.lists(
-            st.integers(min_value=0, max_value=100), min_size=n, max_size=n
-        )
-        until = np.array(data.draw(ints), dtype=np.int64)
-        codes = np.array(
-            data.draw(st.lists(
-                st.integers(min_value=0, max_value=NUM_BUCKETS - 1),
-                min_size=n, max_size=n,
-            )),
-            dtype=np.int64,
-        )
-        pending = np.array(
-            [data.draw(ints) for _ in range(NUM_BUCKETS)], dtype=np.int64
-        ).T.copy()
-        boundary = data.draw(st.integers(min_value=0, max_value=120))
-
-        expected_pending = pending.copy()
-        expected_until = until.copy()
-        expected_delta = np.zeros(n, dtype=np.int64)
-        for j in range(n):
-            d = max(0, boundary - int(until[j]))
-            expected_pending[j, int(codes[j])] += d
-            expected_until[j] = max(int(until[j]), boundary)
-            expected_delta[j] = d
-
-        delta = accrue_columns(until, pending, codes, boundary)
-        assert np.array_equal(pending, expected_pending)
-        assert np.array_equal(until, expected_until)
-        assert np.array_equal(delta, expected_delta)
-
-
 class TestDeadlineKernels:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -145,35 +104,3 @@ class TestDeadlineKernels:
         while cycle < next_spin:
             cycle += 1
         assert spin_poll_cycle(anchor, next_spin) == cycle
-
-
-class TestMshrAdmitMask:
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), limit=st.integers(min_value=1, max_value=8))
-    def test_matches_scalar_file(self, data, limit):
-        n = data.draw(st.integers(min_value=1, max_value=16))
-        occupancy = data.draw(st.lists(
-            st.integers(min_value=0, max_value=limit),
-            min_size=n, max_size=n,
-        ))
-        want_merge = data.draw(st.lists(
-            st.booleans(), min_size=n, max_size=n
-        ))
-
-        expected = []
-        merged = []
-        for occ, merge in zip(occupancy, want_merge):
-            file = MshrFile(limit)
-            for line in range(occ):
-                assert file.allocate(line)
-            merge = merge and occ > 0  # can't merge into an empty file
-            probe = 0 if merge else occ  # line 0 is resident; occ is new
-            merged.append(merge)
-            expected.append(file.allocate(probe))
-
-        mask = mshr_admit_mask(
-            np.array(occupancy, dtype=np.int64),
-            limit,
-            np.array(merged, dtype=bool),
-        )
-        assert mask.tolist() == expected

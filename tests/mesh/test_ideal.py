@@ -142,7 +142,6 @@ class TestActiveSources:
 
     def test_fast_forward_changes_nothing(self, kind):
         loop = compare_engine_pair(
-            "fast_forward", app="ba", network=kind, num_nodes=16, seed=3,
-            cycles=1000,
+            app="ba", network=kind, num_nodes=16, seed=3, cycles=1000,
         )
         assert loop["executed_cycles"] + loop["skipped_cycles"] == 1000

@@ -34,21 +34,12 @@ from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.net.packet import LaneKind, Packet
 from repro.obs import tracing
 from repro.sweep import canonical_json
-from tests.conftest import check_pinned
 
 DRAIN_CAP = 20_000
 
 
 def _sha(value) -> str:
     return hashlib.sha256(canonical_json(value).encode()).hexdigest()
-
-
-@pytest.fixture
-def check_pin(request):
-    """``check_pin(key, digests)``: compare against (or, under
-    ``--update-golden``, record) pin ``key``."""
-    update = request.config.getoption("--update-golden")
-    return lambda key, digests: check_pinned(update, key, digests)
 
 
 def uniform_offers(rng, nodes, cycles, p):
@@ -113,21 +104,21 @@ def drive_mesh(nodes, cycles, offers):
 
 
 class TestContendedMesh:
-    def test_incast_64(self, check_pin):
+    def test_incast_64(self, pinned):
         rng = np.random.default_rng(1501)
         offers = incast_offers(rng, 64, 2400, period=200, fan=16)
         digests, stats = drive_mesh(64, 2400, offers)
         # 16-to-1 bursts queue behind one ejection port: far above the
         # uncontended ~25-cycle transit.
         assert stats["total_delay"]["max"] > 60
-        check_pin("bare-mesh-64-incast200x16", digests)
+        pinned("bare-mesh-64-incast200x16", digests)
 
-    def test_uniform_256(self, check_pin):
+    def test_uniform_256(self, pinned):
         rng = np.random.default_rng(1502)
         offers = uniform_offers(rng, 256, 300, 0.10)
         digests, stats = drive_mesh(256, 300, offers)
         assert stats["packets_delivered"] > 5000
-        check_pin("bare-mesh-256-uniform-p10", digests)
+        pinned("bare-mesh-256-uniform-p10", digests)
 
 
 #: The plan of the CI ``faults-smoke`` job (``repro faults --kill
@@ -145,7 +136,7 @@ SMOKE_PLAN = FaultPlan(
 
 class TestFaultGather:
     @pytest.mark.parametrize("fast_forward", (True, False))
-    def test_fault_events_of_smoke_plan(self, check_pin, fast_forward):
+    def test_fault_events_of_smoke_plan(self, pinned, fast_forward):
         system = CmpSystem(CmpConfig(
             app="oc", network="fsoi", num_nodes=16, faults=SMOKE_PLAN,
             fast_forward=fast_forward,
@@ -163,4 +154,4 @@ class TestFaultGather:
         injector = system.network.fault_injector
         assert not injector.suppression_active
         system.network.audit()
-        check_pin("oc-fsoi-16-smoke-plan-fault-events", {"trace": _sha(events)})
+        pinned("oc-fsoi-16-smoke-plan-fault-events", {"trace": _sha(events)})

@@ -1,12 +1,15 @@
-"""Trace parity between the engine variants.
+"""Trace parity: the event stream is part of the behaviour.
 
-The columnar engines (cores, coherence dispatch) claim to be bit-exact
-stand-ins for the reference object-per-node loops.  The
-results-equivalence suites check the *measured* quantities; this suite
-pins the stronger claim that the **event streams** are identical too —
-every trace event, in order, with the same packet ids.  (The networks
-have one engine each; their streams are pinned against the retired
-reference ticks in ``tests/cmp/test_network_vector_equivalence.py``.)
+The results-equivalence suites check the *measured* quantities; this
+suite pins the stronger claim that the **event streams** are identical
+too — every trace event, in order, with the same packet ids.  The
+cores, like the networks and the coherence dispatch, have one engine;
+:class:`TestVectorizedParity` (named for the retired engine toggle, so
+its test ids stay stable) holds the stream to the sha256 both cores
+engines produced at 135c206, in ``tests/data/network_engine_pins.json``
+(the recording command is in ``tests/cmp/test_vector_equivalence.py``;
+the fsoi and mesh keys are shared with
+``tests/cmp/test_network_vector_equivalence.py``).
 
 Packet ids make this sharp: they used to come from a process-global
 counter, so two otherwise identical runs traced different ids
@@ -18,6 +21,7 @@ import pytest
 
 from repro.cmp import CmpConfig, CmpSystem
 from repro.obs import tracing
+from tests.cmp.test_network_vector_equivalence import check_pin  # noqa: F401
 
 NETWORKS = ["fsoi", "mesh", "l0"]
 CYCLES = 1200
@@ -34,17 +38,18 @@ def traced_events(network, **config_kwargs):
 
 
 class TestVectorizedParity:
-    """vectorized=True and =False trace the exact same stream."""
+    """The one cores engine traces the stream both retired engines did."""
 
     @pytest.mark.parametrize("network", NETWORKS)
-    def test_event_streams_identical(self, network):
-        vectorized = traced_events(network, vectorized=True)
-        reference = traced_events(network, vectorized=False)
-        assert len(vectorized) == len(reference)
-        assert vectorized == reference
+    def test_event_streams_identical(self, check_pin, network):
+        check_pin(
+            f"fft-{network}-16-seed3-traced",
+            app="fft", network=network, num_nodes=16, seed=3,
+            cycles=CYCLES, trace=True,
+        )
 
     def test_streams_nonempty_and_cover_network_events(self):
-        events = traced_events("fsoi", vectorized=True)
+        events = traced_events("fsoi")
         assert any(e.name == "tx" for e in events)
         assert any(e.name == "deliver" for e in events)
 

@@ -122,3 +122,6 @@ class TestEndToEnd:
         result = system.run(1500)
         assert result.instructions > 0
         assert result.packets_delivered > 0
+        # The assigned traces are what the cores executed.
+        for core in system.cores:
+            assert core.workload.remaining < 2000
