@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,12 +63,14 @@ class BackoffPolicy:
             raise ValueError(f"retry count is 1-based: {retry}")
         return min(self.start_window * self.base ** (retry - 1), self.max_window)
 
+    @lru_cache(maxsize=None)
     def span(self, retry: int) -> int:
         """Integer slot span of the retry's window: ``ceil(window)``, >= 1.
 
         The single source of truth shared by :meth:`draw_delay_slots`
         and :meth:`expected_delay_slots` — draws are uniform over
-        ``{1 .. span(retry)}``.
+        ``{1 .. span(retry)}``.  Cached (the policy is frozen, hence
+        hashable): every back-off of the network asks for it.
 
         >>> BackoffPolicy(2.7, 1.1).span(1)
         3

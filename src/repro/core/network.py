@@ -32,6 +32,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappop, heappush, heapreplace
 
 from repro.core.backoff import BackoffPolicy
 from repro.core.confirmation import ConfirmationChannel
@@ -145,26 +147,21 @@ class FsoiConfig:
         return max(1, math.ceil(math.log2(self.num_nodes)))
 
 
-class _RetxEntry:
-    """A packet waiting out its back-off window."""
-
-    __slots__ = ("release", "seq", "packet")
-
-    def __init__(self, release: int, seq: int, packet: Packet):
-        self.release = release
-        self.seq = seq
-        self.packet = packet
-
-
 class _LaneState:
-    """Per-(node, lane) transmit state."""
+    """Per-(node, lane) transmit state.
+
+    ``retx`` holds the packets waiting out a back-off window as a heap
+    of ``(release, seq, packet)``: earliest release on top, ``seq``
+    (unique per state) breaking ties in back-off order, so the top is
+    the next retransmission and two entries never compare packets.
+    """
 
     __slots__ = ("node", "queue", "retx", "opa", "retx_seq")
 
     def __init__(self, node: int, phase_array: bool, setup_cycles: int):
         self.node = node
         self.queue: deque[Packet] = deque()
-        self.retx: list[_RetxEntry] = []
+        self.retx: list[tuple[int, int, Packet]] = []
         self.opa = PhaseArray(setup_cycles) if phase_array else None
         self.retx_seq = 0
 
@@ -173,17 +170,20 @@ class _LaneIndex:
     """One lane's scheduling index (docs/performance.md).
 
     ``ready[node]`` is the earliest cycle the node's oldest eligible
-    packet may transmit — ``min(retransmission releases, queue-head
-    scheduled cycle)``, :data:`NEVER` when it has nothing pending.  The
+    packet may transmit — ``min(earliest retransmission release,
+    queue-head scheduled cycle)``, :data:`NEVER` when it has nothing
+    pending — and ``pending`` is the set of nodes whose readiness is not
+    :data:`NEVER`, which is all a slot boundary or a refold reads.  The
     lane minimum is cached: a write below it lowers it exactly, a write
     that raises the cell holding it only marks it stale, and the next
-    reader folds the list once.
+    reader folds the pending cells once.
     """
 
-    __slots__ = ("ready", "_min", "_stale")
+    __slots__ = ("ready", "pending", "_min", "_stale")
 
     def __init__(self, num_nodes: int):
         self.ready = [NEVER] * num_nodes
+        self.pending: set[int] = set()
         self._min = NEVER  # <= the true minimum; equal unless _stale
         self._stale = False
 
@@ -192,6 +192,10 @@ class _LaneIndex:
         if ready == old:
             return
         self.ready[node] = ready
+        if ready == NEVER:
+            self.pending.discard(node)
+        elif old == NEVER:
+            self.pending.add(node)
         if ready < self._min:
             self._min = ready
             self._stale = False
@@ -200,7 +204,7 @@ class _LaneIndex:
 
     def minimum(self) -> int:
         if self._stale:
-            self._min = min(self.ready)
+            self._min = min(map(self.ready.__getitem__, self.pending), default=NEVER)
             self._stale = False
         return self._min
 
@@ -208,10 +212,14 @@ class _LaneIndex:
 class FsoiNetwork(Interconnect):
     """Cycle-accurate model of the free-space optical interconnect.
 
-    Slot boundaries visit only the nodes whose :class:`_LaneIndex`
-    readiness is due, in ascending order (a node whose readiness lies
-    in the future would pick nothing and change nothing), and the
-    fast-forward horizon is the lane minimum rounded up to a boundary.
+    A slot boundary costs what transmits in it: it visits only the
+    nodes of :attr:`_LaneIndex.pending` whose readiness is due, in
+    ascending node order — the order every RNG draw and trace event
+    follows (a node whose readiness lies in the future would pick
+    nothing and change nothing) — a retransmission is the top of its
+    node's back-off heap, and the colliders of one event share one
+    calendar entry.  The fast-forward horizon is the lane minimum
+    rounded up to a boundary.
     Under a fault plan a boundary also visits the nodes whose lane the
     sender has marked down, due or not: the sparing probe
     (``lane_suppressed``) un-marks a healed lane as a side effect of
@@ -316,10 +324,18 @@ class FsoiNetwork(Interconnect):
             "ignored": stats.counter("hints_ignored"),
         }
         self._spacing_delays = stats.latency("spacing_delay_inserted")
-        # try_send hot-path hoists: one attribute load instead of a
-        # config-object chain per offered packet.
+        # Hot-path hoists: one attribute load instead of a config-object
+        # chain per offered packet, transmission and back-off.
         self._request_spacing = config.optimizations.request_spacing
+        self._hints = config.optimizations.resolution_hints
         self._queue_capacity = self.lanes.queue_capacity
+        self._slotted = config.slotted
+        self._conf_delay = self.confirmations.delay
+        self._rx_overhead = config.rx_overhead
+        self._error_rate = config.packet_error_rate
+        self._delivered = {
+            lane: counters["delivered"] for lane, counters in self._lane_stats.items()
+        }
         # Resolution delay measured only over packets that collided —
         # the quantity Figure 4's numerical model predicts.
         self._resolution_collided = {
@@ -360,9 +376,13 @@ class FsoiNetwork(Interconnect):
     def try_send(self, packet: Packet, cycle: int) -> bool:
         src = packet.src
         dst = packet.dst
-        if src < 0 or src >= self.num_nodes or dst < 0 or dst >= self.num_nodes:
+        if (
+            src < 0 or src >= self.num_nodes or dst < 0 or dst >= self.num_nodes
+            or src == dst
+        ):
             self._check_node(src)
             self._check_node(dst)
+            raise ValueError(f"packet to self: node {src}")
         lane = packet.lane
         queue = self._state[lane][src].queue
         if len(queue) >= self._queue_capacity:
@@ -374,14 +394,19 @@ class FsoiNetwork(Interconnect):
         if self._request_spacing and expects and lane is LaneKind.META:
             spacing = self._reserve_reply_slot(src, cycle)
             self._spacing_delays.record(spacing)
-        packet.scheduled_cycle = cycle + spacing
+        packet.scheduled_cycle = scheduled = cycle + spacing
         if expects:
             # The requester will await a data packet from the destination
             # (or whoever it forwards to); used by the resolution hint.
             self._expected[src].expect(dst)
         queue.append(packet)
         self._lane_pending[lane] += 1
-        self._note_lane_state(lane, src)
+        if len(queue) == 1:
+            # Only a new queue head can move the node's readiness, and
+            # only to an earlier cycle.
+            index = self._index[lane]
+            if scheduled < index.ready[src]:
+                index.update(src, scheduled)
         self.stats.sent.value += 1  # == .add(), minus the call frame
         return True
 
@@ -396,7 +421,7 @@ class FsoiNetwork(Interconnect):
         if due and due[0][0] <= cycle:
             self._calendar.run_due(cycle)  # scheduled outcomes
         for lane, slot_len in self._slot_items:
-            if not self.config.slotted:
+            if not self._slotted:
                 self._start_unslotted(lane, cycle)
             elif cycle % slot_len == 0:
                 self._start_slot(lane, cycle)
@@ -425,7 +450,7 @@ class FsoiNetwork(Interconnect):
         healed-lane probe happens there), so the horizon is capped at
         the next boundary.
         """
-        if not self.config.slotted:
+        if not self._slotted:
             return cycle
         horizon = self.confirmations.next_event(cycle)
         c = self._calendar.next_cycle()
@@ -468,13 +493,12 @@ class FsoiNetwork(Interconnect):
         spared = inj.marked_down(lane) if inj is not None else ()
         if index.minimum() > cycle and not spared:
             return  # idle lane, or nothing eligible yet
-        nodes = [
-            node for node, ready in enumerate(index.ready) if ready <= cycle
-        ]
-        if spared:
-            nodes = sorted({*nodes, *spared})
+        ready = index.ready
+        due = [node for node in index.pending if ready[node] <= cycle]
+        nodes = sorted({*due, *spared} if spared else due)
         tx_counter = self._lane_stats[lane]["tx"]
         bits_counter = self.stats.bits_sent
+        bits = lane.bits
         slot_len = self._slot_len[lane]
         states = self._state[lane]
 
@@ -507,7 +531,7 @@ class FsoiNetwork(Interconnect):
                 packet.first_tx_cycle = cycle
             setup = state.opa.steer(packet.dst) if state.opa is not None else 0
             tx_counter.value += 1
-            bits_counter.value += packet.bits
+            bits_counter.value += bits
             if TRACE.enabled:
                 TRACE.emit(
                     "tx", cat="fsoi", cycle=cycle, node=packet.src,
@@ -535,43 +559,42 @@ class FsoiNetwork(Interconnect):
             return
         if len(sends) == 1 and inj is None:
             # A lone transmission cannot collide whichever receiver it
-            # lands on (receiver_for is pure without a health vector).
-            self._handle_solo(lane, cycle, slot_len, sends[0])
+            # lands on (the fault-free partition is pure).
+            self._handle_solo(lane, cycle, slot_len, *sends[0])
             return
 
         # Group by (destination, receiver) — the static sender partition,
         # remapped around dead receivers when faults are active.
         groups: dict[tuple[int, int], list[tuple[Packet, int]]] = {}
+        receivers = self.lanes.receivers(lane)
         for packet, setup in sends:
-            health = (
-                inj.receiver_health(packet.dst, lane, cycle)
-                if inj is not None
-                else None
-            )
-            receiver = self.lanes.receiver_for(
-                lane, packet.src, packet.dst, self.num_nodes, healthy=health
-            )
-            if health is not None:
+            src, dst = packet.src, packet.dst
+            health = inj.receiver_health(dst, lane, cycle) if inj is not None else None
+            if health is None:
+                # == lanes.receiver_for: the sender's rank among dst's
+                # N - 1 senders, modulo R (try_send refused src == dst).
+                receiver = (src if src < dst else src - 1) % receivers
+            else:
+                receiver = self.lanes.receiver_for(
+                    lane, src, dst, self.num_nodes, healthy=health
+                )
                 if receiver < 0:
                     # Every receiver at the destination is dark.
                     self._fault_lost(lane, cycle, slot_len, packet, setup)
                     continue
-                nominal = self.lanes.receiver_for(
-                    lane, packet.src, packet.dst, self.num_nodes
-                )
-                if receiver != nominal:
+                if receiver != self.lanes.receiver_for(lane, src, dst, self.num_nodes):
                     self._fault_stats["receiver_remaps"].add()
                     if TRACE.enabled:
                         TRACE.emit(
                             "fault_receiver_remap", cat="fault", cycle=cycle,
-                            node=packet.dst, lane=lane.value,
+                            node=dst, lane=lane.value,
                             packet=packet.uid, receiver=receiver,
                         )
-            groups.setdefault((packet.dst, receiver), []).append((packet, setup))
+            groups.setdefault((dst, receiver), []).append((packet, setup))
 
         for (dst, _receiver), members in groups.items():
             if len(members) == 1:
-                self._handle_solo(lane, cycle, slot_len, members[0])
+                self._handle_solo(lane, cycle, slot_len, *members[0])
             else:
                 self._handle_collision(lane, cycle, slot_len, dst, members)
 
@@ -642,16 +665,12 @@ class FsoiNetwork(Interconnect):
                 other.retries += 1
                 lane_stats["collided_tx"].add()
                 detect = max(cycle + 1, _end - 1 + conf_delay + 1)
-                self._schedule(
-                    detect, lambda p=other, d=detect: self._back_off(lane, p, d)
-                )
+                self._schedule(detect, partial(self._back_off, lane, other, detect))
             packet._corrupted = True
             packet.retries += 1
             lane_stats["collided_tx"].add()
             detect = cycle + slot_len - 1 + conf_delay + 1
-            self._schedule(
-                detect, lambda p=packet, d=detect: self._back_off(lane, p, d)
-            )
+            self._schedule(detect, partial(self._back_off, lane, packet, detect))
             active.append((end, packet))
             self._inflight[key] = active
 
@@ -691,51 +710,64 @@ class FsoiNetwork(Interconnect):
         self, lane: LaneKind, state: _LaneState, cycle: int
     ) -> Packet | None:
         retx = state.retx
-        if retx:  # the common path has no retransmissions pending
-            due = [e for e in retx if e.release <= cycle]
-            if due:
-                entry = min(due, key=lambda e: (e.release, e.seq))
-                retx.remove(entry)
-                self._lane_pending[lane] -= 1
-                self._note_lane_state(lane, state.node)
-                return entry.packet
         queue = state.queue
-        if queue and queue[0].scheduled_cycle <= cycle:
-            self._lane_pending[lane] -= 1
+        if retx and retx[0][0] <= cycle:  # earliest (release, seq) first
+            packet = heappop(retx)[2]
+        elif queue and queue[0].scheduled_cycle <= cycle:
             packet = queue.popleft()
-            self._note_lane_state(lane, state.node)
-            return packet
-        return None
+        else:
+            return None
+        self._lane_pending[lane] -= 1
+        self._note_lane_state(lane, state)
+        return packet
 
-    def _note_lane_state(self, lane: LaneKind, node: int) -> None:
-        """Node ``node``'s pending work on ``lane`` just changed: refresh
-        its readiness in the lane index.
+    def _note_lane_state(self, lane: LaneKind, state: _LaneState) -> None:
+        """The top of ``state``'s back-off heap or its queue head just
+        changed in a way that can delay the node (a pick, a
+        resolution-hint re-release): recount its readiness.
 
-        Called after every queue/retransmission mutation (enqueue, pick,
-        back-off, resolution-hint reschedule).  Only the queue *head*
-        counts — FIFO order means a later packet cannot transmit before
-        the head does, which is what :meth:`_pick_transmission` inspects.
+        Only the two *heads* count — the heap top is the earliest
+        release, and FIFO order means a later packet cannot transmit
+        before the queue head does — which is what
+        :meth:`_pick_transmission` inspects.  An enqueue or a back-off
+        can only make the node ready earlier and writes the index itself.
         """
-        state = self._state[lane][node]
-        ready = NEVER
-        for entry in state.retx:
-            if entry.release < ready:
-                ready = entry.release
+        ready = state.retx[0][0] if state.retx else NEVER
         queue = state.queue
         if queue and queue[0].scheduled_cycle < ready:
             ready = queue[0].scheduled_cycle
-        self._index[lane].update(node, ready)
+        self._index[lane].update(state.node, ready)
+
+    def _hold(self, lane: LaneKind, packet: Packet, release: int) -> None:
+        """File ``packet`` for retransmission no earlier than ``release``."""
+        src = packet.src
+        state = self._state[lane][src]
+        state.retx_seq += 1
+        heappush(state.retx, (release, state.retx_seq, packet))
+        self._lane_pending[lane] += 1
+        index = self._index[lane]
+        if release < index.ready[src]:  # a later release moves nothing
+            index.update(src, release)
 
     def audit(self) -> None:
         """The lane indexes and pending counters must agree with a
-        recount of the queues and retransmission lists."""
+        recount of the queues and back-off heaps, and every back-off
+        heap must be one (so its top is the ``(release, seq)`` minimum)."""
         for lane, states in self._state.items():
             index = self._index[lane]
             for node, state in enumerate(states):
-                pending = [entry.release for entry in state.retx]
+                keys = [entry[:2] for entry in state.retx]
+                assert all(
+                    keys[(child - 1) >> 1] <= keys[child]
+                    for child in range(1, len(keys))
+                )
+                pending = [release for release, _seq in keys]
                 if state.queue:
                     pending.append(state.queue[0].scheduled_cycle)
                 assert index.ready[node] == min(pending, default=NEVER)
+            assert index.pending == {
+                node for node in range(self.num_nodes) if index.ready[node] != NEVER
+            }
             assert self._lane_pending[lane] == sum(
                 len(state.retx) + len(state.queue) for state in states
             )
@@ -765,20 +797,19 @@ class FsoiNetwork(Interconnect):
                 lane=lane.value, packet=packet.uid, dst=packet.dst,
                 retries=packet.retries,
             )
-        receive_cycle = cycle + slot_len - 1 + setup
-        detect = receive_cycle + self.confirmations.delay + 1
-        self._schedule(
-            detect, lambda p=packet, d=detect: self._back_off(lane, p, d)
-        )
+        detect = cycle + slot_len + setup + self._conf_delay
+        self._schedule(detect, partial(self._back_off, lane, packet, detect))
 
     def _handle_solo(
-        self, lane: LaneKind, cycle: int, slot_len: int, member: tuple[Packet, int]
+        self, lane: LaneKind, cycle: int, slot_len: int, packet: Packet, setup: int
     ) -> None:
-        packet, setup = member
-        if (
-            self.config.packet_error_rate > 0.0
-            and self._error_rng.random() < self.config.packet_error_rate
-        ):
+        """A transmission alone on its receiver: delivered and confirmed
+        unless a signaling error or an injected fault corrupts it."""
+        inj = self._injector
+        receive_cycle = cycle + slot_len - 1 + setup
+        # When the sender notices a confirmation did not come back.
+        detect = receive_cycle + self._conf_delay + 1
+        if self._error_rate > 0.0 and self._error_rng.random() < self._error_rate:
             # A signaling error corrupts the packet; the sender sees a
             # missing confirmation, exactly like a collision (§4.3.1).
             self._lane_stats[lane]["error_tx"].add()
@@ -788,11 +819,8 @@ class FsoiNetwork(Interconnect):
                     node=packet.dst, lane=lane.value, packet=packet.uid,
                 )
             packet.retries += 1
-            receive_cycle = cycle + slot_len - 1 + setup
-            detect = receive_cycle + self.confirmations.delay + 1
-            self._schedule(detect, lambda: self._back_off(lane, packet, detect))
+            self._schedule(detect, partial(self._back_off, lane, packet, detect))
             return
-        inj = self._injector
         if inj is not None:
             probability = inj.corruption_probability(
                 packet.src, lane, cycle, packet.bits
@@ -808,19 +836,8 @@ class FsoiNetwork(Interconnect):
                         probability=probability,
                     )
                 packet.retries += 1
-                receive_cycle = cycle + slot_len - 1 + setup
-                detect = receive_cycle + self.confirmations.delay + 1
-                self._schedule(
-                    detect, lambda: self._back_off(lane, packet, detect)
-                )
+                self._schedule(detect, partial(self._back_off, lane, packet, detect))
                 return
-        self._succeed(lane, cycle, slot_len, packet, setup)
-
-    def _succeed(
-        self, lane: LaneKind, cycle: int, slot_len: int, packet: Packet, setup: int
-    ) -> None:
-        inj = self._injector
-        receive_cycle = cycle + slot_len - 1 + setup
         # Under confirmation drops a sender may retransmit a packet the
         # destination already delivered; such duplicate receptions are
         # recognized (sequence numbers in the header) and not re-delivered.
@@ -837,13 +854,9 @@ class FsoiNetwork(Interconnect):
         else:
             packet.final_tx_cycle = cycle
             if packet.retries > 0:
-                self._resolution_collided[lane].record(
-                    packet.final_tx_cycle - packet.first_tx_cycle
-                )
-            deliver_cycle = receive_cycle + self.config.rx_overhead
-            self._schedule(
-                deliver_cycle, lambda: self._deliver(packet, deliver_cycle)
-            )
+                self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
+            deliver_cycle = receive_cycle + self._rx_overhead
+            self._schedule(deliver_cycle, partial(self._deliver, packet, deliver_cycle))
             if inj is not None:
                 packet._fault_delivered = True
             if lane is LaneKind.DATA and self._expected[packet.dst].is_expected(
@@ -851,17 +864,14 @@ class FsoiNetwork(Interconnect):
             ):
                 self._expected[packet.dst].fulfil(packet.src)
         if inj is not None and inj.drop_confirmation(
-            packet.src, receive_cycle + self.confirmations.delay
+            packet.src, receive_cycle + self._conf_delay
         ):
             # The packet got through, but the confirmation pulse is lost:
             # the sender walks the timeout path as if it had collided.
             self.confirmations.record_dropped(receive_cycle)
             self._fault_stats["confirm_dropped"].add()
             packet.retries += 1
-            detect = receive_cycle + self.confirmations.delay + 1
-            self._schedule(
-                detect, lambda p=packet, d=detect: self._back_off(lane, p, d)
-            )
+            self._schedule(detect, partial(self._back_off, lane, packet, detect))
             return
         # The confirmation arrives back at the sender two cycles after
         # reception; §5.1 consumers hook it via packet.on_confirmed.
@@ -880,7 +890,7 @@ class FsoiNetwork(Interconnect):
         if TRACE.enabled:
             TRACE.emit(
                 "confirmation", cat="fsoi",
-                cycle=receive_cycle + self.confirmations.delay,
+                cycle=receive_cycle + self._conf_delay,
                 node=packet.src, lane=lane.value, packet=packet.uid,
             )
 
@@ -904,31 +914,24 @@ class FsoiNetwork(Interconnect):
         if lane is LaneKind.DATA:
             self._data_collision_types[self._classify(packets)].add()
 
-        use_hints = (
-            lane is LaneKind.DATA and self.config.optimizations.resolution_hints
-        )
         winner: Packet | None = None
-        if use_hints:
+        if lane is LaneKind.DATA and self._hints:
             winner = self._issue_hint(cycle, slot_len, dst, packets)
-
+            # Losers learn from the *absence* of the no-collision
+            # notification right after the header and skip the next
+            # slot (§5.2): back-off counted from the slot after next.
+            detect = cycle + 1 + self._conf_delay
+            base = cycle + 2 * slot_len
+        else:
+            # Last bits at cycle + slot_len - 1; no confirmation after it.
+            detect = base = cycle + slot_len + self._conf_delay
         for packet in packets:
             packet.retries += 1
-            if packet is winner:
-                continue  # handled inside _issue_hint
-            if use_hints:
-                # Losers learn from the *absence* of the no-collision
-                # notification right after the header and skip the next
-                # slot (§5.2): back-off counted from the slot after next.
-                detect = cycle + 1 + self.confirmations.delay
-                base = cycle + 2 * slot_len
-            else:
-                receive_cycle = cycle + slot_len - 1
-                detect = receive_cycle + self.confirmations.delay + 1
-                base = detect
-            self._schedule(
-                detect,
-                lambda p=packet, b=base: self._back_off(lane, p, b),
-            )
+        # The colliders all notice in the same cycle: one calendar entry
+        # backs them off in transmission order (the hint winner is
+        # already re-queued by _issue_hint).
+        losers = [packet for packet in packets if packet is not winner]
+        self._schedule(detect, partial(self._back_off_all, lane, losers, base))
 
     def _classify(self, packets: list[Packet]) -> str:
         """Figure 10's data-collision taxonomy (priority order)."""
@@ -942,6 +945,13 @@ class FsoiNetwork(Interconnect):
             return "reply"
         return "other"
 
+    def _back_off_all(
+        self, lane: LaneKind, packets: list[Packet], base_cycle: int
+    ) -> None:
+        """One collision's senders notice it together (one calendar entry)."""
+        for packet in packets:
+            self._back_off(lane, packet, base_cycle)
+
     def _back_off(self, lane: LaneKind, packet: Packet, base_cycle: int) -> None:
         """Queue ``packet`` for retransmission after a random back-off."""
         inj = self._injector
@@ -952,18 +962,13 @@ class FsoiNetwork(Interconnect):
         ):
             self._give_up(lane, packet, base_cycle)
             return
-        slot_len = self.lanes.slot_cycles(lane)
+        slot_len = self._slot_len[lane]
         draw = self.config.backoff.draw_delay_slots(self._backoff_rng, packet.retries)
-        if self.config.slotted:
-            base = self.lanes.next_slot_start(base_cycle, lane)
-        else:
-            base = base_cycle  # pure ALOHA: any cycle may start a retry
+        base = base_cycle  # pure ALOHA: any cycle may start a retry
+        if self._slotted:  # == lanes.next_slot_start(base_cycle, lane)
+            base = ((base_cycle + slot_len - 1) // slot_len) * slot_len
         release = base + (draw - 1) * slot_len
-        state = self._state[lane][packet.src]
-        state.retx_seq += 1
-        state.retx.append(_RetxEntry(release, state.retx_seq, packet))
-        self._lane_pending[lane] += 1
-        self._note_lane_state(lane, packet.src)
+        self._hold(lane, packet, release)
         if TRACE.enabled:
             TRACE.emit(
                 "backoff", cat="fsoi", cycle=base_cycle, node=packet.src,
@@ -1023,13 +1028,7 @@ class FsoiNetwork(Interconnect):
             self._hint_stats["correct"].add()
             winner = actual[chosen]
             winner.retries += 1
-            state = self._state[LaneKind.DATA][winner.src]
-            state.retx_seq += 1
-            state.retx.append(
-                _RetxEntry(cycle + slot_len, state.retx_seq, winner)
-            )
-            self._lane_pending[LaneKind.DATA] += 1
-            self._note_lane_state(LaneKind.DATA, winner.src)
+            self._hold(LaneKind.DATA, winner, cycle + slot_len)
             if TRACE.enabled:
                 TRACE.emit(
                     "hint", cat="fsoi", cycle=cycle, node=dst,
@@ -1043,9 +1042,9 @@ class FsoiNetwork(Interconnect):
         state = self._state[LaneKind.DATA][chosen]
         if state.retx:
             self._hint_stats["wrong_winner"].add()
-            entry = min(state.retx, key=lambda e: (e.release, e.seq))
-            entry.release = cycle + slot_len
-            self._note_lane_state(LaneKind.DATA, chosen)
+            _release, seq, packet = state.retx[0]  # keeps its seq
+            heapreplace(state.retx, (cycle + slot_len, seq, packet))
+            self._note_lane_state(LaneKind.DATA, state)
             outcome = "wrong_winner"
         else:
             self._hint_stats["ignored"].add()
@@ -1083,7 +1082,7 @@ class FsoiNetwork(Interconnect):
     # ------------------------------------------------------------------
 
     def _deliver(self, packet: Packet, cycle: int) -> None:
-        self._lane_stats[packet.lane]["delivered"].add()
+        self._delivered[packet.lane].value += 1
         if TRACE.enabled:
             TRACE.emit(
                 "deliver", cat="fsoi", cycle=cycle, node=packet.dst,
@@ -1100,7 +1099,10 @@ class FsoiNetwork(Interconnect):
                 f"cannot schedule an outcome at cycle {cycle}; "
                 f"the network already ticked cycle {self._now}"
             )
-        self._calendar.schedule(cycle, action)
+        # == self._calendar.schedule(cycle, action), minus the call frame.
+        calendar = self._calendar
+        calendar._seq = seq = calendar._seq + 1
+        heappush(self._due, (cycle, seq, action))
 
     def transmission_probability(self, lane: LaneKind) -> float:
         """Measured per-node, per-slot transmission probability."""

@@ -5,7 +5,7 @@ import pytest
 from repro.core.backoff import BackoffPolicy
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.core.optimizations import OptimizationConfig
-from repro.net.packet import LaneKind, Packet
+from repro.net.packet import LaneKind, Packet, make_packet
 
 
 def make_network(**kwargs) -> FsoiNetwork:
@@ -90,6 +90,21 @@ class TestQueueing:
             assert net.try_send(meta(0, 1), 0)
         assert not net.try_send(meta(0, 1), 0)
         assert int(net.stats.refused) == 1
+
+    def test_self_addressed_packet_refused_at_the_door(self):
+        # make_packet skips Packet's own src != dst validation; such a
+        # packet used to be queued, then delivered over the optical
+        # medium when alone in its slot, or raise from inside tick()
+        # (after the slot's packets had been popped) when not.
+        net = make_network()
+        net.try_send(meta(0, 1), 0)
+        loop = make_packet(3, 3, LaneKind.META, None, False, False, False, False, 99)
+        with pytest.raises(ValueError, match="packet to self"):
+            net.try_send(loop, 0)
+        assert int(net.stats.sent) == 1
+        run(net, 10)
+        net.audit()
+        assert net.quiescent() and int(net.stats.delivered) == 1
 
     def test_can_accept_tracks_capacity(self):
         net = make_network()

@@ -13,14 +13,28 @@ has a marked-down lane.  These pins drive exactly those paths:
 * the ``fault_*`` trace events of the CI faults-smoke plan (a data-lane
   kill that heals mid-run, a thermal droop, dropped confirmations,
   give-up), i.e. which node was suppressed, marked down and un-marked
-  at which slot boundary.
+  at which slot boundary;
+* a bare :class:`FsoiNetwork` on the retransmission paths neither the
+  CMP-load pins nor perfbench's channel legs (no §5 optimisation on)
+  reach in bulk: the §4.3.2 63-to-1 burst on a 64-node phase array,
+  resolution hints (binary and one-hot PID) with request spacing and
+  data replies so ``_issue_hint`` takes its correct / wrong-winner /
+  ignored branches, the pure-ALOHA ablation, and signaling errors —
+  pinning the ``(uid, dst, deliver_cycle, retries)`` sequence, the stat
+  tree and the drain cycle, with ``audit()`` at every slot boundary.
 
 The digests live beside the CMP-load pins in
-``tests/data/network_engine_pins.json`` under their own keys and were
-recorded at the commit *before* the flat-index router and the
-due-or-marked-down fault gather landed (ISSUE 15)::
+``tests/data/network_engine_pins.json`` under their own keys.  The mesh
+and fault-gather pins were recorded at the commit *before* the
+flat-index router and the due-or-marked-down fault gather landed
+(ISSUE 15)::
 
     PYTHONPATH=src python -m pytest tests/net/test_channel_pins.py --update-golden
+
+and the bare-FSOI pins at 370818b, the commit *before* the pending set,
+the back-off heaps and the one-entry-per-collision calendar (ISSUE 23)::
+
+    PYTHONPATH=src python -m pytest tests/net/test_channel_pins.py -k TestBareFsoi --update-golden
 """
 
 import hashlib
@@ -29,6 +43,8 @@ import numpy as np
 import pytest
 
 from repro.cmp import CmpConfig, CmpSystem
+from repro.core.network import FsoiConfig, FsoiNetwork
+from repro.core.optimizations import OptimizationConfig
 from repro.faults import ConfirmationDrop, FaultPlan, LaneFault, ThermalDroop
 from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.net.packet import LaneKind, Packet
@@ -101,6 +117,108 @@ def drive_mesh(nodes, cycles, offers):
         "stats": _sha(stats),
         "activity": _sha(net.activity()),
     }, stats
+
+
+def drive_fsoi(config, cycles, offers, requests=False):
+    """Offer the schedule to a bare FSOI network, drain it, return its
+    digests.  With ``requests`` every meta packet expects a data reply,
+    which its destination sends (retrying while its queue is full)."""
+    net = FsoiNetwork(config)
+    delivered, replies = [], []
+    uids = iter(range(len(offers), 1 << 30))
+
+    def sink(packet):
+        delivered.append(
+            (packet.uid, packet.dst, packet.deliver_cycle, packet.retries)
+        )
+        if packet.expects_data_reply:
+            replies.append(Packet(
+                src=packet.dst, dst=packet.src, lane=LaneKind.DATA,
+                is_reply_to_request=True, uid=next(uids),
+            ))
+
+    for node in range(config.num_nodes):
+        net.set_delivery_callback(node, sink)
+    by_cycle = {}
+    for uid, (cycle, src, dst, is_data) in enumerate(offers):
+        by_cycle.setdefault(cycle, []).append(Packet(
+            src=src, dst=dst, lane=LaneKind.DATA if is_data else LaneKind.META,
+            expects_data_reply=requests and not is_data, uid=uid,
+        ))
+    boundaries = {net.lanes.slot_cycles(lane) for lane in LaneKind}
+    cycle = 0
+    while cycle < cycles or replies or not net.quiescent():
+        assert cycle < cycles + DRAIN_CAP, "FSOI network did not drain"
+        replies[:] = [p for p in replies if not net.try_send(p, cycle)]
+        for packet in by_cycle.get(cycle, ()):
+            net.try_send(packet, cycle)
+        net.tick(cycle)
+        if any(cycle % slot_len == 0 for slot_len in boundaries):
+            net.audit()
+        cycle += 1
+    net.audit()
+    stats = net.stats.group.as_dict()
+    assert len(delivered) == stats["packets_delivered"] == stats["packets_sent"]
+    return {
+        "deliveries": _sha(delivered),
+        "stats": _sha(stats),
+        "drain_cycle": cycle,
+    }, net
+
+
+class TestBareFsoi:
+    def test_all_to_one_burst_64(self, pinned):
+        rng = np.random.default_rng(2301)
+        offers = incast_offers(rng, 64, 2400, period=400, fan=63)
+        digests, net = drive_fsoi(
+            FsoiConfig(num_nodes=64, phase_array=True, seed=2301), 2400, offers
+        )
+        stats = net.stats.group.as_dict()
+        assert stats["packets_sent"] + stats["send_refused"] == len(offers)
+        # The §4.3.2 burst: every packet of it collides, most repeatedly.
+        assert stats["meta"]["collided_transmissions"] > 5 * 63
+        assert net.phase_array_summary()["retargets"] > 0
+        pinned("bare-fsoi-64-incast400x63", digests)
+
+    @pytest.mark.parametrize("one_hot", (False, True))
+    def test_hints_and_spacing_16(self, pinned, one_hot):
+        rng = np.random.default_rng(2302)
+        offers = incast_offers(rng, 16, 4000, period=100, fan=12)
+        digests, net = drive_fsoi(
+            FsoiConfig(
+                num_nodes=16, one_hot_pid=one_hot, seed=2302,
+                optimizations=OptimizationConfig(
+                    resolution_hints=True, request_spacing=True
+                ),
+            ),
+            4000, offers, requests=True,
+        )
+        hints = net.hint_summary()
+        if one_hot:  # footnote 7: the bit vector names the colliders exactly
+            assert hints["correct"] == hints["issued"] > 0
+        else:
+            assert hints["correct"] and hints["wrong_winner"] and hints["ignored"]
+        assert net.stats.group.as_dict()["spacing_delay_inserted"]["max"] > 0
+        pinned(f"bare-fsoi-16-hints-spacing{'-one-hot' if one_hot else ''}", digests)
+
+    def test_unslotted_16(self, pinned):
+        rng = np.random.default_rng(2303)
+        offers = incast_offers(rng, 16, 3000, period=100, fan=8)
+        digests, net = drive_fsoi(
+            FsoiConfig(num_nodes=16, slotted=False, seed=2303), 3000, offers
+        )
+        assert net.collision_rate(LaneKind.DATA) > 0
+        pinned("bare-fsoi-16-unslotted", digests)
+
+    def test_packet_errors_16(self, pinned):
+        rng = np.random.default_rng(2304)
+        offers = incast_offers(rng, 16, 3000, period=100, fan=8)
+        digests, net = drive_fsoi(
+            FsoiConfig(num_nodes=16, packet_error_rate=0.05, seed=2304),
+            3000, offers,
+        )
+        assert net.stats.group.as_dict()["meta"]["error_corrupted"] > 0
+        pinned("bare-fsoi-16-error-rate-5pct", digests)
 
 
 class TestContendedMesh:

@@ -1,7 +1,12 @@
-"""Property tests for the two pure scheduling rules of the network engines.
+"""Property tests for the scheduling rules of the network engines.
 
 * :func:`repro.core.network.slot_horizon` — the FSOI fast-forward
   horizon — against a scalar re-derivation of its contract.
+* The FSOI lane index (``_LaneIndex``): after any sequence of readiness
+  writes its cached minimum, its ``pending`` set and the sorted due
+  gather a slot boundary makes from it equal a brute-force scan of
+  ``ready``; and a real :class:`FsoiNetwork` under random bursts passes
+  ``audit()`` after every tick and conserves packets at the drain.
 * The mesh router's round-robin switch arbitration, exercised on a real
   stand-alone :class:`repro.mesh.router.Router`: with ``k`` ready
   requesters on one output port and the arbiter pointer at ``start``,
@@ -14,10 +19,14 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.network import NEVER, slot_horizon
+from repro.core.network import (
+    NEVER, FsoiConfig, FsoiNetwork, _LaneIndex, slot_horizon,
+)
+from repro.core.optimizations import OptimizationConfig
 from repro.mesh.router import Flit, Router
 from repro.mesh.routing import Port
 from repro.net.packet import LaneKind, Packet
+from tests.net.test_channel_pins import SMOKE_PLAN
 
 #: Readiness values: simulated cycles plus the idle sentinel.
 ready_values = st.one_of(
@@ -50,6 +59,93 @@ class TestSlotHorizon:
         horizon = slot_horizon(NEVER - 1, 0, 64)
         assert horizon is not None
         assert horizon % 64 == 0
+
+
+class TestLaneIndex:
+    NODES = 12
+
+    @settings(deadline=None)
+    @given(
+        updates=st.lists(st.tuples(
+            st.integers(0, NODES - 1),
+            st.one_of(st.integers(0, 40), st.just(NEVER)),
+            st.booleans(),
+        ), max_size=60),
+        cycle=st.integers(0, 40),
+    )
+    def test_matches_brute_force_scan(self, updates, cycle):
+        index = _LaneIndex(self.NODES)
+        model = [NEVER] * self.NODES
+        for node, ready, read_minimum in updates:
+            index.update(node, ready)
+            model[node] = ready
+            assert index.ready == model
+            assert index.pending == {
+                n for n, value in enumerate(model) if value != NEVER
+            }
+            # What _start_slot gathers == the every-node scan it replaced.
+            assert sorted(
+                n for n in index.pending if index.ready[n] <= cycle
+            ) == [n for n, value in enumerate(model) if value <= cycle]
+            if read_minimum:  # unread raises leave the cache stale
+                assert index.minimum() == min(model)
+        assert index.minimum() == min(model)
+
+
+#: (cycle, fan, receiver seed, lane) bursts: ``fan`` senders offer one
+#: packet each to one receiver in the same cycle.
+bursts = st.lists(
+    st.tuples(
+        st.integers(0, 120), st.integers(1, 15), st.integers(0, 1 << 16),
+        st.sampled_from(list(LaneKind)),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+class TestAuditEveryTick:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nodes=st.sampled_from((16, 64)), phase_array=st.booleans(),
+        optimized=st.booleans(), faulted=st.booleans(), bursts=bursts,
+        seed=st.integers(0, 1000),
+    )
+    def test_random_bursts_drain_and_conserve(
+        self, nodes, phase_array, optimized, faulted, bursts, seed
+    ):
+        net = FsoiNetwork(FsoiConfig(
+            num_nodes=nodes, phase_array=phase_array, seed=seed,
+            optimizations=OptimizationConfig(
+                resolution_hints=optimized, request_spacing=optimized
+            ),
+            faults=SMOKE_PLAN if faulted else None,
+        ))
+        arrived = []
+        for node in range(nodes):
+            net.set_delivery_callback(node, arrived.append)
+        by_cycle = {}
+        for cycle, fan, pick, lane in bursts:
+            receiver = pick % nodes
+            for rank in range(fan):
+                src = (receiver + 1 + (pick + rank) % (nodes - 1)) % nodes
+                by_cycle.setdefault(cycle, []).append(Packet(
+                    src=src, dst=receiver, lane=lane,
+                    expects_data_reply=lane is LaneKind.META and rank % 2 == 0,
+                ))
+        cycle = 0
+        while cycle <= 120 or not net.quiescent():
+            assert cycle < 20_000, "network did not drain"
+            for packet in by_cycle.get(cycle, ()):
+                net.try_send(packet, cycle)
+            net.tick(cycle)
+            net.audit()
+            cycle += 1
+        stats = net.stats.group.as_dict()
+        lost = net.fault_summary().get("gave_up_lost", 0)
+        assert len(arrived) == stats["packets_delivered"]
+        assert stats["packets_sent"] == stats["packets_delivered"] + lost
+        offered = sum(len(batch) for batch in by_cycle.values())
+        assert stats["packets_sent"] + stats["send_refused"] == offered
 
 
 NUM_VCS = 4
