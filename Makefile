@@ -13,17 +13,17 @@ test:
 test-fast:
 	$(PYTEST) tests/ -x -q -m "not slow"
 
-# The pinned perf suite, gated against the committed BENCH_<sha>.json
-# trajectory (exit 1 on a direction-aware regression).
+# The benchmark of record (BENCHMARK.json, perfbench/README.md): all six
+# workloads at full length; compare two runs with perfbench/compare.py.
 bench:
-	PYTHONPATH=src python -m repro.cli bench --compare --no-write
+	python3 perfbench/run.py
 
-# The benchmark of record (BENCHMARK.json), scaled down: all six
-# workloads once, every output check on, < 20 s.
+# The same, scaled down: all six workloads once, every output check
+# on, < 20 s.
 perfbench-smoke:
 	python3 perfbench/run.py --smoke
 
-# The paper's tables/figures via pytest-benchmark (the old `make bench`).
+# The paper's tables/figures via pytest-benchmark.
 pytest-bench:
 	$(PYTEST) benchmarks/ --benchmark-only -s
 

@@ -1,4 +1,4 @@
-"""Cross-run analytics: run ledger, figure validation, perf gating.
+"""Cross-run analytics: run ledger, figure validation, sweep telemetry.
 
 Where :mod:`repro.obs` watches a *single* run from the inside, this
 package looks *across* runs:
@@ -11,29 +11,16 @@ package looks *across* runs:
   that check a run against the paper's published curves (Figures 3, 4,
   6, 7, 8; Table 4), reusing the analytical models and the exact
   tolerances of ``tests/core/test_analytical_crossval.py``.
-* :func:`run_bench` / :func:`compare_snapshots` (``bench.py``) — the
-  pinned micro+macro perf suite behind ``repro bench``; snapshots land
-  in ``BENCH_<git-sha>.json`` and ``--compare`` gates slowdowns.
 * :class:`SweepTelemetry` / :class:`ETAEstimator` (``telemetry.py``) —
   live progress for long sweeps: done/cache/failed counters, worker
   heartbeats and a monotone ETA estimate.
 * :class:`ReportBundle` (``report.py``) — terminal / Markdown / HTML
   rendering for ``repro report``.
 
-See ``docs/analytics.md`` for the ledger schema, the validation-band
-format and the bench workflow.
+See ``docs/analytics.md`` for the ledger schema and the validation-band
+format.
 """
 
-from repro.analytics.bench import (
-    BenchComparison,
-    BenchSnapshot,
-    compare_snapshots,
-    git_sha,
-    load_snapshot,
-    previous_snapshot,
-    run_bench,
-    snapshot_path,
-)
 from repro.analytics.ledger import LedgerPoint, RunDiff, RunInfo, RunStore
 from repro.analytics.report import ReportBundle, ResultRow
 from repro.analytics.telemetry import ETAEstimator, SweepTelemetry, format_eta
@@ -49,8 +36,6 @@ from repro.analytics.validation import (
 __all__ = [
     "BandCheck",
     "BandResult",
-    "BenchComparison",
-    "BenchSnapshot",
     "ETAEstimator",
     "LedgerPoint",
     "ReportBundle",
@@ -61,13 +46,7 @@ __all__ = [
     "RunStore",
     "SweepTelemetry",
     "ValidationReport",
-    "compare_snapshots",
     "default_checks",
     "format_eta",
-    "git_sha",
-    "load_snapshot",
-    "previous_snapshot",
-    "run_bench",
-    "snapshot_path",
     "validate",
 ]

@@ -31,10 +31,6 @@ Commands
     validate it against the paper's figure tolerance bands and render
     the report (terminal + optional HTML/Markdown) — see
     docs/analytics.md.
-``bench [--compare]``
-    Run the pinned perf suite, write ``BENCH_<git-sha>.json``, and
-    with ``--compare`` gate it against the previous snapshot (exits
-    non-zero on a regression past the threshold).
 ``thermal [--power W]``
     Evaluate the §3.3 cooling options at a given chip power.
 """
@@ -43,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from repro.cmp import CmpConfig, CmpSystem
 from repro.cmp.system import NETWORK_KINDS
@@ -55,6 +52,34 @@ from repro.workloads import APPLICATIONS
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the flags that count things: cycles, workers,
+    events, window lengths."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
+def _health_flags(note: str = "") -> argparse.ArgumentParser:
+    health = argparse.ArgumentParser(add_help=False)
+    health.add_argument(
+        "--health", action="store_true",
+        help="run the invariant/anomaly watchdogs after the run and "
+        "print the health report" + note,
+    )
+    health.add_argument(
+        "--strict-health", action="store_true",
+        help="like --health, but exit non-zero if any watchdog fires",
+    )
+    return health
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -63,20 +88,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("link", help="Table 1 optical link budget")
+    # Flag families, each declared once and inherited through parents=.
+    # One experiment: every command that builds a CmpSystem...
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--app", default="oc", choices=sorted(APPLICATIONS))
+    experiment.add_argument("--nodes", type=int, default=16)
+    experiment.add_argument("--cycles", type=_positive_int, default=10_000)
+    experiment.add_argument("--seed", type=int, default=0)
+    # ...and those that also choose its transport.
+    transport = argparse.ArgumentParser(add_help=False)
+    transport.add_argument("--network", default="fsoi", choices=NETWORK_KINDS)
+    transport.add_argument(
+        "--optimized", action="store_true",
+        help="enable all §5 optimizations (FSOI only)",
+    )
+    # One grid of experiments through the sweep runner.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
+        "--apps", default="oc",
+        help="comma-separated application labels (e.g. ba,lu,oc,ro)",
+    )
+    grid.add_argument(
+        "--networks", default="fsoi,mesh",
+        help=f"comma-separated networks from {','.join(NETWORK_KINDS)}",
+    )
+    grid.add_argument(
+        "--nodes", default="16", help="comma-separated node counts"
+    )
+    grid.add_argument(
+        "--seeds", default="0", help="comma-separated experiment seeds"
+    )
+    grid.add_argument("--cycles", type=_positive_int, default=8_000)
+    grid.add_argument(
+        "--workers", type=_positive_int, default=1,
+        help="worker processes (1 = run inline, no subprocesses)",
+    )
+    grid.add_argument(
+        "--cache-dir", default=".repro-sweep-cache",
+        help="on-disk result cache directory (default: %(default)s)",
+    )
+    grid.add_argument(
+        "--no-cache", action="store_true",
+        help="always recompute; do not read or write the cache",
+    )
+
+    link = sub.add_parser("link", help="Table 1 optical link budget")
+    link.set_defaults(func=_cmd_link)
 
     config = sub.add_parser("config", help="Table 3 system configuration")
     config.add_argument("--nodes", type=int, default=16, choices=(16, 64))
+    config.set_defaults(func=_cmd_config)
 
-    run = sub.add_parser("run", help="run one CMP experiment")
-    run.add_argument("--app", default="oc", choices=sorted(APPLICATIONS))
-    run.add_argument("--network", default="fsoi", choices=NETWORK_KINDS)
-    run.add_argument("--nodes", type=int, default=16)
-    run.add_argument("--cycles", type=int, default=10_000)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--optimized", action="store_true",
-        help="enable all §5 optimizations (FSOI only)",
+    run = sub.add_parser(
+        "run", help="run one CMP experiment",
+        parents=[experiment, transport, _health_flags()],
     )
     run.add_argument(
         "--timeline", default=None, metavar="TIMELINE.JSONL",
@@ -84,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per-window delta archive here (see docs/observability.md)",
     )
     run.add_argument(
-        "--timeline-window", type=int, default=100, metavar="CYCLES",
+        "--timeline-window", type=_positive_int, default=100, metavar="CYCLES",
         help="timeline sampling window in cycles (default: %(default)s)",
     )
     run.add_argument(
@@ -92,56 +157,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="also export the timeline totals as OpenMetrics text "
         "(implies timeline collection)",
     )
-    run.add_argument(
-        "--health", action="store_true",
-        help="run the invariant/anomaly watchdogs after the run and "
-        "print the health report",
-    )
-    run.add_argument(
-        "--strict-health", action="store_true",
-        help="like --health, but exit non-zero if any watchdog fires",
-    )
+    run.set_defaults(func=_cmd_run)
 
-    compare = sub.add_parser("compare", help="FSOI vs mesh on one app")
-    compare.add_argument("--app", default="oc", choices=sorted(APPLICATIONS))
-    compare.add_argument("--nodes", type=int, default=16)
-    compare.add_argument("--cycles", type=int, default=10_000)
-    compare.add_argument("--seed", type=int, default=0)
+    compare = sub.add_parser(
+        "compare", help="FSOI vs mesh on one app", parents=[experiment]
+    )
+    compare.set_defaults(func=_cmd_compare, optimized=False)
 
     sweep = sub.add_parser(
-        "sweep",
+        "sweep", parents=[grid],
         help="run an experiment grid in parallel with result caching",
     )
     sweep.add_argument(
-        "--apps", default="oc",
-        help="comma-separated application labels (e.g. ba,lu,oc,ro)",
-    )
-    sweep.add_argument(
-        "--networks", default="fsoi,mesh",
-        help=f"comma-separated networks from {','.join(NETWORK_KINDS)}",
-    )
-    sweep.add_argument(
-        "--nodes", default="16", help="comma-separated node counts"
-    )
-    sweep.add_argument(
-        "--seeds", default="0", help="comma-separated experiment seeds"
-    )
-    sweep.add_argument("--cycles", type=int, default=8_000)
-    sweep.add_argument(
         "--optimized", action="store_true",
         help="also sweep FSOI with all §5 optimizations enabled",
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = run inline, no subprocesses)",
-    )
-    sweep.add_argument(
-        "--cache-dir", default=".repro-sweep-cache",
-        help="on-disk result cache directory (default: %(default)s)",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="always recompute; do not read or write the cache",
     )
     sweep.add_argument(
         "--timeout", type=float, default=None,
@@ -162,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "JSONL file in this directory",
     )
     sweep.add_argument(
-        "--timeline-window", type=int, default=100, metavar="CYCLES",
+        "--timeline-window", type=_positive_int, default=100, metavar="CYCLES",
         help="timeline sampling window for --timeline-dir "
         "(default: %(default)s)",
     )
@@ -179,37 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="single live progress line (counters + ETA + in-flight "
         "points) instead of one line per completed point",
     )
+    sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser(
-        "report",
+        "report", parents=[grid],
         help="sweep + run ledger + paper-figure validation report",
-    )
-    report.add_argument(
-        "--apps", default="oc",
-        help="comma-separated application labels (e.g. ba,lu,oc,ro)",
-    )
-    report.add_argument(
-        "--networks", default="fsoi,mesh",
-        help=f"comma-separated networks from {','.join(NETWORK_KINDS)}",
-    )
-    report.add_argument(
-        "--nodes", default="16", help="comma-separated node counts"
-    )
-    report.add_argument(
-        "--seeds", default="0", help="comma-separated experiment seeds"
-    )
-    report.add_argument("--cycles", type=int, default=8_000)
-    report.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = run inline, no subprocesses)",
-    )
-    report.add_argument(
-        "--cache-dir", default=".repro-sweep-cache",
-        help="on-disk result cache directory (default: %(default)s)",
-    )
-    report.add_argument(
-        "--no-cache", action="store_true",
-        help="always recompute; do not read or write the cache",
     )
     report.add_argument(
         "--from", dest="from_jsonl", default=None, metavar="RESULTS.JSONL",
@@ -247,66 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--live", action="store_true",
         help="live progress line while the sweep runs",
     )
-
-    bench = sub.add_parser(
-        "bench", help="pinned perf suite + regression gate"
-    )
-    bench.add_argument(
-        "--micro-cycles", type=int, default=None,
-        help="cycles per micro profile run (default: the pinned suite's)",
-    )
-    bench.add_argument(
-        "--macro-cycles", type=int, default=None,
-        help="cycles per macro sweep point (default: the pinned suite's)",
-    )
-    bench.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for the macro sweep",
-    )
-    bench.add_argument(
-        "--root", default=".", metavar="DIR",
-        help="directory holding BENCH_<sha>.json snapshots "
-        "(default: %(default)s)",
-    )
-    bench.add_argument(
-        "--no-write", action="store_true",
-        help="do not write the fresh snapshot to --root",
-    )
-    bench.add_argument(
-        "--snapshot", default=None, metavar="BENCH.JSON",
-        help="load this snapshot as the current measurement instead of "
-        "running the suite (for re-checking a gate offline)",
-    )
-    bench.add_argument(
-        "--compare", action="store_true",
-        help="gate against a previous snapshot; exit 1 on regression",
-    )
-    bench.add_argument(
-        "--against", default=None, metavar="BENCH.JSON",
-        help="baseline snapshot for --compare (default: the most recent "
-        "other snapshot in --root)",
-    )
-    bench.add_argument(
-        "--threshold", type=float, default=0.20,
-        help="relative slowdown that counts as a regression "
-        "(default: %(default)s)",
-    )
-
-    def add_run_args(parser_) -> None:
-        parser_.add_argument("--app", default="oc", choices=sorted(APPLICATIONS))
-        parser_.add_argument("--network", default="fsoi", choices=NETWORK_KINDS)
-        parser_.add_argument("--nodes", type=int, default=16)
-        parser_.add_argument("--cycles", type=int, default=10_000)
-        parser_.add_argument("--seed", type=int, default=0)
-        parser_.add_argument(
-            "--optimized", action="store_true",
-            help="enable all §5 optimizations (FSOI only)",
-        )
+    report.set_defaults(func=_cmd_report)
 
     trace = sub.add_parser(
-        "trace", help="run one experiment with event tracing"
+        "trace", help="run one experiment with event tracing",
+        parents=[experiment, transport],
     )
-    add_run_args(trace)
     trace.add_argument(
         "--out", default="trace.jsonl", metavar="TRACE.JSONL",
         help="trace-event JSONL output path (default: %(default)s)",
@@ -317,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         "loading in chrome://tracing / Perfetto",
     )
     trace.add_argument(
-        "--buffer", type=int, default=1 << 20,
+        "--buffer", type=_positive_int, default=1 << 20,
         help="trace ring-buffer capacity in events (default: %(default)s)",
     )
     trace.add_argument(
@@ -347,28 +296,30 @@ def build_parser() -> argparse.ArgumentParser:
         "events (ph 'C') into the exported trace files",
     )
     trace.add_argument(
-        "--timeline-window", type=int, default=100, metavar="CYCLES",
+        "--timeline-window", type=_positive_int, default=100, metavar="CYCLES",
         help="timeline sampling window for --timeline "
         "(default: %(default)s)",
     )
+    trace.set_defaults(func=_cmd_trace)
 
     profile = sub.add_parser(
-        "profile", help="run one experiment with cycle-loop profiling"
+        "profile", help="run one experiment with cycle-loop profiling",
+        parents=[experiment, transport],
     )
-    add_run_args(profile)
     profile.add_argument(
         "--json", action="store_true",
         help="print the phase attribution as JSON instead of the table",
     )
+    profile.set_defaults(func=_cmd_profile)
 
     top = sub.add_parser(
         "top",
         help="live dashboard of one running experiment (sparklines + "
         "health + ETA)",
+        parents=[experiment, transport],
     )
-    add_run_args(top)
     top.add_argument(
-        "--window", type=int, default=100, metavar="CYCLES",
+        "--window", type=_positive_int, default=100, metavar="CYCLES",
         help="timeline sampling window in cycles (default: %(default)s)",
     )
     top.add_argument(
@@ -399,14 +350,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, metavar="TIMELINE.JSONL",
         help="also write the collected timeline archive on exit",
     )
+    top.set_defaults(func=_cmd_top)
 
     faults = sub.add_parser(
-        "faults", help="run one fault-injected FSOI experiment"
+        "faults", help="run one fault-injected FSOI experiment",
+        parents=[
+            experiment,
+            _health_flags(" (injected faults should trip them)"),
+        ],
     )
-    faults.add_argument("--app", default="oc", choices=sorted(APPLICATIONS))
-    faults.add_argument("--nodes", type=int, default=16)
-    faults.add_argument("--cycles", type=int, default=10_000)
-    faults.add_argument("--seed", type=int, default=0)
     faults.add_argument(
         "--optimized", action="store_true",
         help="enable all §5 optimizations",
@@ -464,23 +416,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--save-plan", default=None, metavar="PLAN.JSON",
         help="write the assembled FaultPlan as JSON and continue",
     )
-    faults.add_argument(
-        "--health", action="store_true",
-        help="run the invariant/anomaly watchdogs after the run and "
-        "print the health report (injected faults should trip them)",
-    )
-    faults.add_argument(
-        "--strict-health", action="store_true",
-        help="like --health, but exit non-zero if any watchdog fires",
-    )
+    faults.set_defaults(func=_cmd_faults, network="fsoi")
 
     thermal = sub.add_parser("thermal", help="§3.3 cooling-option survey")
     thermal.add_argument("--power", type=float, default=121.0)
+    thermal.set_defaults(func=_cmd_thermal)
 
     return parser
 
 
-def _cmd_link() -> int:
+def _cmd_link(args) -> int:
     link = OpticalLink()
     print("Table 1 — optical link parameters")
     for key, value in link.table1().items():
@@ -496,18 +441,57 @@ def _cmd_config(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
+@contextmanager
+def _usage_errors(args):
+    """A ``ValueError`` raised while *building* what a command runs —
+    spec, plan, config, system — is bad input, not a bug: one line on
+    stderr and exit 2, as argparse does for the flags it can check."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
+def _build_system(args, network=None, faults=None) -> CmpSystem:
+    """The one place command-line arguments become a ``CmpSystem``."""
     optimizations = (
         OptimizationConfig.all() if args.optimized else OptimizationConfig.none()
     )
-    config = CmpConfig(
-        num_nodes=args.nodes,
-        app=args.app,
-        network=args.network,
-        optimizations=optimizations,
-        seed=args.seed,
-    )
-    system = CmpSystem(config)
+    with _usage_errors(args):
+        return CmpSystem(CmpConfig(
+            num_nodes=args.nodes,
+            app=args.app,
+            network=network or args.network,
+            optimizations=optimizations,
+            faults=faults,
+            seed=args.seed,
+        ))
+
+
+def _headline(args) -> str:
+    return (f"{args.app} on {args.network}, {args.nodes} nodes, "
+            f"{args.cycles} cycles")
+
+
+def _print_health(args, system, timeline, result) -> int:
+    """Run the watchdogs, print their report; 1 if ``--strict-health``
+    was asked for and one fired."""
+    from repro.obs import check_health, render_health
+
+    events = check_health(system=system, timeline=timeline)
+    result.health = [event.to_dict() for event in events]
+    for line in render_health(events).splitlines():
+        print(f"  {line}")
+    if args.strict_health and events:
+        print(f"repro {args.command}: --strict-health: {len(events)} health "
+              "event(s) — failing")
+        return 1
+    return 0
+
+
+def _cmd_run(args) -> int:
+    system = _build_system(args)
     want_timeline = bool(args.timeline or args.openmetrics)
     want_health = args.health or args.strict_health
     timeline = None
@@ -522,8 +506,7 @@ def _cmd_run(args) -> int:
             result = system.run(args.cycles)
     else:
         result = system.run(args.cycles)
-    print(f"{args.app} on {args.network}, {args.nodes} nodes, "
-          f"{args.cycles} cycles:")
+    print(f"{_headline(args)}:")
     print(f"  instructions  {result.instructions:,}  (IPC {result.ipc:.3f})")
     print(f"  packets       {result.packets_delivered:,} delivered")
     breakdown = result.latency_breakdown
@@ -545,27 +528,13 @@ def _cmd_run(args) -> int:
     if args.openmetrics:
         samples = timeline.write_openmetrics(args.openmetrics)
         print(f"  openmetrics   {samples} samples -> {args.openmetrics}")
-    if want_health:
-        from repro.obs import check_health, render_health
-
-        events = check_health(system=system, timeline=timeline)
-        result.health = [event.to_dict() for event in events]
-        for line in render_health(events).splitlines():
-            print(f"  {line}")
-        if args.strict_health and events:
-            print(f"repro run: --strict-health: {len(events)} health "
-                  "event(s) — failing")
-            return 1
-    return 0
+    return _print_health(args, system, timeline, result) if want_health else 0
 
 
 def _cmd_compare(args) -> int:
     runs = {}
     for network in ("mesh", "fsoi"):
-        config = CmpConfig(
-            num_nodes=args.nodes, app=args.app, network=network, seed=args.seed
-        )
-        runs[network] = CmpSystem(config).run(args.cycles)
+        runs[network] = _build_system(args, network=network).run(args.cycles)
     model = SystemPowerModel()
     reports = {name: model.report(run) for name, run in runs.items()}
     speedup = runs["fsoi"].speedup_over(runs["mesh"])
@@ -590,17 +559,11 @@ def _csv(value: str) -> list[str]:
     return [part for part in value.split(",") if part]
 
 
-def _cmd_sweep(args) -> int:
-    import json
+def _grid_spec(args, optimizations=("none",)) -> "SweepSpec":
+    from repro.sweep import SweepSpec
 
-    from repro.sweep import SweepSpec, run_sweep
-
-    if args.spec:
-        with open(args.spec) as handle:
-            spec = SweepSpec.from_dict(json.load(handle))
-    else:
-        optimizations = ("none", "all") if args.optimized else ("none",)
-        spec = SweepSpec(
+    with _usage_errors(args):
+        return SweepSpec(
             apps=tuple(_csv(args.apps)),
             networks=tuple(_csv(args.networks)),
             nodes=tuple(int(n) for n in _csv(args.nodes)),
@@ -608,17 +571,54 @@ def _cmd_sweep(args) -> int:
             cycles=args.cycles,
             optimizations=optimizations,
         )
-    from repro.analytics import SweepTelemetry
 
-    points = spec.points()
-    print(f"sweep: {len(points)} points, {args.workers} worker(s), "
-          f"cache {'off' if args.no_cache else args.cache_dir}")
+
+def _run_grid(args, spec, per_point=None, **options) -> "SweepReport":
+    """``run_sweep(spec)`` as the grid flags say, under the telemetry
+    line; ``per_point(done, total, outcome, telemetry)`` after each point."""
+    from repro.analytics import SweepTelemetry
+    from repro.sweep import run_sweep
+
     telemetry = SweepTelemetry(
-        total=len(points), workers=args.workers, live=args.live
+        total=len(spec.points()), workers=args.workers, live=args.live
     )
 
     def progress(done, total, outcome):
         telemetry.on_progress(done, total, outcome)
+        if per_point is not None:
+            per_point(done, total, outcome, telemetry)
+
+    report = run_sweep(
+        spec,
+        workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        metrics_path=args.metrics_dir,
+        timeline_path=args.timeline_dir,
+        progress=progress,
+        heartbeat=telemetry.on_heartbeat if args.live else None,
+        **options,
+    )
+    telemetry.close()
+    return report
+
+
+def _cmd_sweep(args) -> int:
+    import json
+
+    if args.spec:
+        from repro.sweep import SweepSpec
+
+        with open(args.spec) as handle, _usage_errors(args):
+            spec = SweepSpec.from_dict(json.load(handle))
+    else:
+        spec = _grid_spec(
+            args, ("none", "all") if args.optimized else ("none",)
+        )
+    points = spec.points()
+    print(f"sweep: {len(points)} points, {args.workers} worker(s), "
+          f"cache {'off' if args.no_cache else args.cache_dir}")
+
+    def per_point(done, total, outcome, telemetry):
         if not args.live:
             tag = "cache" if outcome.cached else outcome.status
             print(f"  [{done:>{len(str(total))}}/{total}] "
@@ -626,19 +626,12 @@ def _cmd_sweep(args) -> int:
                   f"(cache {telemetry.from_cache}, "
                   f"failed {telemetry.failed})")
 
-    report = run_sweep(
-        spec,
-        workers=args.workers,
-        cache_dir=None if args.no_cache else args.cache_dir,
+    report = _run_grid(
+        args, spec, per_point,
         timeout=args.timeout,
         jsonl_path=args.out,
-        metrics_path=args.metrics_dir,
-        timeline_path=args.timeline_dir,
         timeline_window=args.timeline_window,
-        progress=progress,
-        heartbeat=telemetry.on_heartbeat if args.live else None,
     )
-    telemetry.close()
 
     skip = ""
     if report.skipped_cycles:
@@ -672,111 +665,63 @@ def _cmd_sweep(args) -> int:
     return 1 if report.failed else 0
 
 
-def _report_rows(records) -> "list":
-    """ResultRow list from (label, status, cached, result, error) tuples."""
-    from repro.analytics import ResultRow
+def _cmd_report(args) -> int:
+    import math
 
+    from repro.analytics import ReportBundle, ResultRow, RunStore, validate
+    from repro.analytics.validation import RunContext
+    from repro.sweep import SweepPoint, load_jsonl
+
+    # Both sources come down to JSONL records; only a live sweep knows
+    # which of them were cache hits and how long it took.
+    sweep_report = None
+    if args.from_jsonl:
+        records = load_jsonl(args.from_jsonl, strict=False)
+        cached = [False] * len(records)
+        title = f"repro report — {args.from_jsonl}"
+        wall = 0.0
+    else:
+        spec = _grid_spec(args)
+        print(f"report: sweeping {len(spec.points())} points, "
+              f"{args.workers} worker(s)")
+        sweep_report = _run_grid(args, spec)
+        outcomes = sweep_report.outcomes
+        records = [outcome.record(i) for i, outcome in enumerate(outcomes)]
+        cached = [outcome.cached for outcome in outcomes]
+        title = (
+            f"repro report — {args.apps} on {args.networks}, "
+            f"{args.nodes} nodes, {args.cycles} cycles"
+        )
+        wall = sweep_report.wall_seconds
     rows = []
-    for label, status, cached, result, error in records:
+    for rec, was_cached in zip(records, cached):
+        result = rec.get("result")
         ipc = latency = None
         if result is not None:
             cycles = result.get("cycles", 0)
             ipc = result["instructions"] / cycles if cycles else 0.0
             latency = result["latency_breakdown"]["total"]
         rows.append(ResultRow(
-            label=label, status=status, cached=cached,
-            ipc=ipc, latency=latency, error=error,
+            label=SweepPoint.from_dict(rec["point"]).label(),
+            status=rec["status"], cached=was_cached,
+            ipc=ipc, latency=latency, error=rec.get("error"),
         ))
-    return rows
-
-
-def _cmd_report(args) -> int:
-    import math
-
-    from repro.analytics import (
-        ReportBundle,
-        RunStore,
-        SweepTelemetry,
-        validate,
-    )
-    from repro.analytics.validation import RunContext
-    from repro.sweep import SweepPoint, SweepSpec, load_jsonl, run_sweep
-
-    sweep_report = None
-    if args.from_jsonl:
-        records = load_jsonl(args.from_jsonl, strict=False)
-        rows = _report_rows(
-            (
-                SweepPoint.from_dict(rec["point"]).label(),
-                rec["status"],
-                False,
-                rec.get("result"),
-                rec.get("error"),
-            )
-            for rec in records
-        )
-        context = RunContext(tuple(
-            (rec["point"], rec["result"]) for rec in records
-            if rec.get("status") == "ok" and rec.get("result") is not None
-        ))
-        title = f"repro report — {args.from_jsonl}"
-        wall = 0.0
-    else:
-        spec = SweepSpec(
-            apps=tuple(_csv(args.apps)),
-            networks=tuple(_csv(args.networks)),
-            nodes=tuple(int(n) for n in _csv(args.nodes)),
-            seeds=tuple(int(s) for s in _csv(args.seeds)),
-            cycles=args.cycles,
-        )
-        points = spec.points()
-        print(f"report: sweeping {len(points)} points, "
-              f"{args.workers} worker(s)")
-        telemetry = SweepTelemetry(
-            total=len(points), workers=args.workers, live=args.live
-        )
-        sweep_report = run_sweep(
-            spec,
-            workers=args.workers,
-            cache_dir=None if args.no_cache else args.cache_dir,
-            metrics_path=args.metrics_dir,
-            timeline_path=args.timeline_dir,
-            progress=telemetry.on_progress,
-            heartbeat=telemetry.on_heartbeat if args.live else None,
-        )
-        telemetry.close()
-        rows = _report_rows(
-            (
-                outcome.point.label(),
-                outcome.status,
-                outcome.cached,
-                outcome.result,
-                outcome.error,
-            )
-            for outcome in sweep_report.outcomes
-        )
-        context = RunContext.from_outcomes(sweep_report.outcomes)
-        title = (
-            f"repro report — {args.apps} on {args.networks}, "
-            f"{args.nodes} nodes, {args.cycles} cycles"
-        )
-        wall = sweep_report.wall_seconds
+    context = RunContext(tuple(
+        (rec["point"], rec["result"]) for rec in records
+        if rec.get("status") == "ok" and rec.get("result") is not None
+    ))
 
     run_info = diff = None
     if args.ledger:
         with RunStore(args.ledger) as store:
-            if sweep_report is not None:
-                run_info = store.ingest_report(
-                    sweep_report, label=args.label,
-                    metrics_dir=args.metrics_dir,
-                    timeline_dir=args.timeline_dir,
-                )
-            else:
-                run_info = store.ingest_jsonl(
-                    args.from_jsonl, label=args.label,
-                    metrics_dir=args.metrics_dir,
-                    timeline_dir=args.timeline_dir,
-                )
+            ingest, source = (
+                (store.ingest_jsonl, args.from_jsonl) if sweep_report is None
+                else (store.ingest_report, sweep_report)
+            )
+            run_info = ingest(
+                source, label=args.label,
+                metrics_dir=args.metrics_dir, timeline_dir=args.timeline_dir,
+            )
             if args.diff:
                 older = [
                     run for run in store.runs()
@@ -810,61 +755,6 @@ def _cmd_report(args) -> int:
         print(f"report written to {args.out}")
     failed_points = sum(1 for row in rows if row.status != "ok")
     return 1 if (not bundle.validation.ok or failed_points) else 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.analytics import (
-        compare_snapshots,
-        load_snapshot,
-        previous_snapshot,
-        run_bench,
-    )
-    from repro.analytics.bench import MACRO_CYCLES, MICRO_CYCLES
-
-    if args.snapshot:
-        current = load_snapshot(args.snapshot)
-        print(f"bench: loaded snapshot {args.snapshot} (sha {current.sha})")
-    else:
-        micro = args.micro_cycles or MICRO_CYCLES
-        macro = args.macro_cycles or MACRO_CYCLES
-        print(f"bench: running pinned suite (micro {micro} cycles, "
-              f"macro {macro} cycles, {args.workers} worker(s))")
-        current = run_bench(
-            micro_cycles=micro, macro_cycles=macro, workers=args.workers
-        )
-        for metric, value in sorted(current.metrics.items()):
-            print(f"  {metric:<38} {value:>12.4g}")
-        if not args.no_write:
-            path = current.write(args.root)
-            print(f"  snapshot -> {path}")
-
-    if not args.compare:
-        return 0
-    if args.against:
-        previous = load_snapshot(args.against)
-    else:
-        previous = previous_snapshot(args.root, exclude_sha=current.sha)
-    if previous is None:
-        print("bench: no previous snapshot to compare against")
-        return 0
-    comparison = compare_snapshots(
-        current, previous, threshold=args.threshold
-    )
-    print(comparison.render())
-    return 0 if comparison.ok else 1
-
-
-def _traced_config(args) -> "CmpConfig":
-    optimizations = (
-        OptimizationConfig.all() if args.optimized else OptimizationConfig.none()
-    )
-    return CmpConfig(
-        num_nodes=args.nodes,
-        app=args.app,
-        network=args.network,
-        optimizations=optimizations,
-        seed=args.seed,
-    )
 
 
 def _trace_summary(tracer) -> str:
@@ -907,7 +797,7 @@ def _cmd_trace(args) -> int:
     )
     with tracing(capacity=args.buffer, categories=categories) as tracer, \
             timeline_ctx as timeline:
-        system = CmpSystem(_traced_config(args))
+        system = _build_system(args)
         result = system.run(args.cycles)
     filters = {}
     if args.node is not None:
@@ -916,8 +806,7 @@ def _cmd_trace(args) -> int:
         filters["lane"] = args.lane
     counters = timeline.counter_events() if timeline is not None else None
     written = tracer.write_jsonl(args.out, extra=counters, **filters)
-    print(f"{args.app} on {args.network}, {args.nodes} nodes, "
-          f"{args.cycles} cycles: {result.packets_delivered:,} packets")
+    print(f"{_headline(args)}: {result.packets_delivered:,} packets")
     print(f"  trace         {written:,} events -> {args.out} "
           f"({tracer.emitted:,} emitted, {tracer.dropped:,} dropped)")
     for cat, count in tracer.category_counts().items():
@@ -948,7 +837,7 @@ def _cmd_profile(args) -> int:
     from repro.obs import profiling
 
     with profiling() as profiler:
-        result = CmpSystem(_traced_config(args)).run(args.cycles)
+        result = _build_system(args).run(args.cycles)
     if args.json:
         print(json.dumps(
             {
@@ -968,21 +857,27 @@ def _cmd_profile(args) -> int:
             sort_keys=True,
         ))
         return 0
-    print(f"{args.app} on {args.network}, {args.nodes} nodes, "
-          f"{args.cycles} cycles: IPC {result.ipc:.3f}, "
+    print(f"{_headline(args)}: IPC {result.ipc:.3f}, "
           f"{result.packets_delivered:,} packets")
     print(profiler.render())
     return 0
 
 
-def _window(parts: list[str], what: str) -> tuple[int, "int | None"]:
-    """Parse the optional ``[:START[:END]]`` tail of a fault flag."""
+def _fault_fields(flag: str, shape: str, spec: str, *kinds) -> tuple:
+    """One ``FIELD[:FIELD...][:START[:END]]`` fault-flag value: the
+    leading fields converted by ``kinds``, then the optional window."""
+    parts = spec.split(":")
+    if len(parts) < len(kinds):
+        raise SystemExit(f"repro faults: {flag} wants {shape}, got {spec!r}")
+    window = parts[len(kinds):]
     try:
-        start = int(parts[0]) if len(parts) > 0 and parts[0] else 0
-        end = int(parts[1]) if len(parts) > 1 and parts[1] else None
+        return (
+            *(kind(part) for kind, part in zip(kinds, parts)),
+            int(window[0]) if len(window) > 0 and window[0] else 0,
+            int(window[1]) if len(window) > 1 and window[1] else None,
+        )
     except ValueError as exc:
-        raise SystemExit(f"repro faults: bad {what} window: {exc}")
-    return start, end
+        raise ValueError(f"bad {flag} value {spec!r}: {exc}") from None
 
 
 def _faults_plan(args) -> "FaultPlan":
@@ -1003,64 +898,48 @@ def _faults_plan(args) -> "FaultPlan":
 
     lane_faults = []
     for spec in args.kill:
-        parts = spec.split(":")
-        if len(parts) < 2:
-            raise SystemExit(f"repro faults: --kill wants NODE:LANE, got {spec!r}")
-        start, end = _window(parts[2:], "--kill")
-        lane_faults.append(
-            LaneFault(node=int(parts[0]), lane=parts[1], start=start, end=end)
+        node, lane, start, end = _fault_fields(
+            "--kill", "NODE:LANE", spec, int, str
         )
+        lane_faults.append(LaneFault(node=node, lane=lane, start=start, end=end))
     receiver_faults = []
     for spec in args.kill_receiver:
-        parts = spec.split(":")
-        if len(parts) < 3:
-            raise SystemExit(
-                f"repro faults: --kill-receiver wants NODE:LANE:RX, got {spec!r}"
-            )
-        start, end = _window(parts[3:], "--kill-receiver")
-        receiver_faults.append(
-            ReceiverFault(
-                node=int(parts[0]), lane=parts[1], receiver=int(parts[2]),
-                start=start, end=end,
-            )
+        node, lane, receiver, start, end = _fault_fields(
+            "--kill-receiver", "NODE:LANE:RX", spec, int, str, int
         )
+        receiver_faults.append(ReceiverFault(
+            node=node, lane=lane, receiver=receiver, start=start, end=end
+        ))
     droops = []
     for spec in args.droop:
-        parts = spec.split(":")
-        start, end = _window(parts[1:], "--droop")
-        droops.append(
-            ThermalDroop(
-                droop_db=float(parts[0]), node=args.droop_node,
-                start=start, end=end,
-            )
-        )
+        droop_db, start, end = _fault_fields("--droop", "DB", spec, float)
+        droops.append(ThermalDroop(
+            droop_db=droop_db, node=args.droop_node, start=start, end=end
+        ))
     bursts = []
     for spec in args.burst:
-        parts = spec.split(":")
-        start, end = _window(parts[1:], "--burst")
-        bursts.append(ErrorBurst(rate=float(parts[0]), start=start, end=end))
+        rate, start, end = _fault_fields("--burst", "RATE", spec, float)
+        bursts.append(ErrorBurst(rate=rate, start=start, end=end))
     drops = []
     if args.drop_confirmations > 0.0:
         drops.append(ConfirmationDrop(rate=args.drop_confirmations))
-    try:
-        return FaultPlan(
-            label="cli",
-            lane_faults=tuple(lane_faults),
-            receiver_faults=tuple(receiver_faults),
-            droops=tuple(droops),
-            bursts=tuple(bursts),
-            confirmation_drops=tuple(drops),
-            giveup_retries=args.giveup,
-            seed=args.fault_seed,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro faults: {exc}")
+    return FaultPlan(
+        label="cli",
+        lane_faults=tuple(lane_faults),
+        receiver_faults=tuple(receiver_faults),
+        droops=tuple(droops),
+        bursts=tuple(bursts),
+        confirmation_drops=tuple(drops),
+        giveup_retries=args.giveup,
+        seed=args.fault_seed,
+    )
 
 
 def _cmd_faults(args) -> int:
     import json
 
-    plan = _faults_plan(args)
+    with _usage_errors(args):
+        plan = _faults_plan(args)
     if plan.is_empty():
         raise SystemExit(
             "repro faults: empty plan — give at least one of --plan, --kill, "
@@ -1072,18 +951,7 @@ def _cmd_faults(args) -> int:
             handle.write("\n")
         print(f"plan saved to {args.save_plan}")
 
-    optimizations = (
-        OptimizationConfig.all() if args.optimized else OptimizationConfig.none()
-    )
-    config = CmpConfig(
-        num_nodes=args.nodes,
-        app=args.app,
-        network="fsoi",
-        optimizations=optimizations,
-        faults=plan,
-        seed=args.seed,
-    )
-    system = CmpSystem(config)
+    system = _build_system(args, faults=plan)
     want_health = args.health or args.strict_health
     timeline = None
     if want_health:
@@ -1094,8 +962,7 @@ def _cmd_faults(args) -> int:
     else:
         result = system.run(args.cycles)
 
-    print(f"{args.app} on fsoi, {args.nodes} nodes, {args.cycles} cycles, "
-          f"plan {plan.content_hash()}:")
+    print(f"{_headline(args)}, plan {plan.content_hash()}:")
     for line in plan.describe().splitlines():
         print(f"  {line}")
     print(f"  instructions  {result.instructions:,}  (IPC {result.ipc:.3f})")
@@ -1115,18 +982,7 @@ def _cmd_faults(args) -> int:
     if args.metrics:
         system.metrics_registry().write(args.metrics)
         print(f"  metrics       {args.metrics}")
-    if want_health:
-        from repro.obs import check_health, render_health
-
-        events = check_health(system=system, timeline=timeline)
-        result.health = [event.to_dict() for event in events]
-        for line in render_health(events).splitlines():
-            print(f"  {line}")
-        if args.strict_health and events:
-            print(f"repro faults: --strict-health: {len(events)} health "
-                  "event(s) — failing")
-            return 1
-    return 0
+    return _print_health(args, system, timeline, result) if want_health else 0
 
 
 def _timeline_view(timeline) -> tuple[dict, list, dict]:
@@ -1159,7 +1015,6 @@ def _render_top_frame(
     target_cycles: "int | None" = None,
     elapsed: "float | None" = None,
     rows: int = 12,
-    width: int = 32,
 ) -> str:
     """One ``repro top`` dashboard frame (no trailing newline)."""
     from repro.analytics import format_eta
@@ -1198,7 +1053,7 @@ def _render_top_frame(
         values = columns[path]
         lines.append(
             f"  {path:<{label_width}} {values[-1]:>12,.6g} "
-            f"{totals[path]:>14,.6g}  {sparkline(values, width=width)}"
+            f"{totals[path]:>14,.6g}  {sparkline(values, width=32)}"
         )
     hidden = len(columns) - len(shown)
     if hidden > 0:
@@ -1230,7 +1085,7 @@ def _cmd_top(args) -> int:
         print(_render_top_frame(timeline, events, rows=args.rows))
         return 0
 
-    system = CmpSystem(_traced_config(args))
+    system = _build_system(args)
     paths = _csv(args.paths) if args.paths else None
     # Slices stay window-aligned, so the sampled cycles (and any --out
     # archive) are byte-identical to a single uninterrupted run.
@@ -1238,28 +1093,26 @@ def _cmd_top(args) -> int:
     started = time.perf_counter()
     events: list = []
     with timelining(window=args.window, paths=paths) as timeline:
+
+        def frame() -> str:
+            return _render_top_frame(
+                timeline, events,
+                target_cycles=args.cycles,
+                elapsed=time.perf_counter() - started,
+                rows=args.rows,
+            )
+
         try:
             while system.cycle < args.cycles:
                 system.run(min(chunk, args.cycles - system.cycle))
                 events = check_health(system=system, timeline=timeline)
                 if not args.once:
-                    frame = _render_top_frame(
-                        timeline, events,
-                        target_cycles=args.cycles,
-                        elapsed=time.perf_counter() - started,
-                        rows=args.rows,
-                    )
-                    sys.stdout.write("\x1b[H\x1b[2J" + frame + "\n")
+                    sys.stdout.write("\x1b[H\x1b[2J" + frame() + "\n")
                     sys.stdout.flush()
         except KeyboardInterrupt:
             print()
     if args.once:
-        print(_render_top_frame(
-            timeline, events,
-            target_cycles=args.cycles,
-            elapsed=time.perf_counter() - started,
-            rows=args.rows,
-        ))
+        print(frame())
     if args.out:
         windows = timeline.write_jsonl(args.out)
         print(f"timeline: {windows} windows -> {args.out}")
@@ -1282,33 +1135,9 @@ def _cmd_thermal(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "link":
-            return _cmd_link()
-        if args.command == "config":
-            return _cmd_config(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "top":
-            return _cmd_top(args)
-        if args.command == "faults":
-            return _cmd_faults(args)
-        if args.command == "thermal":
-            return _cmd_thermal(args)
+        return args.func(args)
     except BrokenPipeError:  # pragma: no cover - e.g. `repro link | head`
         return 0
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

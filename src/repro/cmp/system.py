@@ -23,7 +23,6 @@ simulator.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -112,8 +111,8 @@ class CmpConfig:
     warm_start: bool = True
     #: Next-event fast-forward: jump over cycles where no subsystem can
     #: change state (docs/performance.md).  Results are bit-identical
-    #: either way; disable here (or via REPRO_NO_FASTFORWARD=1) only to
-    #: cross-check or to step the naive loop under a debugger.
+    #: either way; disable only to cross-check or to step the naive
+    #: loop under a debugger.
     fast_forward: bool = True
     seed: int = 0
 
@@ -174,9 +173,7 @@ class CmpSystem:
         self.executed_cycles = 0
         self.skipped_cycles = 0
         self._due = self._calendar._heap  # cached guard (never rebound)
-        self._fast_forward = config.fast_forward and os.environ.get(
-            "REPRO_NO_FASTFORWARD", ""
-        ) in ("", "0")
+        self._fast_forward = config.fast_forward
         self._overflow_active: set[int] = set()  # nodes with queued packets
         # Per-system packet ids: the global default factory in
         # :class:`Packet` depends on process history, which would make

@@ -1,28 +1,40 @@
-"""The ``repro report`` / ``repro bench`` / ``repro sweep --live`` CLI."""
+"""The ``repro report`` / ``repro sweep --live`` CLI, and the parser
+surface of every command.
 
+``tests/data/cli_surface.json`` pins, per command and per option, what
+``build_parser`` declares (option strings, dest, default, type name,
+choices, nargs, metavar, help).  It was recorded at 47783e6, before the
+flag families of ``repro.cli`` were folded into shared parent parsers,
+and re-recorded once for the numeric types that now reject
+non-positive values::
+
+    PYTHONPATH=src python -m pytest tests/analytics/test_cli.py \\
+        -k test_cli_surface_matches_pin --update-golden
+"""
+
+import argparse
 import json
+import re
+from pathlib import Path
 
-from repro.analytics import BenchSnapshot
+import pytest
+
+import repro.analytics
+import repro.cli
 from repro.cli import build_parser, main
+
+SURFACE_PATH = Path(__file__).parents[1] / "data" / "cli_surface.json"
+
+COMMANDS = (
+    "link", "config", "run", "compare", "sweep", "report",
+    "trace", "profile", "top", "faults", "thermal",
+)
 
 
 def _write_jsonl(report, path):
     with open(path, "w") as handle:
         for index, outcome in enumerate(report.outcomes):
             handle.write(json.dumps(outcome.record(index)) + "\n")
-    return path
-
-
-def _write_snapshot(path, sha="base", scale=1.0):
-    snap = BenchSnapshot(
-        sha=sha, code_version="v1",
-        created_at="2026-01-01T00:00:00+00:00", python="3.x",
-        metrics={
-            "sweep.cold_seconds": 1.0 * scale,
-            "profile.fsoi.cycles_per_sec": 1000.0 / scale,
-        },
-    )
-    path.write_text(json.dumps(snap.to_dict()))
     return path
 
 
@@ -83,60 +95,6 @@ class TestReportCli:
         assert args.ledger == ".repro-ledger.sqlite"
 
 
-class TestBenchCli:
-    def test_doctored_slowdown_fails_the_gate(self, tmp_path, capsys):
-        base = _write_snapshot(tmp_path / "base.json", sha="base")
-        slow = _write_snapshot(tmp_path / "slow.json", sha="slow", scale=1.5)
-        code = main([
-            "bench", "--snapshot", str(slow),
-            "--compare", "--against", str(base),
-        ])
-        printed = capsys.readouterr().out
-        assert code == 1
-        assert "REGRESSED" in printed
-        assert "FAIL" in printed
-
-    def test_identical_snapshots_pass(self, tmp_path, capsys):
-        base = _write_snapshot(tmp_path / "base.json")
-        code = main([
-            "bench", "--snapshot", str(base),
-            "--compare", "--against", str(base),
-        ])
-        assert code == 0
-        assert "PASS" in capsys.readouterr().out
-
-    def test_threshold_flag_tightens_the_gate(self, tmp_path, capsys):
-        base = _write_snapshot(tmp_path / "base.json", sha="base")
-        slow = _write_snapshot(tmp_path / "slow.json", sha="slow", scale=1.1)
-        args = ["bench", "--snapshot", str(slow),
-                "--compare", "--against", str(base)]
-        assert main(args) == 0
-        assert main(args + ["--threshold", "0.05"]) == 1
-        capsys.readouterr()
-
-    def test_compare_without_baseline_is_not_an_error(
-        self, tmp_path, capsys
-    ):
-        snap = _write_snapshot(tmp_path / "only.json")
-        code = main([
-            "bench", "--snapshot", str(snap), "--compare",
-            "--root", str(tmp_path / "empty"),
-        ])
-        assert code == 0
-        assert "no previous snapshot" in capsys.readouterr().out
-
-    def test_tiny_real_suite_writes_snapshot(self, tmp_path, capsys):
-        code = main([
-            "bench", "--micro-cycles", "100", "--macro-cycles", "100",
-            "--root", str(tmp_path),
-        ])
-        assert code == 0
-        (path,) = tmp_path.glob("BENCH_*.json")
-        snapshot = json.loads(path.read_text())
-        assert snapshot["metrics"]["sweep.cache_hit_rate"] == 1.0
-        assert "snapshot ->" in capsys.readouterr().out
-
-
 class TestSweepLive:
     ARGS = ["sweep", "--apps", "ba", "--networks", "fsoi",
             "--cycles", "300", "--no-cache"]
@@ -152,3 +110,87 @@ class TestSweepLive:
         assert main(self.ARGS) == 0
         printed = capsys.readouterr().out
         assert "(cache 0, failed 0)" in printed
+
+
+def _subcommands():
+    (action,) = (
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return action
+
+
+def _surface(command):
+    """What ``repro <command> --help`` promises, as plain JSON."""
+    subcommands = _subcommands()
+    (listed,) = (c for c in subcommands._choices_actions if c.dest == command)
+    options = {}
+    for action in subcommands.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        options[action.option_strings[0]] = {
+            "option_strings": list(action.option_strings),
+            "dest": action.dest,
+            "default": action.default,
+            "type": getattr(action.type, "__name__", None),
+            "choices": None if action.choices is None else list(action.choices),
+            "nargs": action.nargs,
+            "metavar": action.metavar,
+            "help": action.help,
+        }
+    return {"help": listed.help, "options": options}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_surface_matches_pin(command, request):
+    surface = _surface(command)
+    pins = json.loads(SURFACE_PATH.read_text()) if SURFACE_PATH.exists() else {}
+    if request.config.getoption("--update-golden"):
+        pins[command] = surface
+        SURFACE_PATH.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
+        return
+    assert surface == pins[command], (
+        f"`repro {command}` no longer declares what {SURFACE_PATH.name} "
+        "pins; if the change is intentional, re-record with --update-golden"
+    )
+
+
+def test_bench_command_is_gone(capsys):
+    """Schema 1 left no alias behind: perfbench/ is the one benchmark."""
+    assert sorted(_subcommands().choices) == sorted(COMMANDS)
+    with pytest.raises(SystemExit) as raised:
+        main(["bench"])
+    assert raised.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    assert not [
+        name for name in repro.analytics.__all__
+        if "bench" in name.lower() or "snapshot" in name.lower()
+    ]
+
+
+def test_docstring_lists_every_command():
+    _, _, commands = repro.cli.__doc__.partition("Commands\n--------\n")
+    listed = re.findall(r"^``(\w+)", commands, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(_subcommands().choices)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--nodes", "3"],
+    ["run", "--timeline-window", "0", "--timeline", "t.jsonl"],
+    ["sweep", "--apps", "zz"],
+    ["sweep", "--workers", "0"],
+    ["trace", "--buffer", "0"],
+    ["faults", "--kill", "99:data"],
+    ["run", "--cycles", "-5"],
+], ids=" ".join)
+def test_bad_arguments_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert re.fullmatch(
+        rf"repro {argv[0]}: error: .+", captured.err.splitlines()[-1]
+    )
+    assert not list(tmp_path.iterdir())

@@ -5,8 +5,8 @@ measured quantity: a fast-forwarded run and a naive cycle-by-cycle run
 of the same configuration produce byte-identical ``CmpResults`` (minus
 the ``loop`` accounting field, which exists to describe the difference)
 and identical metrics-registry snapshots.  These tests pin that down
-across networks, seeds, system sizes and fault plans, plus the two
-escape hatches (``CmpConfig.fast_forward`` and ``REPRO_NO_FASTFORWARD``).
+across networks, seeds, system sizes and fault plans, plus the one
+escape hatch (``CmpConfig.fast_forward``).
 
 The run-both-and-diff machinery lives in ``tests/conftest.py``.
 """
@@ -83,17 +83,6 @@ class TestEscapeHatches:
         ))
         result = system.run(1200)
         assert result.loop == {"executed_cycles": 1200, "skipped_cycles": 0}
-
-    def test_env_hatch_disables_skipping(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTFORWARD", "1")
-        system = CmpSystem(CmpConfig(app="lu", network="l0", num_nodes=16, seed=1))
-        result = system.run(1200)
-        assert result.loop == {"executed_cycles": 1200, "skipped_cycles": 0}
-
-    def test_env_hatch_zero_means_enabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTFORWARD", "0")
-        system = CmpSystem(CmpConfig(app="oc", network="l0", num_nodes=16, seed=1))
-        assert system.run(1200).loop["skipped_cycles"] > 0
 
 
 class TestCalendarClamps:
