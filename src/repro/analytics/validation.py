@@ -16,8 +16,9 @@ recorded in ``EXPERIMENTS.md``:
   numerical back-off model's prediction in ``[0.6, 2.2]``, with the
   same 60-cycle sanity ceiling (the paper's own agreement band is
   7.26 computed vs 6.8–9.6 simulated).
-* **Figures 6/7** — paired FSOI-over-mesh speedup geomeans (paper 1.36
-  at 16 nodes, 1.75 at 64; repo measures 1.29 / 1.53).
+* **Figures 6/7** — paired FSOI-over-mesh speedup geomeans of the
+  un-optimized, fault-free FSOI points (paper 1.36 at 16 nodes, 1.75
+  at 64; repo measures 1.29 / 1.53).
 * **Figure 8** — network-energy ratio mesh/FSOI (paper ~20x, repo
   18–25x) and total-energy ratio FSOI/mesh (paper 40.6% saving, repo
   25–44%).
@@ -39,6 +40,7 @@ from repro.core.analytical import collision_probability, resolution_delay
 from repro.core.backoff import BackoffPolicy
 from repro.core.lanes import LaneConfig
 from repro.net.packet import LaneKind
+from repro.sweep.spec import pair_points
 
 __all__ = [
     "BandCheck",
@@ -91,40 +93,32 @@ class RunContext:
     def paired_speedups(self, nodes: Optional[int] = None,
                         network: str = "fsoi",
                         baseline: str = "mesh") -> list[float]:
-        """IPC ratios paired on every axis but the network."""
-        def pair_key(point):
-            return (
-                point["app"], point["num_nodes"], point["cycles"],
-                point["seed"], point.get("variant", ""),
-            )
-
+        """IPC ratios of the un-optimized, fault-free ``network`` points
+        over their baseline partners (:func:`repro.sweep.pair_points`)."""
         def ipc(result):
             return result["instructions"] / result["cycles"]
 
-        fast = {pair_key(p): r for p, r in self.results(network, nodes)}
-        base = {pair_key(p): r for p, r in self.results(baseline, nodes)}
         return [
-            ipc(fast[key]) / ipc(base[key])
-            for key in sorted(set(fast) & set(base))
-            if ipc(base[key]) > 0
+            ipc(fast) / ipc(base)
+            for fast, base in pair_points(
+                self.results(nodes=nodes), network, baseline
+            )
+            if ipc(base) > 0
         ]
 
     def energy_pairs(self, nodes: Optional[int] = None) -> list[tuple]:
-        """(fsoi EnergyReport, mesh EnergyReport) per shared point."""
+        """(fsoi EnergyReport, mesh EnergyReport) per un-optimized,
+        fault-free FSOI point and its mesh partner."""
         from repro.cmp.results import CmpResults
         from repro.power import SystemPowerModel
 
-        def pair_key(point):
-            return (point["app"], point["num_nodes"], point["cycles"],
-                    point["seed"], point.get("variant", ""))
-
         model = SystemPowerModel()
-        fsoi = {pair_key(p): r for p, r in self.results("fsoi", nodes)}
-        mesh = {pair_key(p): r for p, r in self.results("mesh", nodes)}
         return [
-            (model.report(CmpResults.from_dict(fsoi[key])),
-             model.report(CmpResults.from_dict(mesh[key])))
-            for key in sorted(set(fsoi) & set(mesh))
+            (model.report(CmpResults.from_dict(fsoi)),
+             model.report(CmpResults.from_dict(mesh)))
+            for fsoi, mesh in pair_points(
+                self.results(nodes=nodes), "fsoi", "mesh"
+            )
         ]
 
 

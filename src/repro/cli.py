@@ -603,6 +603,7 @@ def _run_grid(args, spec, per_point=None, **options) -> "SweepReport":
 
 
 def _cmd_sweep(args) -> int:
+    import itertools
     import json
 
     if args.spec:
@@ -648,12 +649,26 @@ def _cmd_sweep(args) -> int:
                   f"{result.latency_breakdown['total']:>8.2f}")
     networks = {point.network for point in points}
     if args.baseline in networks:
+        # One line per optimization set and fault plan: each pairs its
+        # own points with the baseline's.
         for network in sorted(networks - {args.baseline}):
-            try:
-                summary = report.paired_speedups(network, args.baseline)
-            except ValueError:
-                continue
-            print(f"  speedup {network} vs {args.baseline}: {summary}")
+            for opts, plan in itertools.product(
+                spec.optimizations, spec.faults
+            ):
+                try:
+                    summary = report.paired_speedups(
+                        network, args.baseline, optimizations=opts,
+                        faults=plan,
+                    )
+                except ValueError:
+                    continue
+                label = [network]
+                if opts and opts != "none":
+                    label.append(str(opts))
+                if not plan.is_empty():
+                    label.append(plan.label or "faults")
+                print(f"  speedup {'+'.join(label)} vs {args.baseline}: "
+                      f"{summary}")
     for outcome in report.outcomes:
         if not outcome.ok:
             print(f"  FAILED {outcome.point.label()}: {outcome.error}")

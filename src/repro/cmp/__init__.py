@@ -7,7 +7,7 @@ Figures 5–11 and Tables 3–4.
 """
 
 from repro.cmp.results import CmpResults
-from repro.cmp.sweep import SweepSummary, paired_speedups, sweep
+from repro.cmp.sweep import SweepSummary
 from repro.cmp.system import CmpConfig, CmpSystem, run_app
 
 __all__ = [
@@ -16,6 +16,4 @@ __all__ = [
     "CmpResults",
     "run_app",
     "SweepSummary",
-    "paired_speedups",
-    "sweep",
 ]

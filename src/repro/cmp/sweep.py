@@ -1,24 +1,21 @@
-"""Multi-seed experiment sweeps with summary statistics.
+"""Summary statistics of one scalar metric across sweep points.
 
 The paper reports single-run numbers; for a simulator with stochastic
 workloads it is good practice to run several seeds and report the
-spread.  :func:`sweep` runs a configuration over seeds and
-applications, and :class:`SweepSummary` reports mean / min / max /
-95%-confidence half-width of any scalar metric, including speedups
-paired by seed (the same seed drives the same workload stream through
-both networks, so pairing removes workload variance).
+spread.  :class:`SweepSummary` reports mean / min / max / 95%-confidence
+half-width of any scalar metric, including speedups paired by seed (the
+same seed drives the same workload stream through both networks, so
+pairing removes workload variance).  The sweeps themselves, and the
+pairing, live in :mod:`repro.sweep` (``run_sweep``,
+``SweepReport.paired_speedups``, ``pair_points``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
-from repro.cmp.results import CmpResults
-from repro.cmp.system import CmpConfig, CmpSystem
-
-__all__ = ["sweep", "paired_speedups", "SweepSummary"]
+__all__ = ["SweepSummary"]
 
 
 @dataclass(frozen=True)
@@ -69,57 +66,3 @@ class SweepSummary:
             f"[{self.minimum:.3f}, {self.maximum:.3f}] (n={self.count})"
         )
 
-
-def sweep(
-    app: str,
-    network: str,
-    seeds: Sequence[int],
-    num_nodes: int = 16,
-    cycles: int = 8000,
-    **config_kwargs,
-) -> list[CmpResults]:
-    """Run one configuration across ``seeds``; returns per-seed results."""
-    if not seeds:
-        raise ValueError("need at least one seed")
-    results = []
-    for seed in seeds:
-        config = CmpConfig(
-            num_nodes=num_nodes,
-            app=app,
-            network=network,
-            seed=seed,
-            **config_kwargs,
-        )
-        results.append(CmpSystem(config).run(cycles))
-    return results
-
-
-def paired_speedups(
-    app: str,
-    network: str,
-    baseline: str,
-    seeds: Sequence[int],
-    num_nodes: int = 16,
-    cycles: int = 8000,
-    **config_kwargs,
-) -> SweepSummary:
-    """Seed-paired speedup of ``network`` over ``baseline``.
-
-    Pairing by seed cancels workload randomness: both runs of a pair see
-    the identical operation stream.
-    """
-    fast = sweep(app, network, seeds, num_nodes, cycles, **config_kwargs)
-    base = sweep(app, baseline, seeds, num_nodes, cycles, **config_kwargs)
-    return SweepSummary(
-        tuple(f.ipc / b.ipc for f, b in zip(fast, base))
-    )
-
-
-def summarize(
-    results: Sequence[CmpResults], metric: Callable[[CmpResults], float]
-) -> SweepSummary:
-    """Summary of any scalar extracted from a result list.
-
-    >>> # summarize(runs, lambda r: r.latency_breakdown["total"])
-    """
-    return SweepSummary(tuple(metric(result) for result in results))

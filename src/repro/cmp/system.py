@@ -29,7 +29,7 @@ from functools import partial
 from heapq import heappush
 from time import perf_counter
 from types import MethodType
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.coherence.directory import DirectoryConfig, DirectoryController
 from repro.coherence.l1 import L1Config, L1Controller
@@ -76,6 +76,21 @@ NETWORK_KINDS = ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
 #: nothing queued behind it.  Shared so ``_send_from`` does not allocate
 #: a deque for the common line that never queues a second message.
 _LINE_IN_FLIGHT: tuple = ()
+
+
+def _timed(phase: str, step: Callable) -> Callable:
+    """``step`` with its wall time charged to profiler phase ``phase``,
+    net of the nested coherence dispatch ``_deliver`` charges itself."""
+    add, charged = PROFILER.add, PROFILER.phase_seconds
+
+    def timed(*args):
+        coherence = charged("coherence")
+        t0 = perf_counter()
+        out = step(*args)
+        add(phase, perf_counter() - t0 - (charged("coherence") - coherence))
+        return out
+
+    return timed
 
 
 @dataclass(frozen=True)
@@ -241,6 +256,16 @@ class CmpSystem:
             for node in range(n)
         ]
         self._controllers = tuple(self.memory.values())
+        # One cycle, in order: tick() runs these steps, and the profiled
+        # loop times the same rows under these phase names.
+        self._phases = (
+            ("calendar", self._calendar.run_due),
+            ("overflow", self._drain_overflow),
+            ("memory", self._tick_memory),
+            ("network", self.network.tick),
+            ("cores", self._due_cores.tick),
+        )
+        self._steps = tuple(step for _phase, step in self._phases)
         if opts.llsc_subscription:
             self.sync.on_barrier_release = self._signal_barrier_release
             self.sync.on_lock_release = self._signal_lock_release
@@ -573,24 +598,14 @@ class CmpSystem:
     # the simulation loop
     # ------------------------------------------------------------------
 
-    def tick(self) -> None:
-        if PROFILER.enabled:
-            self._tick_profiled()
-            return
+    def tick(self, steps: Optional[tuple] = None) -> None:
+        """Execute one cycle: the phase table's steps (or ``steps``, the
+        profiled loop's timed copies of them), in order."""
         cycle = self.cycle
         if TRACE.enabled:
             TRACE.cycle = cycle
-        if TIMELINE.enabled:
-            TIMELINE.on_tick(self)
-        due = self._due
-        if due and due[0][0] <= cycle:
-            self._calendar.run_due(cycle)  # due events
-        if self._overflow_active:
-            self._drain_overflow(cycle)
-        for controller in self._controllers:
-            controller.tick(cycle)
-        self.network.tick(cycle)
-        self._due_cores.tick(cycle)
+        for step in steps or self._steps:
+            step(cycle)
         self.executed_cycles += 1
         self.cycle = cycle + 1
 
@@ -598,6 +613,8 @@ class CmpSystem:
         # Node order matters for injection fairness; only nodes with a
         # backed-up queue are visited (the naive sweep's empty-queue
         # iterations were pure overhead).
+        if not self._overflow_active:
+            return
         for node in sorted(self._overflow_active):
             queue = self._overflow[node]
             while queue and self.network.try_send(queue[0], cycle):
@@ -605,47 +622,9 @@ class CmpSystem:
             if not queue:
                 self._overflow_active.discard(node)
 
-    def _tick_profiled(self) -> None:
-        """The :meth:`tick` body with per-subsystem wall-time attribution.
-
-        Kept as a separate method so the common (profiling-off) path
-        pays nothing; the subsystem order must mirror :meth:`tick`.
-        """
-        cycle = self.cycle
-        if TRACE.enabled:
-            TRACE.cycle = cycle
-        if TIMELINE.enabled:
-            TIMELINE.on_tick(self)
-        # Coherence dispatch runs *inside* the calendar window (local
-        # completions) and the network window (packet deliveries); the
-        # dispatch sites accrue against "coherence" and the enclosing
-        # windows subtract the delta, so handler cost is attributed to
-        # the protocol rather than lumped into transport.
-        t0 = perf_counter()
-        coh0 = PROFILER.phase_seconds("coherence")
-        due = self._due
-        if due and due[0][0] <= cycle:
-            self._calendar.run_due(cycle)  # due events
-        t1 = perf_counter()
-        coh1 = PROFILER.phase_seconds("coherence")
-        PROFILER.add("calendar", (t1 - t0) - (coh1 - coh0))
-        if self._overflow_active:
-            self._drain_overflow(cycle)
-        t2 = perf_counter()
-        PROFILER.add("overflow", t2 - t1)
+    def _tick_memory(self, cycle: int) -> None:
         for controller in self._controllers:
             controller.tick(cycle)
-        t3 = perf_counter()
-        PROFILER.add("memory", t3 - t2)
-        self.network.tick(cycle)
-        t4 = perf_counter()
-        coh2 = PROFILER.phase_seconds("coherence")
-        PROFILER.add("network", (t4 - t3) - (coh2 - coh1))
-        self._due_cores.tick(cycle)
-        PROFILER.add("cores", perf_counter() - t4)
-        PROFILER.cycle_done()
-        self.executed_cycles += 1
-        self.cycle = cycle + 1
 
     # -- next-event fast-forward (docs/performance.md) ------------------
 
@@ -692,17 +671,6 @@ class CmpSystem:
                 return cycle
             if horizon is None or c < horizon:
                 horizon = c
-        if TIMELINE.enabled:
-            # Cap the jump at the next window boundary so samples land
-            # on the same cycles whether or not the loop fast-forwards.
-            # Only the loop executed/skipped split changes — results
-            # stay bit-identical (any prefix of a legal jump is legal).
-            c = TIMELINE.due_cycle(self)
-            if c is not None:
-                if c <= cycle:
-                    return cycle
-                if horizon is None or c < horizon:
-                    horizon = c
         return horizon
 
     def _skip_to(self, end: int) -> None:
@@ -712,8 +680,8 @@ class CmpSystem:
         over ``[cycle, end)`` is applied in bulk: the network's
         elapsed-slot tallies here, the cores' stall/sync counters by
         the cores themselves (they charge elapsed cycles at their next
-        transition or read, jumped or not).  Tracing and profiling
-        record the span instead of inhibiting the skip.
+        transition or read, jumped or not).  Tracing records the span
+        instead of inhibiting the skip.
         """
         start = self.cycle
         gap = end - start
@@ -724,37 +692,54 @@ class CmpSystem:
         if TRACE.enabled:
             TRACE.cycle = start
             TRACE.emit("fast_forward", cat="loop", cycle=start, dur=gap)
-        if PROFILER.enabled:
-            PROFILER.skip(gap)
         self.cycle = end
 
-    def _step(self, target: int) -> None:
-        """Advance by one tick or one fast-forward jump, capped at
-        ``target`` (exclusive)."""
-        if PROFILER.enabled:
-            t0 = perf_counter()
-            horizon = self._next_event()
-            PROFILER.add("horizon", perf_counter() - t0)
-        else:
-            horizon = self._next_event()
-        if horizon is None:
-            self._skip_to(target)
-        elif horizon > self.cycle:
-            self._skip_to(min(horizon, target))
-        else:
-            self.tick()
+    def _advance(
+        self, target: int, done: Optional[Callable[[], bool]] = None
+    ) -> bool:
+        """The simulation loop: step the clock up to ``target``.
+
+        A step is a tick or, with fast-forward on, a jump to the event
+        horizon capped at the segment end.  ``done`` is checked before
+        each step; returns whether it stopped the loop.  Observation
+        reads the loop rather than forking it: a segment ends at the
+        timeline's next window boundary, which is sampled when the clock
+        lands there, and the profiler's timed steps are picked once.
+        """
+        tick, next_event = self.tick, self._next_event
+        profiled = PROFILER.enabled
+        if profiled:
+            tick = partial(tick, tuple(_timed(*row) for row in self._phases))
+            next_event = _timed("horizon", next_event)
+            executed, skipped = self.executed_cycles, self.skipped_cycles
+        timeline = TIMELINE if TIMELINE.enabled and TIMELINE.attach(self) else None
+        fast_forward = self._fast_forward
+        stopped = False
+        while self.cycle < target and not stopped:
+            end = target if timeline is None else min(target, timeline.next_due)
+            while self.cycle < end:
+                if done is not None and done():
+                    break
+                if fast_forward:
+                    horizon = next_event()
+                    if horizon is None:
+                        self._skip_to(end)
+                        continue
+                    if horizon > self.cycle:
+                        self._skip_to(min(horizon, end))
+                        continue
+                tick()
+            stopped = self.cycle < end
+            if timeline is not None:
+                timeline.sample(self.cycle)
+        if profiled:
+            PROFILER.cycles += self.executed_cycles - executed
+            PROFILER.skipped += self.skipped_cycles - skipped
+        return stopped
 
     def run(self, cycles: int) -> CmpResults:
         """Simulate ``cycles`` cycles and collect the results."""
-        target = self.cycle + cycles
-        if self._fast_forward:
-            while self.cycle < target:
-                self._step(target)
-        else:
-            while self.cycle < target:
-                self.tick()
-        if TIMELINE.enabled:
-            TIMELINE.on_run_end(self)  # final (possibly partial) window
+        self._advance(self.cycle + cycles)
         return self._results()
 
     def run_until_instructions(
@@ -767,23 +752,18 @@ class CmpSystem:
         two configurations is then their cycle-count ratio, identical
         to the IPC ratio only in steady state.
 
-        The fast-forward path checks the work target once per step:
-        instruction counts only move on executed ticks (no core is
-        RUNNING during a jump), so the stop cycle matches the naive
-        loop's exactly.
+        The loop checks the work target once per step: instruction
+        counts only move on executed ticks (no core is RUNNING during a
+        jump), so the stop cycle matches the every-cycle loop's exactly.
         """
         if instructions < 1:
             raise ValueError(f"need a positive work target: {instructions}")
-        limit = self.cycle + max_cycles
-        while self.cycle < limit:
-            if sum(core.instructions for core in self.cores) >= instructions:
-                if TIMELINE.enabled:
-                    TIMELINE.on_run_end(self)
-                return self._results()
-            if self._fast_forward:
-                self._step(limit)
-            else:
-                self.tick()
+        cores = self.cores
+        if self._advance(
+            self.cycle + max_cycles,
+            lambda: sum(core.instructions for core in cores) >= instructions,
+        ):
+            return self._results()
         raise RuntimeError(
             f"work target {instructions} not reached within {max_cycles} cycles"
         )

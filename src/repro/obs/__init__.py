@@ -1,10 +1,12 @@
 """Simulation observability: metrics, tracing, profiling, timelines, health.
 
 Five orthogonal facilities, all designed to be **zero-overhead when
-disabled** (every instrumentation site is a single guarded attribute
-check) and **non-perturbing when enabled** (they only read simulator
-state — no RNG draws, no scheduling changes — so a traced run produces
-bit-identical results to an untraced one):
+disabled** (a tracing site is a single guarded attribute check; the
+cycle loop reads the profiler and timeline switches once per run call)
+and **non-perturbing when enabled** (they only read simulator state —
+no RNG draws, no scheduling changes, and the cycle loop executes and
+skips the same cycles — so an observed run produces bit-identical
+results to an unobserved one):
 
 * :class:`MetricsRegistry` — a hierarchical, snapshot-able registry
   that unifies the scattered :class:`~repro.util.stats.StatGroup`
@@ -17,10 +19,12 @@ bit-identical results to an untraced one):
   layer.  Events are filterable by node / lane / packet and export as
   JSONL in the ``chrome://tracing`` trace-event format.
 * :class:`PhaseProfiler` / the global :data:`PROFILER` — per-phase
-  wall-time attribution of the cycle loop (calendar, memory, network,
-  cores), surfaced through ``repro profile``.
+  wall-time attribution of the cycle loop (the tick's phase table —
+  calendar, overflow, memory, network, cores — plus coherence dispatch
+  and the fast-forward horizon), surfaced through ``repro profile``.
 * :class:`TimelineCollector` / the global :data:`TIMELINE` — windowed
-  time-series telemetry: per-window deltas of selected registry paths
+  time-series telemetry, sampled by the cycle loop between segments:
+  per-window deltas of selected registry paths
   in columnar numpy ring buffers, exported as JSONL, chrome://tracing
   counter events and OpenMetrics text, rendered live by ``repro top``.
 * :mod:`repro.obs.health` — invariant/anomaly watchdogs over the

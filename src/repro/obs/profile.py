@@ -2,10 +2,11 @@
 
 A :class:`PhaseProfiler` accumulates wall seconds against named phases
 ("calendar", "memory", "network", "cores", ...).  The cycle loop pays
-for timing only when profiling is on: :meth:`repro.cmp.CmpSystem.tick`
-checks ``PROFILER.enabled`` once per cycle and dispatches to an
-instrumented tick variant, so the common (disabled) path executes the
-exact same code it always did.
+for timing only when profiling is on: ``CmpSystem``'s loop reads
+``PROFILER.enabled`` once per run call and, when it is set, runs the
+system's one phase table with every step (and the fast-forward
+horizon) wrapped in a timer — the same subsystem code in the same
+order as an unprofiled run, which pays no per-cycle check.
 
 Attribution is explicit (``add(phase, seconds)`` between two
 ``perf_counter`` reads) rather than context-manager based — a ``with``
@@ -36,21 +37,13 @@ class PhaseProfiler:
         self._seconds: dict[str, float] = {}
         self._started = 0.0
         self._wall = 0.0
-        self.cycles = 0
-        self.skipped = 0
+        self.cycles = 0  # executed (ticked) cycles
+        self.skipped = 0  # cycles fast-forwarded past without executing
 
     # -- accumulation --------------------------------------------------
 
     def add(self, phase: str, seconds: float) -> None:
         self._seconds[phase] = self._seconds.get(phase, 0.0) + seconds
-
-    def cycle_done(self) -> None:
-        """Count one completed (executed) cycle."""
-        self.cycles += 1
-
-    def skip(self, cycles: int) -> None:
-        """Count ``cycles`` fast-forwarded past without executing."""
-        self.skipped += cycles
 
     @property
     def total_cycles(self) -> int:
@@ -72,9 +65,10 @@ class PhaseProfiler:
         """Seconds accumulated so far against ``phase`` (0.0 if none).
 
         The cycle loop uses this to *re-attribute* nested work: coherence
-        dispatch runs inside the calendar and network windows, accrues
-        against ``"coherence"`` at the dispatch site, and the enclosing
-        window subtracts the delta so no wall time is counted twice.
+        dispatch runs inside the phase windows (mostly calendar and
+        network), accrues against ``"coherence"`` at the dispatch site,
+        and the enclosing window subtracts the delta so no wall time is
+        counted twice.
         """
         return self._seconds.get(phase, 0.0)
 

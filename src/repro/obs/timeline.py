@@ -10,22 +10,24 @@ multi-hour sweeps.
 
 The design follows the other two ``repro.obs`` facilities exactly:
 
-* **Zero overhead when disabled.**  The only hot-loop cost is the
-  single ``if TIMELINE.enabled:`` guard in ``CmpSystem.tick``
+* **Zero overhead when disabled.**  The only cost is one
+  ``TIMELINE.enabled`` read per ``CmpSystem`` run call
   (``tests/obs/test_overhead.py`` pins the budget).
 * **Non-perturbing when enabled.**  Sampling only *reads* simulator
   state — no RNG draws, no scheduling changes — so a timelined run is
-  bit-identical to a plain one.  Samples are taken at the *start* of
-  each window-boundary tick (cycle ``k*window`` sees state after
-  cycles ``< k*window``; the cores settle their lazily charged cycle
-  counters when read, so the sample is exact), so the exported JSONL
-  is byte-identical across repeated runs of the same seed
-  (``tests/obs/test_timeline.py``).
-* **Fast-forward aware.**  ``CmpSystem._next_event`` caps its jump
-  horizon at the collector's next due boundary, so window samples are
-  taken at the same cycles whether or not the loop fast-forwards.
-  Only the ``loop`` executed/skipped bookkeeping differs — as
-  documented in :class:`repro.cmp.results.CmpResults`.
+  bit-identical to a plain one.  Samples are taken when the clock
+  reaches a window boundary, before the tick at that cycle (cycle
+  ``k*window`` sees state after cycles ``< k*window``; the cores
+  settle their lazily charged cycle counters when read, so the sample
+  is exact), so the exported JSONL is byte-identical across repeated
+  runs of the same seed (``tests/obs/test_timeline.py``).
+* **Read by the loop, not hooked into it.**  ``CmpSystem``'s loop ends
+  a segment at :attr:`TimelineCollector.next_due` and samples where the
+  clock lands, so a fast-forward jump is split at a boundary, never
+  shortened into a tick: samples fall on the same cycles whether or
+  not the loop fast-forwards, and a timelined run executes and skips
+  exactly the cycles a plain one does — its results, ``loop``
+  included, equal a plain run's.
 
 Exports: JSONL (one meta line + one line per window, canonical
 sorted-key JSON), chrome://tracing counter events (``ph: "C"``) that
@@ -118,12 +120,11 @@ def _num(value: float) -> Any:
 class TimelineCollector:
     """Columnar per-window delta sampler over a live metrics registry.
 
-    One process-global instance (:data:`TIMELINE`) guarded exactly like
+    One process-global instance (:data:`TIMELINE`) switched on like
     :data:`~repro.obs.trace.TRACE`.  The collector binds to the first
-    :class:`~repro.cmp.CmpSystem` that ticks while it is enabled
-    (building that system's registry once); ticks from any other
-    system are ignored, mirroring the tracer's one-run-at-a-time
-    contract.
+    :class:`~repro.cmp.CmpSystem` that runs while it is enabled
+    (building that system's registry once); runs of any other system
+    are not sampled, mirroring the tracer's one-run-at-a-time contract.
 
     Storage is a ring: ``capacity`` windows of deltas are retained;
     older windows are dropped (counted in :attr:`dropped_windows`) but
@@ -167,7 +168,9 @@ class TimelineCollector:
         self._columns: Optional[list[str]] = None  # frozen at first sample
         self._prev: Optional[np.ndarray] = None
         self._base: Optional[np.ndarray] = None
-        self._next_due = self.window
+        #: The next window boundary: the bound system's loop ends a
+        #: segment there and calls :meth:`sample`.
+        self.next_due = self.window
         self._last_sample_cycle: Optional[int] = None
         self._cycles = np.zeros(self.capacity, dtype=np.int64)
         self._rows: Optional[np.ndarray] = None
@@ -177,7 +180,7 @@ class TimelineCollector:
         self._dropped_sum: Optional[np.ndarray] = None
         self.meta: dict[str, Any] = {}
 
-    # -- binding and sampling (called from CmpSystem, guarded) -----------
+    # -- binding and sampling (called from CmpSystem's loop) -------------
 
     def _matches(self, path: str) -> bool:
         return any(fnmatch.fnmatch(path, pat) for pat in self.patterns)
@@ -194,7 +197,7 @@ class TimelineCollector:
             and self._matches(key)
         ]
         cycle = int(system.cycle)
-        self._next_due = (cycle // self.window + 1) * self.window
+        self.next_due = (cycle // self.window + 1) * self.window
         config = system.config
         self.meta = {
             "app": system.app_label,
@@ -243,9 +246,26 @@ class TimelineCollector:
             )
         return np.array(values, dtype=np.float64)
 
-    def _sample(self, cycle: int) -> None:
+    def attach(self, system: Any) -> bool:
+        """Bind to ``system`` if nothing is bound yet; True when the
+        collector samples ``system`` (the system's loop then ends its
+        segments at :attr:`next_due` and calls :meth:`sample` there)."""
+        if self._system is None:
+            self._bind(system)
+        return system is self._system
+
+    def sample(self, cycle: int) -> None:
+        """Record the window ending at ``cycle`` — a boundary, or the
+        (possibly partial) last window of a run; a repeat is ignored.
+
+        Read-only with respect to the simulation — the registry
+        snapshot settles the cores' lazy cycle ledgers, an accounting
+        materialization that is exact between ticks.
+        """
         if self._columns is None:
             self._freeze_columns()
+        while self.next_due <= cycle:
+            self.next_due += self.window
         if cycle == self._last_sample_cycle:
             return
         values = self._read_values()
@@ -264,48 +284,6 @@ class TimelineCollector:
         self._cycles[pos] = cycle
         self._rows[pos] = deltas
         self._count += 1
-
-    def on_tick(self, system: Any) -> None:
-        """Window-boundary sampling hook (call behind an enabled guard).
-
-        Runs at the start of every tick; samples when the cycle has
-        reached the next window boundary.  Read-only with respect to
-        the simulation — the registry snapshot settles the cores' lazy
-        cycle ledgers, an accounting materialization that is exact
-        between ticks.
-        """
-        if self._system is None:
-            self._bind(system)
-        elif system is not self._system:
-            return
-        cycle = system.cycle
-        if cycle >= self._next_due:
-            self._sample(cycle)
-            while self._next_due <= cycle:
-                self._next_due += self.window
-
-    def due_cycle(self, system: Any) -> Optional[int]:
-        """Next boundary for ``system`` — the fast-forward horizon cap.
-
-        ``None`` when the collector is bound to a different system (its
-        jumps are then unconstrained, as if the timeline were off).
-        """
-        if self._system is None:
-            self._bind(system)
-        elif system is not self._system:
-            return None
-        return self._next_due
-
-    def on_run_end(self, system: Any) -> None:
-        """Record the final (possibly partial) window at run end.
-
-        Keeps the conservation invariant exact: after this, column
-        totals equal the final registry snapshot minus the bind-time
-        baseline even when the run length is not a window multiple.
-        """
-        if self._system is None or system is not self._system:
-            return
-        self._sample(int(system.cycle))
 
     # -- read access -----------------------------------------------------
 
@@ -497,7 +475,7 @@ class TimelineCollector:
         )
 
 
-#: The process-global collector ``CmpSystem.tick`` guards on.
+#: The process-global collector ``CmpSystem``'s loop samples into.
 TIMELINE = TimelineCollector()
 
 

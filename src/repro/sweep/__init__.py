@@ -42,6 +42,7 @@ from repro.sweep.spec import (
     Variant,
     canonical_json,
     make_point,
+    pair_points,
 )
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "load_jsonl",
     "make_point",
     "metrics_filename",
+    "pair_points",
     "point_key",
     "run_sweep",
     "timeline_filename",

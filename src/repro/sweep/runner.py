@@ -8,9 +8,10 @@ out across worker processes (``ProcessPoolExecutor``), with:
   without touching the simulator; an interrupted sweep therefore
   resumes where it stopped.
 * **crash isolation** — a worker that raises marks its point failed; a
-  worker that *dies* (segfault, ``os._exit``) breaks the pool, which is
-  rebuilt and the in-flight points retried once — a point that kills
-  the pool twice is marked failed without sinking the sweep.
+  worker that *dies* (segfault, ``os._exit``) breaks the pool and every
+  point it held, so each of those is rerun alone in a fresh
+  single-worker pool — a point that dies alone twice is marked failed
+  without sinking the sweep or its siblings.
 * **per-point timeout** — enforced inside the worker via ``SIGALRM``
   so a runaway point fails cleanly and its worker survives.
 * **deterministic JSONL streaming** — results are written in point
@@ -25,6 +26,7 @@ determinism tests compare the parallel runs against.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import signal
@@ -38,8 +40,9 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.cmp.results import CmpResults
 from repro.cmp.sweep import SweepSummary
+from repro.faults.plan import FaultPlan
 from repro.sweep.cache import ResultCache, _normalized
-from repro.sweep.spec import SweepPoint, SweepSpec, canonical_json
+from repro.sweep.spec import SweepPoint, SweepSpec, canonical_json, pair_points
 
 __all__ = [
     "PointOutcome",
@@ -75,8 +78,8 @@ def execute_point(
     collector (:func:`repro.obs.timeline.timelining`, sampling every
     ``timeline_window`` cycles) and the per-window delta archive lands
     there as ``<label>_<hash>.timeline.jsonl``.  Timeline collection is
-    non-perturbing — the result is bit-identical to an untimelined run
-    apart from the ``loop`` executed/skipped bookkeeping split.
+    non-perturbing — the result, ``loop`` executed/skipped counts
+    included, is bit-identical to an untimelined run.
     """
     from repro.cmp.system import CmpSystem
 
@@ -307,33 +310,30 @@ class SweepReport:
         return SweepSummary(tuple(values))
 
     def paired_speedups(
-        self, network: str, baseline: str, metric: str = "ipc"
+        self,
+        network: str,
+        baseline: str,
+        metric: str = "ipc",
+        optimizations: Any = None,
+        faults: Optional[FaultPlan] = None,
     ) -> SweepSummary:
         """Speedup of ``network`` over ``baseline``, paired per point.
 
-        Pairs share every axis except the network (app, nodes, seed,
-        optimizations, variant), so workload randomness cancels — the
-        same pairing :func:`repro.cmp.sweep.paired_speedups` uses.
+        ``network``'s points run with ``optimizations`` under ``faults``
+        (default: neither) each pair with the baseline point of the same
+        workload stream (:func:`repro.sweep.spec.pair_points`), so
+        workload randomness cancels.  Raises ``ValueError`` when no
+        point pairs.
         """
-        def pair_key(point: SweepPoint):
-            return (point.app, point.num_nodes, point.cycles, point.seed,
-                    point.variant, point.extras)
-
-        fast: dict[Any, CmpResults] = {}
-        base: dict[Any, CmpResults] = {}
-        for outcome in self.outcomes:
-            if not outcome.ok:
-                continue
-            if outcome.point.network == network:
-                fast[pair_key(outcome.point)] = outcome.cmp_results()
-            elif outcome.point.network == baseline:
-                base[pair_key(outcome.point)] = outcome.cmp_results()
-        ratios = tuple(
-            getattr(fast[key], metric) / getattr(base[key], metric)
-            for key in fast
-            if key in base
+        pairs = pair_points(
+            [(o.point.to_dict(), o) for o in self.outcomes if o.ok],
+            network, baseline, optimizations, faults,
         )
-        return SweepSummary(ratios)
+        return SweepSummary(tuple(
+            getattr(fast.cmp_results(), metric)
+            / getattr(base.cmp_results(), metric)
+            for fast, base in pairs
+        ))
 
 
 class _OrderedJsonlWriter:
@@ -455,7 +455,8 @@ def run_sweep(
         stays fresh during long points.
     max_crash_retries:
         How often a point may be retried after its worker process died
-        before it is marked failed.
+        while running it alone before it is marked failed (a pool that
+        breaks with several points in flight charges none of them).
     """
     points = spec.points() if isinstance(spec, SweepSpec) else list(spec)
     if cache is None and cache_dir is not None:
@@ -506,7 +507,7 @@ def run_sweep(
     try:
         pending: list[int] = []
         for index, point in enumerate(points):
-            key = cache.key(point) if cache else _uncached_key(point, code_version)
+            key = _key(point, cache, code_version)
             hit = cache.get(point) if cache else None
             if hit is not None:
                 finish(index, PointOutcome(
@@ -537,7 +538,9 @@ def run_sweep(
     )
 
 
-def _uncached_key(point: SweepPoint, version: Optional[str]) -> str:
+def _key(point: SweepPoint, cache, version: Optional[str]) -> str:
+    if cache is not None:
+        return cache.key(point)
     from repro.sweep.cache import point_key
 
     return point_key(point, version)
@@ -558,7 +561,7 @@ def _failure(point, key, error: str, elapsed: float = 0.0) -> PointOutcome:
 
 
 def _run_inline(point, timeout, execute, cache, code_version) -> PointOutcome:
-    key = cache.key(point) if cache else _uncached_key(point, code_version)
+    key = _key(point, cache, code_version)
     begin = time.perf_counter()
     try:
         result = _worker(point.to_dict(), timeout, execute)
@@ -575,21 +578,30 @@ def _run_pool(
 ) -> None:
     """Fan ``pending`` point indices over a process pool.
 
-    The pool is rebuilt whenever a worker dies; affected points are
-    retried up to ``max_crash_retries`` times, then marked failed.
+    A worker that dies breaks its pool and fails every point the pool
+    still held, so a broken batch blames none of them: each is rerun
+    alone in a fresh single-worker pool (``workers`` such pools at a
+    time), where a death is the point's own; a point that dies alone
+    more than ``max_crash_retries`` times is marked failed.
     With ``beat`` set, the completion wait wakes up every
     ``beat_interval`` seconds to emit a heartbeat naming the
     lowest-index in-flight points (the ones occupying workers).
     """
-    crash_counts: dict[int, int] = {}
-    while pending:
-        retry: list[int] = []
+    crashes: dict[int, int] = {}
+    alone: list[int] = []
+    groups, size = [pending], workers  # first, one pool for every point
+    while groups:
         begin = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_worker, points[i].to_dict(), timeout, execute): i
-                for i in pending
-            }
+        with contextlib.ExitStack() as stack:
+            futures = {}
+            for group in groups:
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=size)
+                )
+                for i in group:
+                    futures[pool.submit(
+                        _worker, points[i].to_dict(), timeout, execute
+                    )] = i
             not_done = set(futures)
             while not_done:
                 if beat is not None:
@@ -603,21 +615,21 @@ def _run_pool(
                 for future in done:
                     index = futures[future]
                     point = points[index]
-                    key = (cache.key(point) if cache
-                           else _uncached_key(point, code_version))
+                    key = _key(point, cache, code_version)
                     elapsed = time.perf_counter() - begin
                     try:
                         result = future.result()
                     except BrokenProcessPool:
-                        crash_counts[index] = crash_counts.get(index, 0) + 1
-                        if crash_counts[index] > max_crash_retries:
+                        if size == 1:  # it ran alone: the death is its own
+                            crashes[index] = crashes.get(index, 0) + 1
+                        if crashes.get(index, 0) > max_crash_retries:
                             finish(index, _failure(
                                 point, key,
                                 "BrokenProcessPool: worker process died",
                                 elapsed,
                             ))
                         else:
-                            retry.append(index)
+                            alone.append(index)
                         continue
                     except Exception as exc:  # noqa: BLE001
                         finish(index, _failure(
@@ -627,4 +639,6 @@ def _run_pool(
                     finish(index, _outcome_from_result(
                         point, key, result, cache, elapsed,
                     ))
-        pending = sorted(retry)
+        alone.sort()
+        groups, alone = [[i] for i in alone[:workers]], alone[workers:]
+        size = 1

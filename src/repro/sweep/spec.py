@@ -22,7 +22,7 @@ import dataclasses
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.cmp.system import NETWORK_KINDS, CmpConfig
 from repro.core.lanes import LaneConfig
@@ -37,6 +37,7 @@ __all__ = [
     "Variant",
     "canonical_json",
     "make_point",
+    "pair_points",
 ]
 
 #: The five independently switchable §5 mechanisms, in field order.
@@ -259,6 +260,50 @@ def make_point(
         variant=variant,
         extras=_encode_extras(config_kwargs),
     )
+
+
+def pair_points(
+    records: Sequence[tuple[Mapping[str, Any], Any]],
+    network: str,
+    baseline: str,
+    optimizations: Union[None, str, OptimizationConfig, Iterable[str]] = None,
+    faults: Optional[FaultPlan] = None,
+) -> list[tuple[Any, Any]]:
+    """Pair ``network`` points with their ``baseline`` points.
+
+    ``records`` holds ``(point_dict, result)`` in :meth:`SweepPoint.to_dict`
+    shape.  Every ``network`` point run with exactly ``optimizations``
+    under ``faults`` (default: neither) pairs with the plain ``baseline``
+    point of the same app, nodes, cycles, seed and variant — the same
+    workload stream, so its randomness cancels.  Returns one
+    ``(network result, baseline result)`` per paired point, none
+    overwriting another, ordered by that shared key.
+    """
+    def workload(point: Mapping[str, Any]) -> tuple:
+        return (point["app"], point["num_nodes"], point["cycles"],
+                point["seed"], point.get("variant", ""))
+
+    def setting(point: Mapping[str, Any]) -> tuple:
+        plan = point.get("extras", {}).get("faults")
+        return (tuple(point.get("optimizations", ())),
+                None if plan is None else canonical_json(plan))
+
+    wanted = (
+        _normalize_optimizations(optimizations),
+        None if faults is None or faults.is_empty()
+        else canonical_json(faults.to_dict()),
+    )
+    bases: dict[tuple, Any] = {}
+    for point, result in records:
+        if point["network"] == baseline and setting(point) == ((), None):
+            bases.setdefault(workload(point), result)
+    fast = sorted(
+        ((workload(point), result) for point, result in records
+         if point["network"] == network and setting(point) == wanted
+         and workload(point) in bases),
+        key=lambda entry: entry[0],
+    )
+    return [(result, bases[key]) for key, result in fast]
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,18 @@ reproduction is built on:
 
 * :mod:`repro.util.rng` — named, seeded random-number streams so that every
   experiment is reproducible bit-for-bit.
-* :mod:`repro.util.events` — a discrete-event scheduler plus a cycle-driven
-  clock abstraction used by the network and CMP simulators.
+* :mod:`repro.util.events` — the heap-backed cycle calendar the network
+  and CMP simulators file their delayed actions on.
 * :mod:`repro.util.stats` — counters, histograms and latency accumulators
   used for all reported metrics.
 * :mod:`repro.util.units` — physical-unit helpers (dB, dBm, data rates) for
   the photonics models.
 """
 
-from repro.util.events import Event, EventQueue, Simulator
 from repro.util.rng import RngHub, derive_seed
 from repro.util.stats import Counter, Histogram, LatencyStat, StatGroup
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Simulator",
     "RngHub",
     "derive_seed",
     "Counter",

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analytics import RunStore, validate
 from repro.analytics.validation import RunContext, default_checks
+from repro.faults.plan import FaultPlan, ThermalDroop
 from repro.sweep import make_point
 
 
@@ -63,6 +64,16 @@ class TestSpeedupChecks:
             _pair(network="fsoi", seed=2),  # no mesh partner: dropped
         ))
         assert context.paired_speedups(nodes=16) == [1.5, 2.0]
+
+    def test_speedups_take_only_plain_fsoi_points(self):
+        droop = FaultPlan(label="droop", droops=(ThermalDroop(droop_db=2.5),))
+        context = RunContext((
+            _pair(network="fsoi", instructions=1500),
+            _pair(network="fsoi", instructions=900, faults=droop),
+            _pair(network="fsoi", instructions=2000, optimizations="all"),
+            _pair(network="mesh", instructions=1000),
+        ))
+        assert context.paired_speedups(nodes=16) == [1.5]
 
 
 class TestBackoffCheck:

@@ -5,6 +5,12 @@ import pytest
 from repro.cmp import CmpConfig, CmpSystem
 from repro.obs import PROFILER, PhaseProfiler, profiling
 
+#: Every phase a profiled run reports: the tick's phase table, the
+#: coherence dispatch nested in it and the fast-forward horizon.
+PHASES = (
+    "calendar", "overflow", "memory", "network", "cores", "coherence", "horizon",
+)
+
 
 class TestPhaseProfiler:
     def test_add_accumulates(self):
@@ -35,7 +41,7 @@ class TestPhaseProfiler:
     def test_render_mentions_every_phase(self):
         prof = PhaseProfiler()
         prof.add("network", 0.5)
-        prof.cycle_done()
+        prof.cycles = 1
         prof.stop()
         text = prof.render()
         assert "network" in text and "attributed" in text
@@ -69,10 +75,21 @@ class TestProfiledRun:
         with profiling() as prof:
             CmpSystem(config).run(500)
         report = prof.report()
-        for phase in ("calendar", "memory", "network", "cores"):
+        for phase in PHASES:
             assert phase in report, f"missing phase {phase!r} in {sorted(report)}"
         assert prof.cycles == 500
         assert 0 < prof.attributed_seconds <= prof.wall_seconds
+
+    def test_cycle_counts_are_the_loops(self):
+        """On a config that fast-forwards, ``cycles`` counts exactly
+        the executed ticks and ``skipped`` the jumped cycles."""
+        config = CmpConfig(num_nodes=16, app="oc", network="l0", seed=1)
+        with profiling() as prof:
+            loop = CmpSystem(config).run(1500).loop
+        assert loop["skipped_cycles"] > 0
+        assert prof.cycles == loop["executed_cycles"]
+        assert prof.skipped == loop["skipped_cycles"]
+        assert set(prof.report()) == set(PHASES)
 
     def test_profiled_run_matches_unprofiled_results(self):
         config = CmpConfig(num_nodes=16, app="ba", network="fsoi", seed=0)

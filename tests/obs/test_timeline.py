@@ -90,10 +90,21 @@ class TestPassivity:
             CmpConfig(app="fft", network=network, num_nodes=16, seed=3)
         ).run(CYCLES).to_dict()
         timed, _, _ = timelined_run(network=network)
-        # Fast-forward jumps are capped at window boundaries, so only
-        # the executed/skipped split may move — never a measured value.
-        plain.pop("loop")
-        timed.pop("loop")
+        # The loop samples between segments and never forces a tick at a
+        # window boundary, so even the executed/skipped split (``loop``)
+        # is the plain run's.
+        assert timed == plain
+
+    @pytest.mark.parametrize("window", [2, 7])
+    def test_loop_identical_on_an_idle_config(self, window):
+        """oc over the ideal network fast-forwards, so a tick forced at
+        any window boundary would show in ``loop``."""
+        config = CmpConfig(app="oc", network="l0", num_nodes=16, seed=1)
+        plain = CmpSystem(config).run(CYCLES).to_dict()
+        assert plain["loop"]["skipped_cycles"] > 0
+        with timelining(window=window) as timeline:
+            timed = CmpSystem(config).run(CYCLES).to_dict()
+        assert len(timeline) == CYCLES // window + (CYCLES % window > 0)
         assert timed == plain
 
     def test_timeline_left_disabled_after_block(self):

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.analytics.validation import RunContext
 from repro.cli import main
 from repro.sweep import (
     ResultCache,
@@ -21,6 +22,7 @@ from repro.sweep import (
     metrics_filename,
     run_sweep,
 )
+from repro.sweep.spec import OPTIMIZATION_FLAGS
 
 needs_fork = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
@@ -46,6 +48,13 @@ def _sleep_execute(point_dict):
 def _crash_on_ba(point_dict):
     if point_dict["app"] == "ba":
         os._exit(9)  # simulate a segfaulting worker
+    return {"app": point_dict["app"]}
+
+
+def _crash_on_ba_while_others_sleep(point_dict):
+    if point_dict["app"] == "ba":
+        os._exit(1)
+    time.sleep(0.3)  # still in flight (or queued) when ba's worker dies
     return {"app": point_dict["app"]}
 
 
@@ -211,6 +220,18 @@ class TestParallel:
         assert "worker process died" in by_app["ba"].error
         assert by_app["lu"].ok and by_app["oc"].ok
 
+    @needs_fork
+    def test_crash_is_charged_only_to_the_point_that_died_alone(self):
+        """The pool ba breaks also fails lu and oc; rerun alone, they
+        succeed and only ba (dead on its own, twice) is marked failed."""
+        spec = _spec(apps=("ba", "lu", "oc"), networks=("fsoi",))
+        report = run_sweep(spec.points(), workers=2,
+                           execute=_crash_on_ba_while_others_sleep)
+        by_app = {o.point.app: o for o in report.outcomes}
+        assert "worker process died" in by_app["ba"].error
+        assert by_app["lu"].result == {"app": "lu"}
+        assert by_app["oc"].result == {"app": "oc"}
+
     def test_timeout_fails_point_cleanly(self):
         points = _spec(apps=("ba", "lu"), networks=("fsoi",)).points()
         report = run_sweep(points, workers=1, execute=_hang, timeout=0.2)
@@ -311,6 +332,33 @@ class TestReport:
         assert summary.count == 4  # 2 apps x 2 seeds
         assert summary.mean > 1.0  # FSOI beats the mesh
 
+    def test_paired_speedups_keep_every_optimization_set(self):
+        """Each optimization set pairs its own FSOI points with the mesh
+        partners; neither overwrites the other, and the paper-figure
+        pairs take the un-optimized points only."""
+        report = run_sweep(_spec(optimizations=("none", "all")), workers=1)
+
+        def ratios(flags):
+            return tuple(
+                report.result_for(app=app, network="fsoi",
+                                  optimizations=flags).ipc
+                / report.result_for(app=app, network="mesh").ipc
+                for app in ("ba", "lu")
+            )
+
+        plain = report.paired_speedups("fsoi", baseline="mesh")
+        optimized = report.paired_speedups(
+            "fsoi", baseline="mesh", optimizations="all"
+        )
+        assert plain.values == ratios(())
+        assert optimized.values == ratios(tuple(sorted(OPTIMIZATION_FLAGS)))
+        context = RunContext.from_outcomes(report.outcomes)
+        assert context.paired_speedups(nodes=16) == list(plain.values)
+        assert [fsoi.instructions for fsoi, _mesh in context.energy_pairs()] \
+            == [report.result_for(app=app, network="fsoi",
+                                  optimizations=()).instructions
+                for app in ("ba", "lu")]
+
     def test_fast_forward_accounting(self):
         report = run_sweep(_spec(), workers=1)
         total = report.executed_cycles + report.skipped_cycles
@@ -348,6 +396,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0 executed, 4 from cache" in out
         assert len(load_jsonl(tmp_path / "r.jsonl")) == 4
+
+    def test_optimized_sweep_prints_one_speedup_per_set(self, tmp_path, capsys):
+        args = self.ARGS + ["--optimized", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "speedup" in line]
+        assert [line.split(":")[0].strip() for line in lines] == [
+            "speedup fsoi vs mesh", "speedup fsoi+all vs mesh",
+        ]
+        assert all(line.endswith("(n=2)") for line in lines)
 
     def test_sweep_no_cache(self, tmp_path, capsys):
         assert main(self.ARGS + ["--no-cache"]) == 0
