@@ -136,6 +136,13 @@ class CmpConfig:
             raise ValueError(
                 f"unknown network {self.network!r}; choose from {NETWORK_KINDS}"
             )
+        if self.local_latency < 1:
+            # At 0 a core's request to its own home slice would be
+            # delivered inside the cores phase, where nothing may change
+            # a core but its own action (repro.cpu.core.DueSchedule).
+            raise ValueError(
+                f"local_latency must be >= 1 cycle: {self.local_latency}"
+            )
         opts = self.optimizations
         any_opts = (
             opts.confirmation_ack or opts.llsc_subscription
@@ -275,6 +282,10 @@ class CmpSystem:
         self.reply_latency = Histogram("reply_latency", 0, 200, 20)
 
         self._handlers = self._build_handlers()
+        #: ``_to_l1[mtype._value_]``: a message an L1 handles.
+        self._to_l1 = [False] * len(self._handlers)
+        for mtype in L1Controller.HANDLERS:
+            self._to_l1[mtype._value_] = True
         for node in range(n):
             self.network.set_delivery_callback(node, self._on_packet)
 
@@ -504,16 +515,24 @@ class CmpSystem:
 
         The one site every delivery passes through — network packets,
         local completions and confirmation acks — and so the one place
-        the profiler's "coherence" phase is taken.
+        the profiler's "coherence" phase is taken, and where a message
+        for an L1 first cuts the receiving core back from its run-ahead
+        window (:meth:`Core.cut`): the window applied hits ahead of the
+        clock, and the L1 must be at "now" before the message changes it.
         """
+        value = msg.mtype._value_
         if PROFILER.enabled:
             t0 = perf_counter()
-            self._handlers[msg.mtype._value_][msg.dest](msg)
+            if self._to_l1[value]:
+                self.cores[msg.dest].cut()
+            self._handlers[value][msg.dest](msg)
             if holder is not None:
                 self._release_line(holder, msg.line)
             PROFILER.add("coherence", perf_counter() - t0)
             return
-        self._handlers[msg.mtype._value_][msg.dest](msg)
+        if self._to_l1[value]:
+            self.cores[msg.dest].cut()
+        self._handlers[value][msg.dest](msg)
         if holder is not None:
             self._release_line(holder, msg.line)
 
@@ -598,13 +617,20 @@ class CmpSystem:
     # the simulation loop
     # ------------------------------------------------------------------
 
-    def tick(self, steps: Optional[tuple] = None) -> None:
-        """Execute one cycle: the phase table's steps (or ``steps``, the
-        profiled loop's timed copies of them), in order."""
+    def tick(self) -> None:
+        """Execute one cycle, and leave every core exactly at the next
+        one (cut back from any run-ahead window) for whoever reads or
+        drives the system between ticks."""
+        self._tick(self._steps)
+        self._due_cores.cut_all()
+
+    def _tick(self, steps: tuple) -> None:
+        """One cycle: the phase table's steps (or the profiled loop's
+        timed copies of them), in order."""
         cycle = self.cycle
         if TRACE.enabled:
             TRACE.cycle = cycle
-        for step in steps or self._steps:
+        for step in steps:
             step(cycle)
         self.executed_cycles += 1
         self.cycle = cycle + 1
@@ -637,9 +663,11 @@ class CmpSystem:
         the whole system is quiescent (nothing will ever happen again).
         """
         cycle = self.cycle
-        # A RUNNING core pins the horizon to "now" no matter what the
-        # other subsystems report — the common case, one set check.
-        if self._due_cores.running:
+        # A RUNNING core, parked on a run-ahead window or not, pins the
+        # horizon to "now" no matter what the other subsystems report —
+        # the common case, two set checks.
+        due_cores = self._due_cores
+        if due_cores.running or due_cores.parked:
             return cycle
         horizon = None
         due = self._due
@@ -652,7 +680,7 @@ class CmpSystem:
             # A backed-up injection retries (and counts a refusal)
             # every cycle, exactly as the naive loop does.
             return cycle
-        c = self._due_cores.next_event(cycle)  # hold releases, spin polls
+        c = due_cores.next_event(cycle)  # hold releases, spin polls
         if c is not None:
             if c <= cycle:
                 return cycle
@@ -705,13 +733,16 @@ class CmpSystem:
         reads the loop rather than forking it: a segment ends at the
         timeline's next window boundary, which is sampled when the clock
         lands there, and the profiler's timed steps are picked once.
+        The loop ends with every core cut back from its run-ahead
+        window, so the system reads exactly at ``self.cycle``.
         """
-        tick, next_event = self.tick, self._next_event
+        steps, next_event = self._steps, self._next_event
         profiled = PROFILER.enabled
         if profiled:
-            tick = partial(tick, tuple(_timed(*row) for row in self._phases))
+            steps = tuple(_timed(*row) for row in self._phases)
             next_event = _timed("horizon", next_event)
             executed, skipped = self.executed_cycles, self.skipped_cycles
+        tick = partial(self._tick, steps)
         timeline = TIMELINE if TIMELINE.enabled and TIMELINE.attach(self) else None
         fast_forward = self._fast_forward
         stopped = False
@@ -732,6 +763,7 @@ class CmpSystem:
             stopped = self.cycle < end
             if timeline is not None:
                 timeline.sample(self.cycle)
+        self._due_cores.cut_all()
         if profiled:
             PROFILER.cycles += self.executed_cycles - executed
             PROFILER.skipped += self.skipped_cycles - skipped
@@ -755,6 +787,8 @@ class CmpSystem:
         The loop checks the work target once per step: instruction
         counts only move on executed ticks (no core is RUNNING during a
         jump), so the stop cycle matches the every-cycle loop's exactly.
+        A parked core's count is arithmetic in the clock
+        (:attr:`Core.instructions`), so the check cuts no window.
         """
         if instructions < 1:
             raise ValueError(f"need a positive work target: {instructions}")
@@ -780,9 +814,13 @@ class CmpSystem:
         run progress, sync totals and the confirmation channel.  The
         registry reads live objects, so build it once and snapshot
         whenever needed (``repro trace --metrics``, the sweep metric
-        archive, the golden metrics tests).
+        archive, the golden metrics tests, timeline samples); each
+        snapshot first cuts the cores back from their run-ahead windows.
         """
-        reg = MetricsRegistry(f"{self.app_label}.{self.config.network}")
+        reg = MetricsRegistry(
+            f"{self.app_label}.{self.config.network}",
+            settle=self._due_cores.cut_all,
+        )
         reg.mount("network", self.network.stats.group)
         for node, l1 in enumerate(self.l1s):
             reg.mount(f"l1.n{node:02d}", l1.stats)

@@ -31,7 +31,7 @@ from typing import Optional
 from repro.coherence.l1 import AccessResult, L1Controller, L1State
 from repro.cpu.mshr import MshrFile
 from repro.cpu.sync import SyncManager
-from repro.util.rng import ReplayRng
+from repro.util.rng import ReplayRng, word_threshold
 from repro.util.stats import StatGroup
 from repro.workloads.ops import Op, OpKind
 from repro.workloads.splash2 import _REGION, _SHARED_BASE, AppWorkload
@@ -67,7 +67,11 @@ class CoreConfig:
         if self.ipc < 1:
             raise ValueError(f"ipc must be >= 1: {self.ipc}")
         if not 0.0 <= self.blocking_fraction <= 1.0:
-            raise ValueError(f"blocking fraction out of [0,1]")
+            raise ValueError(
+                f"blocking fraction out of [0,1]: {self.blocking_fraction}"
+            )
+        if self.spin_interval < 1:
+            raise ValueError(f"spin_interval must be >= 1: {self.spin_interval}")
 
 
 class CoreState(Enum):
@@ -126,22 +130,29 @@ def spin_poll_cycle(anchor: int, next_spin: int) -> int:
 class DueSchedule:
     """Which cores of one chip have something to do at which cycle.
 
-    Only three kinds of tick act: a RUNNING core issues, a LOCK_HOLD
-    core releases on the last cycle of its hold, a spinning core polls
-    every ``spin_interval`` cycles.  Every other tick — STALLED, the
-    wait states, the stretches between polls — only counts a cycle,
+    Only four kinds of tick act: a RUNNING core issues, a parked one
+    runs the op that ended its run-ahead window (:func:`_fused_issue`),
+    a LOCK_HOLD core releases on the last cycle of its hold, a spinning
+    core polls every ``spin_interval`` cycles.  Every other tick —
+    STALLED, the wait states, the stretches between polls, the hits and
+    WORK ops a parked core has already applied — only counts a cycle,
     which the cores charge lazily (:meth:`Core._enter`).  So the cores
-    phase visits the RUNNING set plus the holds and polls whose
-    deadline (:func:`hold_release_cycle`, :func:`spin_poll_cycle`) has
-    come, in ascending node order, and nobody else.
+    phase visits the RUNNING set plus the wakes, holds and polls whose
+    deadline (the window's end, :func:`hold_release_cycle`,
+    :func:`spin_poll_cycle`) has come, in ascending node order, and
+    nobody else.
 
     That is exactly the work, in exactly the order, of ticking every
     core every cycle, because during the cores phase nothing changes a
     core's state but its own action: every external wake — a data fill,
     a confirmation, a §5.1 release signal — arrives through the
     calendar or the network tick, both of which run *before* the cores
-    in ``CmpSystem.tick``, and no network's ``try_send`` delivers
-    synchronously.
+    in ``CmpSystem.tick``, no network's ``try_send`` delivers
+    synchronously, and a local delivery takes at least one cycle
+    (``CmpConfig.local_latency``).  The same argument makes a window
+    exact: whatever could change a parked core's L1 arrives outside the
+    cores phase, and cuts the window back to that cycle first
+    (:meth:`Core.cut`).
 
     ``clock`` is any object whose ``cycle`` attribute is the cycle being
     simulated (the ``CmpSystem``); a schedule built without one keeps
@@ -155,17 +166,52 @@ class DueSchedule:
         #: True while :meth:`tick` runs the due cores' own actions.
         self.acting = False
         self.running: set[int] = set()
-        self._worklist: list[int] = []  # sorted cache of ``running``
-        self._dirty = True
+        #: RUNNING cores parked on a run-ahead window.
+        self.parked: set[int] = set()
         # (deadline, node) heaps; an entry is live while it matches the
-        # core's ``_hold_at`` / ``_spin_at`` and is dropped otherwise.
+        # core's ``_wake_at`` / ``_hold_at`` / ``_spin_at`` and is
+        # dropped otherwise.
+        self._wakes: list[tuple[int, int]] = []
         self._holds: list[tuple[int, int]] = []
         self._polls: list[tuple[int, int]] = []
+
+    def park(self, node: int, deadline: int) -> None:
+        """Take RUNNING ``node`` off the per-cycle set until
+        ``deadline``, the cycle of the op that ends its window."""
+        self.cores[node]._wake_at = deadline
+        heappush(self._wakes, (deadline, node))
+        self.parked.add(node)
+        self.running.discard(node)
+
+    def unpark(self, node: int) -> None:
+        """Put a cut core back on the per-cycle set."""
+        self.cores[node]._wake_at = _NEVER
+        self.parked.discard(node)
+        self.running.add(node)
+
+    def cut_all(self) -> None:
+        """Cut every parked core's window back to the current cycle."""
+        cores = self.cores
+        for node in sorted(self.parked):
+            cores[node]._cut()
 
     def tick(self, cycle: int) -> None:
         """The cores phase of ``cycle``."""
         cores = self.cores
         due: Optional[list[int]] = None
+        wakes = self._wakes
+        while wakes and wakes[0][0] <= cycle:
+            deadline, node = heappop(wakes)
+            core = cores[node]
+            if core._wake_at == deadline:
+                # Woken: a later entry for the same deadline (the core
+                # was cut and parked again) is dead from here on.
+                core._wake_at = _NEVER
+                self.parked.discard(node)
+                if due is None:
+                    due = [node]
+                else:
+                    due.append(node)
         holds = self._holds
         while holds and holds[0][0] <= cycle:
             deadline, node = heappop(holds)
@@ -177,22 +223,15 @@ class DueSchedule:
             if cores[node]._spin_at == deadline:
                 due = [node] if due is None else due + [node]
         running = self.running
-        if due is None and not running:
+        if running:
+            due = running.union(due) if due is not None else running
+        elif due is None:
             return
+        elif len(due) > 1:
+            due = set(due)
         self.acting = True
         try:
-            if due is None:
-                # Cores run in multi-cycle bursts, so the sorted
-                # worklist is usually the same cycle over cycle: resort
-                # only on churn.  Every member is RUNNING and stays so
-                # until its own turn; there is no state to dispatch on.
-                if self._dirty:
-                    self._worklist = sorted(running)
-                    self._dirty = False
-                for node in self._worklist:
-                    cores[node]._issue(cycle)
-                return
-            for node in sorted(running.union(due)):
+            for node in sorted(due):
                 core = cores[node]
                 state = core.state
                 if state is _RUNNING:
@@ -207,11 +246,12 @@ class DueSchedule:
     def next_event(self, cycle: int) -> Optional[int]:
         """The cores' fast-forward horizon (docs/performance.md).
 
-        A RUNNING core pins "now"; otherwise the earliest live hold
-        release or spin poll; ``None`` when every core is blocked on an
-        external event.  Dead heap entries are discarded on the way.
+        A RUNNING core, parked or not, pins "now"; otherwise the
+        earliest live hold release or spin poll; ``None`` when every
+        core is blocked on an external event.  Dead heap entries are
+        discarded on the way.
         """
-        if self.running:
+        if self.running or self.parked:
             return cycle
         cores = self.cores
         horizon = None
@@ -279,7 +319,10 @@ class Core:
         l1.on_fill = self.on_fill
 
         self.state = CoreState.RUNNING
-        self.instructions = 0
+        self._instructions = 0
+        #: Slot (``cycle * ipc + slot``) from which a parked window
+        #: retires one instruction per slot; -1 when not parked.
+        self._run_from = -1
         self._pending: Optional[Op] = None
         self._stall_line: Optional[int] = None  # None = any fill resumes
         self._sync_line = -1
@@ -299,12 +342,30 @@ class Core:
         self._settled = 0
         self._hold_at = _NEVER  # scheduled release tick while LOCK_HOLD
         self._spin_at = _NEVER  # scheduled poll while spinning
+        self._wake_at = _NEVER  # deadline of a parked run-ahead window
         self._schedule = schedule = schedule or DueSchedule()
         schedule.cores[node] = self
         schedule.running.add(node)
 
-        self._park = None
+        self._detach = None
         self.workload = workload
+
+    @property
+    def instructions(self) -> int:
+        """Instructions retired before the current cycle.
+
+        A parked window has applied its ops ahead of the clock, one
+        retired instruction per slot, so the count at the current cycle
+        is arithmetic — like the busy ledger, reading it cuts nothing.
+        """
+        run_from = self._run_from
+        if run_from < 0:
+            return self._instructions
+        return (
+            self._instructions
+            + self._schedule.clock.cycle * self.config.ipc
+            - run_from
+        )
 
     @property
     def workload(self):
@@ -315,13 +376,28 @@ class Core:
         """Takes effect at the next issue, and picks the issue loop: the
         fused one when the stream is an ``AppWorkload``'s, the generic
         ``next_op`` one for anything else (a trace, a scripted test)."""
-        if self._park is not None:
-            self._park()  # the fused loop held the RNG cursor
+        if self._detach is not None:
+            # The fused loop may hold a window and holds the RNG cursor.
+            self._detach()
         self._workload = workload
-        if type(workload) is AppWorkload:
-            self._issue, self._park = _fused_issue(self)
-        else:
-            self._issue, self._park = self._issue_next_op, None
+        self._issue = (
+            self._compile if type(workload) is AppWorkload
+            else self._issue_next_op
+        )
+        self._cut = self._detach = None
+
+    def _compile(self, cycle: int) -> None:
+        """The first issue of an ``AppWorkload``: compile the fused loop
+        from the core's state as it is now, then issue through it."""
+        self._issue, self._cut, self._detach = _fused_issue(self)
+        self._issue(cycle)
+
+    def cut(self) -> None:
+        """Cut a parked run-ahead window back to the current cycle (a
+        no-op unless parked): anything that reads or changes the core's
+        L1 or workload from outside the cores phase calls this first."""
+        if self._wake_at != _NEVER:
+            self._cut()
 
     # ------------------------------------------------------------------
     # cycle accounting and scheduling
@@ -329,11 +405,14 @@ class Core:
 
     def tick(self, cycle: int) -> None:
         """One cycle of a core that is not part of a chip: advance its
-        private schedule's clock around that schedule's cores phase."""
+        private schedule's clock around that schedule's cores phase, and
+        leave the core exactly at the next cycle for whoever drives its
+        L1 between ticks."""
         schedule = self._schedule
         schedule.cycle = cycle
         schedule.tick(cycle)
         schedule.cycle = cycle + 1
+        schedule.cut_all()
 
     def settle(self) -> None:
         """Bring the cycle counters up to date.  Idempotent; reads
@@ -371,14 +450,12 @@ class Core:
         node = self.node
         if old is _RUNNING:
             schedule.running.discard(node)
-            schedule._dirty = True
         elif old is _LOCK_HOLD:
             self._hold_at = _NEVER
         elif old in _SPIN_STATES:
             self._spin_at = _NEVER
         if new is _RUNNING:
             schedule.running.add(node)
-            schedule._dirty = True
         elif new is _LOCK_HOLD:
             self._hold_at = release = hold_release_cycle(
                 settled, self._hold_cycles
@@ -399,7 +476,7 @@ class Core:
             if op is None:
                 op = self._workload.next_op(self._rng)
             if op.kind is OpKind.WORK:
-                self.instructions += 1
+                self._instructions += 1
                 continue
             if op.kind is OpKind.MEM:
                 if not self._issue_mem(op):
@@ -433,7 +510,7 @@ class Core:
             self._enter(CoreState.STALLED)
             return False
         result = self.l1.access(line, op.is_write)
-        self.instructions += 1
+        self._instructions += 1
         if result is AccessResult.HIT:
             if will_miss:  # defensive: prediction said miss but it hit
                 self.mshr.release(line)
@@ -567,37 +644,66 @@ class Core:
 # The fused issue loop
 # ---------------------------------------------------------------------------
 
+#: Most ops one run-ahead window applies: a signature that never misses
+#: and never synchronises would otherwise never park.
+_RUN_AHEAD_OPS = 1024
+#: The sync-op cadence of a signature without barriers (or locks).
+_NO_SYNC = 1 << 62
+
 
 def _fused_issue(core: Core):
     """Compile ``core``'s issue loop for its ``AppWorkload``.
 
-    Returns ``(issue, park)``.  ``issue(cycle)`` is
+    Returns ``(issue, cut, detach)``.  ``issue(cycle)`` is
     ``Core._issue_next_op`` + ``Core._issue_mem`` +
     ``AppWorkload.next_op`` / ``_pick_line`` / ``_pick_shared`` in one
     function — same branch order, same RNG consumption, same L1
     counter and request sequence, no ``Op`` built for the ~99% of ops
     that never stall.  Misses and upgrades go through the real
     ``L1Controller.access``; only the hit path (no protocol side
-    effects beyond counters and LRU) is inlined.
-    ``tests/cmp/test_vector_equivalence.py`` holds it equal to the
-    generic loop.
+    effects beyond counters, LRU and the silent E → M upgrade) is
+    inlined.  ``tests/cmp/test_vector_equivalence.py`` holds it equal
+    to the generic loop.
+
+    **Run-ahead windows.**  Between misses a core's issue is a function
+    of its RNG cursor, its workload counters and its L1, and nothing
+    else can touch those during the cores phase.  So one call applies
+    every op up to the first one that is not a hit — a miss, an
+    upgrade, a transient line, an MSHR-full stall, a barrier or a lock
+    — ``ipc`` slots per cycle, possibly many cycles ahead of the clock:
+    WORK runs are counted in bulk (one draw each, MEM iff it is below
+    ``mem_fraction``) against a sync-cadence bound computed once per
+    window, and hits are applied eagerly.  If that op falls in a later
+    cycle the core parks on :meth:`DueSchedule.park` until then and
+    runs it at its deadline, in node order and in its slot, exactly
+    when the per-cycle loop would have; meanwhile
+    :attr:`Core.instructions` and the busy ledger count arithmetically.
+    Whatever reads or changes a parked core from outside the cores
+    phase first calls ``cut()``, which undoes every op from the current
+    cycle on — RNG cursor (handing back any block it drew:
+    ``ReplayRng._ahead``), workload counters, LRU stamps and
+    ``cache._clock``, E → M upgrades, hit counters — from journals kept
+    per hit, and hands what those ops generated to the next window,
+    which re-checks them against the L1 instead of drawing them again.
+    ``detach()`` cuts and writes the cursor back to the
+    :class:`ReplayRng`, for ``Core.workload``'s setter.
 
     Everything per-core-constant — signature fractions, workload
     geometry, L1 internals, counter objects, state enums — is captured
     as a closure free variable, so each call's prologue is a handful
     of loads instead of re-deriving ~40 locals.
 
-    So is the RNG cursor: while this loop runs nothing else consumes
-    the core's stream, so the buffer position and 32-bit stash live in
-    closure cells, every ``random()`` is one read from the
-    block-precomputed float list, and the four per-access bounded draws
-    (hot line, shared-pool line, neighbour, peer slot) are Lemire
-    multiply-shifts with precomputed rejection thresholds.  Exhaustion
-    is an ``IndexError`` instead of a bounds compare per draw — free on
-    the hot path under 3.11 exception tables.  ``park()`` writes the
-    cursor back to the :class:`ReplayRng`: for the once-per-episode
-    lock-id draw, which goes through ``ReplayRng.integers``, and for
-    ``Core.workload``'s setter when the core changes issue loop.
+    So is the RNG cursor ``(words, pos, has32, stash32)``: while this
+    loop runs nothing else consumes the core's stream.  Every
+    ``random()`` the ops are made of is compared against a fraction, so
+    it is one read from the block of raw words and one integer compare
+    against the fraction's :func:`~repro.util.rng.word_threshold`; the
+    four per-access bounded draws (hot line, shared-pool line,
+    neighbour, peer slot) are Lemire multiply-shifts with precomputed
+    rejection thresholds.  Exhaustion is an ``IndexError`` instead of a
+    bounds compare per draw — free on the hot path under 3.11 exception
+    tables.  The once-per-episode lock-id draw hands the cursor to
+    ``ReplayRng.integers`` and takes it back.
     """
     workload = core._workload
     sig = workload.signature
@@ -617,15 +723,25 @@ def _fused_issue(core: Core):
     sync_access = core._sync_access
     rng = core._rng
     refill = rng._refill
+    ahead = rng._ahead
+    node = core.node
+    schedule = core._schedule
+    chip = schedule.clock
+    park = schedule.park
+    unpark = schedule.unpark
 
-    slots = range(config.ipc)
-    blocking_fraction = config.blocking_fraction
-    mem_fraction = sig.mem_fraction
-    shared_fraction = sig.shared_fraction
-    shared_or_stream = sig.shared_fraction + sig.stream_fraction
-    cold_fraction = sig.private_cold_fraction
-    write_fraction = sig.write_fraction
-    shared_write_fraction = sig.shared_write_fraction
+    # Every draw the ops are made of is compared against a fraction, so
+    # the loop compares raw words against each fraction's word threshold.
+    ipc = config.ipc
+    blocking_below = word_threshold(config.blocking_fraction)
+    mem_below = word_threshold(sig.mem_fraction)
+    shared_below = word_threshold(sig.shared_fraction)
+    shared_or_stream_below = word_threshold(
+        sig.shared_fraction + sig.stream_fraction
+    )
+    cold_below = word_threshold(sig.private_cold_fraction)
+    write_below = word_threshold(sig.write_fraction)
+    shared_write_below = word_threshold(sig.shared_write_fraction)
     hot_lines = sig.hot_lines
     cold_lines = sig.cold_lines
     lock_count = sig.lock_count
@@ -637,7 +753,7 @@ def _fused_issue(core: Core):
     private_base = workload._private_base
     stream_base = workload._stream_base
     cold_base = workload._cold_base
-    node = workload.node
+    workload_node = workload.node
     num_nodes = workload.num_nodes
     shared_slots = max(1, pool_lines // num_nodes)
     butterfly_mod = max(1, num_nodes.bit_length() - 1)
@@ -667,61 +783,173 @@ def _fused_issue(core: Core):
 
     # Sync-op cadence as absolute op counts instead of per-op modulo:
     # ``count % interval == 0`` fires exactly at multiples, so the
-    # next multiple past the ops already generated reproduces it; -1
-    # never matches.
+    # next multiple past the ops already generated reproduces it.
     generated = workload._ops_generated
-    next_barrier = next_lock = -1
+    next_barrier = next_lock = _NO_SYNC
     if barrier_interval:
         next_barrier = (generated // barrier_interval + 1) * barrier_interval
     if lock_interval:
         next_lock = (generated // lock_interval + 1) * lock_interval
 
-    words = rng._buffer
-    floats = rng._floats
-    pos = rng._pos
-    has32 = rng._has32
-    stash32 = rng._stash32
+    # The RNG cursor; ``issue`` keeps it in locals while it runs.
+    cur_words = rng._buffer
+    cur_pos = rng._pos
+    cur_has32 = rng._has32
+    cur_stash32 = rng._stash32
+    # A parked window: the MEM op that ended it (generated, not yet
+    # issued; None when the window ended at its bound), its op count
+    # and the slot its deadline resumes at (-1: not parked).
+    end_line = None
+    end_write = False
+    window_ops = 0
+    wake_slot = -1
+    # Where the latest window started — its op count and cursor — and
+    # its journals, keyed by op index within the window: per hit, flat,
+    # the way (None: a stray, whose line takes the stamp's place), its
+    # previous LRU stamp, the access kind and the cursor after the op;
+    # per block entered, flat, the block; per E -> M upgrade the line;
+    # per workload-counter move the counters before it.  One set per
+    # core, reused: a core has at most one window.
+    start_count = 0
+    start_words: Optional[list[int]] = None
+    start_pos = 0
+    start_has32 = False
+    start_stash32 = 0
+    journal: list = []
+    drawn: list = []
+    flipped: list[tuple] = []
+    moved: list[tuple] = []
+    # What a cut undid but had generated, for the next window to apply
+    # again instead of drawing again (see cut()); None when nothing is.
+    replay: Optional[tuple] = None
 
-    def park() -> None:
-        rng._pos = pos
-        rng._has32 = has32
-        rng._stash32 = stash32
+    def counters(n: int) -> tuple:
+        return (
+            n, workload._stream_pos, workload._cold_pos,
+            workload._butterfly_stage,
+        )
+
+    def next_block(n: int) -> list[int]:
+        words = refill()
+        drawn.extend((n, words))
+        return words
+
+    def resume(base, blocks, moves, last, upto) -> Optional[list[int]]:
+        """Take up again what a cut window's ops up to op ``upto`` (None:
+        all of them) had drawn: the blocks (from the RNG's look-ahead)
+        and the workload-counter moves.  Returns the block the cursor is
+        in, or None when it is still the one the window started in."""
+        words = None
+        for at in range(0, len(blocks), 2):
+            if upto is not None and blocks[at] > upto:
+                break
+            words = ahead.pop()
+            drawn.extend((blocks[at] - base, words))
+        after = last[4:]
+        for move in moves:
+            if upto is not None and move[0] > upto:
+                after = move[1:]
+                break
+            moved.append((move[0] - base, *move[1:]))
+        (
+            workload._stream_pos, workload._cold_pos,
+            workload._butterfly_stage,
+        ) = after
+        return words
 
     def issue(cycle: int) -> None:
-        nonlocal next_barrier, next_lock
-        nonlocal words, floats, pos, has32, stash32
-        count = workload._ops_generated
-        instr = 0
+        nonlocal cur_words, cur_pos, cur_has32, cur_stash32
+        nonlocal end_line, end_write, window_ops, wake_slot, replay
+        nonlocal next_barrier, next_lock, start_count, start_words
+        nonlocal start_pos, start_has32, start_stash32
+        position = cycle * ipc
+        stop = position + ipc
+        if wake_slot >= 0:
+            # Woken at the deadline: the window's ops are retired.
+            position += wake_slot
+            wake_slot = -1
+            core._run_from = -1
+            core._instructions += window_ops
+        line = end_line
+        is_write = end_write
+        end_line = None
         op = core._pending
-
+        if op is not None:
+            # A stalled MEM op resumes first (never WORK/sync).
+            core._pending = None
+            line = op.line
+            is_write = op.is_write
+        words = cur_words
+        pos = cur_pos
+        has32 = cur_has32
+        stash32 = cur_stash32
+        touched = journal
         try:
-            for _slot in slots:
-                if op is not None:
-                    # A stalled MEM op resumes first (never WORK/sync).
-                    core._pending = None
-                    line = op.line
-                    is_write = op.is_write
-                    op = None
-                else:
-                    count += 1
-                    if count == next_barrier:
+            while True:
+                if line is not None:
+                    # -- the MEM op at ``position`` (Core._issue_mem) ----
+                    state = states_get(line)
+                    if state is E or state is M or (state is S and not is_write):
+                        # Only a resumed op can hit here.
+                        l1_access(line, is_write)
+                    elif state is None or state is S:
+                        # A miss — invalid, or a write to a shared line (an
+                        # upgrade) — via the full controller.
+                        if not mshr_allocate(line):
+                            core._pending = Op(kind=MEM, line=line, is_write=is_write)
+                            core._stall_line = None
+                            enter(STALLED)
+                            return
+                        l1_access(line, is_write)
+                        core._instructions += 1
+                        try:
+                            r = words[pos]
+                        except IndexError:
+                            words = refill()
+                            pos = 0
+                            r = words[0]
+                        pos += 1
+                        if r < blocking_below:
+                            core._stall_line = line
+                            enter(STALLED)
+                            return
+                        position += 1
+                        line = None
+                        continue
+                    else:
+                        # Transient ("z"): secondary access waits for the fill.
+                        core._pending = Op(kind=MEM, line=line, is_write=is_write)
+                        core._stall_line = line
+                        enter(STALLED)
+                        return
+                    core._instructions += 1
+                    position += 1
+                    line = None
+
+                count = workload._ops_generated
+                if position < stop:
+                    if count + 1 == next_barrier:
+                        count += 1
+                        workload._ops_generated = count
                         next_barrier += barrier_interval
                         if count == next_lock:
-                            # The naive modulo check never sees a count
-                            # the barrier consumed; the lock cadence is
-                            # unshifted.
+                            # The naive modulo check never sees a count the
+                            # barrier consumed; the lock cadence is unshifted.
                             next_lock += lock_interval
                         enter(BARRIER_ARRIVE)
                         sync_access(barrier_line, True)
                         return
-                    if count == next_lock:
+                    if count + 1 == next_lock:
+                        workload._ops_generated = count + 1
                         next_lock += lock_interval
-                        # Once per episode: hand the cursor to the
-                        # RNG object for this draw and take it back.
-                        park()
+                        # Once per episode: the cursor goes through the RNG
+                        # object for this draw.
+                        rng._buffer = words
+                        rng._pos = pos
+                        rng._has32 = has32
+                        rng._stash32 = stash32
                         lock_id = rng.integers(0, lock_count)
                         words = rng._buffer
-                        floats = rng._floats
                         pos = rng._pos
                         has32 = rng._has32
                         stash32 = rng._stash32
@@ -730,26 +958,119 @@ def _fused_issue(core: Core):
                         enter(LOCK_ACQUIRE)
                         sync_access(lock_line0 + lock_id, True)
                         return
+
+                # -- a window: every op up to the first non-hit ----------
+                limit = (
+                    next_barrier if next_barrier < next_lock else next_lock
+                ) - count - 1
+                if limit > _RUN_AHEAD_OPS:
+                    limit = _RUN_AHEAD_OPS
+                start_count = count
+                start_words = words
+                start_pos = pos
+                start_has32 = has32
+                start_stash32 = stash32
+                if touched:
+                    del touched[:]
+                if drawn:
+                    del drawn[:]
+                if flipped:
+                    del flipped[:]
+                if moved:
+                    del moved[:]
+                clock = cache._clock
+                n = writes = strays = 0
+                # A window that starts where a cut left the last one takes
+                # its first ops from what the cut undid, in order; the
+                # first of them that no longer hits ends it.
+                replaying = replay is not None
+                if replaying:
+                    base, tail, tail_ops, blocks, moves, last = replay
+                    replay = None
+                    at = -7
+                while True:
+                    if line is not None:
+                        state = states_get(line)
+                        if not (
+                            state is M or state is E
+                            or (state is S and not is_write)
+                        ):
+                            if replaying:
+                                words = resume(
+                                    base, blocks, moves, last, base + n
+                                ) or words
+                            count += 1
+                            break
+                        # A hit: CacheArray.touch inlined (LRU + counts),
+                        # journalled so a cut can undo it.
+                        clock += 1
+                        for way in sets[line % nsets]:
+                            if way.line == line:
+                                touched += (
+                                    n, way, way.last_use, is_write,
+                                    pos, has32, stash32,
+                                )
+                                way.last_use = clock
+                                break
+                        else:
+                            touched += (
+                                n, None, line, is_write, pos, has32, stash32
+                            )
+                            strays += 1
+                        if is_write:
+                            writes += 1
+                            if state is E:
+                                states[line] = M
+                                flipped.append((n, line))
+                        n += 1
+                    if replaying:
+                        at += 7
+                        if at < len(tail):
+                            n, way, line, is_write, pos, has32, stash32 = (
+                                tail[at:at + 7]
+                            )
+                            n -= base
+                            if way is not None:
+                                line = way.line
+                            continue
+                        # All of it hit again: carry on from where the cut
+                        # window's generator stood.
+                        replaying = False
+                        words = resume(base, blocks, moves, last, None) or words
+                        pos, has32, stash32 = last[1:4]
+                        n = tail_ops - base
+                    # A run of WORK ops, one draw each, up to a draw
+                    # below mem_fraction (a MEM op) or the window's bound.
+                    start = pos
                     try:
-                        r = floats[pos]
+                        while words[pos] >= mem_below:
+                            pos += 1
                     except IndexError:
-                        words = refill()
-                        floats = rng._floats
+                        n += pos - start
+                        if n >= limit:
+                            pos -= n - limit
+                            n = limit
+                            line = None
+                            break
+                        words = next_block(n)
                         pos = 0
-                        r = floats[0]
-                    pos += 1
-                    if r >= mem_fraction:
-                        instr += 1
+                        line = None  # applied already: scan on
                         continue
+                    n += pos - start
+                    if n >= limit:
+                        pos -= n - limit
+                        n = limit
+                        line = None
+                        break
+                    # A MEM op: past its kind draw, the region draw.
                     try:
-                        r = floats[pos]
+                        r = words[pos + 1]
+                        pos += 2
                     except IndexError:
-                        words = refill()
-                        floats = rng._floats
-                        pos = 0
-                        r = floats[0]
-                    pos += 1
-                    if r < shared_fraction:
+                        words = next_block(n)
+                        pos = 1
+                        r = words[0]
+                    if r < shared_below:
                         if pattern == "uniform":
                             if pool_lines < 2:
                                 line = _SHARED_BASE
@@ -762,8 +1083,7 @@ def _fused_issue(core: Core):
                                         try:
                                             word = words[pos]
                                         except IndexError:
-                                            words = refill()
-                                            floats = rng._floats
+                                            words = next_block(n)
                                             pos = 0
                                             word = words[0]
                                         pos += 1
@@ -776,11 +1096,12 @@ def _fused_issue(core: Core):
                                 line = _SHARED_BASE + (m >> 32)
                         else:
                             if pattern == "butterfly":
+                                moved.append(counters(n))
                                 stage = workload._butterfly_stage
                                 workload._butterfly_stage = (
                                     stage + 1
                                 ) % butterfly_mod
-                                peer = node ^ (1 << stage)
+                                peer = workload_node ^ (1 << stage)
                             elif nneigh < 2:
                                 peer = neighbors[0]
                             else:  # neighbor
@@ -792,8 +1113,7 @@ def _fused_issue(core: Core):
                                         try:
                                             word = words[pos]
                                         except IndexError:
-                                            words = refill()
-                                            floats = rng._floats
+                                            words = next_block(n)
                                             pos = 0
                                             word = words[0]
                                         pos += 1
@@ -815,8 +1135,7 @@ def _fused_issue(core: Core):
                                         try:
                                             word = words[pos]
                                         except IndexError:
-                                            words = refill()
-                                            floats = rng._floats
+                                            words = next_block(n)
                                             pos = 0
                                             word = words[0]
                                         pos += 1
@@ -833,40 +1152,36 @@ def _fused_issue(core: Core):
                                 + slot_draw * num_nodes
                             )
                         try:
-                            r = floats[pos]
+                            r = words[pos]
                         except IndexError:
-                            words = refill()
-                            floats = rng._floats
+                            words = next_block(n)
                             pos = 0
-                            r = floats[0]
+                            r = words[0]
                         pos += 1
-                        is_write = r < shared_write_fraction
+                        is_write = r < shared_write_below
                     else:
-                        if r < shared_or_stream:
-                            line = stream_base + (
-                                workload._stream_pos % _REGION
-                            )
+                        if r < shared_or_stream_below:
+                            moved.append(counters(n))
+                            line = stream_base + (workload._stream_pos % _REGION)
                             workload._stream_pos += 1
                         else:
                             try:
-                                r = floats[pos]
+                                r = words[pos]
                             except IndexError:
-                                words = refill()
-                                floats = rng._floats
+                                words = next_block(n)
                                 pos = 0
-                                r = floats[0]
+                                r = words[0]
                             pos += 1
-                            if r < cold_fraction:
-                                line = cold_base + (
-                                    workload._cold_pos % cold_lines
-                                )
+                            if r < cold_below:
+                                moved.append(counters(n))
+                                line = cold_base + (workload._cold_pos % cold_lines)
                                 workload._cold_pos += 1
                             elif hot_lines == 1:
                                 # integers(0, 1) consumes no words.
                                 line = private_base
                             else:
-                                # Hot private line — the single most
-                                # frequent bounded draw.
+                                # Hot private line — the single most frequent
+                                # bounded draw.
                                 while True:
                                     if has32:
                                         has32 = False
@@ -875,8 +1190,7 @@ def _fused_issue(core: Core):
                                         try:
                                             word = words[pos]
                                         except IndexError:
-                                            words = refill()
-                                            floats = rng._floats
+                                            words = next_block(n)
                                             pos = 0
                                             word = words[0]
                                         pos += 1
@@ -884,71 +1198,138 @@ def _fused_issue(core: Core):
                                         has32 = True
                                         v = word & 0xFFFFFFFF
                                     m = v * hot_lines
-                                    if (m & 0xFFFFFFFF) >= hot_threshold:
+                                    # A power-of-two set never rejects.
+                                    if not hot_threshold or (
+                                        m & 0xFFFFFFFF
+                                    ) >= hot_threshold:
                                         break
                                 line = private_base + (m >> 32)
                         try:
-                            r = floats[pos]
+                            r = words[pos]
                         except IndexError:
-                            words = refill()
-                            floats = rng._floats
+                            words = next_block(n)
                             pos = 0
-                            r = floats[0]
+                            r = words[0]
                         pos += 1
-                        is_write = r < write_fraction
-
-                # -- memory issue (Core._issue_mem, fused) --------------
-                state = states_get(line)
-                if state is E or state is M or (state is S and not is_write):
-                    # A hit: CacheArray.touch inlined (LRU + counts).
-                    cache._clock = clock = cache._clock + 1
-                    for way in sets[line % nsets]:
-                        if way.line == line:
-                            way.last_use = clock
-                            cache.hits += 1
-                            break
-                    else:
-                        cache.misses += 1
-                    if is_write:
-                        c_write_hits.value += 1
-                        states[line] = M
-                    else:
-                        c_read_hits.value += 1
-                    instr += 1
+                        is_write = r < write_below
+                workload._ops_generated = count + n
+                hits = len(touched) // 7
+                if hits:
+                    cache._clock = clock
+                    cache.hits += hits - strays
+                    c_read_hits.value += hits - writes
+                    if writes:
+                        c_write_hits.value += writes
+                    if strays:
+                        cache.misses += strays
+                position += n
+                if position < stop:
+                    # The window ended inside this cycle: nothing to park,
+                    # and ``line`` (if any) runs next, in its slot.
+                    core._instructions += n
                     continue
-                if state is None or state is S:
-                    # A miss — invalid, or a write to a shared line (an
-                    # upgrade) — via the full controller.
-                    if not mshr_allocate(line):
-                        core._pending = Op(
-                            kind=MEM, line=line, is_write=is_write
-                        )
-                        core._stall_line = None
-                        enter(STALLED)
-                        return
-                    l1_access(line, is_write)
-                    instr += 1
-                    try:
-                        r = floats[pos]
-                    except IndexError:
-                        words = refill()
-                        floats = rng._floats
-                        pos = 0
-                        r = floats[0]
-                    pos += 1
-                    if r < blocking_fraction:
-                        core._stall_line = line
-                        enter(STALLED)
-                        return
-                    continue
-                # Transient ("z"): secondary access waits for the fill.
-                core._pending = Op(kind=MEM, line=line, is_write=is_write)
-                core._stall_line = line
-                enter(STALLED)
+                end_line = line
+                end_write = is_write
+                core._run_from = position - n
+                window_ops = n
+                wake_slot = position % ipc
+                park(node, position // ipc)
                 return
         finally:
-            workload._ops_generated = count
-            core.instructions += instr
+            cur_words = words
+            cur_pos = pos
+            cur_has32 = has32
+            cur_stash32 = stash32
+            if drawn and wake_slot < 0:
+                # No window to cut: let go of the blocks behind the cursor.
+                del drawn[:]
+                start_words = None
 
+    def cut() -> None:
+        nonlocal cur_words, cur_pos, cur_has32, cur_stash32
+        nonlocal end_line, wake_slot, replay
+        kept = chip.cycle * ipc - core._run_from  # ops before now
+        # What the window generated past ``kept``, kept for the next
+        # window: its journal entries, the op that ended it, and where
+        # the generator stood at the end (cursor and workload counters).
+        last = (
+            cur_words, cur_pos, cur_has32, cur_stash32,
+            workload._stream_pos, workload._cold_pos,
+            workload._butterfly_stage,
+        )
+        # Undo the hits at or after op ``kept``, latest first.
+        end = keep = len(journal)
+        while keep and journal[keep - 7] >= kept:
+            keep -= 7
+        strays = writes = 0
+        for at in range(end - 7, keep - 7, -7):
+            way = journal[at + 1]
+            if way is None:
+                strays += 1
+            else:
+                way.last_use = journal[at + 2]
+            writes += journal[at + 3]
+        tail = journal[keep:end]
+        undone = (end - keep) // 7
+        cache._clock -= undone
+        cache.hits -= undone - strays
+        cache.misses -= strays
+        c_write_hits.value -= writes
+        c_read_hits.value -= undone - writes
+        for n, line in flipped:
+            if n >= kept:
+                states[line] = E
+        moves = [move for move in moved if move[0] >= kept]
+        if moves:
+            (
+                workload._stream_pos, workload._cold_pos,
+                workload._butterfly_stage,
+            ) = moves[0][1:]
+        workload._ops_generated = start_count + kept
+        # The cursor after the last kept hit (or at the window's start),
+        # moved on one draw per WORK op since, in the block it had
+        # reached; the blocks past it go back to the RNG.
+        if keep:
+            before, _way, _stamp, _write, pos, cur_has32, cur_stash32 = (
+                journal[keep - 7:keep]
+            )
+        else:
+            before = -1
+            pos, cur_has32, cur_stash32 = start_pos, start_has32, start_stash32
+        words = start_words
+        at = 0
+        while at < len(drawn) and drawn[at] <= before:
+            words = drawn[at + 1]
+            at += 2
+        pos += kept - 1 - before
+        while pos > len(words):
+            pos -= len(words)
+            words = drawn[at + 1]
+            at += 2
+        cur_words = words
+        cur_pos = pos
+        ahead.extend(reversed(drawn[at + 1::2]))
+        tail_ops = window_ops
+        if end_line is not None:
+            tail += window_ops, None, end_line, end_write, *last[1:4]
+            tail_ops += 1
+            end_line = None
+        if kept < tail_ops:
+            replay = (kept, tail, tail_ops, drawn[at:], moves, last)
+        del drawn[:]
+        wake_slot = -1
+        core._instructions += kept
+        core._run_from = -1
+        unpark(node)
 
-    return issue, park
+    def detach() -> None:
+        nonlocal replay
+        if wake_slot >= 0:
+            cut()
+        replay = None
+        rng._buffer = cur_words
+        rng._pos = cur_pos
+        rng._has32 = cur_has32
+        rng._stash32 = cur_stash32
+
+    return issue, cut, detach

@@ -54,8 +54,13 @@ def _split(path: str) -> list[str]:
 class MetricsRegistry:
     """Mount point for live stat trees and gauges; snapshot on demand."""
 
-    def __init__(self, name: str = "repro"):
+    def __init__(
+        self, name: str = "repro", settle: Optional[Callable[[], None]] = None
+    ):
         self.name = name
+        #: Called before every snapshot re-reads the live objects (a
+        #: system brings state it updates lazily up to date).
+        self._settle = settle
         self._groups: dict[str, StatGroup] = {}
         self._gauges: dict[str, GaugeSource] = {}
 
@@ -84,6 +89,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """The full hierarchy as one nested dict, re-read from live state."""
+        if self._settle is not None:
+            self._settle()
         out: dict = {}
         for path in sorted(self._groups):
             self._insert(out, path, self._groups[path].as_dict())

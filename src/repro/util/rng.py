@@ -19,12 +19,14 @@ scalars by the million.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
-__all__ = ["derive_seed", "RngHub", "ReplayRng"]
+__all__ = ["derive_seed", "RngHub", "ReplayRng", "word_threshold"]
 
 _MASK_63 = (1 << 63) - 1
+_UNIT = 2.0 ** -53  # random()'s scale: 53 random bits below the point
 
 
 def derive_seed(root_seed: int, name: str) -> int:
@@ -81,6 +83,23 @@ class RngHub:
         return f"RngHub(root_seed={self.root_seed}, streams={len(self._streams)})"
 
 
+def word_threshold(fraction: float) -> int:
+    """The raw word ``w`` below which ``(w >> 11) * 2**-53 < fraction``.
+
+    Scaling by a power of two is exact in binary floating point, so a
+    draw is below ``fraction`` iff its 53 bits are below
+    ``ceil(fraction * 2**53)``, iff the whole word is below that shifted
+    back up by 11:
+
+    >>> word_threshold(0.5) == 1 << 63
+    True
+    >>> w = word_threshold(0.3)
+    >>> ((w - 1) >> 11) * 2**-53 < 0.3 <= (w >> 11) * 2**-53
+    True
+    """
+    return math.ceil(math.ldexp(fraction, 53)) << 11
+
+
 class ReplayRng:
     """Replays ``numpy.random.Generator(PCG64(seed))`` draws from a buffer.
 
@@ -93,6 +112,9 @@ class ReplayRng:
     half of a word split for 32-bit output:
 
     * ``random()`` — ``(word >> 11) * 2**-53`` (53-bit mantissa fill).
+      Every step is exact, so ``random() < f`` is ``word <
+      word_threshold(f)``: a reader that only compares draws against
+      fractions (the cores) never converts a word.
     * ``integers(low, high)`` — Lemire's 32-bit multiply-shift bounded
       draw with rejection, the path numpy takes for the default
       ``int64`` dtype whenever the range fits in 32 bits (every draw
@@ -103,34 +125,32 @@ class ReplayRng:
     ``RngHub(root).stream(name)``.  The equivalence is pinned by
     hypothesis tests interleaving both call types against a real
     ``Generator`` over random seeds.
+
+    A reader that moves the cursor back across a refill (a core cutting
+    its run-ahead window) pushes the blocks it had already drawn onto
+    ``_ahead``, top first; refills take them back before drawing more.
     """
 
-    __slots__ = ("_raw", "_buffer", "_floats", "_pos", "_has32", "_stash32")
+    __slots__ = ("_raw", "_buffer", "_pos", "_has32", "_stash32", "_ahead")
 
     _BLOCK = 1024
 
     def __init__(self, seed: int):
         self._raw = np.random.PCG64(seed).random_raw
         self._buffer: list[int] = []
-        self._floats: list[float] = []
         self._pos = 0
         self._has32 = False
         self._stash32 = 0
+        self._ahead: list[list[int]] = []
 
     def _refill(self) -> list[int]:
-        """Replace the exhausted buffer with a fresh block of raw words.
-
-        The ``random()`` transform is precomputed for the whole block:
-        ``(word >> 11) * 2**-53`` is one exact uint64 shift and one
-        float64 multiply whether done by numpy on the block or by
-        Python per word, so ``_floats[i]`` is bitwise what ``random()``
-        would return for ``_buffer[i]``.
-        """
-        raw = self._raw(self._BLOCK)
-        self._buffer = buffer = raw.tolist()
-        self._floats = ((raw >> 11) * 1.1102230246251565e-16).tolist()
+        """Replace the exhausted buffer with the next block of raw words."""
+        if self._ahead:
+            self._buffer = self._ahead.pop()
+        else:
+            self._buffer = self._raw(self._BLOCK).tolist()
         self._pos = 0
-        return buffer
+        return self._buffer
 
     def _next64(self) -> int:
         pos = self._pos
@@ -155,12 +175,7 @@ class ReplayRng:
 
     def random(self) -> float:
         """One double in [0, 1), identical to ``Generator.random()``."""
-        pos = self._pos
-        if pos >= len(self._buffer):
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._floats[pos]
+        return (self._next64() >> 11) * _UNIT
 
     def integers(self, low: int, high: int) -> int:
         """One int in [low, high), identical to ``Generator.integers``."""

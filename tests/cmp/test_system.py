@@ -24,6 +24,15 @@ class TestConfig:
     def test_app_lookup(self):
         assert CmpConfig(app="oc").app_signature.name == "ocean"
 
+    @pytest.mark.parametrize("latency", (0, -1))
+    def test_local_latency_below_one_cycle_rejected(self, latency):
+        # At 0 a request to the core's own home slice would be delivered
+        # inside the cores phase, where only a core's own action may
+        # change it; -1 quietly changed results.
+        with pytest.raises(ValueError, match=f"local_latency.*{latency}"):
+            CmpConfig(local_latency=latency)
+        assert CmpConfig(local_latency=1).local_latency == 1
+
 
 class TestWiring:
     def test_home_interleaving(self):

@@ -41,6 +41,17 @@ def run(fabric, cores, cycles):
         fabric.pump()
 
 
+class TestConfig:
+    @pytest.mark.parametrize("interval", (0, -4))
+    def test_spin_interval_below_one_rejected(self, interval):
+        with pytest.raises(ValueError, match=f"spin_interval.*{interval}"):
+            CoreConfig(spin_interval=interval)
+
+    def test_blocking_fraction_message_names_the_value(self):
+        with pytest.raises(ValueError, match="1.5"):
+            CoreConfig(blocking_fraction=1.5)
+
+
 class TestIssue:
     def test_work_ops_retire_at_ipc(self):
         fabric = Fabric(num_nodes=1)

@@ -7,7 +7,9 @@ run:
 
 * :class:`ReplayRng` against a real ``numpy.random.Generator`` over
   interleaved float and bounded-integer draws (including refills and
-  PCG64's cross-call 32-bit stash);
+  PCG64's cross-call 32-bit stash), and :func:`word_threshold` — the
+  raw-word compare the cores make instead of ``random() < fraction`` —
+  against the float it replaces;
 * :func:`hold_release_cycle` / :func:`spin_poll_cycle`, the two
   deadline rules of the due-core schedule, against tick-by-tick
   countdown / poll-gate simulations.
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cpu.core import hold_release_cycle, spin_poll_cycle
-from repro.util.rng import ReplayRng
+from repro.util.rng import ReplayRng, word_threshold
 
 _DRAW = st.one_of(
     st.just(None),  # a float draw
@@ -63,6 +65,18 @@ class TestReplayRng:
                 assert replay.integers(0, high) == int(
                     reference.integers(0, high)
                 )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        word=st.integers(min_value=0, max_value=2**64 - 1),
+        near=st.integers(min_value=-(2**12), max_value=2**12),
+    )
+    def test_word_threshold_decides_random_below(self, fraction, word, near):
+        # Any word, and the words around the threshold itself.
+        threshold = word_threshold(fraction)
+        for w in (word, min(max(threshold + near, 0), 2**64 - 1)):
+            assert ((w >> 11) * 2**-53 < fraction) == (w < threshold)
 
     def test_range_of_one_consumes_nothing(self):
         replay = ReplayRng(7)
