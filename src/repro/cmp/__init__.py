@@ -7,7 +7,6 @@ Figures 5–11 and Tables 3–4.
 """
 
 from repro.cmp.results import CmpResults
-from repro.cmp.sweep import SweepSummary
 from repro.cmp.system import CmpConfig, CmpSystem, run_app
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "CmpSystem",
     "CmpResults",
     "run_app",
-    "SweepSummary",
 ]

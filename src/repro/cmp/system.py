@@ -178,7 +178,7 @@ class CmpConfig:
 
 
 class CmpSystem:
-    """One full chip: build with a config, then :meth:`run`."""
+    """One full chip: build with a config, :meth:`run`, then :meth:`close`."""
 
     def __init__(self, config: CmpConfig):
         self.config = config
@@ -771,6 +771,8 @@ class CmpSystem:
 
     def run(self, cycles: int) -> CmpResults:
         """Simulate ``cycles`` cycles and collect the results."""
+        if cycles < 0:
+            raise ValueError(f"cannot run a negative number of cycles: {cycles}")
         self._advance(self.cycle + cycles)
         return self._results()
 
@@ -801,6 +803,51 @@ class CmpSystem:
         raise RuntimeError(
             f"work target {instructions} not reached within {max_cycles} cycles"
         )
+
+    # ------------------------------------------------------------------
+    # end of life
+    # ------------------------------------------------------------------
+
+    _closed = False  # set on the instance by close()
+
+    def close(self) -> None:
+        """Release the system, so that dropping it frees it at once.
+
+        A built system is a web of reference cycles: the controllers'
+        ``_send_from`` hooks, the phase and handler tables, the sync
+        release hooks, the schedule's clock, the delivery callbacks, the
+        cores' fill hooks and issue closures, the routers' links, the
+        calendars and the packets in flight with their ``on_confirmed``
+        acks.  Left alone, only a full pass of the cyclic collector
+        frees it.  Dropping the state of the system and of each
+        component it built cuts every cycle, so the last reference going
+        frees the whole graph by reference counting.  (The memory
+        controllers are slotted; their one edge out, ``send``, ends at
+        this system.)
+
+        Results and metrics read before stay valid; any later use of the
+        system raises ``RuntimeError``.  Idempotent.  Whoever builds a
+        system closes it when done with it.
+        """
+        if self._closed:
+            return
+        network = self.network
+        owned = [
+            self, self._due_cores, self.sync, network,
+            *self.cores, *self.l1s, *self.directories,
+        ]
+        if isinstance(network, MeshNetwork):
+            owned.extend(network.routers)
+        for component in owned:
+            vars(component).clear()
+        self._closed = True
+
+    def __getattr__(self, name: str):
+        # Reached only when the normal lookup fails: once the system is
+        # closed, for every one of its attributes.
+        if self._closed:
+            raise RuntimeError(f"CmpSystem is closed (read of {name!r})")
+        raise AttributeError(f"'CmpSystem' object has no attribute {name!r}")
 
     # ------------------------------------------------------------------
     # observability
@@ -979,4 +1026,8 @@ def run_app(
         seed=seed,
         **config_kwargs,
     )
-    return CmpSystem(config).run(cycles)
+    system = CmpSystem(config)
+    try:
+        return system.run(cycles)
+    finally:
+        system.close()

@@ -488,8 +488,9 @@ def timelining(
     """Enable the global timeline for a block.
 
     Entry reconfigures and clears :data:`TIMELINE` and switches it on;
-    exit restores the previous enabled state but keeps the collected
-    windows so they can still be exported::
+    exit restores the previous enabled state and lets go of the sampled
+    system and its registry, but keeps the collected windows and meta
+    so they can still be exported::
 
         with timelining(window=100) as tl:
             CmpSystem(config).run(cycles)
@@ -505,6 +506,9 @@ def timelining(
         yield TIMELINE
     finally:
         TIMELINE.enabled = previous_enabled
+        # The registry mounts every component's stats: holding it would
+        # keep the last timelined system alive until the next configure.
+        TIMELINE._system = TIMELINE._registry = None
 
 
 # -- timeline JSONL loading (repro top --from, RunStore ingestion) ---------

@@ -30,6 +30,7 @@ from repro.sweep.runner import (
     PointTimeout,
     SweepHeartbeat,
     SweepReport,
+    SweepSummary,
     execute_point,
     load_jsonl,
     metrics_filename,
@@ -53,6 +54,7 @@ __all__ = [
     "SweepPoint",
     "SweepReport",
     "SweepSpec",
+    "SweepSummary",
     "Variant",
     "canonical_json",
     "code_version",

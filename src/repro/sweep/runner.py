@@ -29,6 +29,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import math
 import signal
 import threading
 import time
@@ -39,7 +40,6 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.cmp.results import CmpResults
-from repro.cmp.sweep import SweepSummary
 from repro.faults.plan import FaultPlan
 from repro.sweep.cache import ResultCache, _normalized
 from repro.sweep.spec import SweepPoint, SweepSpec, canonical_json, pair_points
@@ -49,6 +49,7 @@ __all__ = [
     "PointTimeout",
     "SweepHeartbeat",
     "SweepReport",
+    "SweepSummary",
     "execute_point",
     "load_jsonl",
     "metrics_filename",
@@ -85,20 +86,25 @@ def execute_point(
 
     point = SweepPoint.from_dict(point_dict)
     system = CmpSystem(point.to_config())
-    if timeline_dir is not None:
-        from repro.obs.timeline import timelining
+    try:
+        if timeline_dir is not None:
+            from repro.obs.timeline import timelining
 
-        with timelining(window=timeline_window) as timeline:
+            with timelining(window=timeline_window) as timeline:
+                result = system.run(point.cycles).to_dict()
+            directory = Path(timeline_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            timeline.write_jsonl(directory / timeline_filename(point))
+        else:
             result = system.run(point.cycles).to_dict()
-        directory = Path(timeline_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        timeline.write_jsonl(directory / timeline_filename(point))
-    else:
-        result = system.run(point.cycles).to_dict()
-    if metrics_dir is not None:
-        directory = Path(metrics_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        system.metrics_registry().write(directory / metrics_filename(point))
+        if metrics_dir is not None:
+            directory = Path(metrics_dir)
+            directory.mkdir(parents=True, exist_ok=True)
+            system.metrics_registry().write(directory / metrics_filename(point))
+    finally:
+        # Freed by reference counting when this frame ends, rather than
+        # piling up for the cyclic collector (CmpSystem.close).
+        system.close()
     return result
 
 
@@ -216,6 +222,63 @@ class PointOutcome:
             "result": self.result,
             "error": self.error,
         }
+
+
+@dataclass(frozen=True)
+class SweepSummary:
+    """Summary statistics of one scalar metric across sweep points.
+
+    The paper reports single-run numbers; with stochastic workloads it
+    is better to run several seeds and report the spread: mean / min /
+    max / 95%-confidence half-width, of any scalar metric or of speedups
+    paired by seed (:meth:`SweepReport.paired_speedups` — the same seed
+    drives the same workload stream through both networks, so pairing
+    removes workload variance).
+    """
+
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise ValueError("summary of no values")
+
+    @property
+    def count(self) -> int:
+        return len(self.values)
+
+    @property
+    def mean(self) -> float:
+        return sum(self.values) / len(self.values)
+
+    @property
+    def minimum(self) -> float:
+        return min(self.values)
+
+    @property
+    def maximum(self) -> float:
+        return max(self.values)
+
+    @property
+    def stdev(self) -> float:
+        if len(self.values) < 2:
+            return 0.0
+        mean = self.mean
+        return math.sqrt(
+            sum((v - mean) ** 2 for v in self.values) / (len(self.values) - 1)
+        )
+
+    @property
+    def ci95_halfwidth(self) -> float:
+        """Normal-approximation 95% confidence half-width of the mean."""
+        if len(self.values) < 2:
+            return 0.0
+        return 1.96 * self.stdev / math.sqrt(len(self.values))
+
+    def __str__(self) -> str:
+        return (
+            f"{self.mean:.3f} ± {self.ci95_halfwidth:.3f} "
+            f"[{self.minimum:.3f}, {self.maximum:.3f}] (n={self.count})"
+        )
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cmp.sweep import SweepSummary
+from repro.sweep import SweepSummary
 
 
 class TestSweepSummary:

@@ -117,6 +117,12 @@ class TestRun:
         high = run_app("rx", "fsoi", cycles=4000, memory_gbps=52.8)
         assert high.ipc >= low.ipc
 
+    def test_negative_cycle_count_rejected(self):
+        system = CmpSystem(CmpConfig(num_nodes=16))
+        with pytest.raises(ValueError, match="-5"):
+            system.run(-5)
+        assert system.run(0).cycles == 0
+
     def test_run_continues_across_calls(self):
         system = CmpSystem(CmpConfig(num_nodes=16, app="ba"))
         first = system.run(1000)

@@ -9,8 +9,10 @@ counter events, OpenMetrics) are validated with the same linters the
 CLI uses.
 """
 
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,22 @@ class TestPassivity:
     def test_timeline_left_disabled_after_block(self):
         timelined_run()
         assert not TIMELINE.enabled
+
+    def test_block_exit_lets_go_of_the_system(self):
+        """The collector keeps its windows, not the system: closed and
+        dropped, it is freed with the cyclic collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            _, jsonl, system = timelined_run(cycles=400)
+            ref = weakref.ref(system)
+            system.close()
+            del system
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert TIMELINE.to_jsonl() == jsonl
+        assert TIMELINE.meta["app"] == "fft"
 
 
 class TestCollectedWindows:
