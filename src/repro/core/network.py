@@ -380,9 +380,7 @@ class FsoiNetwork(Interconnect):
             src < 0 or src >= self.num_nodes or dst < 0 or dst >= self.num_nodes
             or src == dst
         ):
-            self._check_node(src)
-            self._check_node(dst)
-            raise ValueError(f"packet to self: node {src}")
+            self._check_packet(packet)  # raises; the test above inlines it
         lane = packet.lane
         queue = self._state[lane][src].queue
         if len(queue) >= self._queue_capacity:

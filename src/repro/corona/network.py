@@ -82,8 +82,7 @@ class CoronaNetwork(Interconnect):
         return total < self.config.injection_queue
 
     def try_send(self, packet: Packet, cycle: int) -> bool:
-        self._check_node(packet.src)
-        self._check_node(packet.dst)
+        self._check_packet(packet)
         if not self.can_accept(packet.src, packet.lane):
             self.stats.refused.add()
             return False

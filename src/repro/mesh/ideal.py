@@ -82,8 +82,7 @@ class IdealNetwork(Interconnect):
         return len(self._queues[node]) < self.config.injection_queue
 
     def try_send(self, packet: Packet, cycle: int) -> bool:
-        self._check_node(packet.src)
-        self._check_node(packet.dst)
+        self._check_packet(packet)
         queue = self._queues[packet.src]
         if len(queue) >= self.config.injection_queue:
             self.stats.refused.add()

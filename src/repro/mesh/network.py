@@ -13,12 +13,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from repro.mesh.router import NEVER, Flit, Router, free_vc
+from repro.mesh.router import NEVER, Router, free_vc
 from repro.mesh.routing import Port, mesh_hops, mesh_side, neighbor, xy_route
 from repro.net.interface import Interconnect
 from repro.net.packet import Packet
 
 __all__ = ["MeshConfig", "MeshNetwork"]
+
+_LOCAL = Port.LOCAL  # a local name: enum member lookups are slow
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,14 @@ class MeshConfig:
 
     def __post_init__(self) -> None:
         mesh_side(self.num_nodes)  # validates squareness
+        if self.num_vcs < 1 or self.buffer_flits < 1:
+            raise ValueError("need at least 1 VC and 1 buffer slot")
+        if self.router_latency < 1 or self.link_latency < 0:
+            raise ValueError("router latency >= 1, link latency >= 0")
         if self.injection_queue < 1:
             raise ValueError("injection queue must hold at least 1 packet")
         if not 0.1 <= self.bandwidth_scale <= 1.0:
-            raise ValueError(f"bandwidth scale out of (0.1, 1]: {self.bandwidth_scale}")
+            raise ValueError(f"bandwidth scale out of [0.1, 1]: {self.bandwidth_scale}")
 
     def flits_for(self, packet_flits: int) -> int:
         """Flit count after link-width scaling."""
@@ -90,11 +96,9 @@ class MeshNetwork(Interconnect):
         self._inject_queues: list[deque[Packet]] = [
             deque() for _ in range(config.num_nodes)
         ]
-        # In-progress injection: remaining flits of the packet currently
-        # being pushed into the local port, plus its allocated VC.
-        self._inject_state: list[tuple[list[Flit], int] | None] = [
-            None
-        ] * config.num_nodes
+        # In-progress injection: (flits of the packet still to push into
+        # the local port, its allocated VC).
+        self._inject_state: list[tuple[int, int] | None] = [None] * config.num_nodes
         # Nodes with a queued or in-progress injection.
         self._active_inject: set[int] = set()
         self._deliveries: dict[int, list[Packet]] = {}
@@ -107,8 +111,7 @@ class MeshNetwork(Interconnect):
         return len(self._inject_queues[node]) < self.config.injection_queue
 
     def try_send(self, packet: Packet, cycle: int) -> bool:
-        self._check_node(packet.src)
-        self._check_node(packet.dst)
+        self._check_packet(packet)
         queue = self._inject_queues[packet.src]
         if len(queue) >= self.config.injection_queue:
             self.stats.refused.add()
@@ -155,11 +158,11 @@ class MeshNetwork(Interconnect):
         """
         for node in self._active_inject:
             state = self._inject_state[node]
-            local = self.routers[node].inputs[Port.LOCAL]
+            local = self.routers[node].inputs[_LOCAL]
             if state is None:
                 if free_vc(local) is not None:
                     return cycle
-            elif local[state[1]].capacity > len(local[state[1]].flits):
+            elif len(local[state[1]].flits) < self.config.buffer_flits:
                 return cycle
         horizon = min(self._deliveries) if self._deliveries else NEVER
         for router in self.routers:
@@ -177,38 +180,29 @@ class MeshNetwork(Interconnect):
         """Push at most one flit per cycle into the local input port."""
         state = self._inject_state[node]
         router = self.routers[node]
-        local = router.inputs[Port.LOCAL]
+        local = router.inputs[_LOCAL]
+        queue = self._inject_queues[node]
         if state is None:
             vc = free_vc(local)
             if vc is None:
-                return  # all local VCs busy or full
-            packet = self._inject_queues[node].popleft()
+                return  # all local VCs busy
+            packet = queue.popleft()
             packet.first_tx_cycle = cycle
             packet.final_tx_cycle = cycle
-            flits = self._make_flits(packet, self.config.flits_for(packet.flits))
-            state = (flits, vc)
-            self._inject_state[node] = state
-        flits, vc = state
-        if local[vc].capacity <= len(local[vc].flits):
-            return
-        flit = flits.pop(0)
-        router.accept_flit(Port.LOCAL, vc, flit, cycle + 1)
-        if not flits:
+            left = self.config.flits_for(packet.flits)
+            router.accept_flit(_LOCAL, vc, cycle + 1, packet, left)
+        else:
+            left, vc = state
+            if len(local[vc].flits) >= router.buffer_flits:
+                return
+            router.accept_flit(_LOCAL, vc, cycle + 1)
+        left -= 1
+        if left:
+            self._inject_state[node] = (left, vc)
+        else:
             self._inject_state[node] = None
-            if not self._inject_queues[node]:
+            if not queue:
                 self._active_inject.discard(node)
-
-    @staticmethod
-    def _make_flits(packet: Packet, count: int) -> list[Flit]:
-        return [
-            Flit(
-                packet=packet,
-                index=i,
-                is_head=(i == 0),
-                is_tail=(i == count - 1),
-            )
-            for i in range(count)
-        ]
 
     def _on_eject(self, packet: Packet, cycle: int) -> None:
         """Router ejection callback; delivery is stamped at ``cycle``."""
@@ -217,32 +211,47 @@ class MeshNetwork(Interconnect):
 
     def audit(self) -> None:
         """The scheduling state must agree with a recount of the buffers
-        and queues it summarises."""
+        and queues it summarises, and each VC with its owner: ``left`` is
+        its buffered flits plus what its upstream VC (or injection) holds."""
         for node, router in enumerate(self.routers):
             ready_min = NEVER
             occupied = set()
+            downstream = {output[0]: output[3] for _, output in router._outputs}
             for port, buffers in router.inputs.items():
                 for vc, buffer in enumerate(buffers):
                     k = port * router.num_vcs + vc
                     assert router._bufs[k] is buffer
-                    requesting = (
-                        buffer.route_port is not None
-                        and k in router._requesters[buffer.route_port]
-                    )
+                    assert len(buffer.flits) <= router.buffer_flits
+                    owner = buffer.owner
+                    if owner is None:  # an unowned VC is empty
+                        assert not buffer.flits and buffer.left == 0
+                        assert buffer.route_port is buffer.out_vc is None
+                        continue
+                    total = self.config.flits_for(owner.flits)
+                    assert total >= buffer.left >= max(1, len(buffer.flits))
+                    assert buffer.route_port is xy_route(node, owner.dst, self.side)
+                    if buffer.out_vc is None:  # the head has not left
+                        assert buffer.route_port is _LOCAL or buffer.left == total
+                    else:  # the rest of the packet, one hop on
+                        dbuf = downstream[buffer.route_port][buffer.out_vc]
+                        assert dbuf.owner is owner
+                        assert dbuf.left == len(dbuf.flits) + buffer.left
+                    requesting = k in router._requesters[buffer.route_port]
                     assert requesting == bool(buffer.flits)
                     if buffer.flits:
                         occupied.add(k)
-                        ready_min = min(ready_min, buffer.flits[0][0])
-                        assert buffer.route_port is xy_route(
-                            node, buffer.owner.dst, self.side
-                        )
+                        ready_min = min(ready_min, buffer.flits[0])
             assert router._occupied == occupied
             assert sum(map(len, router._requesters)) == len(occupied)
             assert router._ready_min == ready_min
             assert router.buffer_writes - router.flits_routed == router.occupancy()
-            busy = self._inject_state[node] is not None or bool(
-                self._inject_queues[node]
-            )
+            state = self._inject_state[node]
+            if state is not None:  # the rest of its local VC's owner
+                left, vc = state
+                local = router.inputs[_LOCAL][vc]
+                assert left >= 1 and local.owner is not None
+                assert local.left == len(local.flits) + left
+            busy = state is not None or bool(self._inject_queues[node])
             assert busy == (node in self._active_inject)
 
     # -- energy accounting -----------------------------------------------------

@@ -14,8 +14,14 @@ credit loop).  Head flits additionally need a free downstream VC
 (packet-granularity VC allocation, wormhole body flits follow their
 head).
 
+Buffer layout: VC allocation is per packet, so a VC holds one packet's
+flits at a time and the VC carries what a flit would: the owner, its
+route port, its downstream VC and ``left``, its flits still to leave.
+A buffered flit is just its ready cycle; the front flit is a head while
+the VC has no downstream VC, and a tail when one flit is left.
+
 Scheduling: the router keeps ``_ready_min``, the earliest cycle any of
-its buffered head flits becomes processable (:data:`NEVER` when empty).
+its buffered front flits becomes processable (:data:`NEVER` when empty).
 ``tick`` returns at once before that cycle, and the mesh network ticks
 only routers whose ``_ready_min`` is due (docs/performance.md).
 
@@ -29,14 +35,13 @@ downstream one.  ``inputs[port][vc]`` is the same buffers by port.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.mesh.routing import Port, mesh_coordinates, opposite
 from repro.net.packet import Packet
 from repro.obs.trace import TRACE
 
-__all__ = ["NEVER", "Flit", "Router", "free_vc"]
+__all__ = ["NEVER", "Router", "free_vc"]
 
 #: "Nothing buffered" value of ``Router._ready_min``: later than any
 #: simulated cycle.
@@ -47,38 +52,26 @@ _EAST, _WEST, _NORTH, _SOUTH, _LOCAL = (
 )
 
 
-@dataclass
-class Flit:
-    """One 72-bit flit of a packet."""
-
-    packet: Packet
-    index: int
-    is_head: bool
-    is_tail: bool
-
-
 class _VcBuffer:
-    """One virtual-channel FIFO at an input port."""
+    """One virtual-channel FIFO at an input port (empty when unowned)."""
 
-    __slots__ = ("capacity", "flits", "owner", "route_port", "out_vc")
+    __slots__ = ("flits", "owner", "route_port", "out_vc", "left")
 
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        # Entries are (ready_cycle, flit): a flit occupies its slot from
-        # the moment the upstream router sends it, becoming processable
-        # at ready_cycle.
-        self.flits: deque[tuple[int, Flit]] = deque()
-        self.owner: Optional[Packet] = None    # packet currently using this VC
+    def __init__(self):
+        # Ready cycles: a flit holds its slot from the moment it is sent.
+        self.flits: deque[int] = deque()
+        self.owner: Optional[Packet] = None     # packet currently using this VC
         self.route_port: Optional[Port] = None  # RC result for the owner
-        self.out_vc: Optional[int] = None       # VA result for the owner
+        self.out_vc: Optional[int] = None       # VA result; None: front is a head
+        self.left = 0                           # owner's flits still to leave
 
 
 def free_vc(buffers: list[_VcBuffer]) -> Optional[int]:
     """First VC of an input port that a new packet's head flit may
-    enter — unallocated (packet-granularity VC allocation) and with a
-    credit — or ``None``."""
+    enter — unallocated (packet-granularity VC allocation), hence empty
+    and with a credit — or ``None``."""
     for vc, buffer in enumerate(buffers):
-        if buffer.owner is None and buffer.capacity > len(buffer.flits):
+        if buffer.owner is None:
             return vc
     return None
 
@@ -93,7 +86,8 @@ class Router:
     side:
         Mesh side length (for XY routing).
     num_vcs, buffer_flits:
-        Virtual channels per input port and flits per VC buffer.
+        Virtual channels per input port and flits per VC buffer
+        (validated by :class:`repro.mesh.network.MeshConfig`).
     router_latency, link_latency:
         Cycles per router traversal and per link.
     deliver:
@@ -111,35 +105,33 @@ class Router:
         link_latency: int,
         deliver: Callable[[Packet, int], None],
     ):
-        if num_vcs < 1 or buffer_flits < 1:
-            raise ValueError("need at least 1 VC and 1 buffer slot")
-        if router_latency < 1 or link_latency < 0:
-            raise ValueError("router latency >= 1, link latency >= 0")
         self.node = node
         self.side = side
         self.num_vcs = num_vcs
+        self.buffer_flits = buffer_flits
         self.router_latency = router_latency
-        self.link_latency = link_latency
         self._hop_cycles = router_latency + link_latency
         self.deliver = deliver
-        self._x, self._y = mesh_coordinates(node, side)
+        # XY route (repro.mesh.routing.xy_route) to ``dst``: ``_x_route[dst
+        # % side] or _y_route[dst // side]`` (None = same column; LOCAL,
+        # the falsy port, is only in the row table).
+        x, y = mesh_coordinates(node, side)
+        self._x_route = [_WEST] * x + [None] + [_EAST] * (side - 1 - x)
+        self._y_route = [_NORTH] * y + [_LOCAL] + [_SOUTH] * (side - 1 - y)
         self.inputs: dict[Port, list[_VcBuffer]] = {
-            port: [_VcBuffer(buffer_flits) for _ in range(num_vcs)] for port in Port
+            port: [_VcBuffer() for _ in range(num_vcs)] for port in Port
         }
         # The same buffers, flat: _bufs[in_port * num_vcs + vc].
         self._bufs = [buffer for port in Port for buffer in self.inputs[port]]
         # Arbiter pointer per output: the arbitration index (k + 1) of
         # the last winner, plus one.  _arb_bound exceeds every index and
         # every pointer, whatever num_vcs is.
-        self._arbiter_state: dict[Port, int] = {port: 0 for port in Port}
+        self._arbiter_state: list[int] = [0] * len(Port)
         self._arb_bound = len(self._bufs) + 2
         self._occupied: set[int] = set()  # k of every non-empty buffer
         # The non-empty buffers grouped by their owner's route port, so
         # arbitration walks exactly the VCs requesting each output.  A
-        # non-empty buffer always has a defined route port (VC
-        # allocation is packet-granular: a new head cannot enter until
-        # the previous owner's tail has left), so membership is stable
-        # while the buffer drains.
+        # non-empty buffer always has an owner and so a route port.
         self._requesters: list[set[int]] = [set() for _ in Port]
         # Per output in port order: (its requester set, (port,
         # downstream router, the input port it feeds there, that port's
@@ -167,56 +159,43 @@ class Router:
 
     # -- upstream-facing ----------------------------------------------------
 
-    def accept_flit(self, port: Port, vc: int, flit: Flit, ready_cycle: int) -> None:
-        """Place ``flit`` into input buffer (slot was reserved by credits)."""
+    def accept_flit(self, port: Port, vc: int, ready_cycle: int,
+                    packet: Optional[Packet] = None, flits: int = 0) -> None:
+        """Place a flit into input buffer ``vc`` of ``port`` (its slot
+        was reserved by credits): with ``packet``, the head of a
+        ``flits``-flit packet, which takes the VC; else the owner's next
+        flit.  ``tick`` enters forwarded flits under the same checks."""
         k = port * self.num_vcs + vc
         buffer = self._bufs[k]
-        flits = buffer.flits
-        if buffer.capacity <= len(flits):
+        if len(buffer.flits) >= self.buffer_flits:
             raise RuntimeError(
                 f"credit protocol violated: buffer overflow at node {self.node} "
                 f"{port.name}.vc{vc}"
             )
-        if flit.is_head:
+        if packet is not None:
             if buffer.owner is not None:
                 raise RuntimeError(
                     f"VC allocation violated: vc{vc} at node {self.node} "
                     f"{port.name} already owned"
                 )
-            packet = flit.packet
             buffer.owner = packet
-            # XY dimension-order route (repro.mesh.routing.xy_route)
-            # from this router's cached coordinates.
+            buffer.left = flits
             dst = packet.dst
-            side = self.side
-            dx = dst % side
-            if dx > self._x:
-                route = _EAST
-            elif dx < self._x:
-                route = _WEST
-            else:
-                dy = dst // side
-                if dy > self._y:
-                    route = _SOUTH
-                elif dy < self._y:
-                    route = _NORTH
-                else:
-                    route = _LOCAL
-            buffer.route_port = route
-            buffer.out_vc = None
+            buffer.route_port = route = (
+                self._x_route[dst % self.side] or self._y_route[dst // self.side]
+            )
             if TRACE.enabled:
                 TRACE.emit(
                     "vc_alloc", cat="mesh", cycle=ready_cycle,
                     node=self.node, packet=packet.uid,
-                    port=port.name, vc=vc,
-                    route=route.name,
+                    port=port.name, vc=vc, route=route.name,
                 )
-        if not flits:
+        if not buffer.flits:
             self._occupied.add(k)
             self._requesters[buffer.route_port].add(k)
             if ready_cycle < self._ready_min:
                 self._ready_min = ready_cycle
-        flits.append((ready_cycle, flit))
+        buffer.flits.append(ready_cycle)
         self.buffer_writes += 1
 
     # -- per-cycle operation ---------------------------------------------
@@ -224,120 +203,143 @@ class Router:
     def tick(self, cycle: int) -> None:
         """One cycle: each output port forwards at most one flit.
 
-        Round-robin among the requesters of each output whose head flit
-        is ready and passes flow control: the winner is the one whose
-        arbitration index ``k + 1`` is cyclically nearest at or after
-        the arbiter pointer, and the pointer then moves just past it.
-        Indices are distinct, so the pick does not depend on set
-        iteration order.  The winner crosses the switch in the same
-        pass: a head flit enters the downstream router through
-        ``accept_flit`` (route computation, VC-allocation check); a body
-        flit follows its head into the VC already allocated, appended
-        here under the same credit check.
+        Round-robin among the requesters of each output whose front
+        flit is ready and passes flow control: the winner is the one
+        whose arbitration index ``k + 1`` is cyclically nearest at or
+        after the arbiter pointer (indices are distinct, so set order
+        does not matter), or the lone requester, and the pointer moves
+        just past it.  A head takes the first unallocated downstream VC
+        (looked up once per output: nothing changes it during the pass)
+        and gives it the owner, route and flit count; a body flit
+        follows into the VC its head took.  Both enter under the credit
+        check of :meth:`accept_flit`.
 
         ``_ready_min`` is re-folded once, after the last output: until
-        then only this tick reads the buffers, a neighbour's
-        ``accept_flit`` lowers it by min-update whichever of the two
-        ticks first, and the network reads it only between ticks.
+        then only this tick reads the buffers, a neighbour's forward
+        lowers it by min-update whichever of the two ticks first, and
+        the network reads it only between ticks.
         """
         if self._ready_min > cycle:
             return
         bufs = self._bufs
-        bound = self._arb_bound
+        capacity = self.buffer_flits
         arbiter = self._arbiter_state
+        bound = self._arb_bound
         occupied = self._occupied
         forwarded = link_flits = 0
         for requesters, output in self._outputs:
             if not requesters:
                 continue
             out_port, downstream, in_port, dinputs = output
+            lone = len(requesters) == 1
             start = arbiter[out_port]
             best = bound
             best_k = -1
-            # First allocatable downstream VC, looked up for the first
-            # waiting head only (nothing changes it during the pass).
-            free = -1
+            free = -1  # first unallocated downstream VC; None: there is none
             for k in requesters:
-                buffer = bufs[k]
-                if buffer.flits[0][0] > cycle:
+                candidate = bufs[k]
+                if candidate.flits[0] > cycle:
                     continue
                 if dinputs is not None:  # ejection is never blocked
-                    out_vc = buffer.out_vc
+                    out_vc = candidate.out_vc
                     if out_vc is None:
-                        # A head awaiting VC allocation (body flits
-                        # follow an allocated head).
                         if free == -1:
-                            free = free_vc(dinputs)
+                            for free, dbuf in enumerate(dinputs):
+                                if dbuf.owner is None:
+                                    break
+                            else:
+                                free = None
                         if free is None:
                             continue
-                    else:
-                        dbuf = dinputs[out_vc]
-                        if dbuf.capacity <= len(dbuf.flits):
-                            continue
+                    elif len(dinputs[out_vc].flits) >= capacity:
+                        continue
+                if lone:
+                    best_k = k
+                    buffer = candidate
+                    break
                 distance = k + 1 - start
                 if distance < 0:
                     distance += bound
                 if distance < best:
                     best = distance
                     best_k = k
+                    buffer = candidate
             if best_k < 0:
                 continue
             arbiter[out_port] = best_k + 2  # winner's index + 1
 
-            # Switch traversal of the winner.
-            buffer = bufs[best_k]
+            # Switch traversal of the winner's front flit.
             flits = buffer.flits
-            flit = flits.popleft()[1]
+            flits.popleft()
             if not flits:
                 occupied.discard(best_k)
                 requesters.discard(best_k)
             forwarded += 1
+            left = buffer.left
             if dinputs is None:
-                if flit.is_tail:
+                if left == 1:
+                    packet = buffer.owner
                     if TRACE.enabled:
                         TRACE.emit(
                             "eject", cat="mesh",
                             cycle=cycle + self.router_latency,
-                            node=self.node, packet=flit.packet.uid,
-                            src=flit.packet.src,
+                            node=self.node, packet=packet.uid, src=packet.src,
                         )
-                    self.deliver(flit.packet, cycle + self.router_latency)
+                    self.deliver(packet, cycle + self.router_latency)
             else:
                 link_flits += 1
                 ready = cycle + self._hop_cycles
                 out_vc = buffer.out_vc
-                if out_vc is None:
-                    buffer.out_vc = free
-                    downstream.accept_flit(in_port, free, flit, ready)
-                else:
-                    dbuf = dinputs[out_vc]
-                    dflits = dbuf.flits
-                    if dbuf.capacity <= len(dflits):
+                head = out_vc is None
+                if head:
+                    out_vc = buffer.out_vc = free
+                dbuf = dinputs[out_vc]
+                dflits = dbuf.flits
+                if len(dflits) >= capacity:
+                    raise RuntimeError(
+                        "credit protocol violated: buffer overflow at "
+                        f"node {downstream.node} {in_port.name}.vc{out_vc}"
+                    )
+                if head:
+                    if dbuf.owner is not None:
                         raise RuntimeError(
-                            "credit protocol violated: buffer overflow at "
-                            f"node {downstream.node} "
-                            f"{in_port.name}.vc{out_vc}"
+                            f"VC allocation violated: vc{out_vc} at node "
+                            f"{downstream.node} {in_port.name} already owned"
                         )
-                    if not dflits:
-                        dk = in_port * downstream.num_vcs + out_vc
-                        downstream._occupied.add(dk)
-                        downstream._requesters[dbuf.route_port].add(dk)
-                        if ready < downstream._ready_min:
-                            downstream._ready_min = ready
-                    dflits.append((ready, flit))
-                    downstream.buffer_writes += 1
-            if flit.is_tail:
+                    packet = dbuf.owner = buffer.owner
+                    dbuf.left = left
+                    dst = packet.dst
+                    dbuf.route_port = route = (
+                        downstream._x_route[dst % self.side]
+                        or downstream._y_route[dst // self.side]
+                    )
+                    if TRACE.enabled:
+                        TRACE.emit(
+                            "vc_alloc", cat="mesh", cycle=ready,
+                            node=downstream.node, packet=packet.uid,
+                            port=in_port.name, vc=out_vc, route=route.name,
+                        )
+                if not dflits:
+                    dk = in_port * self.num_vcs + out_vc
+                    downstream._occupied.add(dk)
+                    downstream._requesters[dbuf.route_port].add(dk)
+                    if ready < downstream._ready_min:
+                        downstream._ready_min = ready
+                dflits.append(ready)
+                downstream.buffer_writes += 1
+            if left == 1:  # the tail left: the VC is free
                 buffer.owner = None
                 buffer.route_port = None
                 buffer.out_vc = None
+            buffer.left = left - 1
 
         if forwarded:
             self.flits_routed += forwarded
             self.link_flits += link_flits
-            # Heads left: recompute the earliest remaining readiness.
+            # Front flits left: recompute the earliest remaining readiness.
             ready_min = NEVER
             for k in occupied:
-                ready = bufs[k].flits[0][0]
+                ready = bufs[k].flits[0]
                 if ready < ready_min:
                     ready_min = ready
             self._ready_min = ready_min

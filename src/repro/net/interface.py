@@ -83,6 +83,9 @@ class Interconnect(abc.ABC):
     * :meth:`try_send` ``(packet, cycle) -> bool`` — offer a packet;
       ``False`` means the source queue is full and the caller retries.
       Never delivers synchronously: arrivals happen inside :meth:`tick`.
+      Endpoints out of range, or a packet to its own source (a node
+      does not send itself messages over the network), raise
+      ``ValueError`` — in every model, from :meth:`_check_packet`.
     * :meth:`tick` ``(cycle)`` — one processor cycle; invokes the
       delivery callbacks of the packets that arrive in it.
     * :meth:`next_event` ``(cycle) -> Optional[int]`` — the fast-forward
@@ -125,6 +128,15 @@ class Interconnect(abc.ABC):
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} out of range [0, {self.num_nodes})")
+
+    def _check_packet(self, packet: Packet) -> None:
+        """The :meth:`try_send` precondition: both endpoints in range
+        and distinct."""
+        src, dst = packet.src, packet.dst
+        if src == dst or not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
+            self._check_node(src)
+            self._check_node(dst)
+            raise ValueError(f"packet to self: node {src}")
 
     # -- the driving interface ---------------------------------------------
 

@@ -2,8 +2,22 @@
 
 import pytest
 
+from repro.core.network import FsoiConfig, FsoiNetwork
+from repro.corona.network import CoronaConfig, CoronaNetwork
+from repro.mesh.ideal import IdealConfig, IdealNetwork
+from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.net.interface import Interconnect, InterconnectStats
-from repro.net.packet import LaneKind, Packet
+from repro.net.packet import LaneKind, Packet, make_packet
+
+#: Every transport ``CmpSystem`` can build, at 16 nodes.
+TRANSPORTS = {
+    "fsoi": lambda: FsoiNetwork(FsoiConfig(num_nodes=16)),
+    "mesh": lambda: MeshNetwork(MeshConfig(num_nodes=16)),
+    "l0": lambda: IdealNetwork(IdealConfig.l0(16)),
+    "lr1": lambda: IdealNetwork(IdealConfig.lr1(16)),
+    "lr2": lambda: IdealNetwork(IdealConfig.lr2(16)),
+    "corona": lambda: CoronaNetwork(CoronaConfig(num_nodes=16)),
+}
 
 
 class _Null(Interconnect):
@@ -61,6 +75,29 @@ class TestBaseClass:
         assert not net.quiescent()
         net.force_deliver(p, 1)
         assert net.quiescent()
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+class TestSendPrecondition:
+    """``try_send`` refuses what no transport can carry, identically
+    everywhere: the shared ``Interconnect._check_packet``."""
+
+    def test_packet_to_self_raises(self, kind):
+        # make_packet skips the Packet constructor's own src != dst check.
+        net = TRANSPORTS[kind]()
+        loop = make_packet(3, 3, LaneKind.META, None, False, False, False, False, 99)
+        with pytest.raises(ValueError, match="packet to self: node 3$"):
+            net.try_send(loop, 0)
+        assert int(net.stats.sent) == 0 and net.quiescent()
+        net.audit()
+
+    @pytest.mark.parametrize("src, dst", [(16, 3), (3, 16), (-1, 3)])
+    def test_endpoint_out_of_range_raises(self, kind, src, dst):
+        net = TRANSPORTS[kind]()
+        packet = make_packet(src, dst, LaneKind.DATA, None, False, False, False, False, 99)
+        with pytest.raises(ValueError, match="out of range"):
+            net.try_send(packet, 0)
+        assert int(net.stats.sent) == 0
 
 
 class TestStats:

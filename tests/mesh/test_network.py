@@ -37,6 +37,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             MeshConfig(num_nodes=10)
 
+    @pytest.mark.parametrize("field, lowest, message", [
+        ("num_vcs", 1, "1 VC"),
+        ("buffer_flits", 1, "1 buffer slot"),
+        ("router_latency", 1, "router latency >= 1"),
+        ("link_latency", 0, "link latency >= 0"),
+        ("injection_queue", 1, "injection queue"),
+    ])
+    def test_integer_bounds(self, field, lowest, message):
+        assert getattr(MeshConfig(**{field: lowest}), field) == lowest
+        with pytest.raises(ValueError, match=message):
+            MeshConfig(**{field: lowest - 1})
+
+    @pytest.mark.parametrize("scale", (0.1, 0.5, 1.0))
+    def test_bandwidth_scale_accepted(self, scale):
+        assert MeshConfig(bandwidth_scale=scale).bandwidth_scale == scale
+
+    @pytest.mark.parametrize("scale", (0.09, 1.01))
+    def test_bandwidth_scale_rejected(self, scale):
+        with pytest.raises(ValueError, match=r"out of \[0\.1, 1\]"):
+            MeshConfig(bandwidth_scale=scale)
+
 
 class TestSinglePacket:
     def test_neighbor_latency(self):

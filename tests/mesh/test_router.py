@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mesh.network import MeshConfig, MeshNetwork
-from repro.mesh.router import Flit, Router
+from repro.mesh.router import Router
 from repro.mesh.routing import Port
 from repro.net.packet import LaneKind, Packet
 
@@ -65,33 +65,23 @@ class TestCreditDiscipline:
     def test_overflow_raises(self):
         router, _ = self.make_router()
         packet = Packet(src=1, dst=0, lane=LaneKind.DATA)
-        flits = [
-            Flit(packet=packet, index=i, is_head=(i == 0), is_tail=(i == 4))
-            for i in range(5)
-        ]
-        router.accept_flit(Port.EAST, 0, flits[0], 0)
-        router.accept_flit(Port.EAST, 0, flits[1], 0)
+        router.accept_flit(Port.EAST, 0, 0, packet, 5)
+        router.accept_flit(Port.EAST, 0, 0)
         with pytest.raises(RuntimeError, match="credit"):
-            router.accept_flit(Port.EAST, 0, flits[2], 0)
+            router.accept_flit(Port.EAST, 0, 0)
 
     def test_double_head_raises(self):
         router, _ = self.make_router()
         first = Packet(src=1, dst=0, lane=LaneKind.META)
         second = Packet(src=2, dst=0, lane=LaneKind.META)
-        router.accept_flit(
-            Port.EAST, 0, Flit(first, 0, is_head=True, is_tail=True), 0
-        )
+        router.accept_flit(Port.EAST, 0, 0, first, 1)
         with pytest.raises(RuntimeError, match="VC allocation"):
-            router.accept_flit(
-                Port.EAST, 0, Flit(second, 0, is_head=True, is_tail=True), 0
-            )
+            router.accept_flit(Port.EAST, 0, 0, second, 1)
 
     def test_local_ejection_delivers_on_tail(self):
         router, deliveries = self.make_router()
         packet = Packet(src=1, dst=0, lane=LaneKind.META)
-        router.accept_flit(
-            Port.EAST, 0, Flit(packet, 0, is_head=True, is_tail=True), 0
-        )
+        router.accept_flit(Port.EAST, 0, 0, packet, 1)
         router.tick(0)
         assert len(deliveries) == 1
         delivered, cycle = deliveries[0]
@@ -99,10 +89,11 @@ class TestCreditDiscipline:
         assert cycle == 4  # router latency
 
     def test_validation(self):
+        # The router takes its parameters from a validated MeshConfig.
         with pytest.raises(ValueError):
-            Router(0, 4, 0, 2, 4, 1, lambda p, c: None)
+            MeshConfig(num_vcs=0)
         with pytest.raises(ValueError):
-            Router(0, 4, 2, 2, 0, 1, lambda p, c: None)
+            MeshConfig(router_latency=0)
 
 
 class TestArbitrationBound:
@@ -126,9 +117,7 @@ class TestArbitrationBound:
         packet_of = {}
         for key in self.KEYS:
             packet_of[key] = Packet(src=0, dst=5, lane=LaneKind.META)
-            router.accept_flit(
-                *key, Flit(packet_of[key], 0, is_head=True, is_tail=True), 0
-            )
+            router.accept_flit(*key, 0, packet_of[key], 1)
         router._arbiter_state[Port.LOCAL] = start
         pointers = []
         for cycle in range(len(self.KEYS)):

@@ -9,7 +9,9 @@ has a marked-down lane.  These pins drive exactly those paths:
   uniform Bernoulli offers at p = 0.1 (256 nodes) — round-robin
   arbitration between contending inputs, VC exhaustion, credit stalls —
   pinning the ``(uid, dst, deliver_cycle)`` sequence, the stat tree and
-  the switching activity, with ``audit()`` every 50 cycles;
+  the switching activity, with ``audit()`` every 50 cycles — and the
+  same under half-width links, one VC and 2-flit buffers, plus the
+  ``vc_alloc`` / ``eject`` trace stream (:class:`TestMeshVariants`);
 * the ``fault_*`` trace events of the CI faults-smoke plan (a data-lane
   kill that heals mid-run, a thermal droop, dropped confirmations,
   give-up), i.e. which node was suppressed, marked down and un-marked
@@ -85,11 +87,11 @@ def incast_offers(rng, nodes, cycles, period, fan):
     return offers
 
 
-def drive_mesh(nodes, cycles, offers):
+def drive_mesh(config, cycles, offers):
     """Offer the schedule to a bare mesh, drain it, return its digests."""
-    net = MeshNetwork(MeshConfig(num_nodes=nodes))
+    net = MeshNetwork(config)
     delivered = []
-    for node in range(nodes):
+    for node in range(config.num_nodes):
         net.set_delivery_callback(
             node, lambda p: delivered.append((p.uid, p.dst, p.deliver_cycle))
         )
@@ -225,7 +227,7 @@ class TestContendedMesh:
     def test_incast_64(self, pinned):
         rng = np.random.default_rng(1501)
         offers = incast_offers(rng, 64, 2400, period=200, fan=16)
-        digests, stats = drive_mesh(64, 2400, offers)
+        digests, stats = drive_mesh(MeshConfig(num_nodes=64), 2400, offers)
         # 16-to-1 bursts queue behind one ejection port: far above the
         # uncontended ~25-cycle transit.
         assert stats["total_delay"]["max"] > 60
@@ -234,9 +236,45 @@ class TestContendedMesh:
     def test_uniform_256(self, pinned):
         rng = np.random.default_rng(1502)
         offers = uniform_offers(rng, 256, 300, 0.10)
-        digests, stats = drive_mesh(256, 300, offers)
+        digests, stats = drive_mesh(MeshConfig(num_nodes=256), 300, offers)
         assert stats["packets_delivered"] > 5000
         pinned("bare-mesh-256-uniform-p10", digests)
+
+
+class TestMeshVariants:
+    """Router layouts the Table 3 defaults never reach: half-width links
+    (2-flit meta and 10-flit data packets), one VC per port, and 2-flit
+    buffers that stall hops and injection on credits; plus the ``vc_alloc`` /
+    ``eject`` trace stream of an incast leg.  Recorded at e044c15, the
+    commit before VC buffers held ready cycles instead of flit objects::
+
+        PYTHONPATH=src python -m pytest tests/net/test_channel_pins.py -k TestMeshVariants --update-golden
+    """
+
+    @pytest.mark.parametrize("key, config", [
+        ("bare-mesh-16-incast100x8-halfwidth",
+         MeshConfig(num_nodes=16, bandwidth_scale=0.5)),
+        ("bare-mesh-16-incast100x8-one-vc", MeshConfig(num_nodes=16, num_vcs=1)),
+        ("bare-mesh-64-incast100x8-buffer2", MeshConfig(num_nodes=64, buffer_flits=2)),
+    ])
+    def test_incast(self, pinned, key, config):
+        rng = np.random.default_rng(2801)
+        offers = incast_offers(rng, config.num_nodes, 1500, period=100, fan=8)
+        digests, stats = drive_mesh(config, 1500, offers)
+        assert stats["total_delay"]["max"] > 60
+        pinned(key, digests)
+
+    def test_incast_trace(self, pinned):
+        rng = np.random.default_rng(2802)
+        offers = incast_offers(rng, 16, 1500, period=100, fan=8)
+        with tracing(capacity=1 << 20, categories=("mesh",)) as tracer:
+            digests, stats = drive_mesh(MeshConfig(num_nodes=16), 1500, offers)
+            assert tracer.dropped == 0
+            events = [event.to_chrome() for event in tracer.events()]
+        ejected = [event for event in events if event["name"] == "eject"]
+        assert len(ejected) == stats["packets_delivered"]
+        assert len(events) > 3 * len(ejected)  # one vc_alloc per router visited
+        pinned("bare-mesh-16-incast100x8-traced", {**digests, "trace": _sha(events)})
 
 
 #: The plan of the CI ``faults-smoke`` job (``repro faults --kill

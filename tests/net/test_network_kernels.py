@@ -7,6 +7,8 @@
   gather a slot boundary makes from it equal a brute-force scan of
   ``ready``; and a real :class:`FsoiNetwork` under random bursts passes
   ``audit()`` after every tick and conserves packets at the drain.
+* A real :class:`MeshNetwork` the same way, over random VC counts,
+  buffer depths and link widths.
 * The mesh router's round-robin switch arbitration, exercised on a real
   stand-alone :class:`repro.mesh.router.Router`: with ``k`` ready
   requesters on one output port and the arbiter pointer at ``start``,
@@ -23,7 +25,8 @@ from repro.core.network import (
     NEVER, FsoiConfig, FsoiNetwork, _LaneIndex, slot_horizon,
 )
 from repro.core.optimizations import OptimizationConfig
-from repro.mesh.router import Flit, Router
+from repro.mesh.network import MeshConfig, MeshNetwork
+from repro.mesh.router import Router
 from repro.mesh.routing import Port
 from repro.net.packet import LaneKind, Packet
 from tests.net.test_channel_pins import SMOKE_PLAN
@@ -148,6 +151,49 @@ class TestAuditEveryTick:
         assert stats["packets_sent"] + stats["send_refused"] == offered
 
 
+class TestMeshAuditEveryTick:
+    """The mesh twin of :class:`TestAuditEveryTick`: per-VC ownership,
+    flit counts and injection state checked after every tick, over VC
+    counts and buffer depths down to one slot (credit-blocked hops)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nodes=st.sampled_from((16, 64)), num_vcs=st.integers(1, 4),
+        buffer_flits=st.integers(1, 12), half_width=st.booleans(),
+        bursts=bursts,
+    )
+    def test_random_bursts_drain_and_conserve(
+        self, nodes, num_vcs, buffer_flits, half_width, bursts
+    ):
+        net = MeshNetwork(MeshConfig(
+            num_nodes=nodes, num_vcs=num_vcs, buffer_flits=buffer_flits,
+            bandwidth_scale=0.5 if half_width else 1.0, injection_queue=4,
+        ))
+        arrived = []
+        for node in range(nodes):
+            net.set_delivery_callback(node, arrived.append)
+        by_cycle = {}
+        for cycle, fan, pick, lane in bursts:
+            receiver = pick % nodes
+            for rank in range(fan):
+                src = (receiver + 1 + (pick + rank) % (nodes - 1)) % nodes
+                by_cycle.setdefault(cycle, []).append(
+                    Packet(src=src, dst=receiver, lane=lane)
+                )
+        cycle = 0
+        while cycle <= 120 or not net.quiescent():
+            assert cycle < 20_000, "mesh did not drain"
+            for packet in by_cycle.get(cycle, ()):
+                net.try_send(packet, cycle)
+            net.tick(cycle)
+            net.audit()
+            cycle += 1
+        stats = net.stats.group.as_dict()
+        assert len(arrived) == stats["packets_delivered"] == stats["packets_sent"]
+        offered = sum(len(batch) for batch in by_cycle.values())
+        assert stats["packets_sent"] + stats["send_refused"] == offered
+
+
 NUM_VCS = 4
 NODE = 5  # an interior node of the 4x4 mesh
 
@@ -183,12 +229,10 @@ def ejecting_router(keys, start, flits=1, not_ready=()):
     for key in sorted(keys):
         packet = Packet(src=0, dst=NODE, lane=LaneKind.META)
         packet_of[key] = packet
-        for i in range(flits):
-            router.accept_flit(
-                *key,
-                Flit(packet, i, is_head=(i == 0), is_tail=(i == flits - 1)),
-                100 if key in not_ready else 0,
-            )
+        ready = 100 if key in not_ready else 0
+        router.accept_flit(*key, ready, packet, flits)
+        for _ in range(flits - 1):
+            router.accept_flit(*key, ready)
     router._arbiter_state[Port.LOCAL] = start
     return router, delivered, packet_of
 
