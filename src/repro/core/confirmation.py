@@ -12,8 +12,10 @@ contains 12 communication cycles (40 Gbps vs 3.3 GHz), and a mini-cycle
 index can be **reserved** so the directory can later convey a single bit
 (a load-linked value, a store-conditional outcome, a barrier release)
 positionally — no packet, no collision, minimal latency.  This module
-provides the reservation bookkeeping; the coherence layer decides what
-the bits mean.
+provides one node's reservation bookkeeping
+(:class:`MiniCycleReservations`); the simulator sends such a bit with
+:meth:`ConfirmationChannel.send_signal` at the channel's fixed delay
+and charges no reservation, so the channel keeps no table of them.
 """
 
 from __future__ import annotations
@@ -73,19 +75,15 @@ class ConfirmationChannel:
     """Schedules confirmation (and piggy-backed hint/bit) deliveries.
 
     The channel is ideal by construction — no collisions, fixed delay —
-    so it is modeled as a calendar of (cycle, callback) deliveries plus
-    the per-node mini-cycle reservation tables.
+    so it is modeled as a calendar of (cycle, callback) deliveries.
     """
 
-    def __init__(self, num_nodes: int, delay: int = 2, mini_cycles: int = 12):
+    def __init__(self, num_nodes: int, delay: int = 2):
         if delay < 1:
             raise ValueError(f"confirmation delay must be >= 1: {delay}")
         self.num_nodes = num_nodes
         self.delay = delay
         self._calendar = CycleCalendar()
-        self.reservations = [
-            MiniCycleReservations(mini_cycles) for _ in range(num_nodes)
-        ]
         self.confirmations_sent = 0
         self.signals_sent = 0
         #: Confirmations lost to injected faults (repro.faults); such a

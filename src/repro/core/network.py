@@ -173,10 +173,10 @@ class _LaneIndex:
     packet may transmit — ``min(earliest retransmission release,
     queue-head scheduled cycle)``, :data:`NEVER` when it has nothing
     pending — and ``pending`` is the set of nodes whose readiness is not
-    :data:`NEVER`, which is all a slot boundary or a refold reads.  The
-    lane minimum is cached: a write below it lowers it exactly, a write
-    that raises the cell holding it only marks it stale, and the next
-    reader folds the pending cells once.
+    :data:`NEVER`: all a slot boundary, a refold or ``quiescent()``
+    reads.  The lane minimum is cached: a write below it lowers it
+    exactly, a write that raises the cell holding it only marks it
+    stale, and the next reader folds the pending cells once.
     """
 
     __slots__ = ("ready", "pending", "_min", "_stale")
@@ -212,19 +212,20 @@ class _LaneIndex:
 class FsoiNetwork(Interconnect):
     """Cycle-accurate model of the free-space optical interconnect.
 
-    A slot boundary costs what transmits in it: it visits only the
-    nodes of :attr:`_LaneIndex.pending` whose readiness is due, in
-    ascending node order — the order every RNG draw and trace event
-    follows (a node whose readiness lies in the future would pick
-    nothing and change nothing) — a retransmission is the top of its
-    node's back-off heap, and the colliders of one event share one
-    calendar entry.  The fast-forward horizon is the lane minimum
-    rounded up to a boundary.
-    Under a fault plan a boundary also visits the nodes whose lane the
-    sender has marked down, due or not: the sparing probe
-    (``lane_suppressed``) un-marks a healed lane as a side effect of
-    being queried.  For every other node the probe is pure and an
-    undue node picks nothing, so skipping it changes nothing.
+    One :class:`_LaneIndex` per lane is the network's summary of
+    pending work.  A slot boundary costs what transmits in it: it
+    visits only the nodes of :attr:`_LaneIndex.pending` whose readiness
+    is due, in ascending node order — the order every RNG draw and
+    trace event follows (a node whose readiness lies in the future
+    would pick nothing and change nothing) — a retransmission is the
+    top of its node's back-off heap, and the colliders of one event
+    share one calendar entry.  The fast-forward horizon is the lane
+    minimum rounded up to a boundary, and the network is quiescent when
+    both ``pending`` sets and both calendars are empty.
+    A fault plan adds no node to a boundary and nothing to the horizon:
+    the sender's sparing probe (``FaultInjector.lane_suppressed``)
+    answers at any later boundary as a probe at every boundary would
+    have, so it is asked only where a node has something due.
     """
 
     def __init__(self, config: FsoiConfig, rng: RngHub | None = None):
@@ -271,12 +272,8 @@ class FsoiNetwork(Interconnect):
         # underlying lists are mutated in place, never rebound).
         self._due = self._calendar._heap
         self._conf_due = self.confirmations._calendar._heap
-        # Pending transmissions (queued + backed-off) per lane.  Kept
-        # incrementally so quiescent() is an O(1) check instead of an
-        # O(N·lanes) scan per tick.
-        self._lane_pending = {LaneKind.META: 0, LaneKind.DATA: 0}
         # When each (lane, node) can next transmit: which nodes a slot
-        # boundary visits, and the fast-forward horizon.
+        # boundary visits, the fast-forward horizon and quiescence.
         self._index = {
             lane: _LaneIndex(config.num_nodes)
             for lane in (LaneKind.META, LaneKind.DATA)
@@ -288,8 +285,17 @@ class FsoiNetwork(Interconnect):
             for lane in (LaneKind.META, LaneKind.DATA)
         }
         self._slot_items = tuple(self._slot_len.items())
-        self._reservations = [SlotReservations() for _ in range(config.num_nodes)]
-        self._expected = [ExpectedReplies() for _ in range(config.num_nodes)]
+        # §5.2 receiver tables, built only for the optimization that
+        # reads them: request spacing's reply-slot reservations, and the
+        # replies each node awaits (the resolution hint's candidates).
+        opts = config.optimizations
+        nodes = range(config.num_nodes)
+        self._reservations = (
+            [SlotReservations() for _ in nodes] if opts.request_spacing else []
+        )
+        self._expected = (
+            [ExpectedReplies() for _ in nodes] if opts.resolution_hints else []
+        )
         # Unslotted mode: per-(node, lane) transmitter busy horizon and
         # per-(dst, lane, receiver) in-flight transmissions
         # [(end_cycle, packet), ...] for overlap-collision detection.
@@ -393,12 +399,11 @@ class FsoiNetwork(Interconnect):
             spacing = self._reserve_reply_slot(src, cycle)
             self._spacing_delays.record(spacing)
         packet.scheduled_cycle = scheduled = cycle + spacing
-        if expects:
+        if expects and self._hints:
             # The requester will await a data packet from the destination
             # (or whoever it forwards to); used by the resolution hint.
             self._expected[src].expect(dst)
         queue.append(packet)
-        self._lane_pending[lane] += 1
         if len(queue) == 1:
             # Only a new queue head can move the node's readiness, and
             # only to an earlier cycle.
@@ -425,12 +430,8 @@ class FsoiNetwork(Interconnect):
                 self._start_slot(lane, cycle)
 
     def quiescent(self) -> bool:
-        return (
-            not self._calendar
-            and not self.confirmations.pending()
-            and self._lane_pending[LaneKind.META] == 0
-            and self._lane_pending[LaneKind.DATA] == 0
-        )
+        meta, data = self._index.values()
+        return not (self._due or self._conf_due or meta.pending or data.pending)
 
     # -- fast-forward horizon (see docs/performance.md) -----------------
 
@@ -443,10 +444,8 @@ class FsoiNetwork(Interconnect):
         eligible (:func:`slot_horizon` of the lane index's minimum).
         The pure-ALOHA ablation (``slotted=False``) starts
         transmissions on any cycle, so it pins the horizon to "now"
-        (fast-forward inhibited).  While a fault plan has a lane marked
-        down, every slot boundary must still be evaluated (the sender's
-        healed-lane probe happens there), so the horizon is capped at
-        the next boundary.
+        (fast-forward inhibited).  A lane its sender has marked down
+        under a fault plan adds nothing (see the class docstring).
         """
         if not self._slotted:
             return cycle
@@ -458,11 +457,6 @@ class FsoiNetwork(Interconnect):
             boundary = slot_horizon(self._index[lane].minimum(), cycle, slot_len)
             if boundary is not None and (horizon is None or boundary < horizon):
                 horizon = boundary
-        if self._injector is not None and self._injector.suppression_active:
-            for slot_len in self._slot_len.values():
-                boundary = ((cycle + slot_len - 1) // slot_len) * slot_len
-                if horizon is None or boundary < horizon:
-                    horizon = boundary
         if horizon is not None and horizon < cycle:
             return cycle
         return horizon
@@ -484,16 +478,13 @@ class FsoiNetwork(Interconnect):
 
     def _start_slot(self, lane: LaneKind, cycle: int) -> None:
         self._slots_counter[lane].value += 1
-        inj = self._injector
         index = self._index[lane]
-        # Lanes their sender spares are probed every boundary, due or
-        # not: the probe is what un-marks a healed lane.
-        spared = inj.marked_down(lane) if inj is not None else ()
-        if index.minimum() > cycle and not spared:
+        if index.minimum() > cycle:
             return  # idle lane, or nothing eligible yet
         ready = index.ready
-        due = [node for node in index.pending if ready[node] <= cycle]
-        nodes = sorted({*due, *spared} if spared else due)
+        nodes = [node for node in index.pending if ready[node] <= cycle]
+        nodes.sort()
+        inj = self._injector
         tx_counter = self._lane_stats[lane]["tx"]
         bits_counter = self.stats.bits_sent
         bits = lane.bits
@@ -541,7 +532,7 @@ class FsoiNetwork(Interconnect):
                     # Dark transmission: the VCSEL array emits nothing, so
                     # no receiver sees the packet and no confirmation comes
                     # back; the sender reacts exactly as to a collision.
-                    if inj.note_dark_send(node, lane):
+                    if inj.note_dark_send(node, lane, cycle, slot_len):
                         self._fault_stats["lane_down_events"].add()
                         if TRACE.enabled:
                             TRACE.emit(
@@ -715,7 +706,6 @@ class FsoiNetwork(Interconnect):
             packet = queue.popleft()
         else:
             return None
-        self._lane_pending[lane] -= 1
         self._note_lane_state(lane, state)
         return packet
 
@@ -742,13 +732,13 @@ class FsoiNetwork(Interconnect):
         state = self._state[lane][src]
         state.retx_seq += 1
         heappush(state.retx, (release, state.retx_seq, packet))
-        self._lane_pending[lane] += 1
         index = self._index[lane]
         if release < index.ready[src]:  # a later release moves nothing
             index.update(src, release)
 
     def audit(self) -> None:
-        """The lane indexes and pending counters must agree with a
+        """Each lane index — ``ready``, its cached minimum and
+        ``pending``, which ``quiescent()`` reads — must agree with a
         recount of the queues and back-off heaps, and every back-off
         heap must be one (so its top is the ``(release, seq)`` minimum)."""
         for lane, states in self._state.items():
@@ -766,9 +756,6 @@ class FsoiNetwork(Interconnect):
             assert index.pending == {
                 node for node in range(self.num_nodes) if index.ready[node] != NEVER
             }
-            assert self._lane_pending[lane] == sum(
-                len(state.retx) + len(state.queue) for state in states
-            )
             if index._stale:
                 assert index._min <= min(index.ready)
             else:
@@ -857,9 +844,7 @@ class FsoiNetwork(Interconnect):
             self._schedule(deliver_cycle, partial(self._deliver, packet, deliver_cycle))
             if inj is not None:
                 packet._fault_delivered = True
-            if lane is LaneKind.DATA and self._expected[packet.dst].is_expected(
-                packet.src
-            ):
+            if lane is LaneKind.DATA and self._hints:
                 self._expected[packet.dst].fulfil(packet.src)
         if inj is not None and inj.drop_confirmation(
             packet.src, receive_cycle + self._conf_delay
@@ -1063,7 +1048,8 @@ class FsoiNetwork(Interconnect):
         """
         self._check_node(dst)
         self._check_node(src)
-        self._expected[dst].expect(src)
+        if self._hints:  # the hint's candidate filter is the only reader
+            self._expected[dst].expect(src)
 
     def _reserve_reply_slot(self, node: int, cycle: int) -> int:
         """Request spacing: returns the cycles to delay the request by."""

@@ -23,8 +23,12 @@ Two design rules keep runs reproducible and comparable:
 The injector also tracks *lane-down detection*: after
 ``plan.detect_threshold`` consecutive dark sends on a lane the sender
 stops lighting it (lane sparing) and its queued traffic fast-fails
-into back-off without occupying the medium; the suppression clears as
-soon as the schedule heals the lane (modelling a periodic probe).
+into back-off without occupying the medium; the suppression clears at
+the first slot boundary at which the schedule has healed the lane
+(modelling a probe at every boundary).  That boundary depends on the
+schedule alone, so it is fixed when the lane is marked, and a sender
+asked only at the boundaries where it has something to send answers
+exactly as one probed at every boundary.
 """
 
 from __future__ import annotations
@@ -81,9 +85,11 @@ class FaultInjector:
         self._droops = list(plan.droops)
         self._drops = list(plan.confirmation_drops)
 
-        # Lane-down detection state.
+        # Lane-down detection state: each lane's run of dark sends and,
+        # for each lane its sender has marked down, the slot boundary at
+        # which the sparing probe finds it healed (None: never).
         self._dark_streak: dict[tuple[int, LaneKind], int] = {}
-        self._marked_down: set[tuple[int, LaneKind]] = set()
+        self._spared: dict[tuple[int, LaneKind], Optional[int]] = {}
 
         # droop_db -> per-bit error rate via the optical chain, resolved
         # here for every scheduled droop so a run never pays the chain
@@ -101,52 +107,63 @@ class FaultInjector:
             for entry in self._lane_faults.get((node, lane), ())
         )
 
-    def note_dark_send(self, node: int, lane: LaneKind) -> bool:
-        """Record an unconfirmed dark send; True when the lane is newly
-        declared down (the detection threshold was just crossed)."""
+    def note_dark_send(
+        self, node: int, lane: LaneKind, cycle: int, slot_len: int
+    ) -> bool:
+        """Record an unconfirmed dark send at the slot boundary ``cycle``
+        of a lane with ``slot_len``-cycle slots; True when the lane is
+        newly declared down (the detection threshold was just crossed)."""
         key = (node, lane)
         streak = self._dark_streak.get(key, 0) + 1
         self._dark_streak[key] = streak
-        if streak >= self.plan.detect_threshold and key not in self._marked_down:
-            self._marked_down.add(key)
+        if streak >= self.plan.detect_threshold and key not in self._spared:
+            self._spared[key] = self._healed_at(key, cycle, slot_len)
             return True
         return False
+
+    def _healed_at(
+        self, key: tuple[int, LaneKind], cycle: int, slot_len: int
+    ) -> Optional[int]:
+        """First slot boundary after ``cycle`` at which no fault of lane
+        ``key`` is active — where a probe at every boundary first finds
+        the lane lit — or None when a fault covering it never ends."""
+        boundary = cycle - cycle % slot_len + slot_len
+        while True:
+            ends = [
+                entry.end
+                for entry in self._lane_faults.get(key, ())
+                if _active(boundary, entry.start, entry.end)
+            ]
+            if not ends:
+                return boundary
+            if None in ends:
+                return None
+            boundary = ((max(ends) + slot_len - 1) // slot_len) * slot_len
 
     def note_successful_send(self, node: int, lane: LaneKind) -> None:
         """A send produced light: any dark streak is broken."""
         key = (node, lane)
         if self._dark_streak.pop(key, None) is not None:
-            self._marked_down.discard(key)
-
-    @property
-    def suppression_active(self) -> bool:
-        """Whether any lane is currently marked down by its sender.
-
-        While true, :meth:`lane_suppressed` is *stateful*: querying it
-        at a slot boundary is what un-marks a healed lane.  The network
-        therefore caps its fast-forward horizon at the next boundary so
-        no query — and no un-marking — is ever skipped.  When false,
-        ``lane_suppressed`` is pure and boundaries may be skipped.
-        """
-        return bool(self._marked_down)
-
-    def marked_down(self, lane: LaneKind) -> list[int]:
-        """The nodes whose ``lane`` is currently marked down — the only
-        ones for which :meth:`lane_suppressed` is not pure."""
-        return [node for node, marked in self._marked_down if marked is lane]
+            self._spared.pop(key, None)
 
     def lane_suppressed(self, node: int, lane: LaneKind, cycle: int) -> bool:
-        """Whether the sender has detected its dead lane and spares it.
+        """Whether the sender spares its marked-down ``lane`` at the slot
+        boundary ``cycle``.
 
-        Clears automatically once the schedule heals the lane, so a
-        transient fault resumes service without outside intervention.
+        The sender probes a marked lane at every boundary and resumes
+        service at the first one at which the schedule has healed it, so
+        a transient fault clears without outside intervention.  That
+        boundary was fixed when the lane was marked, so asking at any
+        later boundary — only where the node has something to send —
+        answers exactly as probing every boundary would have.
         """
         key = (node, lane)
-        if key not in self._marked_down:
+        if key not in self._spared:
             return False
-        if self.tx_lane_dead(node, lane, cycle):
+        healed = self._spared[key]
+        if healed is None or cycle < healed:
             return True
-        self._marked_down.discard(key)
+        del self._spared[key]
         self._dark_streak.pop(key, None)
         return False
 

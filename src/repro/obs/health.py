@@ -15,8 +15,8 @@ into structured :class:`HealthEvent` records:
   never alarms), or packets sit outstanding across ``K`` consecutive
   zero-delivery windows — retransmission/backoff spinning without
   progress.
-* **counter_leak** — the FSOI O(1) in-flight lane counters disagree
-  with a recount of the lane queues and retransmission lists, or any
+* **counter_leak** — an FSOI lane index lists other pending senders
+  than a recount of the lane queues and back-off heaps finds, or any
   stat counter has gone negative.
 * **conservation** — per-lane transmission fates stop balancing
   (``transmissions >= delivered + collided + corrupted (+ fault
@@ -326,42 +326,40 @@ def _lane_counter_dicts(network: Any) -> dict[str, dict[str, int]]:
 
 
 def detect_counter_leak(system: Any) -> list[HealthEvent]:
-    """O(1) counter vs structure cross-checks (lane-counter leaks).
+    """Summary vs structure cross-checks (lane-index leaks).
 
-    FSOI mirrors each lane's queued + backed-off packet count in
-    ``_lane_pending`` so ``quiescent()`` and the fast-forward horizon
-    are O(1); the mirror must always equal the recounted queue and
-    retransmission-list sizes.  Any negative stat counter anywhere in
-    the metrics tree is likewise a leak (a decrement without its
-    increment).
+    An FSOI lane index is the network's one summary of pending work —
+    the slot gather and ``quiescent()`` read its ``pending`` set — so
+    that set must name exactly the nodes whose queue or back-off heap
+    holds a packet.  Any negative stat counter anywhere in the metrics
+    tree is likewise a leak (a decrement without its increment).
     """
     events: list[HealthEvent] = []
     cycle = int(system.cycle)
     network = system.network
-    pending = getattr(network, "_lane_pending", None)
-    if pending is not None:
-        for lane, count in pending.items():
-            actual = sum(
-                len(state.queue) + len(state.retx)
-                for state in network._state[lane]
-            )
-            if count != actual:
-                events.append(
-                    HealthEvent(
-                        detector="counter_leak",
-                        severity="critical",
-                        cycle=cycle,
-                        message=(
-                            f"{lane.value} in-flight counter holds {count} "
-                            f"but the lane structures hold {actual}"
-                        ),
-                        data={
-                            "lane": lane.value,
-                            "counter": int(count),
-                            "recounted": int(actual),
-                        },
-                    )
+    for lane, index in getattr(network, "_index", {}).items():
+        holding = {
+            node
+            for node, state in enumerate(network._state[lane])
+            if state.queue or state.retx
+        }
+        if index.pending != holding:
+            events.append(
+                HealthEvent(
+                    detector="counter_leak",
+                    severity="critical",
+                    cycle=cycle,
+                    message=(
+                        f"{lane.value} lane index lists {len(index.pending)} "
+                        f"pending senders but {len(holding)} hold packets"
+                    ),
+                    data={
+                        "lane": lane.value,
+                        "indexed": sorted(index.pending),
+                        "holding": sorted(holding),
+                    },
                 )
+            )
     flat = system.metrics_registry().flatten()
     for path, value in flat.items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):

@@ -229,9 +229,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("kind", ("fsoi", "mesh", "fsoi-faults"))
     def test_post_run_audit(self, kind):
         # The scheduling indexes must still agree with the queues and
-        # buffers they summarise after a full run.  Under a fault plan
-        # FsoiNetwork's slot gather also visits the marked-down nodes
-        # (lane-sparing probes un-mark healed lanes on idle nodes too).
+        # buffers they summarise after a full run, including one whose
+        # fault plan has a sender mark its lane down and heal.
         faults = EQUIVALENCE_FAULT_PLAN if kind == "fsoi-faults" else None
         system = CmpSystem(CmpConfig(
             app="oc", network=kind.split("-")[0], num_nodes=16, seed=3,

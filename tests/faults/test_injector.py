@@ -1,6 +1,8 @@
 """FaultInjector unit behaviour: windows, detection, sparing, physics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     ConfirmationDrop,
@@ -54,28 +56,82 @@ class TestLaneDownDetection:
     def test_threshold_crossing_reported_once(self):
         inj = make(FaultPlan(lane_faults=(LaneFault(1, "meta"),),
                              detect_threshold=3))
-        assert not inj.note_dark_send(1, LaneKind.META)
-        assert not inj.note_dark_send(1, LaneKind.META)
-        assert inj.note_dark_send(1, LaneKind.META)   # third strike
-        assert not inj.note_dark_send(1, LaneKind.META)  # only once
-        assert inj.lane_suppressed(1, LaneKind.META, 0)
+        assert not inj.note_dark_send(1, LaneKind.META, 0, 2)
+        assert not inj.note_dark_send(1, LaneKind.META, 2, 2)
+        assert inj.note_dark_send(1, LaneKind.META, 4, 2)   # third strike
+        assert not inj.note_dark_send(1, LaneKind.META, 6, 2)  # only once
+        assert inj.lane_suppressed(1, LaneKind.META, 8)
 
     def test_successful_send_breaks_streak(self):
         inj = make(FaultPlan(lane_faults=(LaneFault(1, "meta"),),
                              detect_threshold=2))
-        inj.note_dark_send(1, LaneKind.META)
+        inj.note_dark_send(1, LaneKind.META, 0, 2)
         inj.note_successful_send(1, LaneKind.META)
-        assert not inj.note_dark_send(1, LaneKind.META)  # streak restarted
-        assert inj.note_dark_send(1, LaneKind.META)
+        assert not inj.note_dark_send(1, LaneKind.META, 2, 2)  # streak restarted
+        assert inj.note_dark_send(1, LaneKind.META, 4, 2)
 
     def test_suppression_clears_when_schedule_heals(self):
         inj = make(FaultPlan(lane_faults=(LaneFault(1, "meta", 0, 100),),
                              detect_threshold=1))
-        assert inj.note_dark_send(1, LaneKind.META)
+        assert inj.note_dark_send(1, LaneKind.META, 0, 2)
         assert inj.lane_suppressed(1, LaneKind.META, 50)
         # Past the window the lane works again: the probe clears state.
         assert not inj.lane_suppressed(1, LaneKind.META, 100)
         assert not inj.lane_suppressed(1, LaneKind.META, 50)  # stays clear
+
+    @settings(deadline=None)
+    @given(
+        windows=st.lists(
+            st.tuples(st.integers(0, 200), st.integers(1, 40), st.booleans()),
+            min_size=1, max_size=4,
+        ),
+        slot_len=st.sampled_from((2, 5)),
+        threshold=st.integers(1, 3),
+        sends=st.lists(st.booleans(), min_size=1, max_size=80),
+    )
+    def test_probe_on_demand_matches_every_boundary(
+        self, windows, slot_len, threshold, sends
+    ):
+        """Asked only at the boundaries where the node sends, the
+        injector answers as a sender that probes its marked lane at
+        every boundary — across heals and re-kills in between."""
+        faults = tuple(
+            LaneFault(1, "data", start, None if forever else start + length)
+            for start, length, forever in windows
+        )
+        inj = make(FaultPlan(lane_faults=faults, detect_threshold=threshold))
+
+        def dead(cycle):
+            return any(
+                f.start <= cycle and (f.end is None or cycle < f.end)
+                for f in faults
+            )
+
+        marked, streak = False, 0
+        for step, sending in enumerate(sends):
+            boundary = step * slot_len
+            if marked and not dead(boundary):  # the every-boundary probe
+                marked, streak = False, 0
+            if not sending:
+                continue
+            if marked:
+                expected = "spared"
+            elif dead(boundary):
+                streak += 1
+                marked = streak >= threshold
+                expected = "marked" if marked else "dark"
+            else:
+                streak = 0
+                expected = "lit"
+            if inj.lane_suppressed(1, LaneKind.DATA, boundary):
+                got = "spared"
+            elif inj.tx_lane_dead(1, LaneKind.DATA, boundary):
+                newly = inj.note_dark_send(1, LaneKind.DATA, boundary, slot_len)
+                got = "marked" if newly else "dark"
+            else:
+                inj.note_successful_send(1, LaneKind.DATA)
+                got = "lit"
+            assert got == expected, (step, boundary)
 
 
 class TestReceiverHealth:

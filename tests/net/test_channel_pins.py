@@ -2,8 +2,8 @@
 
 ``tests/cmp/test_network_vector_equivalence.py`` holds both networks to
 digests of whole ``CmpSystem`` runs, but at CMP load a mesh output port
-rarely has two ready requesters and the fault-plan slot gather rarely
-has a marked-down lane.  These pins drive exactly those paths:
+rarely has two ready requesters and a sender rarely has a lane marked
+down.  These pins drive exactly those paths:
 
 * a bare :class:`MeshNetwork` under seeded incast bursts (64 nodes) and
   uniform Bernoulli offers at p = 0.1 (256 nodes) — round-robin
@@ -306,8 +306,9 @@ class TestFaultGather:
             ]
         names = {event["name"] for event in events}
         assert {"fault_lane_down", "fault_suppressed"} <= names
-        # The lane healed: node 3 transmitted data again afterwards.
+        # The lane healed: node 3 transmitted data again afterwards, so
+        # its sender no longer spares any lane.
         injector = system.network.fault_injector
-        assert not injector.suppression_active
+        assert not injector._spared
         system.network.audit()
         pinned("oc-fsoi-16-smoke-plan-fault-events", {"trace": _sha(events)})

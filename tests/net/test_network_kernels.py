@@ -6,7 +6,9 @@
   writes its cached minimum, its ``pending`` set and the sorted due
   gather a slot boundary makes from it equal a brute-force scan of
   ``ready``; and a real :class:`FsoiNetwork` under random bursts passes
-  ``audit()`` after every tick and conserves packets at the drain.
+  ``audit()`` after every tick and conserves packets at the drain; and
+  under random lane kills (heals, re-kills, permanent), jumping to its
+  ``next_event`` horizon equals ticking every cycle.
 * A real :class:`MeshNetwork` the same way, over random VC counts,
   buffer depths and link widths.
 * The mesh router's round-robin switch arbitration, exercised on a real
@@ -25,6 +27,7 @@ from repro.core.network import (
     NEVER, FsoiConfig, FsoiNetwork, _LaneIndex, slot_horizon,
 )
 from repro.core.optimizations import OptimizationConfig
+from repro.faults import FaultPlan, LaneFault
 from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.mesh.router import Router
 from repro.mesh.routing import Port
@@ -149,6 +152,77 @@ class TestAuditEveryTick:
         assert stats["packets_sent"] == stats["packets_delivered"] + lost
         offered = sum(len(batch) for batch in by_cycle.values())
         assert stats["packets_sent"] + stats["send_refused"] == offered
+
+
+def drive_faulted(plan, bursts, seed, jump):
+    """Offer ``bursts`` to a bare 16-node FSOI network under ``plan`` and
+    drain it, ticking every cycle or (``jump``) only the cycles its
+    ``next_event`` horizon and the offers name, ``skip`` in between."""
+    net = FsoiNetwork(FsoiConfig(num_nodes=16, faults=plan, seed=seed))
+    arrived = []
+    for node in range(16):
+        net.set_delivery_callback(
+            node, lambda p: arrived.append((p.uid, p.deliver_cycle, p.retries))
+        )
+    by_cycle, uids = {}, iter(range(1 << 20))
+    for cycle, fan, pick, lane in bursts:
+        receiver = pick % 16
+        for rank in range(fan):
+            src = (receiver + 1 + (pick + rank) % 15) % 16
+            by_cycle.setdefault(cycle, []).append(
+                Packet(src=src, dst=receiver, lane=lane, uid=next(uids))
+            )
+    cycle = 0
+    while True:
+        assert cycle < 20_000, "network did not drain"
+        for packet in by_cycle.get(cycle, ()):
+            net.try_send(packet, cycle)
+        net.tick(cycle)
+        if cycle >= 120 and net.quiescent():
+            break
+        following = cycle + 1
+        if jump:
+            stops = [c for c in by_cycle if c >= following]
+            horizon = net.next_event(following)
+            if horizon is not None:
+                stops.append(horizon)
+            if following <= 120:
+                stops.append(120)
+            target = min(stops)
+            net.skip(following, target)
+            following = target
+        cycle = following
+    return arrived, net.stats.group.as_dict(), net.fault_summary(), cycle
+
+
+class TestFaultHorizon:
+    """A fault plan adds nothing to the FSOI horizon: a bare network that
+    jumps to ``next_event`` delivers, spares, gives up and counts slots
+    exactly as one ticked every cycle, while lanes die, heal and die
+    again with their senders idle."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kills=st.lists(st.tuples(
+            st.integers(0, 15), st.sampled_from(list(LaneKind)),
+            st.integers(0, 150), st.integers(1, 60), st.booleans(),
+        ), min_size=1, max_size=4),
+        threshold=st.integers(1, 3), bursts=bursts, seed=st.integers(0, 1000),
+    )
+    def test_jumping_to_next_event_matches_every_tick(
+        self, kills, threshold, bursts, seed
+    ):
+        plan = FaultPlan(
+            lane_faults=tuple(
+                LaneFault(node, lane.value, start,
+                          None if forever else start + length)
+                for node, lane, start, length, forever in kills
+            ),
+            detect_threshold=threshold, giveup_retries=10, seed=seed,
+        )
+        assert drive_faulted(plan, bursts, seed, jump=True) == drive_faulted(
+            plan, bursts, seed, jump=False
+        )
 
 
 class TestMeshAuditEveryTick:
