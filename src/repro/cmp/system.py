@@ -315,11 +315,8 @@ class CmpSystem:
             self.cores[0].workload.shared_lines(),
             *(range(line, line + 1) for line in sync),
         ]
-        hot = {  # line -> owning node
-            line: node
-            for node, span in enumerate(reuse)
-            for line in span[: app.hot_lines]
-        }
+        hot = [span[: app.hot_lines] for span in reuse]
+        warm = WarmLines(ranges, owned=((span, node) for node, span in enumerate(hot)))
         if self.config.directory.capacity_lines is not None:
             # Bounded slices count live entries for capacity pressure,
             # so the warm set must be materialized eagerly — and in this
@@ -328,24 +325,22 @@ class CmpSystem:
             lines: set[int] = set()
             for span in ranges:
                 lines.update(span)
+            hot = [[] for _ in l1s]  # each L1's hot lines, in set order
             for line in lines:
-                owner = hot.get(line)
+                owner = warm.get(line)[1]
                 if owner is None:
                     directories[home_of(line)].entry(line).state = DirState.DV
                 else:
                     directories[home_of(line)].preload_owned(line, owner)
-                    l1s[owner].preload_exclusive(line)
-            return
-        # Unbounded slices (the calibrated default): only the L1-hot
-        # lines get real entries; the DV bulk stays a lazily-consumed
-        # warm set shared across slices (home-partitioned, so no two
-        # slices ever race on one line).
-        for line, owner in hot.items():
-            directories[home_of(line)].preload_owned(line, owner)
-            l1s[owner].preload_exclusive(line)
-        warm = WarmLines(ranges, consumed=hot)
-        for directory in directories:
-            directory.preload_valid(warm)
+                    hot[owner].append(line)
+        else:
+            # Unbounded slices (the calibrated default): the directory
+            # side stays a lazily-consumed warm set shared across slices
+            # (home-partitioned, so no two slices ever race on one line).
+            for directory in directories:
+                directory.preload_valid(warm)
+        for l1, lines in zip(l1s, hot):
+            l1.preload_exclusive(lines)
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -139,17 +139,23 @@ class _Entry:
         return next(iter(self.sharers))
 
 
+_COLD = (_DI, None)
+_VALID = (_DV, None)
+
+
 class WarmLines:
     """The warm-start lines as what they are: a few step-1 ``range``s
     of line numbers minus the lines already consumed.
 
-    Offers the three set operations :class:`DirectoryController` uses —
-    ``in``, ``discard`` and truthiness — with O(log ranges) membership
-    and storage proportional to the lines *touched*, not the lines warm
-    (a 256-node warm start covers ~1 M lines in 258 ranges).
+    ``ranges`` are resident-valid (DV) in their home slice; each
+    ``(range, owner)`` in ``owned`` is held exclusively (DM) by
+    ``owner``'s L1, and wins over ``ranges`` where the two overlap.
+    :meth:`get` answers in O(log ranges) with storage proportional to
+    the lines *touched*, not the lines warm (a 256-node warm start
+    covers ~1 M lines in 258 ranges, 16k of them owned in 256).
     """
 
-    def __init__(self, ranges, consumed=()):
+    def __init__(self, ranges, owned=()):
         self._starts: list[int] = []
         self._stops: list[int] = []
         for span in sorted((r.start, r.stop) for r in ranges if len(r)):
@@ -158,21 +164,30 @@ class WarmLines:
             else:
                 self._starts.append(span[0])
                 self._stops.append(span[1])
-        self._consumed = set(consumed)
+        owned = sorted((r.start, r.stop, owner) for r, owner in owned if len(r))
+        self._owned_starts = [start for start, _stop, _owner in owned]
+        self._owned_stops = [stop for _start, stop, _owner in owned]
+        self._owners = [owner for _start, _stop, owner in owned]
+        self._consumed: set[int] = set()
 
-    def __contains__(self, line: int) -> bool:
+    def get(self, line: int) -> tuple[DirState, Optional[int]]:
+        """``(DM, owner)``, ``(DV, None)``, or ``(DI, None)`` for a line
+        that is not warm or already consumed."""
+        if line in self._consumed:
+            return _COLD
+        index = bisect_right(self._owned_starts, line) - 1
+        if index >= 0 and line < self._owned_stops[index]:
+            return _DM, self._owners[index]
         index = bisect_right(self._starts, line) - 1
-        return (
-            index >= 0
-            and line < self._stops[index]
-            and line not in self._consumed
-        )
+        if index >= 0 and line < self._stops[index]:
+            return _VALID
+        return _COLD
 
     def discard(self, line: int) -> None:
         self._consumed.add(line)
 
     def __bool__(self) -> bool:
-        return bool(self._starts)
+        return bool(self._starts or self._owned_starts)
 
 
 class DirectoryController:
@@ -224,12 +239,16 @@ class DirectoryController:
         if ent is None:
             ent = _Entry()
             warm = self._warm
-            if warm and line in warm:
-                # Consume the warm marker: once materialized the entry
-                # alone carries the state (an eviction back to DI must
-                # not resurrect as DV on the next touch).
-                warm.discard(line)
-                ent.state = _DV
+            if warm:
+                state, owner = warm.get(line)
+                if state is not _DI:
+                    # Consume the warm marker: once materialized the
+                    # entry alone carries the state (an eviction back to
+                    # DI must not resurrect as DV / DM on the next touch).
+                    warm.discard(line)
+                    ent.state = state
+                    if owner is not None:
+                        ent.sharers.add(owner)
             self._entries[line] = ent
         return ent
 
@@ -237,18 +256,18 @@ class DirectoryController:
         ent = self._entries.get(line)
         if ent is not None:
             return ent.state
-        if self._warm and line in self._warm:
-            return _DV
+        if self._warm:
+            return self._warm.get(line)[0]
         return _DI
 
     def preload_valid(self, lines: WarmLines) -> None:
-        """Warm-start ``lines`` as resident-valid (DV) in this slice.
+        """Warm-start ``lines`` in this slice: DV, or DM where owned.
 
-        Nothing is materialized here: :meth:`entry` creates the DV entry
-        on a line's first touch and marks it consumed in ``lines``, so
-        the cost of a warm start follows the lines a run touches (a few
-        hundred in a short run), not the lines that are warm (~67k at 16
-        nodes, ~1 M at 256).  ``lines`` may be one object shared with
+        Nothing is materialized here: :meth:`entry` creates the DV / DM
+        entry on a line's first touch and marks it consumed in ``lines``,
+        so the cost of a warm start follows the lines a run touches (a
+        few hundred in a short run), not the lines that are warm (~67k at
+        16 nodes, ~1 M at 256).  ``lines`` may be one object shared with
         the other slices — home interleaving guarantees no two slices
         are ever asked about the same line.
 
@@ -452,9 +471,9 @@ class DirectoryController:
 
     def replace(self, line: int) -> None:
         """Evict ``line`` from this L2 slice (the directory Repl event)."""
-        entry = self._entries.get(line)
-        if entry is None or entry.state is _DI:
+        if self.state(line) is _DI:
             return
+        entry = self.entry(line)  # a warm line never touched: materialize
         state = entry.state
         if state.is_transient:
             raise RuntimeError(f"cannot replace line {line:#x} in {state.name}")

@@ -152,11 +152,13 @@ class L1Controller:
     def state(self, line: int) -> L1State:
         return self._states.get(line, _I)
 
-    def preload_exclusive(self, line: int) -> None:
-        """Warm-start ``line`` resident in E (its home holds it DM for
-        this node: :meth:`DirectoryController.preload_owned`)."""
-        self.array.insert(line)
-        self._states[line] = _E
+    def preload_exclusive(self, lines) -> None:
+        """Warm-start ``lines``, in order, resident in E (their homes
+        hold them DM for this node)."""
+        insert, states = self.array.insert, self._states
+        for line in lines:
+            insert(line)
+            states[line] = _E
 
     def outstanding(self) -> int:
         """Number of lines in transient states (live misses)."""

@@ -93,7 +93,7 @@ class FaultInjector:
 
         # droop_db -> per-bit error rate via the optical chain, resolved
         # here for every scheduled droop so a run never pays the chain
-        # (and its scipy.special import) inside a tick.
+        # inside a tick.
         self._droop_ber_cache: dict[float, float] = {}
         for droop in self._droops:
             self.droop_ber(droop.droop_db)

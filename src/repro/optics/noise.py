@@ -24,6 +24,60 @@ __all__ = ["ReceiverNoise", "ber_from_q", "q_from_ber"]
 
 ELECTRON_CHARGE = 1.602_176_634e-19  # coulombs
 
+# Cephes ``ndtr.c`` coefficients, highest power first: erfc's rational
+# approximations on [1, 8) (P/Q) and [8, inf) (R/S), erf's on |x| < 1
+# (T/U).  Q, S and U omit their leading 1.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+      7.46321056442269912687e0, 4.86371970985681366614e1,
+      1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3,
+      5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+      3.54937778887819891062e2, 9.75708501743205489753e2,
+      1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+      5.01905042251180477414e0, 6.16021097993053585195e0,
+      7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+      1.20489539808096656605e1, 1.70814450747565897222e1,
+      9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+      2.23200534594684319226e3, 7.00332514112805075473e3,
+      5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+      4.59432382970980127987e3, 2.26290000613890934246e4,
+      4.92673942608635921086e4)
+_MAXLOG = 7.09782712893383996843e2  # log(2**1024): exp(-x*x) underflows past it
+
+
+def _horner(x: float, coefs, monic: bool = False) -> float:
+    """Cephes ``polevl``, or ``p1evl`` (an implied leading 1) if ``monic``."""
+    value = x + coefs[0] if monic else coefs[0]
+    for coef in coefs[1:]:
+        value = value * x + coef
+    return value
+
+
+def _erfc(a: float) -> float:
+    """Complementary error function, the Cephes routine
+    ``scipy.special.erfc`` runs, so every result is bit-identical to it
+    (``math.erfc`` differs in the last ulp on many inputs)."""
+    if a != a:
+        return math.nan
+    x = abs(a)
+    if x < 1.0:
+        z = a * a
+        return 1.0 - a * _horner(z, _T) / _horner(z, _U, True)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0 else 0.0
+    if x < 8.0:
+        y = math.exp(z) * _horner(x, _P) / _horner(x, _Q, True)
+    else:
+        y = math.exp(z) * _horner(x, _R) / _horner(x, _S, True)
+    return 2.0 - y if a < 0 else y
+
 
 def ber_from_q(q: float) -> float:
     """Bit-error rate of an OOK link with Gaussian noise at Q factor ``q``.
@@ -33,11 +87,7 @@ def ber_from_q(q: float) -> float:
     """
     if q < 0:
         raise ValueError(f"negative Q factor: {q}")
-    # Imported where called: docs/performance.md "Time to first cycle".
-    # (math.erfc is not a substitute: it differs in the last ulp.)
-    from scipy.special import erfc
-
-    return 0.5 * float(erfc(q / math.sqrt(2.0)))
+    return 0.5 * _erfc(q / math.sqrt(2.0))
 
 
 def q_from_ber(ber: float) -> float:

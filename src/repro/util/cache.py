@@ -45,7 +45,9 @@ class CacheArray:
         self.num_sets = num_sets
         self.ways = ways
         self.is_evictable = is_evictable or (lambda line: True)
-        self._sets: list[list[_Way]] = [[] for _ in range(num_sets)]
+        # Every set is the shared empty tuple until its first insert
+        # gives it a list, so a set no run fills costs one pointer.
+        self._sets: list["list[_Way] | tuple"] = [()] * num_sets
         self._clock = 0
         self.hits = 0
         self.misses = 0
@@ -65,7 +67,7 @@ class CacheArray:
             raise ValueError("capacity not divisible into sets")
         return cls(lines // ways, ways, is_evictable)
 
-    def _set_of(self, line: int) -> list[_Way]:
+    def _set_of(self, line: int) -> "list[_Way] | tuple":
         return self._sets[line % self.num_sets]
 
     def contains(self, line: int) -> bool:
@@ -89,11 +91,15 @@ class CacheArray:
         size MSHRs below associativity pressure or pre-check.
         """
         self._clock = clock = self._clock + 1
-        target = self._sets[line % self.num_sets]
+        index = line % self.num_sets
+        target = self._sets[index]
         for way in target:
             if way.line == line:  # already resident (refill race)
                 way.last_use = clock
                 return None
+        if not target:
+            self._sets[index] = [_Way(line, clock)]
+            return None
         if len(target) < self.ways:
             target.append(_Way(line, clock))
             return None

@@ -1,12 +1,14 @@
 """Time to first cycle: scipy stays off the import path and out of runs.
 
-Module scope imports numpy and the stdlib only; the four closed-form
-helpers that need scipy import it where they call it
-(docs/performance.md, "Time to first cycle").  The checks run in fresh
-subprocesses — inside this pytest process some other test has usually
-loaded scipy already.  The pinned floats were recorded at the last
-commit that imported scipy at module scope, so "lazy" provably changed
-no bit.
+Module scope imports numpy and the stdlib only; the three analysis-only
+helpers that need scipy (``optimal_meta_bandwidth``, ``saturation_load``,
+``q_from_ber``) import it where they call it, and ``ber_from_q`` — the
+one a faulted run calls — is a pure-Python port of the routine
+``scipy.special.erfc`` runs (docs/performance.md, "Time to first
+cycle").  The checks run in fresh subprocesses — inside this pytest
+process some other test has usually loaded scipy already.  The pinned
+floats were recorded at the last commit that imported scipy at module
+scope, so neither "lazy" nor the port changed a bit.
 """
 
 import os
@@ -50,18 +52,21 @@ for network in ("fsoi", "mesh", "l0"):
 
 
 def test_faulted_run_imports_nothing_after_construction():
-    # The droop -> Q-factor -> BER chain needs scipy.special; the
-    # injector resolves it per plan at construction, never under tick.
+    # The droop -> Q-factor -> BER chain runs on the erfc port: building
+    # and running a faulted system loads no scipy module at all.
     run_fresh(
         """
 import sys
 from repro.cmp import CmpConfig, CmpSystem
 from repro.faults.plan import FaultPlan, ThermalDroop
 
+def loaded():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
 plan = FaultPlan(label="droop", droops=(ThermalDroop(droop_db=2.5),), seed=3)
 system = CmpSystem(CmpConfig(num_nodes=16, network="fsoi", faults=plan))
+assert not loaded(), f"construction imported {loaded()[:5]}"
 before = set(sys.modules)
-assert "scipy.special" in before  # the plan's BER is already resolved
 result = system.run(1500)
 faults = result.to_dict()["fsoi"]["faults"]
 assert faults["data"]["injected_corrupt"] > 0  # the droop path ran

@@ -102,3 +102,33 @@ class TestEviction:
         for line in lines:
             array.insert(line)
             assert array.contains(line)
+
+
+class TestLazySets:
+    """An untouched set is the shared empty tuple; every read treats it
+    as empty, and the first insert gives it a list."""
+
+    def test_untouched_sets_are_one_shared_empty_tuple(self):
+        array = CacheArray(8, 2)
+        assert all(ways == () and ways is array._sets[0] for ways in array._sets)
+
+    def test_reads_treat_an_untouched_set_as_empty(self):
+        array = CacheArray(8, 2)
+        assert not array.contains(5)
+        assert not array.touch(5)
+        assert array.misses == 1 and array.hits == 0
+        assert not array.remove(5)
+        assert array.resident_lines() == []
+        assert array._sets[5] == ()  # no read allocates
+
+    def test_first_insert_gives_only_its_set_a_list(self):
+        array = CacheArray(8, 2)
+        assert array.insert(5) is None
+        assert type(array._sets[5]) is list
+        assert all(array._sets[i] == () for i in range(8) if i != 5)
+        assert array.contains(5) and array.touch(5)
+        assert array.insert(13) is None  # same set, second way
+        assert array.insert(21) == 5  # LRU victim: 5 was touched before 13 went in
+        assert sorted(array.resident_lines()) == [13, 21]
+        assert array.remove(13) and array.remove(21)
+        assert array.resident_lines() == [] and array.insert(29) is None
