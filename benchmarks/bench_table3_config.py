@@ -14,15 +14,23 @@ from repro.config import table3
 
 
 def test_table3_configuration(benchmark):
-    def build():
-        return CmpSystem(CmpConfig(num_nodes=16, app="ba", network="fsoi"))
+    built = []
 
-    system = benchmark.pedantic(build, rounds=3, iterations=1)
-    for nodes in (16, 64):
-        print(f"\n=== Table 3: system configuration ({nodes} nodes) ===")
-        print(table3(nodes).render())
-    assert len(system.cores) == 16
-    assert len(system.memory) == 4
+    def build():
+        system = CmpSystem(CmpConfig(num_nodes=16, app="ba", network="fsoi"))
+        built.append(system)
+        return system
+
+    try:
+        system = benchmark.pedantic(build, rounds=3, iterations=1)
+        for nodes in (16, 64):
+            print(f"\n=== Table 3: system configuration ({nodes} nodes) ===")
+            print(table3(nodes).render())
+        assert len(system.cores) == 16
+        assert len(system.memory) == 4
+    finally:
+        for system in built:
+            system.close()
 
 
 def test_table3_vcsel_budget(benchmark):

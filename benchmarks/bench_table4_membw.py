@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from helpers import bench_apps, bench_cycles, print_table, run_cached
 
-from repro.cmp import CmpConfig, CmpSystem
+from repro.cmp import run_app
 from repro.util.stats import geometric_mean
 from repro.workloads import signature
 
@@ -73,12 +73,10 @@ def test_l1_size_sensitivity(benchmark):
                 sig = signature(app)
                 if label == "32KB":
                     sig = sig.with_miss_scale(scale)
-                runs = {}
-                for net in ("mesh", "fsoi"):
-                    config = CmpConfig(
-                        num_nodes=16, app=sig, network=net, seed=0
-                    )
-                    runs[net] = CmpSystem(config).run(bench_cycles())
+                runs = {
+                    net: run_app(sig, net, 16, bench_cycles(), seed=0)
+                    for net in ("mesh", "fsoi")
+                }
                 speedups.append(runs["fsoi"].ipc / runs["mesh"].ipc)
             out[label] = geometric_mean(speedups)
         return out

@@ -107,7 +107,7 @@ def run_cached(app: str, network: str, num_nodes: int = 16,
     ``kwargs`` are extra :class:`repro.cmp.CmpConfig` fields
     (``optimizations=...``, ``fsoi_lanes=...``, ``memory_gbps=...``).
     """
-    from repro.cmp import CmpSystem
+    from repro.sweep import execute_point
     from repro.sweep.cache import _normalized
 
     point = make_point(
@@ -121,8 +121,7 @@ def run_cached(app: str, network: str, num_nodes: int = 16,
         return memoized
     result_dict = cache.get(point) if cache else None
     if result_dict is None:
-        raw = CmpSystem(point.to_config()).run(point.cycles).to_dict()
-        result_dict = _normalized(raw)
+        result_dict = _normalized(execute_point(point.to_dict()))
         if cache:
             cache.put(point, result_dict)
     result = CmpResults.from_dict(result_dict)

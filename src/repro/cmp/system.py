@@ -72,6 +72,12 @@ __all__ = ["CmpConfig", "CmpSystem", "run_app", "NETWORK_KINDS"]
 
 NETWORK_KINDS = ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
 
+#: Cycles a message to the sender's own home slice takes.  At 0 a core's
+#: request to its own slice would be delivered inside the cores phase,
+#: where nothing may change a core but its own action
+#: (repro.cpu.core.DueSchedule).
+LOCAL_LATENCY = 1
+
 #: §4.4 per-line ordering sentinel: a line with a message in flight but
 #: nothing queued behind it.  Shared so ``_send_from`` does not allocate
 #: a deque for the common line that never queues a second message.
@@ -104,7 +110,6 @@ class CmpConfig:
         default_factory=OptimizationConfig.none
     )
     memory_gbps: float = 8.8
-    num_memory_channels: Optional[int] = None  # 4 (16-node) / 8 (64-node)
     core: CoreConfig = field(default_factory=CoreConfig)
     l1: L1Config = field(default_factory=L1Config)
     directory: DirectoryConfig = field(default_factory=DirectoryConfig)
@@ -118,7 +123,6 @@ class CmpConfig:
     #: empty plan is passive; non-empty plans are FSOI-only — faults
     #: model the optical substrate's failure modes.
     faults: Optional[FaultPlan] = None
-    local_latency: int = 1
     #: Pre-populate the L2/directory with the workload's reuse pools so
     #: runs measure steady state rather than the cold-start transient
     #: (the paper measures inside the parallel sections, long after the
@@ -135,13 +139,6 @@ class CmpConfig:
         if self.network not in NETWORK_KINDS:
             raise ValueError(
                 f"unknown network {self.network!r}; choose from {NETWORK_KINDS}"
-            )
-        if self.local_latency < 1:
-            # At 0 a core's request to its own home slice would be
-            # delivered inside the cores phase, where nothing may change
-            # a core but its own action (repro.cpu.core.DueSchedule).
-            raise ValueError(
-                f"local_latency must be >= 1 cycle: {self.local_latency}"
             )
         opts = self.optimizations
         any_opts = (
@@ -172,8 +169,6 @@ class CmpConfig:
 
     @property
     def memory_channels(self) -> int:
-        if self.num_memory_channels is not None:
-            return self.num_memory_channels
         return 4 if self.num_nodes <= 16 else 8
 
 
@@ -484,10 +479,7 @@ class CmpSystem:
         # the common immediate case (delay 0, remote) the action object.
         cycle = self.cycle
         if msg.dest == node:
-            due = cycle + delay + self.config.local_latency
-            if due <= cycle:
-                self._deliver(msg, node)
-                return
+            due = cycle + delay + LOCAL_LATENCY
             action = partial(self._deliver, msg, node)
         else:
             due = cycle + delay
@@ -1004,7 +996,7 @@ class CmpSystem:
 
 
 def run_app(
-    app: str,
+    app: Union[str, AppSignature],
     network: str,
     num_nodes: int = 16,
     cycles: int = 20_000,

@@ -10,7 +10,7 @@ Subpackage map (paper section in parentheses):
 * :mod:`repro.core.backoff` — exponential back-off retransmission
   (§4.3.2, Figure 4).
 * :mod:`repro.core.confirmation` — the collision-free confirmation
-  channel and its mini-cycle reservations (§4.3.2, §5.1).
+  channel and its §5.1 one-bit signals (§4.3.2, §5.1).
 * :mod:`repro.core.phase_array` — optical-phase-array beam steering for
   large systems (§4.1).
 * :mod:`repro.core.analytical` — the paper's closed-form / numerical

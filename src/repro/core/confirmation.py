@@ -8,67 +8,22 @@ collide: a node sends at most one packet per lane per slot, so it
 receives at most one confirmation per lane per cycle.
 
 §5.1 additionally exploits the channel's *mini-cycles*: each CPU cycle
-contains 12 communication cycles (40 Gbps vs 3.3 GHz), and a mini-cycle
-index can be **reserved** so the directory can later convey a single bit
-(a load-linked value, a store-conditional outcome, a barrier release)
-positionally — no packet, no collision, minimal latency.  This module
-provides one node's reservation bookkeeping
-(:class:`MiniCycleReservations`); the simulator sends such a bit with
-:meth:`ConfirmationChannel.send_signal` at the channel's fixed delay
-and charges no reservation, so the channel keeps no table of them.
+contains 12 communication cycles (40 Gbps vs 3.3 GHz), so the directory
+can convey a single bit (a load-linked value, a store-conditional
+outcome, a barrier release) positionally in a reserved mini-cycle — no
+packet, no collision, minimal latency.  The simulator models such a bit
+as a fixed-delay signal (:meth:`ConfirmationChannel.send_signal`, at the
+channel's confirmation delay) with no reservation table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.obs.trace import TRACE
 from repro.util.events import CycleCalendar
 
-__all__ = ["ConfirmationChannel", "MiniCycleReservations"]
-
-
-@dataclass
-class MiniCycleReservations:
-    """Per-node table of reserved confirmation mini-cycles.
-
-    A node owns ``mini_cycles`` slots (12 by default).  A reservation
-    binds a mini-cycle index to an opaque owner key (e.g. a lock-word
-    address), so the directory can signal that owner with one bit in any
-    later cycle.
-    """
-
-    mini_cycles: int = 12
-    _owner_by_slot: dict[int, object] = field(default_factory=dict)
-    _slot_by_owner: dict[object, int] = field(default_factory=dict)
-
-    def reserve(self, owner: object) -> Optional[int]:
-        """Reserve a free mini-cycle for ``owner``; None if all taken.
-
-        Re-reserving for an existing owner returns its current slot.
-        """
-        if owner in self._slot_by_owner:
-            return self._slot_by_owner[owner]
-        for slot in range(self.mini_cycles):
-            if slot not in self._owner_by_slot:
-                self._owner_by_slot[slot] = owner
-                self._slot_by_owner[owner] = slot
-                return slot
-        return None
-
-    def release(self, owner: object) -> None:
-        """Free the mini-cycle held by ``owner`` (no-op if absent)."""
-        slot = self._slot_by_owner.pop(owner, None)
-        if slot is not None:
-            del self._owner_by_slot[slot]
-
-    def slot_of(self, owner: object) -> Optional[int]:
-        return self._slot_by_owner.get(owner)
-
-    @property
-    def free_slots(self) -> int:
-        return self.mini_cycles - len(self._owner_by_slot)
+__all__ = ["ConfirmationChannel"]
 
 
 class ConfirmationChannel:

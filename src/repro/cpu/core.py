@@ -148,11 +148,11 @@ class DueSchedule:
     a confirmation, a §5.1 release signal — arrives through the
     calendar or the network tick, both of which run *before* the cores
     in ``CmpSystem.tick``, no network's ``try_send`` delivers
-    synchronously, and a local delivery takes at least one cycle
-    (``CmpConfig.local_latency``).  The same argument makes a window
-    exact: whatever could change a parked core's L1 arrives outside the
-    cores phase, and cuts the window back to that cycle first
-    (:meth:`Core.cut`).
+    synchronously, and a local delivery takes one cycle
+    (``repro.cmp.system.LOCAL_LATENCY``).  The same argument makes a
+    window exact: whatever could change a parked core's L1 arrives
+    outside the cores phase, and cuts the window back to that cycle
+    first (:meth:`Core.cut`).
 
     ``clock`` is any object whose ``cycle`` attribute is the cycle being
     simulated (the ``CmpSystem``); a schedule built without one keeps
@@ -805,11 +805,12 @@ def _fused_issue(core: Core):
     wake_slot = -1
     # Where the latest window started — its op count and cursor — and
     # its journals, keyed by op index within the window: per hit, flat,
-    # the way (None: a stray, whose line takes the stamp's place), its
-    # previous LRU stamp, the access kind and the cursor after the op;
-    # per block entered, flat, the block; per E -> M upgrade the line;
-    # per workload-counter move the counters before it.  One set per
-    # core, reused: a core has at most one window.
+    # the way (None: a hit on a line the tag array does not hold, whose
+    # line takes the stamp's place), its previous LRU stamp, the access
+    # kind and the cursor after the op; per block entered, flat, the
+    # block; per E -> M upgrade the line; per workload-counter move the
+    # counters before it.  One set per core, reused: a core has at most
+    # one window.
     start_count = 0
     start_words: Optional[list[int]] = None
     start_pos = 0
@@ -979,7 +980,7 @@ def _fused_issue(core: Core):
                 if moved:
                     del moved[:]
                 clock = cache._clock
-                n = writes = strays = 0
+                n = writes = 0
                 # A window that starts where a cut left the last one takes
                 # its first ops from what the cut undid, in order; the
                 # first of them that no longer hits ends it.
@@ -1001,8 +1002,8 @@ def _fused_issue(core: Core):
                                 ) or words
                             count += 1
                             break
-                        # A hit: CacheArray.touch inlined (LRU + counts),
-                        # journalled so a cut can undo it.
+                        # A hit: CacheArray.touch inlined (LRU), journalled
+                        # so a cut can undo it.
                         clock += 1
                         for way in sets[line % nsets]:
                             if way.line == line:
@@ -1016,7 +1017,6 @@ def _fused_issue(core: Core):
                             touched += (
                                 n, None, line, is_write, pos, has32, stash32
                             )
-                            strays += 1
                         if is_write:
                             writes += 1
                             if state is E:
@@ -1216,12 +1216,9 @@ def _fused_issue(core: Core):
                 hits = len(touched) // 7
                 if hits:
                     cache._clock = clock
-                    cache.hits += hits - strays
                     c_read_hits.value += hits - writes
                     if writes:
                         c_write_hits.value += writes
-                    if strays:
-                        cache.misses += strays
                 position += n
                 if position < stop:
                     # The window ended inside this cycle: nothing to park,
@@ -1261,19 +1258,15 @@ def _fused_issue(core: Core):
         end = keep = len(journal)
         while keep and journal[keep - 7] >= kept:
             keep -= 7
-        strays = writes = 0
+        writes = 0
         for at in range(end - 7, keep - 7, -7):
             way = journal[at + 1]
-            if way is None:
-                strays += 1
-            else:
+            if way is not None:
                 way.last_use = journal[at + 2]
             writes += journal[at + 3]
         tail = journal[keep:end]
         undone = (end - keep) // 7
         cache._clock -= undone
-        cache.hits -= undone - strays
-        cache.misses -= strays
         c_write_hits.value -= writes
         c_read_hits.value -= undone - writes
         for n, line in flipped:

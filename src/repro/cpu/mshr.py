@@ -14,14 +14,13 @@ __all__ = ["MshrFile"]
 class MshrFile:
     """Tracks lines with in-flight misses; bounded capacity."""
 
-    __slots__ = ("limit", "_lines", "allocation_failures")
+    __slots__ = ("limit", "_lines")
 
     def __init__(self, limit: int = 8):
         if limit < 1:
             raise ValueError(f"need at least one MSHR: {limit}")
         self.limit = limit
         self._lines: set[int] = set()
-        self.allocation_failures = 0
 
     def contains(self, line: int) -> bool:
         return line in self._lines
@@ -35,7 +34,6 @@ class MshrFile:
         if line in self._lines:
             return True
         if len(self._lines) >= self.limit:
-            self.allocation_failures += 1
             return False
         self._lines.add(line)
         return True

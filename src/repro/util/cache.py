@@ -49,9 +49,6 @@ class CacheArray:
         # gives it a list, so a set no run fills costs one pointer.
         self._sets: list["list[_Way] | tuple"] = [()] * num_sets
         self._clock = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     @classmethod
     def from_geometry(cls, capacity_bytes: int, line_bytes: int, ways: int,
@@ -79,9 +76,7 @@ class CacheArray:
         for way in self._set_of(line):
             if way.line == line:
                 way.last_use = self._clock
-                self.hits += 1
                 return True
-        self.misses += 1
         return False
 
     def insert(self, line: int) -> Optional[int]:
@@ -122,7 +117,6 @@ class CacheArray:
             )
         target.remove(victim)
         target.append(_Way(line, clock))
-        self.evictions += 1
         return victim.line
 
     def remove(self, line: int) -> bool:
@@ -133,11 +127,6 @@ class CacheArray:
                 target.remove(way)
                 return True
         return False
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.misses / total if total else 0.0
 
     def resident_lines(self) -> list[int]:
         return [w.line for s in self._sets for w in s]

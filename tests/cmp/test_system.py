@@ -19,19 +19,9 @@ class TestConfig:
     def test_memory_channels_default(self):
         assert CmpConfig(num_nodes=16).memory_channels == 4
         assert CmpConfig(num_nodes=64).memory_channels == 8
-        assert CmpConfig(num_nodes=16, num_memory_channels=2).memory_channels == 2
 
     def test_app_lookup(self):
         assert CmpConfig(app="oc").app_signature.name == "ocean"
-
-    @pytest.mark.parametrize("latency", (0, -1))
-    def test_local_latency_below_one_cycle_rejected(self, latency):
-        # At 0 a request to the core's own home slice would be delivered
-        # inside the cores phase, where only a core's own action may
-        # change it; -1 quietly changed results.
-        with pytest.raises(ValueError, match=f"local_latency.*{latency}"):
-            CmpConfig(local_latency=latency)
-        assert CmpConfig(local_latency=1).local_latency == 1
 
 
 class TestWiring:

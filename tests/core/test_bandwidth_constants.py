@@ -1,11 +1,17 @@
-"""Tests for deriving the §4.3.1 bandwidth-split constants."""
+"""Tests for deriving the §4.3.1 bandwidth-split constants and the
+Table 3 lane slot lengths they split."""
+
+import math
 
 import pytest
 
+from repro.config import table3
 from repro.core.analytical import (
     bandwidth_constants,
     optimal_meta_bandwidth,
 )
+from repro.core.lanes import LaneConfig
+from repro.net.packet import DATA_PACKET_BITS, META_PACKET_BITS, LaneKind
 
 
 class TestDerivation:
@@ -28,6 +34,21 @@ class TestDerivation:
             bandwidth_constants(0, 0)
         with pytest.raises(ValueError):
             bandwidth_constants(-1, 5)
+
+
+class TestLaneSlotLengths:
+    def test_table3_slot_lengths(self):
+        """Rederive each slot from the paper's numbers alone: packet bits
+        over lane VCSELs x 12 bits per VCSEL per cycle (40 Gbps at
+        3.3 GHz), rounded up — 72-bit meta on 3 VCSELs, 360-bit data on 6."""
+        for lane, bits, vcsels, cycles in (
+            (LaneKind.META, 72, 3, 2),
+            (LaneKind.DATA, 360, 6, 5),
+        ):
+            assert math.ceil(bits / (vcsels * 12)) == cycles
+            assert LaneConfig().slot_cycles(lane) == cycles
+            assert table3(16).lanes.slot_cycles(lane) == cycles
+        assert (META_PACKET_BITS, DATA_PACKET_BITS) == (72, 360)
 
 
 class TestFromMeasuredRun:

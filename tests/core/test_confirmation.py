@@ -1,8 +1,8 @@
-"""Tests for the confirmation channel and mini-cycle reservations."""
+"""Tests for the confirmation channel."""
 
 import pytest
 
-from repro.core.confirmation import ConfirmationChannel, MiniCycleReservations
+from repro.core.confirmation import ConfirmationChannel
 
 
 class TestConfirmationChannel:
@@ -43,36 +43,3 @@ class TestConfirmationChannel:
         with pytest.raises(ValueError):
             ConfirmationChannel(4, delay=0)
 
-
-class TestMiniCycleReservations:
-    def test_reserve_distinct_slots(self):
-        table = MiniCycleReservations(mini_cycles=12)
-        slots = {table.reserve(f"lock{i}") for i in range(12)}
-        assert slots == set(range(12))
-
-    def test_exhaustion_returns_none(self):
-        table = MiniCycleReservations(mini_cycles=2)
-        table.reserve("a")
-        table.reserve("b")
-        assert table.reserve("c") is None
-
-    def test_rereserve_same_owner(self):
-        table = MiniCycleReservations()
-        first = table.reserve("a")
-        assert table.reserve("a") == first
-        assert table.free_slots == 11
-
-    def test_release_frees_slot(self):
-        table = MiniCycleReservations(mini_cycles=1)
-        table.reserve("a")
-        table.release("a")
-        assert table.reserve("b") == 0
-
-    def test_release_unknown_is_noop(self):
-        MiniCycleReservations().release("ghost")
-
-    def test_slot_of(self):
-        table = MiniCycleReservations()
-        slot = table.reserve("x")
-        assert table.slot_of("x") == slot
-        assert table.slot_of("y") is None

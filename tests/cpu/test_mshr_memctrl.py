@@ -13,7 +13,7 @@ class TestMshrFile:
         assert mshr.allocate(1)
         assert mshr.allocate(2)
         assert not mshr.allocate(3)
-        assert mshr.allocation_failures == 1
+        assert not mshr.contains(3)  # a refused miss holds no register
 
     def test_merge_secondary_miss(self):
         mshr = MshrFile(limit=1)

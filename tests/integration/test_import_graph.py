@@ -1,4 +1,11 @@
-"""Time to first cycle: scipy stays off the import path and out of runs.
+"""The import graph: every module is reached, and scipy stays off the
+import path and out of runs.
+
+Every module under ``src/repro`` must be reachable by static imports
+(module level or inside a function) from ``repro``, ``repro.cli`` or a
+script under ``benchmarks/``, ``examples/`` or ``perfbench/``; a module
+that only its own unit tests import is dead code.  ``repro.__main__``
+is the one exception: ``python -m repro`` runs it and nothing imports it.
 
 Module scope imports numpy and the stdlib only; the three analysis-only
 helpers that need scipy (``optimal_meta_bandwidth``, ``saturation_load``,
@@ -11,6 +18,7 @@ floats were recorded at the last commit that imported scipy at module
 scope, so neither "lazy" nor the port changed a bit.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -22,7 +30,53 @@ from repro.core.analytical import optimal_meta_bandwidth
 from repro.core.queueing import saturation_load
 from repro.optics.noise import ber_from_q, q_from_ber
 
-SRC = Path(__file__).parents[2] / "src"
+ROOT = Path(__file__).parents[2]
+SRC = ROOT / "src"
+ENTRY_DIRS = ("benchmarks", "examples", "perfbench")
+NOT_IMPORTED = {"repro.__main__"}
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imported_names(path: Path, name: str = "") -> set[str]:
+    """Every dotted name an ``import`` anywhere in ``path`` may load:
+    ``from a import b`` names both ``a`` and ``a.b`` (``b`` may be a
+    submodule), and relative imports resolve against ``name``."""
+    package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_every_module_is_reachable():
+    modules = {module_name(path): path for path in (SRC / "repro").rglob("*.py")}
+    todo = {"repro", "repro.cli"}
+    for directory in ENTRY_DIRS:
+        for script in (ROOT / directory).rglob("*.py"):
+            todo |= imported_names(script)
+    reached = set()
+    while todo:
+        parts = todo.pop().split(".")
+        # Importing a.b.c runs a/__init__ and a/b/__init__ first.
+        for end in range(1, len(parts) + 1):
+            name = ".".join(parts[:end])
+            if name in modules and name not in reached:
+                reached.add(name)
+                todo |= imported_names(modules[name], name)
+    unreached = sorted(set(modules) - reached - NOT_IMPORTED)
+    assert not unreached, f"modules nothing imports: {unreached}"
 
 
 def run_fresh(code: str) -> None:
