@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, closing, contextmanager
 
 from repro.cmp import CmpConfig, CmpSystem
 from repro.cmp.system import NETWORK_KINDS
@@ -454,12 +454,13 @@ def _usage_errors(args):
 
 
 def _build_system(args, network=None, faults=None) -> CmpSystem:
-    """The one place command-line arguments become a ``CmpSystem``."""
+    """The one place command-line arguments become a ``CmpSystem``,
+    closed when the command that built it returns (:func:`main`)."""
     optimizations = (
         OptimizationConfig.all() if args.optimized else OptimizationConfig.none()
     )
     with _usage_errors(args):
-        return CmpSystem(CmpConfig(
+        system = CmpSystem(CmpConfig(
             num_nodes=args.nodes,
             app=args.app,
             network=network or args.network,
@@ -467,6 +468,7 @@ def _build_system(args, network=None, faults=None) -> CmpSystem:
             faults=faults,
             seed=args.seed,
         ))
+    return args.built.enter_context(closing(system))
 
 
 def _headline(args) -> str:
@@ -1149,10 +1151,13 @@ def _cmd_thermal(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except BrokenPipeError:  # pragma: no cover - e.g. `repro link | head`
-        return 0
+    # Whoever builds a system closes it: the systems a command builds
+    # are closed after its last read of them, when it returns or raises.
+    with ExitStack() as args.built:
+        try:
+            return args.func(args)
+        except BrokenPipeError:  # pragma: no cover - e.g. `repro link | head`
+            return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

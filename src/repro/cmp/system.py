@@ -567,15 +567,6 @@ class CmpSystem:
             packet.on_confirmed = partial(self._deliver, ack, None)
         return packet
 
-    def _at(self, cycle: int, action) -> None:
-        # Clamp past/present cycles to "run now": the tick sweep has
-        # already passed them, so a calendar entry would never fire (the
-        # stale-key bug of the old dict calendar — see its test).
-        if cycle <= self.cycle:
-            action()
-            return
-        self._calendar.schedule(cycle, action)
-
     # -- §5.1 subscription signals ----------------------------------------------
 
     def _signal_barrier_release(self, epoch: int) -> None:
@@ -592,13 +583,8 @@ class CmpSystem:
             self._signal(self.cores[node])
 
     def _signal(self, core: Core) -> None:
-        delay = self.network.confirmations.delay if self._is_fsoi else 1
-        if self._is_fsoi:
-            self.network.confirmations.send_signal(
-                self.cycle, core.release_signal
-            )
-        else:  # pragma: no cover - guarded by CmpConfig validation
-            self._at(self.cycle + delay, core.release_signal)
+        # llsc_subscription is FSOI-only (CmpConfig validation).
+        self.network.confirmations.send_signal(self.cycle, core.release_signal)
 
     # ------------------------------------------------------------------
     # the simulation loop
@@ -660,7 +646,7 @@ class CmpSystem:
         due = self._due
         if due:
             c = due[0][0]
-            if c <= cycle:  # pragma: no cover - _at clamps past cycles
+            if c <= cycle:  # pragma: no cover - _transmit runs past cycles now
                 return cycle
             horizon = c
         if self._overflow_active:

@@ -65,6 +65,11 @@ from repro.util.stats import StatGroup
 
 __all__ = ["DirState", "DirectoryController", "DirectoryConfig", "WarmLines"]
 
+#: Queued ("z") messages per line before the directory NACKs.
+LINE_QUEUE_DEPTH = 4
+#: Queued messages across the slice before it NACKs (Table 3: 64).
+REQUEST_QUEUE_DEPTH = 64
+
 SendFn = Callable[[CoherenceMessage, int], None]
 
 
@@ -106,8 +111,6 @@ class DirectoryConfig:
     """Directory slice parameters (Table 3 defaults)."""
 
     l2_latency: int = 15          # slice access latency, applied per response
-    line_queue_depth: int = 4     # queued ("z") messages per line before NACK
-    request_queue_depth: int = 64 # total queued messages before NACK
     confirmation_ack: bool = False  # §5.1 — flag sharer invalidations
     #: Lines this L2 slice can hold (Table 3: 64 KB / 32 B = 2048).
     #: ``None`` models an unbounded slice — the default for calibrated
@@ -545,8 +548,8 @@ class DirectoryController:
 
     def _enqueue_or_nack(self, entry: _Entry, msg: CoherenceMessage) -> None:
         if (
-            len(entry.queued) >= self.config.line_queue_depth
-            or self._queued_total >= self.config.request_queue_depth
+            len(entry.queued) >= LINE_QUEUE_DEPTH
+            or self._queued_total >= REQUEST_QUEUE_DEPTH
         ):
             self._count["nacks_sent"].value += 1
             req = msg.requester

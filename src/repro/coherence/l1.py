@@ -57,6 +57,11 @@ __all__ = ["L1State", "AccessResult", "L1Controller"]
 #: send(msg, delay_cycles) — provided by the CMP adapter.
 SendFn = Callable[[CoherenceMessage, int], None]
 
+#: Cycles before resending a request the directory NACKed.
+RETRY_DELAY = 20
+#: §5.2 split writeback: announce -> data gap, cycles.
+WB_ANNOUNCE_LEAD = 6
+
 
 class L1State(Enum):
     I = auto()
@@ -101,10 +106,8 @@ class L1Config:
     capacity_bytes: int = 8192
     line_bytes: int = 32
     ways: int = 2
-    retry_delay: int = 20           # cycles before resending after a NACK
     confirmation_ack: bool = False  # §5.1 (effective only over FSOI)
     split_writeback: bool = False   # §5.2
-    wb_announce_lead: int = 6       # announce -> data gap for split WBs
 
 
 class L1Controller:
@@ -228,7 +231,7 @@ class L1Controller:
             if self.config.split_writeback:
                 # §5.2: announce first so the home expects the data packet.
                 self.send(make_message(WB_ANNOUNCE, line, node, home, node), 0)
-                delay = self.config.wb_announce_lead
+                delay = WB_ANNOUNCE_LEAD
             self.send(make_message(WRITEBACK, line, node, home, node), delay)
 
     # -- directory side (Data / ExcAck / Inv / Dwg / Retry columns) -----------
@@ -338,7 +341,7 @@ class L1Controller:
         node = self.node
         self.send(
             make_message(resend, line, node, self.home_of(line), node),
-            self.config.retry_delay,
+            RETRY_DELAY,
         )
 
     def _ack(self, cause: CoherenceMessage, mtype: MsgType) -> None:

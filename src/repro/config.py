@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.coherence.directory import DirectoryConfig
+from repro.cmp import CmpConfig
+from repro.coherence.directory import REQUEST_QUEUE_DEPTH, DirectoryConfig
 from repro.coherence.l1 import L1Config
 from repro.core.backoff import BackoffPolicy
 from repro.core.lanes import LaneConfig
 from repro.core.link import OpticalLink
+from repro.core.phase_array import PHASE_SETUP_CYCLES
 from repro.cpu.core import CoreConfig
 from repro.cpu.memctrl import MemoryConfig
 
@@ -48,8 +50,7 @@ class SystemConfig:
              f"{self.l1.capacity_bytes // 1024} KB, {self.l1.ways}-way, "
              f"{self.l1.line_bytes} B line"),
             ("L2 (shared slice)", f"{self.directory.l2_latency}-cycle access"),
-            ("Dir. request queue",
-             f"{self.directory.request_queue_depth} entries"),
+            ("Dir. request queue", f"{REQUEST_QUEUE_DEPTH} entries"),
             ("Memory channel",
              f"{self.memory.bandwidth_bytes_per_cycle * link.core_clock / 1e9:.1f}"
              f" GB/s, latency {self.memory.latency} cycles"),
@@ -60,7 +61,7 @@ class SystemConfig:
              f"{link.data_rate / 1e9:.0f} GHz, "
              f"{link.bits_per_cpu_cycle} bits per CPU cycle"),
             ("Array",
-             "phase-array w/ 1 cycle setup" if self.phase_array
+             f"phase-array w/ {PHASE_SETUP_CYCLES} cycle setup" if self.phase_array
              else "dedicated per destination"),
             ("Lane widths",
              f"{self.lanes.data_vcsels}/{self.lanes.meta_vcsels}/"
@@ -91,6 +92,6 @@ def table3(num_nodes: int = 16) -> SystemConfig:
     return SystemConfig(
         name="FSOI CMP",
         num_nodes=num_nodes,
-        memory_channels=4 if num_nodes == 16 else 8,
+        memory_channels=CmpConfig(num_nodes=num_nodes).memory_channels,
         phase_array=num_nodes == 64,
     )

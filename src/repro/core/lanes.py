@@ -20,7 +20,11 @@ from typing import Optional, Sequence
 
 from repro.net.packet import DATA_PACKET_BITS, META_PACKET_BITS, LaneKind
 
-__all__ = ["LaneConfig"]
+__all__ = ["LaneConfig", "RX_OVERHEAD"]
+
+#: Decode / error-check cycles between a packet's last bit and its
+#: delivery (§4.3.2) — shared by the FSOI and corona-style receivers.
+RX_OVERHEAD = 1
 
 
 @dataclass(frozen=True)

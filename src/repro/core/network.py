@@ -37,7 +37,7 @@ from heapq import heappop, heappush, heapreplace
 
 from repro.core.backoff import BackoffPolicy
 from repro.core.confirmation import ConfirmationChannel
-from repro.core.lanes import LaneConfig
+from repro.core.lanes import RX_OVERHEAD, LaneConfig
 from repro.core.optimizations import (
     ExpectedReplies,
     OptimizationConfig,
@@ -64,6 +64,11 @@ __all__ = ["FsoiConfig", "FsoiNetwork", "NEVER", "slot_horizon"]
 
 #: "Nothing pending" readiness value: later than any simulated cycle.
 NEVER = 1 << 62
+
+#: Request-spacing prediction of request -> data-reply latency, cycles
+#: (§5.2; Figure 5 shows the real distribution is tightly concentrated,
+#: so a point estimate captures most of the win).
+REPLY_LATENCY_ESTIMATE = 30
 
 
 def _noop() -> None:
@@ -101,18 +106,11 @@ class FsoiConfig:
         §5 optimization switches.
     phase_array:
         Use a steerable transmitter per lane instead of dedicated
-        VCSEL arrays per destination.
-    phase_setup_cycles:
-        Re-steering penalty (Table 3: 1 cycle).
-    rx_overhead:
-        Decode / error-check cycles between last bit and delivery.
+        VCSEL arrays per destination; re-steering costs
+        :data:`~repro.core.phase_array.PHASE_SETUP_CYCLES`.
     packet_error_rate:
         Probability a *solo* packet is corrupted anyway (signaling
         errors; the collision mechanism absorbs them, §4.3.1).
-    reply_latency_estimate:
-        Request-spacing prediction of request -> data-reply latency,
-        cycles (§5.2; Figure 5 shows the real distribution is tightly
-        concentrated, so a point estimate captures most of the win).
     seed:
         Root seed for the network's private RNG streams.
     """
@@ -122,10 +120,7 @@ class FsoiConfig:
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
     optimizations: OptimizationConfig = field(default_factory=OptimizationConfig.none)
     phase_array: bool = False
-    phase_setup_cycles: int = 1
-    rx_overhead: int = 1
     packet_error_rate: float = 0.0
-    reply_latency_estimate: int = 30
     #: Paper footnote 7: for small-scale networks, a bit-vector (one-hot)
     #: PID encoding lets the receiver identify colliders definitively,
     #: making the §5.2 resolution hint always correct.
@@ -158,11 +153,11 @@ class _LaneState:
 
     __slots__ = ("node", "queue", "retx", "opa", "retx_seq")
 
-    def __init__(self, node: int, phase_array: bool, setup_cycles: int):
+    def __init__(self, node: int, phase_array: bool):
         self.node = node
         self.queue: deque[Packet] = deque()
         self.retx: list[tuple[int, int, Packet]] = []
-        self.opa = PhaseArray(setup_cycles) if phase_array else None
+        self.opa = PhaseArray() if phase_array else None
         self.retx_seq = 0
 
 
@@ -258,7 +253,7 @@ class FsoiNetwork(Interconnect):
 
         self._state: dict[LaneKind, list[_LaneState]] = {
             lane: [
-                _LaneState(node, config.phase_array, config.phase_setup_cycles)
+                _LaneState(node, config.phase_array)
                 for node in range(config.num_nodes)
             ]
             for lane in (LaneKind.META, LaneKind.DATA)
@@ -337,7 +332,6 @@ class FsoiNetwork(Interconnect):
         self._queue_capacity = self.lanes.queue_capacity
         self._slotted = config.slotted
         self._conf_delay = self.confirmations.delay
-        self._rx_overhead = config.rx_overhead
         self._error_rate = config.packet_error_rate
         self._delivered = {
             lane: counters["delivered"] for lane, counters in self._lane_stats.items()
@@ -648,7 +642,7 @@ class FsoiNetwork(Interconnect):
                     self._classify([packet] + [p for _e, p in active])
                 ].add()
             for _end, other in active:
-                if getattr(other, "_corrupted", False):
+                if other._corrupted:
                     continue
                 other._corrupted = True
                 other.retries += 1
@@ -670,7 +664,7 @@ class FsoiNetwork(Interconnect):
         transmission overlaps and corrupts this one mid-flight."""
         packet._corrupted = False
         receive_cycle = cycle + slot_len - 1 + setup
-        deliver_cycle = receive_cycle + self.config.rx_overhead
+        deliver_cycle = receive_cycle + RX_OVERHEAD
 
         def deliver() -> None:
             if not packet._corrupted:
@@ -826,9 +820,7 @@ class FsoiNetwork(Interconnect):
         # Under confirmation drops a sender may retransmit a packet the
         # destination already delivered; such duplicate receptions are
         # recognized (sequence numbers in the header) and not re-delivered.
-        already_delivered = inj is not None and getattr(
-            packet, "_fault_delivered", False
-        )
+        already_delivered = inj is not None and packet._fault_delivered
         if already_delivered:
             self._fault_lane_stats[lane]["duplicate_rx"].add()
             if TRACE.enabled:
@@ -840,7 +832,7 @@ class FsoiNetwork(Interconnect):
             packet.final_tx_cycle = cycle
             if packet.retries > 0:
                 self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
-            deliver_cycle = receive_cycle + self._rx_overhead
+            deliver_cycle = receive_cycle + RX_OVERHEAD
             self._schedule(deliver_cycle, partial(self._deliver, packet, deliver_cycle))
             if inj is not None:
                 packet._fault_delivered = True
@@ -866,7 +858,7 @@ class FsoiNetwork(Interconnect):
             callback = packet.on_confirmed
         else:
             def callback(p: Packet = packet) -> None:
-                if not getattr(p, "_fault_confirm_fired", False):
+                if not p._fault_confirm_fired:
                     p._fault_confirm_fired = True
                     p.on_confirmed()
         self.confirmations.send_confirmation(receive_cycle, callback)
@@ -965,7 +957,7 @@ class FsoiNetwork(Interconnect):
         Packets whose delivery already happened (only the confirmation
         was lost) are counted separately — nothing was actually lost.
         """
-        if getattr(packet, "_fault_delivered", False):
+        if packet._fault_delivered:
             self._fault_stats["gave_up_delivered"].add()
             outcome = "delivered"
         else:
@@ -1056,7 +1048,7 @@ class FsoiNetwork(Interconnect):
         slot_len = self.lanes.slot_cycles(LaneKind.DATA)
         table = self._reservations[node]
         table.prune(cycle // slot_len)
-        predicted_slot = (cycle + self.config.reply_latency_estimate) // slot_len
+        predicted_slot = (cycle + REPLY_LATENCY_ESTIMATE) // slot_len
         free_slot = table.next_free(predicted_slot)
         table.reserve(free_slot)
         return (free_slot - predicted_slot) * slot_len

@@ -13,27 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["PhaseArray"]
+__all__ = ["PHASE_SETUP_CYCLES", "PhaseArray"]
+
+#: Re-steering penalty when the target changes (Table 3: 1 cycle).
+PHASE_SETUP_CYCLES = 1
 
 
 @dataclass
 class PhaseArray:
-    """Steering state of one node's transmit lane.
+    """Steering state of one node's transmit lane."""
 
-    Parameters
-    ----------
-    setup_cycles:
-        Re-steering penalty when the target changes (Table 3: 1 cycle).
-    """
-
-    setup_cycles: int = 1
     current_target: int = -1
     retargets: int = 0
     sends: int = 0
-
-    def __post_init__(self) -> None:
-        if self.setup_cycles < 0:
-            raise ValueError(f"negative setup cycles: {self.setup_cycles}")
 
     def steer(self, target: int) -> int:
         """Point the array at ``target``; returns the setup penalty in cycles.
@@ -51,7 +43,7 @@ class PhaseArray:
             return 0
         self.current_target = target
         self.retargets += 1
-        return self.setup_cycles
+        return PHASE_SETUP_CYCLES
 
     @property
     def retarget_fraction(self) -> float:

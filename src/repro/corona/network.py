@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from repro.core.lanes import RX_OVERHEAD, LaneConfig
 from repro.net.interface import Interconnect
 from repro.net.packet import LaneKind, Packet
 
@@ -31,16 +32,14 @@ class CoronaConfig:
 
     ``token_round_cycles`` is how long a free token takes to circle the
     whole ring (optical propagation around the chip plus per-node
-    detection — a few ns, i.e. a handful of core cycles), and
-    ``serialization_meta``/``serialization_data`` match the FSOI lane
-    slot lengths so raw bandwidth is comparable.
+    detection — a few ns, i.e. a handful of core cycles).  A transfer
+    holds the channel for the FSOI lane's slot length
+    (``LaneConfig().slot_cycles(lane)``: 2 meta / 5 data cycles), so
+    raw bandwidth is comparable.
     """
 
     num_nodes: int = 64
     token_round_cycles: int = 12
-    serialization_meta: int = 2
-    serialization_data: int = 5
-    rx_overhead: int = 1
     injection_queue: int = 16
 
     def __post_init__(self) -> None:
@@ -75,6 +74,7 @@ class CoronaNetwork(Interconnect):
         self._channels = [_Channel(config.num_nodes) for _ in range(config.num_nodes)]
         self._deliveries: dict[int, list[Packet]] = {}
         self._token_waits = self.stats.group.latency("token_wait")
+        self._serialization = {lane: LaneConfig().slot_cycles(lane) for lane in LaneKind}
 
     def can_accept(self, node, lane) -> bool:  # noqa: D102 - see base class
         self._check_node(node)
@@ -121,13 +121,9 @@ class CoronaNetwork(Interconnect):
         packet.first_tx_cycle = cycle
         packet.final_tx_cycle = cycle
         self._token_waits.record(cycle - packet.enqueue_cycle)
-        serialization = (
-            self.config.serialization_meta
-            if packet.lane is LaneKind.META
-            else self.config.serialization_data
-        )
+        serialization = self._serialization[packet.lane]
         channel.owner_until = cycle + serialization - 1
-        deliver = cycle + serialization - 1 + self.config.rx_overhead
+        deliver = cycle + serialization - 1 + RX_OVERHEAD
         self._deliveries.setdefault(deliver, []).append(packet)
 
     def quiescent(self) -> bool:

@@ -21,9 +21,12 @@ from dataclasses import dataclass
 
 from repro.mesh.routing import mesh_hops, mesh_side
 from repro.net.interface import Interconnect
-from repro.net.packet import LaneKind, Packet
+from repro.net.packet import Packet
 
 __all__ = ["IdealConfig", "IdealNetwork"]
+
+#: Link traversal per hop, cycles (§7.1: Lr1/Lr2 add 1 cycle per link).
+LINK_CYCLES_PER_HOP = 1
 
 
 @dataclass(frozen=True)
@@ -31,14 +34,13 @@ class IdealConfig:
     """Parameters of an idealized network.
 
     ``router_cycles_per_hop = None`` gives L0 (no per-hop latency at
-    all); 1 gives Lr1; 2 gives Lr2.
+    all); 1 gives Lr1; 2 gives Lr2, each on top of
+    :data:`LINK_CYCLES_PER_HOP`.  A source serializes one flit per
+    cycle: 1 cycle per meta packet, 5 per data packet.
     """
 
     num_nodes: int = 16
     router_cycles_per_hop: int | None = None
-    link_cycles_per_hop: int = 1
-    serialization_meta: int = 1
-    serialization_data: int = 5
     injection_queue: int = 64
 
     @classmethod
@@ -115,11 +117,7 @@ class IdealNetwork(Interconnect):
             self._active.discard(node)
         packet.first_tx_cycle = cycle
         packet.final_tx_cycle = cycle
-        serialization = (
-            self.config.serialization_meta
-            if packet.lane is LaneKind.META
-            else self.config.serialization_data
-        )
+        serialization = packet.lane.flits
         self._channel_free_at[node] = cycle + serialization
         latency = serialization + self._hop_latency(packet)
         self._deliveries.setdefault(cycle + latency, []).append(packet)
@@ -128,7 +126,7 @@ class IdealNetwork(Interconnect):
         if self.config.router_cycles_per_hop is None:
             return 0
         hops = mesh_hops(packet.src, packet.dst, self.side)
-        per_hop = self.config.link_cycles_per_hop + self.config.router_cycles_per_hop
+        per_hop = LINK_CYCLES_PER_HOP + self.config.router_cycles_per_hop
         return hops * per_hop
 
     def quiescent(self) -> bool:

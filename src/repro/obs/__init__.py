@@ -56,7 +56,6 @@ from repro.obs.timeline import (
     window_deltas,
 )
 from repro.obs.health import (
-    HealthConfig,
     HealthError,
     HealthEvent,
     check_health,
@@ -65,7 +64,6 @@ from repro.obs.health import (
 
 __all__ = [
     "DEFAULT_TIMELINE_PATHS",
-    "HealthConfig",
     "HealthError",
     "HealthEvent",
     "MetricsRegistry",

@@ -40,7 +40,6 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "HealthConfig",
     "HealthError",
     "HealthEvent",
     "check_health",
@@ -78,26 +77,24 @@ class HealthEvent:
         }
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Detector thresholds (defaults tuned on the seeded 16-node apps)."""
+# Detector thresholds, tuned on the seeded 16-node apps.
 
-    #: Consecutive zero-retirement windows before starvation fires.
-    starvation_windows: int = 3
-    #: Consecutive zero-delivery windows with a positive outstanding
-    #: backlog before the backoff-storm (retry-stall) facet fires.
-    storm_windows: int = 3
-    #: Measured collision rate must exceed the closed form by this
-    #: factor before the band facet fires.
-    collision_margin: float = 3.0
-    #: ... and the window must hold at least this many collision
-    #: events (quiet windows produce 1-3 event noise spikes).
-    min_collision_events: int = 10
-    #: Leading windows exempt from the band facet: the cold-start
-    #: burst (every node injecting its first requests on the same
-    #: cycle) is *correlated* traffic, legitimately above the
-    #: independent-Bernoulli closed form.
-    warmup_windows: int = 1
+#: Consecutive zero-retirement windows before starvation fires.
+STARVATION_WINDOWS = 3
+#: Consecutive zero-delivery windows with a positive outstanding
+#: backlog before the backoff-storm (retry-stall) facet fires.
+STORM_WINDOWS = 3
+#: Measured collision rate must exceed the closed form by this factor
+#: before the band facet fires.
+COLLISION_MARGIN = 3.0
+#: ... and the window must hold at least this many collision events
+#: (quiet windows produce 1-3 event noise spikes).
+MIN_COLLISION_EVENTS = 10
+#: Leading windows exempt from the band facet: the cold-start burst
+#: (every node injecting its first requests on the same cycle) is
+#: *correlated* traffic, legitimately above the independent-Bernoulli
+#: closed form.
+WARMUP_WINDOWS = 1
 
 
 class HealthError(RuntimeError):
@@ -162,9 +159,7 @@ def _runs_of(mask: np.ndarray, min_len: int) -> list[tuple[int, int]]:
 # -- windowed detectors ----------------------------------------------------
 
 
-def detect_starvation(
-    timeline: Any, config: HealthConfig = HealthConfig()
-) -> list[HealthEvent]:
+def detect_starvation(timeline: Any) -> list[HealthEvent]:
     """Livelock/starvation: K consecutive windows of zero progress.
 
     A starved window retires no instructions *and* delivers no packets.
@@ -184,7 +179,7 @@ def detect_starvation(
         starved &= delivered == 0
     cycles = _cycles(timeline)
     events = []
-    for start, end in _runs_of(starved, config.starvation_windows):
+    for start, end in _runs_of(starved, STARVATION_WINDOWS):
         first = int(cycles[start - 1]) if start else None
         events.append(
             HealthEvent(
@@ -205,7 +200,6 @@ def detect_starvation(
 
 def detect_backoff_storm(
     timeline: Any,
-    config: HealthConfig = HealthConfig(),
     *,
     num_nodes: Optional[int] = None,
     receivers: Any = 2,
@@ -214,13 +208,13 @@ def detect_backoff_storm(
 
     **Band**: a window's measured collisions per node-slot exceed the
     Fig-3 closed form for its measured transmission probability by
-    ``collision_margin``x (with at least ``min_collision_events``
-    events, so quiet-window shot noise never alarms).  Correlated
+    :data:`COLLISION_MARGIN` x (with at least
+    :data:`MIN_COLLISION_EVENTS` events, so quiet-window shot noise never alarms).  Correlated
     retries are exactly what pushes a slotted channel above the
     independent-Bernoulli band.
 
     **Retry stall**: the packet ledger shows an outstanding backlog
-    (``sent > delivered + gave_up``) across ``storm_windows``
+    (``sent > delivered + gave_up``) across :data:`STORM_WINDOWS`
     consecutive windows with zero deliveries — packets stuck in
     backoff/retransmission making no progress (a dark lane, a runaway
     backoff window).
@@ -246,11 +240,11 @@ def detect_backoff_storm(
             slots = _series(timeline, f"network.{lane}.slots_elapsed")
             if tx is None or coll is None or slots is None:
                 continue
-            for index in range(config.warmup_windows, len(cycles)):
+            for index in range(WARMUP_WINDOWS, len(cycles)):
                 node_slots = slots[index] * num_nodes
                 if (
                     node_slots <= 0
-                    or coll[index] < config.min_collision_events
+                    or coll[index] < MIN_COLLISION_EVENTS
                 ):
                     continue
                 p = tx[index] / node_slots
@@ -258,7 +252,7 @@ def detect_backoff_storm(
                     p, num_nodes=num_nodes, receivers=lane_receivers
                 )
                 measured = coll[index] / node_slots
-                if measured > config.collision_margin * max(expected, 1e-12):
+                if measured > COLLISION_MARGIN * max(expected, 1e-12):
                     events.append(
                         HealthEvent(
                             detector="backoff_storm",
@@ -267,7 +261,7 @@ def detect_backoff_storm(
                             message=(
                                 f"{lane} collision rate "
                                 f"{measured:.3g}/node-slot exceeds "
-                                f"{config.collision_margin:g}x the Fig-3 "
+                                f"{COLLISION_MARGIN:g}x the Fig-3 "
                                 f"band ({expected:.3g} at p={p:.3g})"
                             ),
                             data={
@@ -288,7 +282,7 @@ def detect_backoff_storm(
         lost = np.cumsum(gave_up) if gave_up is not None else 0.0
         backlog = np.cumsum(sent) - np.cumsum(delivered) - lost
         stalled = (delivered == 0) & (backlog > 0)
-        for start, end in _runs_of(stalled, config.storm_windows):
+        for start, end in _runs_of(stalled, STORM_WINDOWS):
             events.append(
                 HealthEvent(
                     detector="backoff_storm",
@@ -438,11 +432,7 @@ def detect_conservation(system: Any) -> list[HealthEvent]:
 # -- the monitor entry point ----------------------------------------------
 
 
-def check_health(
-    system: Any = None,
-    timeline: Any = None,
-    config: HealthConfig = HealthConfig(),
-) -> list[HealthEvent]:
+def check_health(system: Any = None, timeline: Any = None) -> list[HealthEvent]:
     """Run every applicable detector; events sorted by (cycle, detector).
 
     ``system`` enables the end-state invariants, ``timeline`` (a live
@@ -461,11 +451,9 @@ def check_health(
                     "meta": lanes.meta_receivers,
                     "data": lanes.data_receivers,
                 }
-        events.extend(detect_starvation(timeline, config))
+        events.extend(detect_starvation(timeline))
         events.extend(
-            detect_backoff_storm(
-                timeline, config, num_nodes=num_nodes, receivers=receivers
-            )
+            detect_backoff_storm(timeline, num_nodes=num_nodes, receivers=receivers)
         )
     if system is not None:
         events.extend(detect_counter_leak(system))

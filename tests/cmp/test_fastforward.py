@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cmp import CmpConfig, CmpSystem
+from repro.coherence.messages import REQ_SH, make_message
 from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_engine_pair
 
 
@@ -88,22 +89,23 @@ class TestEscapeHatches:
 class TestCalendarClamps:
     """The old dict calendar silently stranded past-cycle entries
     (``_calendar.pop(cycle, ())`` never revisited a drained key).  The
-    two schedulers now make that impossible: ``CmpSystem._at`` clamps a
-    past/present cycle to "run now", and the FSOI network refuses it
-    loudly.
+    two schedulers now make that impossible: ``CmpSystem._transmit``
+    runs a present-cycle send now instead of filing it, and the FSOI
+    network refuses a past cycle loudly.
     """
 
-    def test_system_at_runs_past_cycles_immediately(self):
+    def test_system_transmit_runs_present_cycle_immediately(self):
         system = CmpSystem(CmpConfig(app="oc", network="l0", num_nodes=16, seed=0))
         system.run(100)
-        fired = []
-        system._at(50, lambda: fired.append("past"))
-        system._at(system.cycle, lambda: fired.append("present"))
-        assert fired == ["past", "present"]
-        system._at(system.cycle + 5, lambda: fired.append("future"))
-        assert fired == ["past", "present"]  # future entries wait
+        now, later = (make_message(REQ_SH, line, 0, 5, 0) for line in (1, 2))
+        injected = []
+        system._inject = lambda node, msg: injected.append(msg)
+        system._transmit(0, now, 0)
+        assert injected == [now]
+        system._transmit(0, later, 5)
+        assert injected == [now]  # future entries wait
         system.run(10)
-        assert fired == ["past", "present", "future"]
+        assert [m for m in injected if m is now or m is later] == [now, later]
 
     def test_fsoi_schedule_rejects_past_cycles(self):
         from repro.core.network import FsoiConfig, FsoiNetwork

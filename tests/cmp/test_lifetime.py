@@ -14,6 +14,7 @@ import weakref
 import pytest
 
 import repro.cmp.system
+from repro.cli import main
 from repro.cmp import CmpConfig, CmpSystem, run_app
 from repro.cmp.system import NETWORK_KINDS
 from repro.coherence.directory import DirectoryConfig
@@ -152,6 +153,38 @@ class TestClose:
         monkeypatch.undo()
         with pytest.raises(RuntimeError, match="closed"):
             built[0].run(1)
+
+
+class TestCliClosesWhatItBuilds:
+    """Every command that builds a system closes it once, after its last
+    read: the metrics export, the health report, the final ``top`` frame."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--health"],
+        ["compare"],
+        ["trace", "--out", "{tmp}/t.jsonl", "--metrics", "{tmp}/m.json"],
+        ["profile"],
+        ["faults", "--kill", "3:data", "--health", "--metrics", "{tmp}/m.json"],
+        ["top", "--once", "--out", "{tmp}/timeline.jsonl"],
+    ], ids=lambda argv: argv[0])
+    def test_one_close_per_system_built(self, argv, tmp_path, monkeypatch):
+        built, closed = [], []
+        init, close = CmpSystem.__init__, CmpSystem.close
+
+        def counting_init(self, config):
+            init(self, config)
+            built.append(self)
+
+        def counting_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(CmpSystem, "__init__", counting_init)
+        monkeypatch.setattr(CmpSystem, "close", counting_close)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--cycles", str(CYCLES)]) == 0
+        assert len(built) == (2 if argv[0] == "compare" else 1)
+        assert sorted(map(id, closed)) == sorted(map(id, built))
 
 
 class TestTwoSystemsInOneProcess:

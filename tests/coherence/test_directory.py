@@ -287,23 +287,29 @@ class TestQueuingAndNacks:
         assert any(m.mtype is MsgType.INV and m.dest == 3 for m in log)
 
     def test_line_queue_overflow_nacks(self):
-        d, log = make_dir(DirectoryConfig(l2_latency=0, line_queue_depth=1))
-        d.handle(req(MsgType.REQ_SH, 1))
-        d.handle(req(MsgType.REQ_SH, 2))  # queued
-        d.handle(req(MsgType.REQ_SH, 3))  # NACKed
+        d, log = make_dir()
+        d.handle(req(MsgType.REQ_SH, 1))  # in flight: the line is transient
+        for sender in range(2, 6):
+            d.handle(req(MsgType.REQ_SH, sender))  # 4 queued
+        assert len(d.entry(LINE).queued) == 4
+        d.handle(req(MsgType.REQ_SH, 6))  # NACKed
         retries = [m for m in log if m.mtype is MsgType.RETRY]
-        assert len(retries) == 1 and retries[0].dest == 3
+        assert len(retries) == 1 and retries[0].dest == 6
 
     def test_global_queue_overflow_nacks(self):
-        d, log = make_dir(
-            DirectoryConfig(l2_latency=0, request_queue_depth=1)
-        )
-        d.handle(req(MsgType.REQ_SH, 1, line=0x1))
-        d.handle(req(MsgType.REQ_SH, 2, line=0x1))  # queued (global = 1)
-        d.handle(req(MsgType.REQ_SH, 1, line=0x2))
-        d.handle(req(MsgType.REQ_SH, 3, line=0x2))  # NACKed
+        d, log = make_dir()
+        lines = range(1, 17)
+        for line in lines:
+            d.handle(req(MsgType.REQ_SH, 1, line=line))
+            for sender in range(2, 6):
+                d.handle(req(MsgType.REQ_SH, sender, line=line))
+        assert sum(len(d.entry(line).queued) for line in lines) == 64
+        assert not [m for m in log if m.mtype is MsgType.RETRY]
+        d.handle(req(MsgType.REQ_SH, 1, line=17))
+        d.handle(req(MsgType.REQ_SH, 2, line=17))  # NACKed: 64 queued in all
         retries = [m for m in log if m.mtype is MsgType.RETRY]
-        assert len(retries) == 1 and retries[0].dest == 3
+        assert len(retries) == 1
+        assert (retries[0].dest, retries[0].line) == (2, 17)
 
     def test_wb_announce_is_informational(self):
         d, log = make_dir()

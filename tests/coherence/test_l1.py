@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.coherence.l1 import AccessResult, L1Config, L1Controller, L1State
+from repro.coherence.l1 import (
+    RETRY_DELAY,
+    WB_ANNOUNCE_LEAD,
+    AccessResult,
+    L1Config,
+    L1Controller,
+    L1State,
+)
 from repro.coherence.messages import CoherenceMessage, MsgType
 
 LINE = 0x40
@@ -246,7 +253,7 @@ class TestRetry:
         l1.handle(msg(MsgType.RETRY))
         resent, delay = log[0]
         assert resent.mtype is expected
-        assert delay == l1.config.retry_delay
+        assert delay == RETRY_DELAY
 
     def test_retry_for_upgrade(self):
         l1, log, _ = make_l1()
@@ -301,4 +308,4 @@ class TestEviction:
         announce = kinds.index(MsgType.WB_ANNOUNCE)
         wb = kinds.index(MsgType.WRITEBACK)
         assert announce < wb
-        assert log[wb][1] == config.wb_announce_lead  # data delayed
+        assert log[wb][1] == WB_ANNOUNCE_LEAD  # data delayed

@@ -138,6 +138,4 @@ class TestPhaseArray:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PhaseArray(setup_cycles=-1)
-        with pytest.raises(ValueError):
             PhaseArray().steer(-2)

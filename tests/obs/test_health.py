@@ -17,7 +17,6 @@ from repro.cmp import CmpConfig, CmpSystem
 from repro.cmp.results import CmpResults
 from repro.faults import FaultPlan, LaneFault
 from repro.obs import (
-    HealthConfig,
     HealthError,
     HealthEvent,
     check_health,
@@ -34,13 +33,13 @@ from repro.obs.health import (
 from tests.conftest import EQUIVALENCE_FAULT_PLAN
 
 
-def run_with_health(cycles=2000, window=100, config=HealthConfig(), **kwargs):
+def run_with_health(cycles=2000, window=100, **kwargs):
     kwargs.setdefault("num_nodes", 16)
     kwargs.setdefault("seed", 3)
     system = CmpSystem(CmpConfig(**kwargs))
     with timelining(window=window) as timeline:
         system.run(cycles)
-        return check_health(system=system, timeline=timeline, config=config)
+        return check_health(system=system, timeline=timeline)
 
 
 def synthetic_timeline(paths, rows, window=100, num_nodes=16):
@@ -124,13 +123,6 @@ class TestDetectStarvation:
         """Barrier phases retire nothing but keep traffic flowing."""
         rows = [(0, 3), (0, 2), (0, 1), (0, 4)]
         assert detect_starvation(synthetic_timeline(self.PATHS, rows)) == []
-
-    def test_threshold_is_configurable(self):
-        rows = [(0, 0), (0, 0)]
-        timeline = synthetic_timeline(self.PATHS, rows)
-        assert detect_starvation(timeline) == []
-        config = HealthConfig(starvation_windows=2)
-        assert len(detect_starvation(timeline, config)) == 1
 
 
 class TestDetectBackoffStorm:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cmp import CmpConfig, CmpSystem
 from repro.config import SystemConfig, table3
 
 
@@ -16,6 +17,14 @@ class TestTable3:
         config = table3(64)
         assert config.memory_channels == 8
         assert config.phase_array
+
+    @pytest.mark.parametrize("nodes", [16, 64])
+    def test_matches_the_built_system(self, nodes):
+        config = table3(nodes)
+        system = CmpSystem(CmpConfig(num_nodes=nodes))
+        assert config.memory_channels == len(system.controller_nodes)
+        assert config.phase_array == system.network.config.phase_array
+        system.close()
 
     def test_other_sizes_rejected(self):
         with pytest.raises(ValueError):
