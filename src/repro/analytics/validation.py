@@ -32,7 +32,6 @@ not ``fail`` — validation follows whatever grid the run actually swept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -41,6 +40,7 @@ from repro.core.backoff import BackoffPolicy
 from repro.core.lanes import LaneConfig
 from repro.net.packet import LaneKind
 from repro.sweep.spec import pair_points
+from repro.util.stats import geometric_mean
 
 __all__ = [
     "BandCheck",
@@ -120,10 +120,6 @@ class RunContext:
                 self.results(nodes=nodes), "fsoi", "mesh"
             )
         ]
-
-
-def _geomean(values: Sequence[float]) -> float:
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 def _lane_config(point: dict) -> LaneConfig:
@@ -251,7 +247,7 @@ def _fig6_speedup(context: RunContext):
     speedups = context.paired_speedups(nodes=16)
     if not speedups:
         return None, "no paired 16-node fsoi/mesh points"
-    gmean = _geomean(speedups)
+    gmean = geometric_mean(speedups)
     return gmean, (
         f"{len(speedups)} pair(s), gmean {gmean:.3f} "
         f"(paper 1.36, repo-measured 1.29)"
@@ -262,7 +258,7 @@ def _fig7_speedup(context: RunContext):
     speedups = context.paired_speedups(nodes=64)
     if not speedups:
         return None, "no paired 64-node fsoi/mesh points"
-    gmean = _geomean(speedups)
+    gmean = geometric_mean(speedups)
     return gmean, (
         f"{len(speedups)} pair(s), gmean {gmean:.3f} "
         f"(paper 1.75, repo-measured 1.53)"
@@ -282,7 +278,7 @@ def _fig8_network_energy(context: RunContext):
     ]
     if not ratios:
         return None, "no pairs with nonzero network energy"
-    gmean = _geomean(ratios)
+    gmean = geometric_mean(ratios)
     return gmean, (
         f"{len(ratios)} pair(s), mesh/FSOI network energy gmean "
         f"{gmean:.1f}x (paper ~20x, repo-measured 18-25x)"
@@ -294,7 +290,7 @@ def _fig8_total_energy(context: RunContext):
     if not pairs:
         return None, "no paired fsoi/mesh points"
     ratios = [fsoi.relative_to(mesh)["total"] for fsoi, mesh in pairs]
-    gmean = _geomean(ratios)
+    gmean = geometric_mean(ratios)
     return gmean, (
         f"{len(ratios)} pair(s), FSOI/mesh total energy gmean {gmean:.3f} "
         f"(paper 0.594, repo-measured 0.56-0.75)"
@@ -325,10 +321,10 @@ def _table4_membw(context: RunContext):
     low, high = speedups_at(low_bw), speedups_at(high_bw)
     if not low or not high:
         return None, "memory_gbps variants lack mesh baselines to pair with"
-    delta = _geomean(high) - _geomean(low)
+    delta = geometric_mean(high) - geometric_mean(low)
     return delta, (
-        f"speedup gmean {_geomean(low):.3f} @ {low_bw:g} GB/s -> "
-        f"{_geomean(high):.3f} @ {high_bw:g} GB/s "
+        f"speedup gmean {geometric_mean(low):.3f} @ {low_bw:g} GB/s -> "
+        f"{geometric_mean(high):.3f} @ {high_bw:g} GB/s "
         f"(paper 1.32 -> 1.36)"
     )
 

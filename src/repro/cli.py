@@ -476,13 +476,12 @@ def _headline(args) -> str:
             f"{args.cycles} cycles")
 
 
-def _print_health(args, system, timeline, result) -> int:
+def _print_health(args, system, timeline) -> int:
     """Run the watchdogs, print their report; 1 if ``--strict-health``
     was asked for and one fired."""
     from repro.obs import check_health, render_health
 
     events = check_health(system=system, timeline=timeline)
-    result.health = [event.to_dict() for event in events]
     for line in render_health(events).splitlines():
         print(f"  {line}")
     if args.strict_health and events:
@@ -530,7 +529,7 @@ def _cmd_run(args) -> int:
     if args.openmetrics:
         samples = timeline.write_openmetrics(args.openmetrics)
         print(f"  openmetrics   {samples} samples -> {args.openmetrics}")
-    return _print_health(args, system, timeline, result) if want_health else 0
+    return _print_health(args, system, timeline) if want_health else 0
 
 
 def _cmd_compare(args) -> int:
@@ -683,11 +682,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import math
-
     from repro.analytics import ReportBundle, ResultRow, RunStore, validate
     from repro.analytics.validation import RunContext
     from repro.sweep import SweepPoint, load_jsonl
+    from repro.util.stats import geometric_mean
 
     # Both sources come down to JSONL records; only a live sweep knows
     # which of them were cache hits and how long it took.
@@ -754,8 +752,7 @@ def _cmd_report(args) -> int:
     for nodes in sorted({p["num_nodes"] for p, _ in context.pairs}):
         ratios = context.paired_speedups(nodes=nodes)
         if ratios:
-            gmean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-            speedups[f"{nodes} nodes"] = gmean
+            speedups[f"{nodes} nodes"] = geometric_mean(ratios)
 
     bundle = ReportBundle(
         title=title,
@@ -806,8 +803,14 @@ def _cmd_trace(args) -> int:
     from contextlib import nullcontext
 
     from repro.obs import timelining, tracing
+    from repro.obs.trace import CATEGORIES
 
     categories = _csv(args.categories) if args.categories else None
+    unknown = sorted(set(categories or ()) - set(CATEGORIES))
+    with _usage_errors(args):
+        if unknown:
+            raise ValueError(f"unknown --categories {','.join(unknown)} "
+                             f"(valid: {','.join(CATEGORIES)})")
     timeline_ctx = (
         timelining(window=args.timeline_window) if args.timeline
         else nullcontext(None)
@@ -999,7 +1002,7 @@ def _cmd_faults(args) -> int:
     if args.metrics:
         system.metrics_registry().write(args.metrics)
         print(f"  metrics       {args.metrics}")
-    return _print_health(args, system, timeline, result) if want_health else 0
+    return _print_health(args, system, timeline) if want_health else 0
 
 
 def _timeline_view(timeline) -> tuple[dict, list, dict]:

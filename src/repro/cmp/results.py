@@ -42,11 +42,6 @@ class CmpResults:
     #: Wall-clock bookkeeping only — everything else in the result is
     #: bit-identical whether cycles were executed or fast-forwarded.
     loop: dict = field(default_factory=dict)
-    #: Health annotations (repro.obs.health): HealthEvent dicts attached
-    #: by the CLI / sweep runner when watchdogs fired.  Serialized only
-    #: when non-empty so clean-run results stay byte-identical to
-    #: pre-watchdog golden snapshots.
-    health: list = field(default_factory=list)
 
     @property
     def ipc(self) -> float:
@@ -76,7 +71,7 @@ class CmpResults:
     def to_dict(self) -> dict:
         """A JSON-safe snapshot of everything in the result."""
         hist = self.reply_latency
-        out = {
+        return {
             "app": self.app,
             "network": self.network,
             "num_nodes": self.num_nodes,
@@ -104,9 +99,6 @@ class CmpResults:
             "traffic_matrix": [list(row) for row in self.traffic_matrix],
             "loop": dict(self.loop),
         }
-        if self.health:
-            out["health"] = [dict(event) for event in self.health]
-        return out
 
     def save(self, path) -> None:
         """Write the result as JSON."""
@@ -143,7 +135,6 @@ class CmpResults:
             mesh_activity=dict(data["mesh_activity"]),
             traffic_matrix=[list(row) for row in data["traffic_matrix"]],
             loop=dict(data.get("loop", {})),
-            health=[dict(event) for event in data.get("health", [])],
         )
 
     @classmethod

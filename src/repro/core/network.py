@@ -369,10 +369,6 @@ class FsoiNetwork(Interconnect):
     # Interconnect interface
     # ------------------------------------------------------------------
 
-    def can_accept(self, node: int, lane: LaneKind) -> bool:
-        self._check_node(node)
-        return len(self._state[lane][node].queue) < self.lanes.queue_capacity
-
     def try_send(self, packet: Packet, cycle: int) -> bool:
         src = packet.src
         dst = packet.dst
@@ -731,29 +727,76 @@ class FsoiNetwork(Interconnect):
             index.update(src, release)
 
     def audit(self) -> None:
-        """Each lane index — ``ready``, its cached minimum and
-        ``pending``, which ``quiescent()`` reads — must agree with a
-        recount of the queues and back-off heaps, and every back-off
-        heap must be one (so its top is the ``(release, seq)`` minimum)."""
+        """Two self-checks per lane, each raising an ``AssertionError``
+        that names what broke (raised, not asserted, so ``python -O``
+        keeps them):
+
+        * the lane index — ``ready``, its cached minimum and ``pending``,
+          which ``quiescent()`` reads — agrees with a recount of the
+          queues and back-off heaps, and every back-off heap is one (so
+          its top is the ``(release, seq)`` minimum);
+        * no silent loss (§4.3.1): a transmission ends delivered,
+          collided or signal-error corrupted — under a fault plan also
+          fault-lost, injected-corrupt or a duplicate reception — so the
+          fates never outnumber the transmissions, and equal them once
+          the network is quiescent.
+        """
+        super().audit()
+        quiescent = self.quiescent()
         for lane, states in self._state.items():
+            name = lane.value
             index = self._index[lane]
             for node, state in enumerate(states):
                 keys = [entry[:2] for entry in state.retx]
-                assert all(
-                    keys[(child - 1) >> 1] <= keys[child]
+                if any(
+                    keys[(child - 1) >> 1] > keys[child]
                     for child in range(1, len(keys))
-                )
+                ):
+                    raise AssertionError(
+                        f"{name} lane: node {node}'s back-off list is not a heap"
+                    )
                 pending = [release for release, _seq in keys]
                 if state.queue:
                     pending.append(state.queue[0].scheduled_cycle)
-                assert index.ready[node] == min(pending, default=NEVER)
-            assert index.pending == {
+                ready = min(pending, default=NEVER)
+                if index.ready[node] != ready:
+                    raise AssertionError(
+                        f"{name} lane index has node {node} ready at "
+                        f"{index.ready[node]}, its packets at {ready}"
+                    )
+            holding = {
                 node for node in range(self.num_nodes) if index.ready[node] != NEVER
             }
-            if index._stale:
-                assert index._min <= min(index.ready)
-            else:
-                assert index._min == min(index.ready)
+            if index.pending != holding:
+                raise AssertionError(
+                    f"{name} lane index lists {len(index.pending)} pending "
+                    f"senders but {len(holding)} hold packets"
+                )
+            least = min(index.ready)
+            if index._min > least or (not index._stale and index._min != least):
+                raise AssertionError(
+                    f"{name} lane index caches minimum {index._min}, "
+                    f"recount {least}"
+                )
+            counts = self._lane_stats[lane]
+            tx = counts["tx"].value
+            fates = (
+                counts["delivered"].value
+                + counts["collided_tx"].value
+                + counts["error_tx"].value
+            )
+            if self._injector is not None:
+                faults = self._fault_lane_stats[lane]
+                fates += (
+                    faults["fault_lost"].value
+                    + faults["injected_corrupt"].value
+                    + faults["duplicate_rx"].value
+                )
+            if fates > tx or (quiescent and fates != tx):
+                raise AssertionError(
+                    f"{name} transmission ledger broken: {tx} transmissions "
+                    f"vs {fates} fates{' (quiescent)' if quiescent else ''}"
+                )
 
     # ------------------------------------------------------------------
     # Outcomes

@@ -76,19 +76,15 @@ class CoronaNetwork(Interconnect):
         self._token_waits = self.stats.group.latency("token_wait")
         self._serialization = {lane: LaneConfig().slot_cycles(lane) for lane in LaneKind}
 
-    def can_accept(self, node, lane) -> bool:  # noqa: D102 - see base class
-        self._check_node(node)
-        total = sum(len(ch.queues[node]) for ch in self._channels)
-        return total < self.config.injection_queue
-
     def try_send(self, packet: Packet, cycle: int) -> bool:
         self._check_packet(packet)
-        if not self.can_accept(packet.src, packet.lane):
+        src = packet.src
+        if sum(len(ch.queues[src]) for ch in self._channels) >= self.config.injection_queue:
             self.stats.refused.add()
             return False
         packet.enqueue_cycle = cycle
         packet.scheduled_cycle = cycle
-        self._channels[packet.dst].queues[packet.src].append(packet)
+        self._channels[packet.dst].queues[src].append(packet)
         self.stats.sent.add()
         self.stats.bits_sent.add(packet.bits)
         return True

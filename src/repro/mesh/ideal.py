@@ -79,10 +79,6 @@ class IdealNetwork(Interconnect):
         self._active: set[int] = set()  # nodes with a non-empty queue
         self._deliveries: dict[int, list[Packet]] = {}
 
-    def can_accept(self, node, lane) -> bool:  # noqa: D102 - see base class
-        self._check_node(node)
-        return len(self._queues[node]) < self.config.injection_queue
-
     def try_send(self, packet: Packet, cycle: int) -> bool:
         self._check_packet(packet)
         queue = self._queues[packet.src]

@@ -106,10 +106,6 @@ class MeshNetwork(Interconnect):
 
     # -- Interconnect interface ----------------------------------------------
 
-    def can_accept(self, node, lane) -> bool:  # noqa: D102 - see base class
-        self._check_node(node)
-        return len(self._inject_queues[node]) < self.config.injection_queue
-
     def try_send(self, packet: Packet, cycle: int) -> bool:
         self._check_packet(packet)
         queue = self._inject_queues[packet.src]
@@ -213,6 +209,7 @@ class MeshNetwork(Interconnect):
         """The scheduling state must agree with a recount of the buffers
         and queues it summarises, and each VC with its owner: ``left`` is
         its buffered flits plus what its upstream VC (or injection) holds."""
+        super().audit()
         for node, router in enumerate(self.routers):
             ready_min = NEVER
             occupied = set()

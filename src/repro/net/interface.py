@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 from typing import Callable, Optional
 
-from repro.net.packet import LaneKind, Packet
+from repro.net.packet import Packet
 from repro.util.stats import StatGroup
 
 __all__ = ["DeliveryCallback", "InterconnectStats", "Interconnect"]
@@ -75,7 +75,7 @@ class InterconnectStats:
 class Interconnect(abc.ABC):
     """Abstract base class for all network models.
 
-    The seven methods below (plus :meth:`set_delivery_callback` at
+    The six methods below (plus :meth:`set_delivery_callback` at
     wiring time) are all ``CmpSystem`` and the traffic drivers know
     about a network; which transport is behind them — FSOI, mesh, the
     ideal L0 / Lr networks, Corona — changes no caller:
@@ -94,10 +94,10 @@ class Interconnect(abc.ABC):
     * :meth:`skip` ``(start, end)`` — account for the cycles a jump did
       not tick, so per-cycle tallies match a run that ticked them.
     * :meth:`quiescent` ``() -> bool`` — nothing buffered or in flight.
-    * :meth:`can_accept` ``(node, lane) -> bool`` — whether a
-      :meth:`try_send` from ``node`` on ``lane`` would succeed now.
-    * :meth:`audit` ``()`` — recount whatever scheduling index the model
-      keeps against the queues it summarises; raises on a mismatch.
+    * :meth:`audit` ``()`` — the model's self-check: deliveries never
+      exceed sends, and whatever index or ledger the model keeps agrees
+      with a recount of what it summarises; ``AssertionError`` on a
+      mismatch.  Tests call it, and so do the health watchdogs.
     """
 
     def __init__(self, num_nodes: int):
@@ -174,14 +174,6 @@ class Interconnect(abc.ABC):
         default has nothing to account.
         """
 
-    def can_accept(self, node: int, lane: LaneKind) -> bool:
-        """Whether a send from ``node`` on ``lane`` would currently succeed.
-
-        Default is optimistic; models with finite queues override this.
-        """
-        self._check_node(node)
-        return True
-
     def traffic_matrix(self) -> list[list[int]]:
         """Delivered-packet counts indexed [src][dst].
 
@@ -199,7 +191,13 @@ class Interconnect(abc.ABC):
         return int(self.stats.sent) == int(self.stats.delivered)
 
     def audit(self) -> None:
-        """Cross-check the model's scheduling index against its queues.
+        """The model's self-check; raises ``AssertionError`` on a breach.
 
-        For tests, after a run.  The default has no index to check.
+        Every model: deliveries never exceed sends.  Models that keep a
+        scheduling index or a ledger override this, calling it first.
         """
+        sent, delivered = int(self.stats.sent), int(self.stats.delivered)
+        if delivered > sent:
+            raise AssertionError(
+                f"delivered {delivered} packets but only {sent} sent"
+            )

@@ -28,8 +28,8 @@ results to an unobserved one):
   in columnar numpy ring buffers, exported as JSONL, chrome://tracing
   counter events and OpenMetrics text, rendered live by ``repro top``.
 * :mod:`repro.obs.health` — invariant/anomaly watchdogs over the
-  timeline and live system (starvation, backoff storms, counter
-  leaks, message conservation) raising structured
+  timeline and live system (starvation, backoff storms, the
+  transport's own ``audit()``, negative counters) reporting structured
   :class:`HealthEvent` records; ``--strict-health`` fails a run on any.
 
 See ``docs/observability.md`` for the trace format, registry schema,
@@ -55,16 +55,10 @@ from repro.obs.timeline import (
     validate_openmetrics,
     window_deltas,
 )
-from repro.obs.health import (
-    HealthError,
-    HealthEvent,
-    check_health,
-    render_health,
-)
+from repro.obs.health import HealthEvent, check_health, render_health
 
 __all__ = [
     "DEFAULT_TIMELINE_PATHS",
-    "HealthError",
     "HealthEvent",
     "MetricsRegistry",
     "PROFILER",

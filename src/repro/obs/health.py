@@ -15,20 +15,19 @@ into structured :class:`HealthEvent` records:
   never alarms), or packets sit outstanding across ``K`` consecutive
   zero-delivery windows — retransmission/backoff spinning without
   progress.
-* **counter_leak** — an FSOI lane index lists other pending senders
-  than a recount of the lane queues and back-off heaps finds, or any
-  stat counter has gone negative.
-* **conservation** — per-lane transmission fates stop balancing
-  (``transmissions >= delivered + collided + corrupted (+ fault
-  fates)``, with equality once the network drains), or deliveries
-  exceed sends — the end-to-end no-silent-loss law from
-  ``tests/core/test_metric_conservation.py`` as a runtime check.
+* **audit** — the transport's own self-check,
+  :meth:`~repro.net.interface.Interconnect.audit`, failed: deliveries
+  exceed sends on any network; on FSOI a lane index disagrees with the
+  queues it summarises, or the per-lane transmission fates stop
+  balancing (the no-silent-loss law of §4.3.1); on the mesh a router's
+  occupancy summaries or VC ownership disagree with its buffers.
+* **counter_leak** — a stat counter has gone negative.
 
 The watchdogs are pure readers: they never mutate simulator state, so
 checking health cannot perturb a run.  ``repro run --health`` prints
-the report, ``--strict-health`` fails the run (:class:`HealthError`),
-and the fault-injection suite cross-checks both directions — injected
-faults must trip detectors, clean runs must not
+the report, ``--strict-health`` makes the command exit 1 when any
+detector fired, and the fault-injection suite cross-checks both
+directions — injected faults must trip detectors, clean runs must not
 (``tests/obs/test_health.py``).
 """
 
@@ -40,11 +39,10 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "HealthError",
     "HealthEvent",
     "check_health",
+    "detect_audit",
     "detect_backoff_storm",
-    "detect_conservation",
     "detect_counter_leak",
     "detect_starvation",
     "render_health",
@@ -95,18 +93,6 @@ MIN_COLLISION_EVENTS = 10
 #: *correlated* traffic, legitimately above the independent-Bernoulli
 #: closed form.
 WARMUP_WINDOWS = 1
-
-
-class HealthError(RuntimeError):
-    """Raised under ``--strict-health`` when any detector fired."""
-
-    def __init__(self, events: Sequence[HealthEvent]):
-        self.events = list(events)
-        super().__init__(
-            f"{len(self.events)} health event(s): "
-            + "; ".join(e.message for e in self.events[:3])
-            + ("; ..." if len(self.events) > 3 else "")
-        )
 
 
 # -- timeline access -------------------------------------------------------
@@ -305,57 +291,38 @@ def detect_backoff_storm(
 # -- end-state invariants --------------------------------------------------
 
 
-def _lane_counter_dicts(network: Any) -> dict[str, dict[str, int]]:
-    """Per-lane counter values of an FSOI network, plus fault fates."""
-    out: dict[str, dict[str, int]] = {}
-    for lane, counters in network._lane_stats.items():
-        values = {key: int(c) for key, c in counters.items()}
-        if network._injector is not None:
-            values.update(
-                (key, int(c))
-                for key, c in network._fault_lane_stats[lane].items()
+def detect_audit(system: Any) -> list[HealthEvent]:
+    """The transport's own self-check, as one critical event.
+
+    Runs ``system.network.audit()``; an ``AssertionError`` becomes an
+    ``audit`` event whose message is the exception text, or — for a
+    bare ``assert`` — the failing source line.
+    """
+    try:
+        system.network.audit()
+    except AssertionError as exc:
+        message = str(exc)
+        if not message:
+            import traceback
+
+            message = traceback.extract_tb(exc.__traceback__)[-1].line
+        return [
+            HealthEvent(
+                detector="audit",
+                severity="critical",
+                cycle=int(system.cycle),
+                message=message,
             )
-        out[lane.value] = values
-    return out
+        ]
+    return []
 
 
 def detect_counter_leak(system: Any) -> list[HealthEvent]:
-    """Summary vs structure cross-checks (lane-index leaks).
-
-    An FSOI lane index is the network's one summary of pending work —
-    the slot gather and ``quiescent()`` read its ``pending`` set — so
-    that set must name exactly the nodes whose queue or back-off heap
-    holds a packet.  Any negative stat counter anywhere in the metrics
-    tree is likewise a leak (a decrement without its increment).
-    """
+    """Any negative stat counter in the metrics tree is a leak (a
+    decrement without its increment)."""
     events: list[HealthEvent] = []
     cycle = int(system.cycle)
-    network = system.network
-    for lane, index in getattr(network, "_index", {}).items():
-        holding = {
-            node
-            for node, state in enumerate(network._state[lane])
-            if state.queue or state.retx
-        }
-        if index.pending != holding:
-            events.append(
-                HealthEvent(
-                    detector="counter_leak",
-                    severity="critical",
-                    cycle=cycle,
-                    message=(
-                        f"{lane.value} lane index lists {len(index.pending)} "
-                        f"pending senders but {len(holding)} hold packets"
-                    ),
-                    data={
-                        "lane": lane.value,
-                        "indexed": sorted(index.pending),
-                        "holding": sorted(holding),
-                    },
-                )
-            )
-    flat = system.metrics_registry().flatten()
-    for path, value in flat.items():
+    for path, value in system.metrics_registry().flatten().items():
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             if value < 0:
                 events.append(
@@ -365,65 +332,6 @@ def detect_counter_leak(system: Any) -> list[HealthEvent]:
                         cycle=cycle,
                         message=f"negative counter {path} = {value}",
                         data={"path": path, "value": value},
-                    )
-                )
-    return events
-
-
-def detect_conservation(system: Any) -> list[HealthEvent]:
-    """End-to-end message conservation.
-
-    Every network: deliveries never exceed sends, and a drained
-    network must have delivered (or provably given up on) everything.
-    FSOI additionally balances per-lane transmission fates —
-    delivered + collided + corrupted (+ fault losses) never exceed
-    transmissions, with equality once the lane drains.
-    """
-    events: list[HealthEvent] = []
-    cycle = int(system.cycle)
-    network = system.network
-    stats = network.stats
-    sent, delivered = int(stats.sent), int(stats.delivered)
-    if delivered > sent:
-        events.append(
-            HealthEvent(
-                detector="conservation",
-                severity="critical",
-                cycle=cycle,
-                message=f"delivered {delivered} packets but only {sent} sent",
-                data={"sent": sent, "delivered": delivered},
-            )
-        )
-    if hasattr(network, "_lane_stats"):
-        quiescent = network.quiescent()
-        for lane, values in _lane_counter_dicts(network).items():
-            tx = values["tx"]
-            explained = (
-                values["delivered"]
-                + values["collided_tx"]
-                + values["error_tx"]
-                + values.get("fault_lost", 0)
-                + values.get("injected_corrupt", 0)
-                + values.get("duplicate_rx", 0)
-            )
-            broken = explained > tx or (quiescent and explained != tx)
-            if broken:
-                events.append(
-                    HealthEvent(
-                        detector="conservation",
-                        severity="critical",
-                        cycle=cycle,
-                        message=(
-                            f"{lane} transmission ledger broken: "
-                            f"{tx} transmissions vs {explained} explained"
-                            f"{' (drained)' if quiescent else ''}"
-                        ),
-                        data={
-                            "lane": lane,
-                            "transmissions": tx,
-                            "explained": explained,
-                            "quiescent": quiescent,
-                        },
                     )
                 )
     return events
@@ -456,8 +364,8 @@ def check_health(system: Any = None, timeline: Any = None) -> list[HealthEvent]:
             detect_backoff_storm(timeline, num_nodes=num_nodes, receivers=receivers)
         )
     if system is not None:
+        events.extend(detect_audit(system))
         events.extend(detect_counter_leak(system))
-        events.extend(detect_conservation(system))
     return sorted(events, key=lambda e: (e.cycle, e.detector, e.message))
 
 

@@ -347,23 +347,6 @@ class TimelineCollector:
         summed = self._dropped_sum + self.matrix().sum(axis=0)
         return dict(zip(self.paths, (float(v) for v in summed)))
 
-    def latest_window(self) -> Optional[dict]:
-        """The most recent window as ``{"cycle", "deltas": {path: v}}``.
-
-        ``None`` before the first sample.  This is the payload the
-        sweep heartbeat forwards so ``repro top`` can render live
-        state without touching the collector's internals.
-        """
-        if self._count == 0:
-            return None
-        pos = (self._start + self._count - 1) % self.capacity
-        assert self._rows is not None
-        deltas = {
-            path: _num(value)
-            for path, value in zip(self.paths, self._rows[pos])
-        }
-        return {"cycle": int(self._cycles[pos]), "deltas": deltas}
-
     # -- exports ---------------------------------------------------------
 
     def meta_record(self) -> dict:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
 __all__ = [
+    "CATEGORIES",
     "TRACE",
     "TraceEvent",
     "Tracer",
@@ -39,6 +40,10 @@ __all__ = [
     "validate_event",
     "validate_trace_file",
 ]
+
+#: The categories the simulator's trace points emit; ``repro trace
+#: --categories`` accepts these names only.
+CATEGORIES = ("backoff", "coherence", "confirmation", "fault", "fsoi", "loop", "mesh")
 
 #: Fields every exported trace event must carry (trace-event format).
 #: Note the simulation loop's fast-forward engine stays enabled under

@@ -174,13 +174,6 @@ class SweepHeartbeat:
     in index order, so the lowest-index unfinished points are the ones
     on CPUs (an approximation — the pool does not expose true
     per-worker assignment).
-
-    ``latest_window`` carries the most recent timeline window
-    (``{"cycle", "deltas": {path: value}}``) when the sweep collects
-    timelines and runs points inline — the payload ``repro top``
-    renders as live sparklines.  ``None`` otherwise: pool workers hold
-    their own process-local collectors, so the parent has no live
-    window to forward.
     """
 
     elapsed: float
@@ -188,7 +181,6 @@ class SweepHeartbeat:
     total: int
     in_flight: tuple[str, ...]
     workers: int
-    latest_window: Optional[dict] = None
 
 
 @dataclass
@@ -500,8 +492,7 @@ def run_sweep(
         :func:`timeline_filename`, sampled every ``timeline_window``
         cycles).  Same cache caveat as ``metrics_path``; a custom
         ``execute`` callable must accept ``timeline_dir`` and
-        ``timeline_window`` keywords to use this.  Heartbeats gain a
-        ``latest_window`` payload on the inline path.
+        ``timeline_window`` keywords to use this.
     code_version:
         Override the cache's code-version tag (testing/pinning).
     execute:
@@ -549,22 +540,12 @@ def run_sweep(
 
     def beat(in_flight: Sequence[str]) -> None:
         if heartbeat is not None:
-            latest = None
-            if timeline_path is not None and workers <= 1:
-                # Inline points run against the process-global
-                # collector, so its freshest window is ours to forward
-                # (pool workers keep theirs process-local).
-                from repro.obs.timeline import TIMELINE
-
-                if len(TIMELINE):
-                    latest = TIMELINE.latest_window()
             heartbeat(SweepHeartbeat(
                 elapsed=time.perf_counter() - started,
                 done=done_count,
                 total=len(points),
                 in_flight=tuple(in_flight),
                 workers=max(1, workers),
-                latest_window=latest,
             ))
 
     try:

@@ -64,8 +64,13 @@ class TestBaseClass:
         net = _Null(4)
         with pytest.raises(ValueError):
             net.set_delivery_callback(4, lambda p: None)
-        with pytest.raises(ValueError):
-            net.can_accept(-1, LaneKind.META)
+
+    def test_audit_checks_deliveries_against_sends(self):
+        net = _Null(4)
+        net.audit()
+        net.force_deliver(Packet(src=0, dst=1, lane=LaneKind.META), 2)
+        with pytest.raises(AssertionError, match="delivered 1 packets but only 0 sent"):
+            net.audit()
 
     def test_quiescent_default(self):
         net = _Null(4)
@@ -98,6 +103,22 @@ class TestSendPrecondition:
         with pytest.raises(ValueError, match="out of range"):
             net.try_send(packet, 0)
         assert int(net.stats.sent) == 0
+
+
+@pytest.mark.parametrize("kind", TRANSPORTS)
+def test_full_source_refuses(kind):
+    """A source whose queue is at capacity is refused — Corona counts
+    its packets to every destination together — and others still send."""
+    net = TRANSPORTS[kind]()
+    capacity = (
+        net.lanes.queue_capacity if kind == "fsoi" else net.config.injection_queue
+    )
+    for i in range(capacity):
+        assert net.try_send(Packet(src=0, dst=1 + i % 15, lane=LaneKind.META), 0)
+    assert not net.try_send(Packet(src=0, dst=1, lane=LaneKind.META), 0)
+    assert (int(net.stats.sent), int(net.stats.refused)) == (capacity, 1)
+    assert net.try_send(Packet(src=1, dst=0, lane=LaneKind.META), 0)
+    net.audit()
 
 
 class TestStats:

@@ -106,13 +106,6 @@ class TestQueueing:
         net.audit()
         assert net.quiescent() and int(net.stats.delivered) == 1
 
-    def test_can_accept_tracks_capacity(self):
-        net = make_network()
-        assert net.can_accept(0, LaneKind.META)
-        for _ in range(net.lanes.queue_capacity):
-            net.try_send(meta(0, 1), 0)
-        assert not net.can_accept(0, LaneKind.META)
-
     def test_back_to_back_slots(self):
         net = make_network()
         first, second = meta(0, 1), meta(0, 2)

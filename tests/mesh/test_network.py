@@ -107,12 +107,6 @@ class TestBackpressure:
         assert not net.try_send(Packet(src=0, dst=1, lane=LaneKind.DATA), 0)
         assert int(net.stats.refused) == 1
 
-    def test_can_accept(self):
-        net = make_mesh(injection_queue=1)
-        assert net.can_accept(0, LaneKind.META)
-        net.try_send(Packet(src=0, dst=1, lane=LaneKind.META), 0)
-        assert not net.can_accept(0, LaneKind.META)
-
 
 class TestConservation:
     def test_random_traffic_all_delivered_once(self):

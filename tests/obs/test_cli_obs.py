@@ -79,6 +79,19 @@ class TestTraceCli:
         assert code == 0
         assert "warning: ring buffer overflowed" in out
 
+    def test_unknown_category_is_a_usage_error(self, tmp_path, capsys):
+        out_path = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", *RUN, "--out", str(out_path),
+                  "--categories", "fsoi,bogus"])
+        assert exit_info.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (
+            "repro trace: error: unknown --categories bogus (valid: "
+            "backoff,coherence,confirmation,fault,fsoi,loop,mesh)"
+        )
+        assert not out_path.exists()
+
 
 class TestProfileCli:
     def test_json_report_is_parseable(self, capsys):

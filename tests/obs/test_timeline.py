@@ -181,13 +181,6 @@ class TestCollectedWindows:
         with pytest.raises(KeyError):
             TIMELINE.series("no.such.path")
 
-    def test_latest_window_matches_last_jsonl_line(self):
-        _, text, _ = timelined_run()
-        last = json.loads(text.splitlines()[-1])
-        latest = TIMELINE.latest_window()
-        assert latest["cycle"] == last["cycle"]
-        assert list(latest["deltas"].values()) == last["deltas"]
-
 
 class TestExports:
     def test_jsonl_round_trips_through_loader(self, tmp_path):

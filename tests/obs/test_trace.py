@@ -1,9 +1,13 @@
 """Unit tests for the ring-buffered tracer and trace-event schema."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.obs.trace import CATEGORIES
 from repro.obs import (
     TRACE,
     TraceEvent,
@@ -216,3 +220,23 @@ class TestTracingContext:
         with pytest.raises(ValueError):
             with tracing(capacity=0):
                 pass
+
+
+def test_trace_points_emit_the_known_categories():
+    """Every ``TRACE.emit`` under ``src/repro`` passes a literal ``cat=``
+    from :data:`CATEGORIES`, and every name there has a trace point."""
+    used = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "emit"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "TRACE"
+            ):
+                [cat] = [k.value for k in node.keywords if k.arg == "cat"]
+                assert isinstance(cat, ast.Constant), f"{path}:{node.lineno}"
+                assert cat.value in CATEGORIES, f"{path}:{node.lineno}"
+                used.add(cat.value)
+    assert used == set(CATEGORIES)
