@@ -107,9 +107,6 @@ def run_cached(app: str, network: str, num_nodes: int = 16,
     ``kwargs`` are extra :class:`repro.cmp.CmpConfig` fields
     (``optimizations=...``, ``fsoi_lanes=...``, ``memory_gbps=...``).
     """
-    from repro.sweep import execute_point
-    from repro.sweep.cache import _normalized
-
     point = make_point(
         app, network, num_nodes=num_nodes, cycles=cycles or bench_cycles(),
         seed=seed, **kwargs,
@@ -119,12 +116,10 @@ def run_cached(app: str, network: str, num_nodes: int = 16,
     memoized = _MEMO.get(key)
     if memoized is not None:
         return memoized
-    result_dict = cache.get(point) if cache else None
-    if result_dict is None:
-        result_dict = _normalized(execute_point(point.to_dict()))
-        if cache:
-            cache.put(point, result_dict)
-    result = CmpResults.from_dict(result_dict)
+    [outcome] = run_sweep([point], cache=cache).outcomes
+    if not outcome.ok:
+        raise RuntimeError(f"{point.label()}: {outcome.error}")
+    result = CmpResults.from_dict(outcome.result)
     _MEMO[key] = result
     return result
 

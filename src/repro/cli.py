@@ -444,11 +444,12 @@ def _cmd_config(args) -> int:
 @contextmanager
 def _usage_errors(args):
     """A ``ValueError`` raised while *building* what a command runs —
-    spec, plan, config, system — is bad input, not a bug: one line on
-    stderr and exit 2, as argparse does for the flags it can check."""
+    spec, plan, config, system — is bad input, not a bug, and so is an
+    ``OSError`` reading an input file it names: one line on stderr and
+    exit 2, as argparse does for the flags it can check."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -610,7 +611,7 @@ def _cmd_sweep(args) -> int:
     if args.spec:
         from repro.sweep import SweepSpec
 
-        with open(args.spec) as handle, _usage_errors(args):
+        with _usage_errors(args), open(args.spec) as handle:
             spec = SweepSpec.from_dict(json.load(handle))
     else:
         spec = _grid_spec(
@@ -691,7 +692,8 @@ def _cmd_report(args) -> int:
     # which of them were cache hits and how long it took.
     sweep_report = None
     if args.from_jsonl:
-        records = load_jsonl(args.from_jsonl, strict=False)
+        with _usage_errors(args):
+            records = load_jsonl(args.from_jsonl, strict=False)
         cached = [False] * len(records)
         title = f"repro report — {args.from_jsonl}"
         wall = 0.0
@@ -811,6 +813,9 @@ def _cmd_trace(args) -> int:
         if unknown:
             raise ValueError(f"unknown --categories {','.join(unknown)} "
                              f"(valid: {','.join(CATEGORIES)})")
+        if args.node is not None and not 0 <= args.node < args.nodes:
+            raise ValueError(f"--node {args.node} out of range "
+                             f"[0, {args.nodes}) for --nodes {args.nodes}")
     timeline_ctx = (
         timelining(window=args.timeline_window) if args.timeline
         else nullcontext(None)
@@ -1100,7 +1105,8 @@ def _cmd_top(args) -> int:
     from repro.obs.timeline import load_timeline_jsonl
 
     if args.from_timeline:
-        timeline = load_timeline_jsonl(args.from_timeline)
+        with _usage_errors(args):
+            timeline = load_timeline_jsonl(args.from_timeline)
         events = check_health(timeline=timeline)
         print(_render_top_frame(timeline, events, rows=args.rows))
         return 0

@@ -217,11 +217,7 @@ class CmpSystem:
 
         # Coherence substrate.
         opts = config.optimizations
-        l1_config = replace(
-            config.l1,
-            confirmation_ack=opts.confirmation_ack,
-            split_writeback=opts.split_writeback,
-        )
+        l1_config = replace(config.l1, split_writeback=opts.split_writeback)
         dir_config = replace(
             config.directory, confirmation_ack=opts.confirmation_ack
         )

@@ -106,7 +106,6 @@ class L1Config:
     capacity_bytes: int = 8192
     line_bytes: int = 32
     ways: int = 2
-    confirmation_ack: bool = False  # §5.1 (effective only over FSOI)
     split_writeback: bool = False   # §5.2
 
 

@@ -91,7 +91,7 @@ _RUNNING = CoreState.RUNNING
 _STALLED = CoreState.STALLED
 _LOCK_HOLD = CoreState.LOCK_HOLD
 _SPIN_STATES = (CoreState.BARRIER_SPIN, CoreState.LOCK_SPIN)
-_NEVER = -1  # no hold release / spin poll scheduled
+_NEVER = -1  # no action scheduled (``Core._due_at``)
 
 
 # ---------------------------------------------------------------------------
@@ -168,24 +168,21 @@ class DueSchedule:
         self.running: set[int] = set()
         #: RUNNING cores parked on a run-ahead window.
         self.parked: set[int] = set()
-        # (deadline, node) heaps; an entry is live while it matches the
-        # core's ``_wake_at`` / ``_hold_at`` / ``_spin_at`` and is
-        # dropped otherwise.
-        self._wakes: list[tuple[int, int]] = []
-        self._holds: list[tuple[int, int]] = []
-        self._polls: list[tuple[int, int]] = []
+        # (deadline, node) heap; an entry is live while it matches the
+        # core's ``_due_at`` and is dropped otherwise.
+        self._due: list[tuple[int, int]] = []
 
     def park(self, node: int, deadline: int) -> None:
         """Take RUNNING ``node`` off the per-cycle set until
         ``deadline``, the cycle of the op that ends its window."""
-        self.cores[node]._wake_at = deadline
-        heappush(self._wakes, (deadline, node))
+        self.cores[node]._due_at = deadline
+        heappush(self._due, (deadline, node))
         self.parked.add(node)
         self.running.discard(node)
 
     def unpark(self, node: int) -> None:
         """Put a cut core back on the per-cycle set."""
-        self.cores[node]._wake_at = _NEVER
+        self.cores[node]._due_at = _NEVER
         self.parked.discard(node)
         self.running.add(node)
 
@@ -199,36 +196,24 @@ class DueSchedule:
         """The cores phase of ``cycle``."""
         cores = self.cores
         due: Optional[list[int]] = None
-        wakes = self._wakes
-        while wakes and wakes[0][0] <= cycle:
-            deadline, node = heappop(wakes)
+        heap = self._due
+        while heap and heap[0][0] <= cycle:
+            deadline, node = heappop(heap)
             core = cores[node]
-            if core._wake_at == deadline:
-                # Woken: a later entry for the same deadline (the core
-                # was cut and parked again) is dead from here on.
-                core._wake_at = _NEVER
+            if core._due_at == deadline:
+                # Due: a later entry for the same deadline (the core was
+                # rescheduled for it) is dead from here on.
+                core._due_at = _NEVER
                 self.parked.discard(node)
                 if due is None:
                     due = [node]
                 else:
                     due.append(node)
-        holds = self._holds
-        while holds and holds[0][0] <= cycle:
-            deadline, node = heappop(holds)
-            if cores[node]._hold_at == deadline:
-                due = [node] if due is None else due + [node]
-        polls = self._polls
-        while polls and polls[0][0] <= cycle:
-            deadline, node = heappop(polls)
-            if cores[node]._spin_at == deadline:
-                due = [node] if due is None else due + [node]
         running = self.running
         if running:
             due = running.union(due) if due is not None else running
         elif due is None:
             return
-        elif len(due) > 1:
-            due = set(due)
         self.acting = True
         try:
             for node in sorted(due):
@@ -254,23 +239,13 @@ class DueSchedule:
         if self.running or self.parked:
             return cycle
         cores = self.cores
-        horizon = None
-        heap = self._holds
+        heap = self._due
         while heap:
             deadline, node = heap[0]
-            if cores[node]._hold_at == deadline:
-                horizon = deadline
-                break
+            if cores[node]._due_at == deadline:
+                return deadline
             heappop(heap)
-        heap = self._polls
-        while heap:
-            deadline, node = heap[0]
-            if cores[node]._spin_at == deadline:
-                if horizon is None or deadline < horizon:
-                    horizon = deadline
-                break
-            heappop(heap)
-        return horizon
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +315,9 @@ class Core:
         self._sync = stats.counter("sync_cycles")
         #: Exclusive cycle through which the three counters are settled.
         self._settled = 0
-        self._hold_at = _NEVER  # scheduled release tick while LOCK_HOLD
-        self._spin_at = _NEVER  # scheduled poll while spinning
-        self._wake_at = _NEVER  # deadline of a parked run-ahead window
+        #: Cycle of the core's next scheduled action: its hold release,
+        #: spin poll or parked window's end; _NEVER when none is.
+        self._due_at = _NEVER
         self._schedule = schedule = schedule or DueSchedule()
         schedule.cores[node] = self
         schedule.running.add(node)
@@ -396,7 +371,7 @@ class Core:
         """Cut a parked run-ahead window back to the current cycle (a
         no-op unless parked): anything that reads or changes the core's
         L1 or workload from outside the cores phase calls this first."""
-        if self._wake_at != _NEVER:
+        if self._run_from >= 0:
             self._cut()
 
     # ------------------------------------------------------------------
@@ -450,20 +425,15 @@ class Core:
         node = self.node
         if old is _RUNNING:
             schedule.running.discard(node)
-        elif old is _LOCK_HOLD:
-            self._hold_at = _NEVER
-        elif old in _SPIN_STATES:
-            self._spin_at = _NEVER
+        self._due_at = _NEVER
         if new is _RUNNING:
             schedule.running.add(node)
         elif new is _LOCK_HOLD:
-            self._hold_at = release = hold_release_cycle(
-                settled, self._hold_cycles
-            )
-            heappush(schedule._holds, (release, node))
+            self._due_at = due = hold_release_cycle(settled, self._hold_cycles)
+            heappush(schedule._due, (due, node))
         elif new in _SPIN_STATES:
-            self._spin_at = poll = spin_poll_cycle(settled, self._next_spin)
-            heappush(schedule._polls, (poll, node))
+            self._due_at = due = spin_poll_cycle(settled, self._next_spin)
+            heappush(schedule._due, (due, node))
 
     # ------------------------------------------------------------------
     # issue: the generic loop (the fused one is _fused_issue)
@@ -608,16 +578,15 @@ class Core:
     def _poll(self, cycle: int) -> None:
         """One poll of a spin loop: read the sync line, and unless that
         ended (or restarted) the spin, come back in ``spin_interval``."""
-        self._spin_at = _NEVER
         self._next_spin = cycle + self.config.spin_interval
         line = self._sync_line
         # A transient line means the spin read is already outstanding.
         if not self.l1.state(line).is_transient:
             if self.l1.access(line, False) is AccessResult.HIT:
                 self._check_spin_result()
-        if self._spin_at == _NEVER and self.state in _SPIN_STATES:
-            self._spin_at = self._next_spin
-            heappush(self._schedule._polls, (self._next_spin, self.node))
+        if self._due_at == _NEVER and self.state in _SPIN_STATES:
+            self._due_at = self._next_spin
+            heappush(self._schedule._due, (self._next_spin, self.node))
 
     def _check_spin_result(self) -> None:
         if self.state is CoreState.BARRIER_SPIN:

@@ -69,7 +69,7 @@ class MemoryController:
 
     __slots__ = (
         "node", "send", "config", "_queue", "_busy_until", "stats",
-        "reads", "writes", "queue_wait", "_arrival", "_occupancy",
+        "reads", "writes", "queue_wait", "_occupancy",
         "_reply_delay",
     )
 
@@ -83,14 +83,14 @@ class MemoryController:
         self.node = node
         self.send = send
         self.config = config or MemoryConfig()
-        self._queue: deque[CoherenceMessage] = deque()
+        #: Queued requests with their arrival cycles, in arrival order.
+        self._queue: deque[tuple[CoherenceMessage, int]] = deque()
         self._busy_until = 0
         stats = stats or StatGroup(f"mem.{node}")
         self.stats = stats
         self.reads = stats.counter("reads")
         self.writes = stats.counter("writes")
         self.queue_wait = stats.latency("queue_wait")
-        self._arrival: dict[int, int] = {}
         # tick() runs every cycle for every controller; hoist the two
         # config-derived constants out of the per-transfer path.
         self._occupancy = self.config.occupancy_cycles
@@ -100,15 +100,14 @@ class MemoryController:
         mtype = msg.mtype
         if mtype is not MEM_READ and mtype is not MEM_WRITE:
             raise ValueError(f"memory controller got {msg}")
-        self._arrival[msg.uid] = cycle
-        self._queue.append(msg)
+        self._queue.append((msg, cycle))
 
     def tick(self, cycle: int) -> None:
         """Start the next transfer when the channel frees up."""
         if not self._queue or self._busy_until > cycle:
             return
-        msg = self._queue.popleft()
-        self.queue_wait.record(cycle - self._arrival.pop(msg.uid))
+        msg, arrival = self._queue.popleft()
+        self.queue_wait.record(cycle - arrival)
         self._busy_until = cycle + self._occupancy
         if msg.mtype is MEM_WRITE:
             self.writes.add()

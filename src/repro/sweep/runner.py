@@ -57,6 +57,10 @@ __all__ = [
     "timeline_filename",
 ]
 
+#: How often a point may be rerun after its worker process died while
+#: running it alone, before it is marked failed.
+_MAX_CRASH_RETRIES = 1
+
 
 class PointTimeout(Exception):
     """A point exceeded the per-point timeout."""
@@ -462,7 +466,6 @@ def run_sweep(
     progress: Optional[Callable[[int, int, PointOutcome], None]] = None,
     heartbeat: Optional[Callable[[SweepHeartbeat], None]] = None,
     heartbeat_interval: float = 1.0,
-    max_crash_retries: int = 1,
 ) -> SweepReport:
     """Run every point of ``spec``; returns a :class:`SweepReport`.
 
@@ -507,10 +510,6 @@ def run_sweep(
         busy, and before each point inline — so a live display (the
         CLI's ``--live`` line, :class:`repro.analytics.SweepTelemetry`)
         stays fresh during long points.
-    max_crash_retries:
-        How often a point may be retried after its worker process died
-        while running it alone before it is marked failed (a pool that
-        breaks with several points in flight charges none of them).
     """
     points = spec.points() if isinstance(spec, SweepSpec) else list(spec)
     if cache is None and cache_dir is not None:
@@ -567,7 +566,7 @@ def run_sweep(
                                           cache, code_version))
         else:
             _run_pool(points, pending, workers, timeout, execute, cache,
-                      code_version, max_crash_retries, finish,
+                      code_version, finish,
                       beat if heartbeat is not None else None,
                       heartbeat_interval)
     finally:
@@ -618,7 +617,7 @@ def _run_inline(point, timeout, execute, cache, code_version) -> PointOutcome:
 
 def _run_pool(
     points, pending, workers, timeout, execute, cache, code_version,
-    max_crash_retries, finish, beat=None, beat_interval: float = 1.0,
+    finish, beat=None, beat_interval: float = 1.0,
 ) -> None:
     """Fan ``pending`` point indices over a process pool.
 
@@ -626,7 +625,8 @@ def _run_pool(
     still held, so a broken batch blames none of them: each is rerun
     alone in a fresh single-worker pool (``workers`` such pools at a
     time), where a death is the point's own; a point that dies alone
-    more than ``max_crash_retries`` times is marked failed.
+    more than ``_MAX_CRASH_RETRIES`` times is marked failed (a pool
+    that breaks with several points in flight charges none of them).
     With ``beat`` set, the completion wait wakes up every
     ``beat_interval`` seconds to emit a heartbeat naming the
     lowest-index in-flight points (the ones occupying workers).
@@ -666,7 +666,7 @@ def _run_pool(
                     except BrokenProcessPool:
                         if size == 1:  # it ran alone: the death is its own
                             crashes[index] = crashes.get(index, 0) + 1
-                        if crashes.get(index, 0) > max_crash_retries:
+                        if crashes.get(index, 0) > _MAX_CRASH_RETRIES:
                             finish(index, _failure(
                                 point, key,
                                 "BrokenProcessPool: worker process died",

@@ -109,6 +109,22 @@ class TestTraceCommand:
             assert event["cat"] == "coherence"
             assert event["pid"] == 2
 
+    @pytest.mark.parametrize("node", [99, 16, -1])
+    def test_trace_node_out_of_range_is_a_usage_error(
+        self, node, capsys, tmp_path
+    ):
+        out_path = tmp_path / "trace.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--nodes", "16", "--cycles", "100",
+                  "--out", str(out_path), "--node", str(node)])
+        assert exit_info.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"repro trace: error: --node {node} out of range [0, 16) "
+            "for --nodes 16"
+        )
+        assert not out_path.exists()
+
     def test_profile(self, capsys):
         assert main(["profile", "--app", "ba", "--cycles", "1500"]) == 0
         out = capsys.readouterr().out
@@ -175,3 +191,22 @@ class TestFaultsCommand:
         assert exported["fault"]["plan_label"] == "cli"
         assert len(exported["fault"]["plan_hash"]) == 16
         assert exported["confirmation"]["confirmations_dropped"] > 0
+
+
+class TestMissingInputFiles:
+    @pytest.mark.parametrize("command, flag", [
+        ("report", "--from"),
+        ("top", "--from"),
+        ("faults", "--plan"),
+        ("sweep", "--spec"),
+    ])
+    def test_missing_input_file_is_a_usage_error(
+        self, command, flag, capsys, tmp_path
+    ):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, str(missing)])
+        assert exit_info.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro {command}: error: ")
+        assert str(missing) in line

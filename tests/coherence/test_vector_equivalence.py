@@ -216,7 +216,9 @@ def recount_occupancy(system):
         assert core.mshr._lines == transient
         assert core.mshr.in_use == l1.outstanding()
     for controller in system.memory.values():
-        assert controller.pending == len(controller._arrival)
+        arrivals = [arrival for _msg, arrival in controller._queue]
+        assert arrivals == sorted(arrivals)
+        assert all(arrival <= system.cycle for arrival in arrivals)
 
 
 class TestAudit:

@@ -14,15 +14,21 @@ the cores phase first cuts the window back to the current cycle.
   L1 states, LRU stamps, the registry snapshot, retired instructions,
   workload counters — with the same configuration issuing through the
   generic ``next_op`` loop, which never runs ahead.
+* :class:`TestOneDeadline` holds the schedule's bookkeeping: a core has
+  one scheduled action at a time — a parked window's end, a hold
+  release or a spin poll — kept once, in ``Core._due_at`` and a live
+  entry of the schedule's one heap.
 """
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cmp import CmpConfig, CmpSystem
-from repro.cpu.core import DueSchedule
+from repro.core.optimizations import OptimizationConfig
+from repro.cpu.core import CoreState, DueSchedule
 from repro.sweep import canonical_json
 from tests.conftest import NextOpOnly
 
@@ -168,3 +174,68 @@ class TestCutsAreExact:
             steps,
             reassign_at,
         )
+
+
+NONE = OptimizationConfig.none()
+SPIN_STATES = (CoreState.BARRIER_SPIN, CoreState.LOCK_SPIN)
+WAIT_STATES = (CoreState.BARRIER_WAIT, CoreState.LOCK_WAIT)
+
+
+def assert_one_deadline(schedule: DueSchedule, now: int) -> set[str]:
+    """The schedule invariant at cycle ``now`` (the next cycle to run);
+    returns the kinds of blocked episode it saw."""
+    live = set(schedule._due)
+    kinds = set()
+    for node, core in schedule.cores.items():
+        parked = node in schedule.parked
+        assert parked == (core._run_from >= 0), node
+        hold = core.state is CoreState.LOCK_HOLD
+        spin = core.state in SPIN_STATES
+        kinds.update(
+            kind for kind, on in (
+                ("window", parked), ("hold", hold), ("poll", spin),
+                ("wait", core.state in WAIT_STATES),
+            ) if on
+        )
+        if parked or hold or spin:
+            assert core._due_at >= now, (node, core.state, core._due_at)
+            assert (core._due_at, node) in live, (node, core.state)
+        else:
+            assert core._due_at == -1, (node, core.state, core._due_at)
+    return kinds
+
+
+class TestOneDeadline:
+    @pytest.mark.parametrize("app, network, cycles, optimizations, kinds", [
+        ("ro", "fsoi", 3000, NONE, {"window", "hold", "poll"}),
+        ("ro", "mesh", 3000, NONE, {"window", "hold", "poll"}),
+        ("ba", "fsoi", 12000, NONE, {"window", "hold", "poll"}),
+        ("ba", "mesh", 12000, NONE, {"window", "hold", "poll"}),
+        ("ro", "fsoi", 3000, OptimizationConfig(llsc_subscription=True),
+         {"window", "hold", "wait"}),
+    ], ids=["ro-fsoi", "ro-mesh", "ba-fsoi", "ba-mesh", "ro-fsoi-llsc"])
+    def test_each_core_keeps_one_deadline(
+        self, monkeypatch, app, network, cycles, optimizations, kinds
+    ):
+        """After every cores phase (windows still parked) and after
+        every public ``tick()`` (every window cut back)."""
+        seen = set()
+        tick = DueSchedule.tick
+
+        def checked_tick(schedule, cycle):
+            tick(schedule, cycle)
+            seen.update(assert_one_deadline(schedule, cycle + 1))
+
+        # Patched before the system is built: its phase table binds the
+        # schedule's tick.
+        monkeypatch.setattr(DueSchedule, "tick", checked_tick)
+        system = CmpSystem(CmpConfig(
+            app=app, network=network, num_nodes=16, seed=1,
+            optimizations=optimizations,
+        ))
+        while system.cycle < cycles:
+            system.run(97)
+            system.tick()
+            assert not system._due_cores.parked
+            assert_one_deadline(system._due_cores, system.cycle)
+        assert seen == kinds
