@@ -1147,8 +1147,10 @@ def _cmd_top(args) -> int:
 
 def _cmd_thermal(args) -> int:
     stack = ThermalStack()
+    with _usage_errors(args):
+        survey = stack.survey(args.power)
     print(f"cooling survey at {args.power:.0f} W chip power:")
-    for option, report in stack.survey(args.power).items():
+    for option, report in survey.items():
         verdict = "OK" if report.feasible else "EXCEEDS LIMITS"
         print(f"  {option.value:<17} CMOS {report.cmos_junction:6.1f} C  "
               f"VCSEL {report.vcsel_layer:6.1f} C  {verdict}")

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
-from typing import Any, Mapping, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Mapping, Optional, Sequence
 
 __all__ = [
     "LANE_NAMES",
@@ -58,6 +58,25 @@ def _check_lane(lane: Optional[str], *, optional: bool = False) -> None:
 def _check_rate(rate: float, what: str) -> None:
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"{what} must be a probability in [0, 1]: {rate}")
+
+
+def check_keys(
+    data: Any, allowed: Sequence[str], what: str, required: Sequence[str] = ()
+) -> Mapping[str, Any]:
+    """``data``, checked to be an object whose keys are ``allowed`` and
+    include ``required``: a typo in a plan or spec file fails here
+    rather than silently falling back to a default."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, not {type(data).__name__}")
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown key {unknown[0]!r} in {what}; allowed: {sorted(allowed)}"
+        )
+    for key in required:
+        if key not in data:
+            raise ValueError(f"missing key {key!r} in {what}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -188,6 +207,10 @@ _FAULT_FIELDS = {
 }
 
 
+#: The scalar keys of :meth:`FaultPlan.to_dict`, beside the fault lists.
+_PLAN_KEYS = ("label", "giveup_retries", "detect_threshold", "seed")
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A complete, seeded fault schedule for one run.
@@ -272,12 +295,7 @@ class FaultPlan:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "label": self.label,
-            "giveup_retries": self.giveup_retries,
-            "detect_threshold": self.detect_threshold,
-            "seed": self.seed,
-        }
+        out: dict[str, Any] = {key: getattr(self, key) for key in _PLAN_KEYS}
         for name in _FAULT_FIELDS:
             out[name] = [
                 {f.name: getattr(entry, f.name) for f in fields(entry)}
@@ -287,6 +305,9 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
+        """The inverse of :meth:`to_dict`; a key it does not write is a
+        ``ValueError``."""
+        check_keys(data, _PLAN_KEYS + tuple(_FAULT_FIELDS), "fault plan")
         kwargs: dict[str, Any] = {
             "label": data.get("label", ""),
             "giveup_retries": data.get("giveup_retries"),
@@ -294,8 +315,11 @@ class FaultPlan:
             "seed": int(data.get("seed", 0)),
         }
         for name, entry_cls in _FAULT_FIELDS.items():
+            keys = [f.name for f in fields(entry_cls)]
+            required = [f.name for f in fields(entry_cls) if f.default is MISSING]
             kwargs[name] = tuple(
-                entry_cls(**entry) for entry in data.get(name, ())
+                entry_cls(**check_keys(entry, keys, f"{name} entry", required))
+                for entry in data.get(name, ())
             )
         return cls(**kwargs)
 

@@ -27,7 +27,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence, Union
 from repro.cmp.system import NETWORK_KINDS, CmpConfig
 from repro.core.lanes import LaneConfig
 from repro.core.optimizations import OptimizationConfig
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, check_keys
 from repro.workloads import APPLICATIONS
 
 __all__ = [
@@ -306,6 +306,11 @@ def pair_points(
     return [(result, bases[key]) for key, result in fast]
 
 
+#: The keys of :meth:`SweepSpec.to_dict`.
+_SPEC_KEYS = ("apps", "networks", "nodes", "seeds", "cycles",
+              "optimizations", "variants", "faults")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A cartesian grid of experiments.
@@ -423,12 +428,19 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
+        """The inverse of :meth:`to_dict`; a key it does not write is a
+        ``ValueError``, and so is a spec without ``apps`` or ``networks``."""
+        check_keys(data, _SPEC_KEYS, "sweep spec", ("apps", "networks"))
+        entries = [
+            check_keys(entry, ("label", "config"), "variants entry")
+            for entry in data.get("variants", [{}])
+        ]
         variants = tuple(
             Variant(
                 label=entry.get("label", ""),
                 config=_encode_extras(entry.get("config", {})),
             )
-            for entry in data.get("variants", [{}])
+            for entry in entries
         ) or (Variant(),)
         faults = tuple(
             FaultPlan.from_dict(entry) for entry in data.get("faults", [{}])

@@ -251,6 +251,11 @@ class AppWorkload:
             )
             if on_chip
         ]
+        if signature.comm_pattern == "neighbor" and not self._neighbors:
+            raise ValueError(
+                f"app {signature.label!r} exchanges with mesh neighbours, and "
+                f"node {node} of a {num_nodes}-node grid has none"
+            )
 
     def next_op(self, rng: np.random.Generator) -> Op:
         """The next instruction for this core."""

@@ -182,6 +182,8 @@ def test_docstring_lists_every_command():
     ["trace", "--buffer", "0"],
     ["faults", "--kill", "99:data"],
     ["run", "--cycles", "-5"],
+    ["run", "--nodes", "2", "--cycles", "100"],
+    ["thermal", "--power", "-5"],
 ], ids=" ".join)
 def test_bad_arguments_are_usage_errors(argv, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -210,3 +210,34 @@ class TestMissingInputFiles:
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"repro {command}: error: ")
         assert str(missing) in line
+
+
+class TestBadInputFiles:
+    """A spec or plan file holds exactly the keys its ``to_dict`` writes."""
+
+    @pytest.mark.parametrize("command, flag, content, named", [
+        ("sweep", "--spec", {"apps": ["ba"], "networks": ["fsoi"], "seed": [1]},
+         "'seed'"),
+        ("sweep", "--spec", {"networks": ["fsoi"]}, "'apps'"),
+        ("sweep", "--spec", ["ba"], "JSON object"),
+        ("sweep", "--spec", {"apps": ["ba"], "networks": ["fsoi"],
+                             "variants": [{"lable": "x"}]}, "'lable'"),
+        ("faults", "--plan", {"kills": []}, "'kills'"),
+        ("faults", "--plan", {"lane_faults": [{"nod": 3, "lane": "data"}]},
+         "'nod'"),
+        ("faults", "--plan", {"lane_faults": [{"lane": "data"}]}, "'node'"),
+        ("faults", "--plan", [], "JSON object"),
+    ], ids=["spec-seed", "spec-no-apps", "spec-list", "spec-variant-lable",
+            "plan-kills", "plan-entry-nod", "plan-entry-no-node", "plan-list"])
+    def test_bad_file_is_a_usage_error(
+        self, command, flag, content, named, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, str(path), "--cycles", "100"])
+        assert exit_info.value.code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro {command}: error: ")
+        assert named in line

@@ -1,5 +1,6 @@
 """Documentation-rot guards: referenced modules and files must exist."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -49,6 +50,49 @@ def test_referenced_examples_exist():
         for match in pattern.finditer(doc.read_text()):
             target = ROOT / "examples" / match.group(1)
             assert target.exists(), f"{doc.name} references missing {match.group(1)}"
+
+
+#: The documents that state how the code is now; CHANGES.md and ROADMAP.md
+#: hold history and plans and may name what is gone.
+CITING_DOCS = sorted((ROOT / "docs").glob("*.md")) + [
+    ROOT / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+]
+_SPAN = re.compile(r"`([^`\n]+)`")
+_CITE = re.compile(
+    r"(?<![\w/.])((?:tests|src/repro|benchmarks|examples)/[\w/.-]*?\.py)"
+    r"((?:::\w+)*)"
+)
+
+
+def _defines(path: Path, names: list[str]) -> bool:
+    """Whether ``names`` (the parts of ``Class::test``) are defined in
+    ``path``: the first at top level, each next one inside the last."""
+    body = ast.parse(path.read_text()).body
+    for name in names:
+        found = [
+            node for node in body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name == name
+        ]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+@pytest.mark.parametrize("doc", CITING_DOCS, ids=lambda doc: doc.name)
+def test_cited_paths_and_test_ids_exist(doc):
+    """Every backticked ``tests/``, ``src/repro/``, ``benchmarks/`` or
+    ``examples/`` path exists, and every ``::Name`` after it is defined
+    there; trailing command-line arguments are ignored."""
+    missing = []
+    for span in _SPAN.finditer(doc.read_text()):
+        for cite in _CITE.finditer(span.group(1)):
+            path, names = ROOT / cite.group(1), cite.group(2).split("::")[1:]
+            if not path.is_file() or not _defines(path, names):
+                missing.append(cite.group(0))
+    assert not missing, f"{doc.name} cites what does not exist: {missing}"
 
 
 def test_core_documents_present():

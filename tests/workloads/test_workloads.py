@@ -167,6 +167,14 @@ class TestAppWorkload:
         assert all(0 <= op.lock_id < sig.lock_count for op in locks)
         assert all(op.hold_cycles == sig.lock_hold_cycles for op in locks)
 
+    @pytest.mark.parametrize("label", ["oc", "ja", "sh"])
+    def test_neighbor_app_needs_a_neighbour(self, label):
+        with pytest.raises(ValueError, match=rf"{label}.* 2-node"):
+            AppWorkload(signature(label), node=0, num_nodes=2)
+        for num_nodes in (3, 4, 5):
+            for node in range(num_nodes):
+                AppWorkload(signature(label), node=node, num_nodes=num_nodes)
+
     def test_private_regions_disjoint_across_nodes(self):
         a, b = self.make(node=0), self.make(node=1)
         assert set(a.reuse_lines()).isdisjoint(b.reuse_lines())
