@@ -128,7 +128,11 @@ class FsoiConfig:
     #: §4.3.2 ablation: with ``slotted=False`` transmissions may start on
     #: any cycle and collide on *overlap* (pure ALOHA); the paper's
     #: design constrains starts to slot boundaries (slotted ALOHA, ref
-    #: [40]), roughly halving the vulnerable window.
+    #: [40]), roughly halving the vulnerable window.  The ablation
+    #: models neither ``packet_error_rate`` nor §5.2 resolution hints
+    #: (construction refuses both), and it records no resolution
+    #: delays, so ``mean_resolution_delay`` reads 0.0 even after
+    #: collisions.
     slotted: bool = True
     #: Optional fault schedule (repro.faults).  ``None`` or an empty
     #: plan is guaranteed passive: no injector is built, no fault
@@ -232,6 +236,13 @@ class FsoiNetwork(Interconnect):
         self._error_rng = rng.stream("fsoi.errors")
         self._hint_rng = rng.stream("fsoi.hints")
 
+        if not config.slotted and (
+            config.packet_error_rate or config.optimizations.resolution_hints
+        ):
+            raise ValueError(
+                "the pure-ALOHA ablation (slotted=False) models neither "
+                "packet_error_rate nor resolution_hints"
+            )
         plan = config.faults
         if plan is not None and not plan.is_empty():
             if not config.slotted:

@@ -148,3 +148,25 @@ class CoronaNetwork(Interconnect):
             if not channel.idle or any(channel.queues):
                 return cycle
         return horizon
+
+    def audit(self) -> None:
+        """Beyond the base check: no sender holds more than
+        ``injection_queue`` packets, and each filed delivery is its
+        channel's current transfer — one per channel, due the cycle
+        after the held token's ``owner_until`` (so never in the past:
+        the channel frees only then)."""
+        super().audit()
+        for src in range(self.num_nodes):
+            queued = sum(len(channel.queues[src]) for channel in self._channels)
+            if queued > self.config.injection_queue:
+                raise AssertionError(f"node {src} holds {queued} packets")
+        filed = set()
+        for cycle, packets in self._deliveries.items():
+            for p in packets:
+                held = p.final_tx_cycle + self._serialization[p.lane] - 1
+                owner_until = self._channels[p.dst].owner_until
+                if p.dst in filed or owner_until != held or cycle != held + RX_OVERHEAD:
+                    raise AssertionError(
+                        f"packet {p.uid} filed for {cycle}, token held until {owner_until}"
+                    )
+                filed.add(p.dst)

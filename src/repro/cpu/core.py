@@ -631,8 +631,8 @@ def _fused_issue(core: Core):
     that never stall.  Misses and upgrades go through the real
     ``L1Controller.access``; only the hit path (no protocol side
     effects beyond counters, LRU and the silent E → M upgrade) is
-    inlined.  ``tests/cmp/test_vector_equivalence.py`` holds it equal
-    to the generic loop.
+    inlined.  ``tests/cmp/test_behaviour_pins.py`` holds it equal to
+    the generic loop.
 
     **Run-ahead windows.**  Between misses a core's issue is a function
     of its RNG cursor, its workload counters and its L1, and nothing

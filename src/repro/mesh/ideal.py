@@ -141,3 +141,19 @@ class IdealNetwork(Interconnect):
             if horizon is None or free < horizon:
                 horizon = free
         return horizon
+
+    def audit(self) -> None:
+        """Beyond the base check: ``_active`` is exactly the nodes with a
+        queued packet, and each filed delivery is due where its packet's
+        serialization and hops put it, after every send still in flight
+        (so never at a cycle already ticked)."""
+        super().audit()
+        queued = {node for node, queue in enumerate(self._queues) if queue}
+        if self._active != queued:
+            raise AssertionError(f"active {sorted(self._active)}, queued {sorted(queued)}")
+        filed = [(cycle, p) for cycle, packets in self._deliveries.items() for p in packets]
+        latest = max((p.first_tx_cycle for _, p in filed), default=-1)
+        for cycle, p in filed:
+            due = p.first_tx_cycle + p.lane.flits + self._hop_latency(p)
+            if cycle != due or cycle <= latest:
+                raise AssertionError(f"packet {p.uid} filed for {cycle}, due {due}")

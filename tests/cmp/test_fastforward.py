@@ -1,80 +1,17 @@
-"""The fast-forward engine's equivalence contract.
+"""The fast-forward engine's loop accounting and its escape hatch.
 
 The next-event loop (docs/performance.md) must be *invisible* in every
-measured quantity: a fast-forwarded run and a naive cycle-by-cycle run
-of the same configuration produce byte-identical ``CmpResults`` (minus
-the ``loop`` accounting field, which exists to describe the difference)
-and identical metrics-registry snapshots.  These tests pin that down
-across networks, seeds, system sizes and fault plans, plus the one
-escape hatch (``CmpConfig.fast_forward``).
-
-The run-both-and-diff machinery lives in ``tests/conftest.py``.
+measured quantity; ``tests/cmp/test_behaviour_pins.py`` runs its
+configurations with ``fast_forward`` on and off and diffs them.  These
+tests hold what the loop itself reports: the ``loop`` split, the
+``CmpConfig.fast_forward`` escape hatch, and the calendars that refuse
+to strand a past-cycle entry.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cmp import CmpConfig, CmpSystem
 from repro.coherence.messages import REQ_SH, make_message
-from tests.conftest import EQUIVALENCE_FAULT_PLAN, compare_engine_pair
-
-
-class TestEquivalence:
-    @pytest.mark.parametrize(
-        "network", ("fsoi", "mesh", "l0", "lr1", "lr2", "corona")
-    )
-    def test_all_networks(self, compare_engines, network):
-        compare_engines(app="oc", network=network, num_nodes=16, seed=1)
-
-    @pytest.mark.parametrize("seed", (0, 7))
-    def test_seeds(self, compare_engines, seed):
-        compare_engines(app="ba", network="fsoi", num_nodes=16, seed=seed)
-
-    def test_64_nodes_phase_array(self, compare_engines):
-        compare_engines(
-            app="em", network="fsoi", num_nodes=64, seed=2, cycles=900,
-        )
-
-    def test_faults_on(self, compare_engines):
-        compare_engines(
-            app="oc", network="fsoi", num_nodes=16, seed=4,
-            faults=EQUIVALENCE_FAULT_PLAN,
-        )
-
-    def test_low_activity_run_actually_skips(self, compare_engines):
-        # Ocean on the ideal L0 network has windows where every core is
-        # blocked at a barrier or on memory — real gaps between events.
-        loop = compare_engines(app="oc", network="l0", num_nodes=16, seed=1)
-        assert loop["skipped_cycles"] > 0
-
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        app=st.sampled_from(["oc", "ba", "mp", "ws"]),
-        network=st.sampled_from(["fsoi", "mesh", "lr2"]),
-        seed=st.integers(min_value=0, max_value=50),
-        cycles=st.integers(min_value=50, max_value=800),
-    )
-    def test_property_equivalence(self, app, network, seed, cycles):
-        compare_engine_pair(
-            app=app, network=network, num_nodes=16, seed=seed, cycles=cycles,
-        )
-
-    def test_run_until_instructions_stops_at_same_cycle(self):
-        systems = [
-            CmpSystem(CmpConfig(
-                app="lu", network="l0", num_nodes=16, seed=1,
-                fast_forward=fast_forward,
-            ))
-            for fast_forward in (True, False)
-        ]
-        results = [s.run_until_instructions(20_000) for s in systems]
-        assert results[0].cycles == results[1].cycles
-        assert results[0].instructions == results[1].instructions
 
 
 class TestEscapeHatches:

@@ -22,8 +22,8 @@ from repro.coherence.directory import DirectoryConfig, DirState, WarmLines
 from repro.coherence.messages import INV
 from repro.cpu.sync import SyncManager
 from repro.workloads import APPLICATIONS
-from tests.cmp.test_network_vector_equivalence import fingerprint
 from tests.coherence.test_directory import make_dir
+from tests.conftest import fingerprint
 
 DI, DV, DM = DirState.DI, DirState.DV, DirState.DM
 
@@ -203,7 +203,7 @@ class TestConstructionAllocatesWhatARunTouches:
 
 def test_bounded_run_pinned_to_materialised_set():
     # Recorded at 889c3ac (set-backed warm start) with this exact call.
-    digests, _ = fingerprint(
+    digests, _, _ = fingerprint(
         cycles=1500,
         num_nodes=16,
         app="tsp",

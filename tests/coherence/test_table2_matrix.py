@@ -17,7 +17,7 @@ For every handled cell the table also says *what* happens, and the
 emitted (as a multiset of ``MsgType``) and the counters that move — so
 the one set of handlers is checked against the paper rather than
 against a second implementation of itself.
-``tests/coherence/test_vector_primitives.py`` replays the same cells
+``tests/coherence/test_dispatch.py`` replays the same cells
 through ``CmpSystem``'s jump table.
 """
 

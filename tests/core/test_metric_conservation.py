@@ -1,12 +1,13 @@
 """Conservation laws over the FSOI network's counters.
 
 Every transmission has exactly one fate — delivered, collided, or
-corrupted by a signaling error — and every §5.2 resolution hint has
-exactly one outcome.  Random traffic of any shape must therefore
-satisfy, once the network drains:
+corrupted by a signaling error (under a fault plan also fault-lost,
+injected-corrupt or a duplicate reception) — and every §5.2 resolution
+hint has exactly one outcome.  Random traffic of any shape must
+therefore satisfy, once the network drains:
 
-* per lane: ``transmissions == delivered + collided_transmissions +
-  error_corrupted``
+* per lane, transmissions == fates: ``FsoiNetwork.audit()`` checks it
+  (equality once quiescent);
 * ``hints_issued == hints_correct + hints_wrong_winner +
   hints_ignored``
 
@@ -59,24 +60,6 @@ def lane_counters(net: FsoiNetwork, lane: LaneKind) -> dict[str, int]:
     return {key: c.value for key, c in net._lane_stats[lane].items()}
 
 
-def assert_transmission_ledger(net: FsoiNetwork) -> None:
-    for lane in (LaneKind.META, LaneKind.DATA):
-        c = lane_counters(net, lane)
-        explained = c["delivered"] + c["collided_tx"] + c["error_tx"]
-        if net._injector is not None:
-            # Fault injection adds three more transmission fates: lost
-            # in a dark lane/dead receiver, corrupted by the injector,
-            # or received as a duplicate after a dropped confirmation.
-            f = {key: counter.value
-                 for key, counter in net._fault_lane_stats[lane].items()}
-            explained += (
-                f["fault_lost"] + f["injected_corrupt"] + f["duplicate_rx"]
-            )
-        assert c["tx"] == explained, f"{lane.value} ledger broken: {c}"
-        # Deliveries can't exceed what the CMP layer handed over.
-        assert c["delivered"] <= c["tx"]
-
-
 def assert_hint_ledger(net: FsoiNetwork) -> None:
     h = {key: c.value for key, c in net._hint_stats.items()}
     assert h["issued"] == h["correct"] + h["wrong_winner"] + h["ignored"], (
@@ -88,7 +71,7 @@ def assert_hint_ledger(net: FsoiNetwork) -> None:
 def test_transmissions_conserved_baseline(seed):
     net = FsoiNetwork(FsoiConfig(num_nodes=NUM_NODES, seed=seed))
     drive(net, seed, packets=400, inject_window=150)
-    assert_transmission_ledger(net)
+    net.audit()
     # The traffic must actually have exercised the collision machinery.
     collided = sum(
         lane_counters(net, lane)["collided_tx"]
@@ -103,7 +86,7 @@ def test_transmissions_conserved_with_signaling_errors(seed):
         num_nodes=NUM_NODES, packet_error_rate=0.05, seed=seed
     ))
     drive(net, seed)
-    assert_transmission_ledger(net)
+    net.audit()
     total_errors = sum(
         lane_counters(net, lane)["error_tx"]
         for lane in (LaneKind.META, LaneKind.DATA)
@@ -119,7 +102,7 @@ def test_hints_conserved_with_all_optimizations(seed):
         seed=seed,
     ))
     drive(net, seed, packets=500, inject_window=300, reply_fraction=0.8)
-    assert_transmission_ledger(net)
+    net.audit()
     assert_hint_ledger(net)
     assert net._hint_stats["issued"].value > 0  # hints actually issued
 
@@ -146,7 +129,7 @@ def test_transmissions_conserved_unslotted(seed):
         num_nodes=NUM_NODES, slotted=False, seed=seed
     ))
     drive(net, seed)
-    assert_transmission_ledger(net)
+    net.audit()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -167,7 +150,7 @@ def test_no_silent_loss_under_faults(seed):
     )
     net = FsoiNetwork(FsoiConfig(num_nodes=NUM_NODES, faults=plan, seed=seed))
     drive(net, seed, packets=400, inject_window=300)
-    assert_transmission_ledger(net)
+    net.audit()
 
     summary = net.fault_summary()
     sent = int(net.stats.sent)

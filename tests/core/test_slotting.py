@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.network import FsoiConfig, FsoiNetwork
+from repro.core.optimizations import OptimizationConfig
 from repro.net.packet import LaneKind, Packet
 from repro.workloads.traffic import BernoulliTraffic, TrafficDriver
 
@@ -75,6 +76,18 @@ class TestUnslottedBasics:
         drain(net, 500)
         assert net.quiescent()
         assert sorted(delivered) == sorted(sent)
+
+    # The pure-ALOHA path draws no signaling errors and issues no
+    # resolution hints, so a config asking for either is refused
+    # rather than run without it.
+    def test_rejects_packet_error_rate(self):
+        with pytest.raises(ValueError, match="packet_error_rate"):
+            FsoiNetwork(FsoiConfig(num_nodes=8, slotted=False, packet_error_rate=0.5))
+
+    def test_rejects_resolution_hints(self):
+        hints = OptimizationConfig(resolution_hints=True)
+        with pytest.raises(ValueError, match="resolution_hints"):
+            FsoiNetwork(FsoiConfig(num_nodes=8, slotted=False, optimizations=hints))
 
 
 class TestSlottingReducesCollisions:

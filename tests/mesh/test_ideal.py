@@ -1,12 +1,7 @@
 """Tests for the idealized L0 / Lr1 / Lr2 networks."""
 
-import random
-
-import pytest
-
 from repro.mesh.ideal import IdealConfig, IdealNetwork
 from repro.net.packet import LaneKind, Packet
-from tests.conftest import compare_engine_pair
 
 
 def run(net, cycles):
@@ -96,52 +91,3 @@ class TestBookkeeping:
         assert not net.quiescent()
         run(net, 5)
         assert net.quiescent()
-
-
-def every_node_next_event(net, cycle):
-    """``next_event`` recomputed by walking every node's queue."""
-    horizon = min(net._deliveries) if net._deliveries else None
-    if horizon is not None and horizon <= cycle:
-        return cycle
-    for node, queue in enumerate(net._queues):
-        if not queue:
-            continue
-        free = net._channel_free_at[node]
-        if free <= cycle:
-            return cycle
-        if horizon is None or free < horizon:
-            horizon = free
-    return horizon
-
-
-@pytest.mark.parametrize("kind", ("l0", "lr1", "lr2"))
-class TestActiveSources:
-    def test_active_set_is_the_non_empty_queues(self, kind):
-        # Bursty offers (several packets per source per cycle, then
-        # silence) so queues fill, drain and refill.
-        net = IdealNetwork(getattr(IdealConfig, kind)(16))
-        rng = random.Random(7)
-        delivered = []
-        for node in range(16):
-            net.set_delivery_callback(node, delivered.append)
-        offered = 0
-        for cycle in range(600):
-            if cycle < 400 and cycle % 40 < 12:
-                for _ in range(rng.randrange(6)):
-                    src = rng.randrange(16)
-                    dst = (src + rng.randrange(1, 16)) % 16
-                    lane = rng.choice((LaneKind.META, LaneKind.DATA))
-                    offered += net.try_send(Packet(src=src, dst=dst, lane=lane), cycle)
-            net.tick(cycle)
-            recount = {node for node, queue in enumerate(net._queues) if queue}
-            assert net._active == recount
-            assert net.quiescent() == (not net._deliveries and not recount)
-            assert net.next_event(cycle + 1) == every_node_next_event(net, cycle + 1)
-        assert net.quiescent()
-        assert len(delivered) == offered > 100
-
-    def test_fast_forward_changes_nothing(self, kind):
-        loop = compare_engine_pair(
-            app="ba", network=kind, num_nodes=16, seed=3, cycles=1000,
-        )
-        assert loop["executed_cycles"] + loop["skipped_cycles"] == 1000

@@ -141,7 +141,13 @@ class TestConservation:
         assert a.deliver_cycle > 0 and b.deliver_cycle > 0
 
     def test_point_to_point_order_preserved(self):
-        """Same source, same destination: delivery follows injection."""
+        """Same source, same destination, no other traffic: delivery
+        follows injection.  That is all the mesh keeps: a source injects
+        in queue order and each VC is a FIFO, but one source's packets
+        take different VCs and switch allocation picks among VCs
+        round-robin, so under contention a later packet can overtake an
+        earlier one.  Coherence relies on the §4.4 per-line hold, not on
+        network order."""
         net = make_mesh()
         order = []
         net.set_delivery_callback(7, lambda p: order.append(p.uid))
@@ -150,43 +156,6 @@ class TestConservation:
             net.try_send(p, 0)
         drain(net, 0)
         assert order == [p.uid for p in packets]
-
-
-class TestQuiescence:
-    @staticmethod
-    def recount(net) -> bool:
-        """Quiescence from first principles: nothing queued, nothing
-        half-injected, nothing awaiting ejection, every buffer empty."""
-        return (
-            not net._deliveries
-            and not any(net._inject_queues)
-            and all(state is None for state in net._inject_state)
-            and all(router.occupancy() == 0 for router in net.routers)
-        )
-
-    def test_counters_agree_with_buffer_recount(self):
-        # quiescent() answers from maintained counters; a recount of
-        # every queue and VC buffer must say the same on each cycle —
-        # idle, with traffic in flight, and after the drain.
-        net = make_mesh()
-        assert net.quiescent() and self.recount(net)
-        rng = np.random.default_rng(11)
-        busy_cycles = 0
-        for cycle in range(120):
-            for src in range(16):
-                if cycle < 60 and rng.random() < 0.1:
-                    dst = int(rng.integers(0, 15))
-                    dst = dst if dst < src else dst + 1
-                    lane = LaneKind.DATA if rng.random() < 0.3 else LaneKind.META
-                    net.try_send(Packet(src=src, dst=dst, lane=lane), cycle)
-            net.tick(cycle)
-            assert net.quiescent() == self.recount(net)
-            busy_cycles += not net.quiescent()
-            net.audit()
-        assert busy_cycles > 60
-        drain(net, 120)
-        assert net.quiescent() and self.recount(net)
-        net.audit()
 
 
 class TestActivity:

@@ -1,6 +1,17 @@
-"""Router-internal corner cases: VC exhaustion, credit discipline."""
+"""Router-internal corner cases: VC exhaustion, credit discipline, and
+round-robin switch arbitration.
+
+The arbitration tests drive a stand-alone :class:`Router`: with ``k``
+ready requesters on one output port and the arbiter pointer at
+``start``, the flit forwarded is the one ``min((index - start) % 1000)``
+names (``index = in_port * num_vcs + vc + 1``) — the first element of a
+``sorted`` pick by cyclic distance — and the pointer advances just past
+it.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.mesh.router import Router
@@ -139,3 +150,102 @@ class TestArbitrationBound:
         # ``first`` and wraps around to the lower indices.
         start = self.index(self.KEYS[first - 1]) + 1 if first else 0
         assert self.ejection_order(start) == self.KEYS[first:] + self.KEYS[:first]
+
+
+NUM_VCS = 4
+NODE = 5  # an interior node of the 4x4 mesh
+
+#: Distinct (input port, vc) requesters; the ejection port is never
+#: flow-control blocked, so every ready head is a candidate.
+requester_keys = st.sets(
+    st.tuples(st.sampled_from(list(Port)), st.integers(0, NUM_VCS - 1)),
+    min_size=1, max_size=len(Port) * NUM_VCS,
+)
+pointers = st.integers(min_value=0, max_value=999)
+
+
+def arbitration_index(key):
+    in_port, vc = key
+    return in_port * NUM_VCS + vc + 1
+
+
+def ejecting_router(keys, start, flits=1, not_ready=()):
+    """A stand-alone router with one packet for the local port waiting
+    in each of ``keys`` and the ejection arbiter pointer at ``start``.
+
+    Returns ``(router, delivered, packet_of)``; tail ejections append to
+    ``delivered``.  Heads in ``not_ready`` become processable only at
+    cycle 100.
+    """
+    delivered = []
+    router = Router(
+        node=NODE, side=4, num_vcs=NUM_VCS, buffer_flits=4,
+        router_latency=4, link_latency=1,
+        deliver=lambda packet, cycle: delivered.append(packet),
+    )
+    packet_of = {}
+    for key in sorted(keys):
+        packet = Packet(src=0, dst=NODE, lane=LaneKind.META)
+        packet_of[key] = packet
+        ready = 100 if key in not_ready else 0
+        router.accept_flit(*key, ready, packet, flits)
+        for _ in range(flits - 1):
+            router.accept_flit(*key, ready)
+    router._arbiter_state[Port.LOCAL] = start
+    return router, delivered, packet_of
+
+
+class TestRrPick:
+    @settings(deadline=None)
+    @given(keys=requester_keys, start=pointers)
+    def test_matches_sorted_pick(self, keys, start):
+        router, delivered, packet_of = ejecting_router(keys, start)
+        router.tick(0)
+        # The rule as a stable sort by cyclic distance from the arbiter
+        # pointer, winner first.
+        winner = sorted(
+            keys, key=lambda key: (arbitration_index(key) - start) % 1000
+        )[0]
+        assert delivered == [packet_of[winner]]
+        assert router._arbiter_state[Port.LOCAL] == arbitration_index(winner) + 1
+
+    @settings(deadline=None)
+    @given(data=st.data(), keys=requester_keys, start=pointers)
+    def test_winner_minimizes_cyclic_distance(self, data, keys, start):
+        # Only ready heads compete: the winner is cyclically nearest the
+        # pointer among them, however near a future-ready head sits.
+        not_ready = data.draw(st.sets(st.sampled_from(sorted(keys))))
+        router, delivered, packet_of = ejecting_router(
+            keys, start, not_ready=not_ready
+        )
+        router.tick(0)
+        ready = keys - not_ready
+        if not ready:
+            assert delivered == []
+            assert router._arbiter_state[Port.LOCAL] == start
+            return
+        (winner,) = [key for key in ready if packet_of[key] is delivered[0]]
+        winner_distance = (arbitration_index(winner) - start) % 1000
+        assert all(
+            (arbitration_index(key) - start) % 1000 >= winner_distance
+            for key in ready
+        )
+
+    def test_pointer_update_gives_lowest_priority_to_winner(self):
+        # After a grant the arbiter pointer moves to winner + 1, so an
+        # immediate re-request from the same input loses to anyone else
+        # — the property that makes the scheme fair.  Two 2-flit packets
+        # (arbitration indices 5 and 10) alternate on the ejection port.
+        first, second = (Port.EAST, 0), (Port.WEST, 1)
+        router, delivered, packet_of = ejecting_router(
+            {first, second}, start=0, flits=2
+        )
+        granted = []
+        for cycle in range(4):
+            router.tick(cycle)
+            granted.append(router._arbiter_state[Port.LOCAL] - 1)
+        assert granted == [
+            arbitration_index(first), arbitration_index(second),
+            arbitration_index(first), arbitration_index(second),
+        ]
+        assert delivered == [packet_of[first], packet_of[second]]

@@ -1,7 +1,7 @@
 """Pinned behaviour of the paths the CMP-load pins barely reach.
 
-``tests/cmp/test_network_vector_equivalence.py`` holds both networks to
-digests of whole ``CmpSystem`` runs, but at CMP load a mesh output port
+``tests/cmp/test_behaviour_pins.py`` holds both networks to digests of
+whole ``CmpSystem`` runs, but at CMP load a mesh output port
 rarely has two ready requesters and a sender rarely has a lane marked
 down.  These pins drive exactly those paths:
 
@@ -27,16 +27,10 @@ down.  These pins drive exactly those paths:
 
 The digests live beside the CMP-load pins in
 ``tests/data/network_engine_pins.json`` under their own keys.  The mesh
-and fault-gather pins were recorded at the commit *before* the
-flat-index router and the due-or-marked-down fault gather landed
-(ISSUE 15)::
-
-    PYTHONPATH=src python -m pytest tests/net/test_channel_pins.py --update-golden
-
-and the bare-FSOI pins at 370818b, the commit *before* the pending set,
-the back-off heaps and the one-entry-per-collision calendar (ISSUE 23)::
-
-    PYTHONPATH=src python -m pytest tests/net/test_channel_pins.py -k TestBareFsoi --update-golden
+and fault-gather pins were recorded before the flat-index router and
+the due-or-marked-down fault gather landed, and the bare-FSOI pins at
+370818b, before the pending set, the back-off heaps and the
+one-entry-per-collision calendar.
 """
 
 import hashlib
@@ -246,9 +240,7 @@ class TestMeshVariants:
     (2-flit meta and 10-flit data packets), one VC per port, and 2-flit
     buffers that stall hops and injection on credits; plus the ``vc_alloc`` /
     ``eject`` trace stream of an incast leg.  Recorded at e044c15, the
-    commit before VC buffers held ready cycles instead of flit objects::
-
-        PYTHONPATH=src python -m pytest tests/net/test_channel_pins.py -k TestMeshVariants --update-golden
+    commit before VC buffers held ready cycles instead of flit objects.
     """
 
     @pytest.mark.parametrize("key, config", [

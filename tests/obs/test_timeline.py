@@ -2,9 +2,8 @@
 
 The acceptance bar for the telemetry layer: a seeded 16-node FSOI run
 with ``window=100`` must export byte-identical JSONL across repeated
-runs, with ``fast_forward`` on and off, and equal to the archive both
-cores engines wrote before they were folded into one, while perturbing
-nothing the simulator measures.  The export formats (JSONL, chrome
+runs, with ``fast_forward`` on and off, and equal to its pinned digest,
+while perturbing nothing the simulator measures.  The export formats (JSONL, chrome
 counter events, OpenMetrics) are validated with the same linters the
 CLI uses.
 """
@@ -55,18 +54,14 @@ class TestDeterminism:
         _, second, _ = timelined_run()
         assert first == second
 
-    @pytest.mark.parametrize("flag", ["vectorized", "fast_forward"])
-    def test_engine_toggle_byte_identical(self, flag, pinned):
+    def test_fast_forward_byte_identical(self):
         _, enabled, _ = timelined_run()
-        if flag == "fast_forward":
-            _, disabled, _ = timelined_run(fast_forward=False)
-            assert enabled == disabled
-            return
-        # "vectorized" chose between two cores engines until 135c206;
-        # both exported this archive (recording command in
-        # tests/cmp/test_vector_equivalence.py), and so must the one
-        # engine there is now.
-        digest = hashlib.sha256(enabled.encode()).hexdigest()
+        _, disabled, _ = timelined_run(fast_forward=False)
+        assert enabled == disabled
+
+    def test_archive_matches_pin(self, pinned):
+        _, archive, _ = timelined_run()
+        digest = hashlib.sha256(archive.encode()).hexdigest()
         pinned("fft-fsoi-16-seed3-timeline-w100", {"jsonl": digest})
 
     def test_sliced_run_matches_single_run(self):
