@@ -7,6 +7,14 @@ decoding and error checking).  By construction confirmations never
 collide: a node sends at most one packet per lane per slot, so it
 receives at most one confirmation per lane per cycle.
 
+Most confirmations are heard by nothing but the sender's transmit
+logic, which the network already resolved when it filed the delivery:
+only a packet with an ``on_confirmed`` hook (§5.1's confirmation-acked
+invalidations) runs code on arrival.  A confirmation nothing hears
+still occupies the channel until it arrives — the network is not
+quiescent and the fast-forward horizon stops there — so the channel
+keeps its arrival cycle, a bare int in a heap beside the calendar.
+
 §5.1 additionally exploits the channel's *mini-cycles*: each CPU cycle
 contains 12 communication cycles (40 Gbps vs 3.3 GHz), so the directory
 can convey a single bit (a load-linked value, a store-conditional
@@ -18,6 +26,7 @@ channel's confirmation delay) with no reservation table.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro.obs.trace import TRACE
@@ -30,7 +39,10 @@ class ConfirmationChannel:
     """Schedules confirmation (and piggy-backed hint/bit) deliveries.
 
     The channel is ideal by construction — no collisions, fixed delay —
-    so it is modeled as a calendar of (cycle, callback) deliveries.
+    so it is modeled as a calendar of ``(cycle, callback)`` deliveries
+    for the arrivals something hears, and a heap of bare arrival cycles
+    (``_unheard``) for the confirmations nothing hears.  Both count as
+    pending until their cycle is ticked, and both bound the horizon.
     """
 
     def __init__(self, num_nodes: int, delay: int = 2):
@@ -39,6 +51,9 @@ class ConfirmationChannel:
         self.num_nodes = num_nodes
         self.delay = delay
         self._calendar = CycleCalendar()
+        # Arrival cycles of the confirmations nothing hears, a heap.  The
+        # list is only ever mutated in place (owners may cache it).
+        self._unheard: list[int] = []
         self.confirmations_sent = 0
         self.signals_sent = 0
         #: Confirmations lost to injected faults (repro.faults); such a
@@ -46,15 +61,19 @@ class ConfirmationChannel:
         self.confirmations_dropped = 0
 
     def send_confirmation(
-        self, cycle_received: int, action: Callable[[], None]
+        self, cycle_received: int, action: Optional[Callable[[], None]]
     ) -> int:
         """Queue a confirmation for a packet received at ``cycle_received``.
 
-        ``action`` runs at the sender when the confirmation arrives.
-        Returns the arrival cycle (``cycle_received + delay``).
+        ``action`` runs at the sender when the confirmation arrives;
+        ``None`` files only the arrival cycle.  Returns the arrival cycle
+        (``cycle_received + delay``).
         """
         arrival = cycle_received + self.delay
-        self._calendar.schedule(arrival, action)
+        if action is None:
+            heappush(self._unheard, arrival)
+        else:
+            self._calendar.schedule(arrival, action)
         self.confirmations_sent += 1
         if TRACE.enabled:
             TRACE.emit(
@@ -91,16 +110,23 @@ class ConfirmationChannel:
 
     def tick(self, cycle: int) -> None:
         """Deliver everything due at ``cycle``."""
+        unheard = self._unheard
+        while unheard and unheard[0] <= cycle:
+            heappop(unheard)
         self._calendar.run_due(cycle)
 
     def next_event(self, cycle: int) -> Optional[int]:
         """Fast-forward horizon: the earliest pending arrival, if any.
 
-        Arrivals are scheduled ``delay >= 1`` cycles ahead, so the heap
-        top is never in the past relative to the network's tick.
+        Arrivals are scheduled ``delay >= 1`` cycles ahead, so neither
+        heap top is ever in the past relative to the network's tick.
         """
-        return self._calendar.next_cycle()
+        horizon = self._calendar.next_cycle()
+        unheard = self._unheard
+        if unheard and (horizon is None or unheard[0] < horizon):
+            return unheard[0]
+        return horizon
 
     def pending(self) -> int:
-        """Number of queued deliveries (for drain checks)."""
-        return len(self._calendar)
+        """Number of queued arrivals, heard or not (for drain checks)."""
+        return len(self._calendar) + len(self._unheard)

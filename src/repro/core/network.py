@@ -71,10 +71,6 @@ NEVER = 1 << 62
 REPLY_LATENCY_ESTIMATE = 30
 
 
-def _noop() -> None:
-    pass
-
-
 def slot_horizon(earliest_ready: int, cycle: int, slot_len: int) -> int | None:
     """First slot boundary at which a pending transmission can start.
 
@@ -220,7 +216,8 @@ class FsoiNetwork(Interconnect):
     top of its node's back-off heap, and the colliders of one event
     share one calendar entry.  The fast-forward horizon is the lane
     minimum rounded up to a boundary, and the network is quiescent when
-    both ``pending`` sets and both calendars are empty.
+    both ``pending`` sets, both calendars and the confirmation channel's
+    unheard arrivals are empty.
     A fault plan adds no node to a boundary and nothing to the horizon:
     the sender's sparing probe (``FaultInjector.lane_suppressed``)
     answers at any later boundary as a probe at every boundary would
@@ -278,6 +275,7 @@ class FsoiNetwork(Interconnect):
         # underlying lists are mutated in place, never rebound).
         self._due = self._calendar._heap
         self._conf_due = self.confirmations._calendar._heap
+        self._unheard = self.confirmations._unheard
         # When each (lane, node) can next transmit: which nodes a slot
         # boundary visits, the fast-forward horizon and quiescence.
         self._index = {
@@ -407,10 +405,18 @@ class FsoiNetwork(Interconnect):
         queue.append(packet)
         if len(queue) == 1:
             # Only a new queue head can move the node's readiness, and
-            # only to an earlier cycle.
+            # only to an earlier cycle (== index.update(src, scheduled),
+            # whose raising branches a lowering write cannot take).
             index = self._index[lane]
-            if scheduled < index.ready[src]:
-                index.update(src, scheduled)
+            ready = index.ready
+            old = ready[src]
+            if scheduled < old:
+                ready[src] = scheduled
+                if old == NEVER:
+                    index.pending.add(src)
+                if scheduled < index._min:
+                    index._min = scheduled
+                    index._stale = False
         self.stats.sent.value += 1  # == .add(), minus the call frame
         return True
 
@@ -418,12 +424,15 @@ class FsoiNetwork(Interconnect):
         if TRACE.enabled:
             TRACE.cycle = cycle
         self._now = cycle
+        unheard = self._unheard
+        while unheard and unheard[0] <= cycle:
+            heappop(unheard)  # a confirmation nothing hears arrives
         due = self._conf_due
         if due and due[0][0] <= cycle:
             self.confirmations.tick(cycle)
         due = self._due
-        if due and due[0][0] <= cycle:
-            self._calendar.run_due(cycle)  # scheduled outcomes
+        while due and due[0][0] <= cycle:  # == self._calendar.run_due(cycle)
+            heappop(due)[2]()  # scheduled outcomes
         for lane, slot_len in self._slot_items:
             if not self._slotted:
                 self._start_unslotted(lane, cycle)
@@ -432,17 +441,21 @@ class FsoiNetwork(Interconnect):
 
     def quiescent(self) -> bool:
         meta, data = self._index.values()
-        return not (self._due or self._conf_due or meta.pending or data.pending)
+        return not (
+            self._due or self._conf_due or self._unheard
+            or meta.pending or data.pending
+        )
 
     # -- fast-forward horizon (see docs/performance.md) -----------------
 
     def next_event(self, cycle: int) -> int | None:
         """Earliest future cycle at which the network can change state.
 
-        The horizon is the min over: the confirmation calendar, the
-        outcome calendar, and — per lane with pending transmissions —
-        the first slot boundary at or after the earliest packet becomes
-        eligible (:func:`slot_horizon` of the lane index's minimum).
+        The horizon is the min over: the confirmation channel (its
+        calendar and unheard arrivals), the outcome calendar, and — per
+        lane with pending transmissions — the first slot boundary at or
+        after the earliest packet becomes eligible (:func:`slot_horizon`
+        of the lane index's minimum).
         The pure-ALOHA ablation (``slotted=False``) starts
         transmissions on any cycle, so it pins the horizon to "now"
         (fast-forward inhibited).  A lane its sender has marked down
@@ -480,10 +493,11 @@ class FsoiNetwork(Interconnect):
     def _start_slot(self, lane: LaneKind, cycle: int) -> None:
         self._slots_counter[lane].value += 1
         index = self._index[lane]
-        if index.minimum() > cycle:
+        if (index.minimum() if index._stale else index._min) > cycle:
             return  # idle lane, or nothing eligible yet
         ready = index.ready
-        nodes = [node for node in index.pending if ready[node] <= cycle]
+        pending = index.pending
+        nodes = [node for node in pending if ready[node] <= cycle]
         nodes.sort()
         inj = self._injector
         tx_counter = self._lane_stats[lane]["tx"]
@@ -496,26 +510,44 @@ class FsoiNetwork(Interconnect):
         # take priority over fresh queue heads (they are older traffic).
         sends: list[tuple[Packet, int]] = []
         for node in nodes:
+            # The pick and the re-fold of the node's readiness from its two
+            # heads (== _pick_transmission, written out for the hot path).
             state = states[node]
+            retx = state.retx
+            queue = state.queue
+            if retx and retx[0][0] <= cycle:  # earliest (release, seq) first
+                packet = heappop(retx)[2]
+            elif queue and queue[0].scheduled_cycle <= cycle:
+                packet = queue.popleft()
+            else:
+                continue
+            new = retx[0][0] if retx else NEVER
+            if queue and queue[0].scheduled_cycle < new:
+                new = queue[0].scheduled_cycle
+            old = ready[node]
+            if new != old:  # == index.update(node, new); old is due, not NEVER
+                ready[node] = new
+                if new == NEVER:
+                    pending.discard(node)
+                if new < index._min:
+                    index._min = new
+                    index._stale = False
+                elif old == index._min:
+                    index._stale = True
             if inj is not None and inj.lane_suppressed(node, lane, cycle):
                 # Lane sparing: the sender has detected its dead lane and
                 # stops lighting it — queued traffic fast-fails straight
                 # into back-off (escalating towards give-up) without
                 # occupying the medium or counting as a transmission.
-                packet = self._pick_transmission(lane, state, cycle)
-                if packet is not None:
-                    self._fault_lane_stats[lane]["suppressed"].add()
-                    packet.retries += 1
-                    if TRACE.enabled:
-                        TRACE.emit(
-                            "fault_suppressed", cat="fault", cycle=cycle,
-                            node=node, lane=lane.value, packet=packet.uid,
-                            retries=packet.retries,
-                        )
-                    self._back_off(lane, packet, cycle)
-                continue
-            packet = self._pick_transmission(lane, state, cycle)
-            if packet is None:
+                self._fault_lane_stats[lane]["suppressed"].add()
+                packet.retries += 1
+                if TRACE.enabled:
+                    TRACE.emit(
+                        "fault_suppressed", cat="fault", cycle=cycle,
+                        node=node, lane=lane.value, packet=packet.uid,
+                        retries=packet.retries,
+                    )
+                self._back_off(lane, packet, cycle)
                 continue
             if packet.first_tx_cycle < 0:
                 packet.first_tx_cycle = cycle
@@ -699,6 +731,16 @@ class FsoiNetwork(Interconnect):
     def _pick_transmission(
         self, lane: LaneKind, state: _LaneState, cycle: int
     ) -> Packet | None:
+        """Pop ``state``'s due transmission, if any, and re-fold its
+        node's readiness (the unslotted ablation; a slot boundary's
+        gather writes the same steps out).
+
+        Retransmissions go first (they are older traffic).  Only the two
+        *heads* count for readiness — the heap top is the earliest
+        release, and FIFO order means a later packet cannot transmit
+        before the queue head does.  An enqueue or a back-off can only
+        make the node ready earlier and writes the index itself.
+        """
         retx = state.retx
         queue = state.queue
         if retx and retx[0][0] <= cycle:  # earliest (release, seq) first
@@ -707,25 +749,11 @@ class FsoiNetwork(Interconnect):
             packet = queue.popleft()
         else:
             return None
-        self._note_lane_state(lane, state)
-        return packet
-
-    def _note_lane_state(self, lane: LaneKind, state: _LaneState) -> None:
-        """The top of ``state``'s back-off heap or its queue head just
-        changed in a way that can delay the node (a pick, a
-        resolution-hint re-release): recount its readiness.
-
-        Only the two *heads* count — the heap top is the earliest
-        release, and FIFO order means a later packet cannot transmit
-        before the queue head does — which is what
-        :meth:`_pick_transmission` inspects.  An enqueue or a back-off
-        can only make the node ready earlier and writes the index itself.
-        """
-        ready = state.retx[0][0] if state.retx else NEVER
-        queue = state.queue
+        ready = retx[0][0] if retx else NEVER
         if queue and queue[0].scheduled_cycle < ready:
             ready = queue[0].scheduled_cycle
         self._index[lane].update(state.node, ready)
+        return packet
 
     def _hold(self, lane: LaneKind, packet: Packet, release: int) -> None:
         """File ``packet`` for retransmission no earlier than ``release``."""
@@ -738,9 +766,9 @@ class FsoiNetwork(Interconnect):
             index.update(src, release)
 
     def audit(self) -> None:
-        """Two self-checks per lane, each raising an ``AssertionError``
-        that names what broke (raised, not asserted, so ``python -O``
-        keeps them):
+        """Two self-checks per lane and one of the confirmation channel,
+        each raising an ``AssertionError`` that names what broke (raised,
+        not asserted, so ``python -O`` keeps them):
 
         * the lane index — ``ready``, its cached minimum and ``pending``,
           which ``quiescent()`` reads — agrees with a recount of the
@@ -750,9 +778,23 @@ class FsoiNetwork(Interconnect):
           collided or signal-error corrupted — under a fault plan also
           fault-lost, injected-corrupt or a duplicate reception — so the
           fates never outnumber the transmissions, and equal them once
-          the network is quiescent.
+          the network is quiescent;
+        * the arrival cycles of the confirmations nothing hears, which
+          ``quiescent()`` and the horizon read, are a heap, and none is
+          at or before the last ticked cycle (that tick pops it).
         """
         super().audit()
+        unheard = self._unheard
+        if any(
+            unheard[(child - 1) >> 1] > unheard[child]
+            for child in range(1, len(unheard))
+        ):
+            raise AssertionError("the unheard-confirmation arrivals are not a heap")
+        if unheard and unheard[0] <= self._now:
+            raise AssertionError(
+                f"an unheard confirmation due at cycle {unheard[0]} is still "
+                f"pending after tick {self._now}"
+            )
         quiescent = self.quiescent()
         for lane, states in self._state.items():
             name = lane.value
@@ -837,12 +879,53 @@ class FsoiNetwork(Interconnect):
         self, lane: LaneKind, cycle: int, slot_len: int, packet: Packet, setup: int
     ) -> None:
         """A transmission alone on its receiver: delivered and confirmed
-        unless a signaling error or an injected fault corrupts it."""
+        unless a signaling error or an injected fault corrupts it.
+
+        The clean outcome comes first and files its two entries itself:
+        the delivery on the outcome calendar, and the confirmation on the
+        confirmation channel — a bare arrival cycle when nothing hears it
+        (``on_confirmed`` is ``None``), see :mod:`repro.core.confirmation`.
+        """
         inj = self._injector
         receive_cycle = cycle + slot_len - 1 + setup
+        error = self._error_rate > 0.0 and self._error_rng.random() < self._error_rate
+        if not error and inj is None:
+            packet.final_tx_cycle = cycle
+            if packet.retries > 0:
+                self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
+            # == self._schedule(deliver_cycle, ...): a reception ends in
+            # this slot or later, so the delivery is never in the past.
+            deliver_cycle = receive_cycle + RX_OVERHEAD
+            calendar = self._calendar
+            calendar._seq = seq = calendar._seq + 1
+            deliver = partial(self._deliver, packet, deliver_cycle)
+            heappush(self._due, (deliver_cycle, seq, deliver))
+            if lane is LaneKind.DATA and self._hints:
+                self._expected[packet.dst].fulfil(packet.src)
+            # == self.confirmations.send_confirmation(receive_cycle, hook):
+            # the confirmation arrives back at the sender two cycles after
+            # reception; §5.1 consumers hook it via packet.on_confirmed.
+            confirmations = self.confirmations
+            confirmations.confirmations_sent += 1
+            arrival = receive_cycle + self._conf_delay
+            hook = packet.on_confirmed
+            if hook is None:
+                heappush(self._unheard, arrival)
+            else:
+                confirmations._calendar.schedule(arrival, hook)
+            if TRACE.enabled:
+                TRACE.emit(
+                    "confirm_scheduled", cat="confirmation",
+                    cycle=receive_cycle, arrival=arrival,
+                )
+                TRACE.emit(
+                    "confirmation", cat="fsoi", cycle=arrival,
+                    node=packet.src, lane=lane.value, packet=packet.uid,
+                )
+            return
         # When the sender notices a confirmation did not come back.
         detect = receive_cycle + self._conf_delay + 1
-        if self._error_rate > 0.0 and self._error_rng.random() < self._error_rate:
+        if error:
             # A signaling error corrupts the packet; the sender sees a
             # missing confirmation, exactly like a collision (§4.3.1).
             self._lane_stats[lane]["error_tx"].add()
@@ -854,28 +937,25 @@ class FsoiNetwork(Interconnect):
             packet.retries += 1
             self._schedule(detect, partial(self._back_off, lane, packet, detect))
             return
-        if inj is not None:
-            probability = inj.corruption_probability(
-                packet.src, lane, cycle, packet.bits
-            )
-            if inj.draw_corruption(probability):
-                # Droop / burst corruption fails the PID integrity check
-                # at the receiver — indistinguishable from a collision.
-                self._fault_lane_stats[lane]["injected_corrupt"].add()
-                if TRACE.enabled:
-                    TRACE.emit(
-                        "fault_corrupt", cat="fault", cycle=cycle,
-                        node=packet.dst, lane=lane.value, packet=packet.uid,
-                        probability=probability,
-                    )
-                packet.retries += 1
-                self._schedule(detect, partial(self._back_off, lane, packet, detect))
-                return
+        # A fault plan is active from here on.
+        probability = inj.corruption_probability(packet.src, lane, cycle, packet.bits)
+        if inj.draw_corruption(probability):
+            # Droop / burst corruption fails the PID integrity check
+            # at the receiver — indistinguishable from a collision.
+            self._fault_lane_stats[lane]["injected_corrupt"].add()
+            if TRACE.enabled:
+                TRACE.emit(
+                    "fault_corrupt", cat="fault", cycle=cycle,
+                    node=packet.dst, lane=lane.value, packet=packet.uid,
+                    probability=probability,
+                )
+            packet.retries += 1
+            self._schedule(detect, partial(self._back_off, lane, packet, detect))
+            return
         # Under confirmation drops a sender may retransmit a packet the
         # destination already delivered; such duplicate receptions are
         # recognized (sequence numbers in the header) and not re-delivered.
-        already_delivered = inj is not None and packet._fault_delivered
-        if already_delivered:
+        if packet._fault_delivered:
             self._fault_lane_stats[lane]["duplicate_rx"].add()
             if TRACE.enabled:
                 TRACE.emit(
@@ -888,13 +968,10 @@ class FsoiNetwork(Interconnect):
                 self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
             deliver_cycle = receive_cycle + RX_OVERHEAD
             self._schedule(deliver_cycle, partial(self._deliver, packet, deliver_cycle))
-            if inj is not None:
-                packet._fault_delivered = True
+            packet._fault_delivered = True
             if lane is LaneKind.DATA and self._hints:
                 self._expected[packet.dst].fulfil(packet.src)
-        if inj is not None and inj.drop_confirmation(
-            packet.src, receive_cycle + self._conf_delay
-        ):
+        if inj.drop_confirmation(packet.src, receive_cycle + self._conf_delay):
             # The packet got through, but the confirmation pulse is lost:
             # the sender walks the timeout path as if it had collided.
             self.confirmations.record_dropped(receive_cycle)
@@ -902,24 +979,18 @@ class FsoiNetwork(Interconnect):
             packet.retries += 1
             self._schedule(detect, partial(self._back_off, lane, packet, detect))
             return
-        # The confirmation arrives back at the sender two cycles after
-        # reception; §5.1 consumers hook it via packet.on_confirmed.
-        # Under faults the hook fires exactly once even if drops forced
-        # duplicate confirmed receptions.
-        if packet.on_confirmed is None:
-            callback = _noop
-        elif inj is None:
-            callback = packet.on_confirmed
-        else:
+        # The hook fires exactly once even if drops forced duplicate
+        # confirmed receptions.
+        callback = None
+        if packet.on_confirmed is not None:
             def callback(p: Packet = packet) -> None:
                 if not p._fault_confirm_fired:
                     p._fault_confirm_fired = True
                     p.on_confirmed()
-        self.confirmations.send_confirmation(receive_cycle, callback)
+        arrival = self.confirmations.send_confirmation(receive_cycle, callback)
         if TRACE.enabled:
             TRACE.emit(
-                "confirmation", cat="fsoi",
-                cycle=receive_cycle + self._conf_delay,
+                "confirmation", cat="fsoi", cycle=arrival,
                 node=packet.src, lane=lane.value, packet=packet.uid,
             )
 
@@ -1073,7 +1144,11 @@ class FsoiNetwork(Interconnect):
             self._hint_stats["wrong_winner"].add()
             _release, seq, packet = state.retx[0]  # keeps its seq
             heapreplace(state.retx, (cycle + slot_len, seq, packet))
-            self._note_lane_state(LaneKind.DATA, state)
+            # The heap top moved, either way: re-fold the node's readiness.
+            ready = state.retx[0][0]
+            if state.queue and state.queue[0].scheduled_cycle < ready:
+                ready = state.queue[0].scheduled_cycle
+            self._index[LaneKind.DATA].update(chosen, ready)
             outcome = "wrong_winner"
         else:
             self._hint_stats["ignored"].add()
@@ -1112,13 +1187,21 @@ class FsoiNetwork(Interconnect):
     # ------------------------------------------------------------------
 
     def _deliver(self, packet: Packet, cycle: int) -> None:
+        """A delivery's outcome-calendar entry: the lane tally and trace
+        event, then the tail every transport shares
+        (== ``Interconnect._deliver``, written out: one frame a packet)."""
         self._delivered[packet.lane].value += 1
         if TRACE.enabled:
             TRACE.emit(
                 "deliver", cat="fsoi", cycle=cycle, node=packet.dst,
                 lane=packet.lane.value, packet=packet.uid, src=packet.src,
             )
-        super()._deliver(packet, cycle)
+        packet.deliver_cycle = cycle
+        self.stats.record_delivery(packet)
+        self._traffic[packet.src * self.num_nodes + packet.dst] += 1
+        callback = self._callbacks[packet.dst]
+        if callback is not None:
+            callback(packet)
 
     def _schedule(self, cycle: int, action) -> None:
         if cycle <= self._now:

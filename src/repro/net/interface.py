@@ -44,22 +44,36 @@ class InterconnectStats:
         self.network = self.group.latency("network_delay")
         self.resolution = self.group.latency("resolution_delay")
         self.total = self.group.latency("total_delay")
+        # The five components' sample tables, bumped in place by
+        # record_delivery as LatencyStat.record does an int sample.
+        self._samples = tuple(
+            stat._counts for stat in (
+                self.queuing, self.scheduling, self.resolution, self.network, self.total
+            )
+        )
 
     def record_delivery(self, packet: Packet) -> None:
-        # The component arithmetic is inlined (rather than read through
-        # the Packet delay properties) — this runs once per delivered
-        # packet on the network phase's hot path.
+        # One frame per delivered packet on the network phase's hot path:
+        # the component arithmetic is inlined (rather than read through
+        # the Packet delay properties), and the five samples are counted
+        # without a LatencyStat.record frame each (the stamps are ints).
         enqueue = packet.enqueue_cycle
         scheduled = packet.scheduled_cycle
         first = packet.first_tx_cycle
         final = packet.final_tx_cycle
         deliver = packet.deliver_cycle
         self.delivered.value += 1
-        self.queuing.record(first - scheduled)
-        self.scheduling.record(scheduled - enqueue)
-        self.resolution.record(final - first)
-        self.network.record(deliver - final)
-        self.total.record(deliver - enqueue)
+        queuing, scheduling, resolution, network, total = self._samples
+        value = first - scheduled
+        queuing[value] = queuing.get(value, 0) + 1
+        value = scheduled - enqueue
+        scheduling[value] = scheduling.get(value, 0) + 1
+        value = final - first
+        resolution[value] = resolution.get(value, 0) + 1
+        value = deliver - final
+        network[value] = network.get(value, 0) + 1
+        value = deliver - enqueue
+        total[value] = total.get(value, 0) + 1
 
     def breakdown(self) -> dict[str, float]:
         """Mean per-packet latency split into the paper's four components."""
@@ -106,7 +120,9 @@ class Interconnect(abc.ABC):
         self.num_nodes = num_nodes
         self.stats = InterconnectStats()
         self._callbacks: list[Optional[DeliveryCallback]] = [None] * num_nodes
-        self._traffic: dict[tuple[int, int], int] = {}
+        # Delivered counts, [src * num_nodes + dst]: an int bump per
+        # delivery, no key tuple to build and hash.
+        self._traffic = [0] * (num_nodes * num_nodes)
 
     # -- wiring -----------------------------------------------------------
 
@@ -119,8 +135,7 @@ class Interconnect(abc.ABC):
         """Stamp delivery, record stats, invoke the destination callback."""
         packet.deliver_cycle = cycle
         self.stats.record_delivery(packet)
-        key = (packet.src, packet.dst)
-        self._traffic[key] = self._traffic.get(key, 0) + 1
+        self._traffic[packet.src * self.num_nodes + packet.dst] += 1
         callback = self._callbacks[packet.dst]
         if callback is not None:
             callback(packet)
@@ -181,10 +196,8 @@ class Interconnect(abc.ABC):
         codes light up mesh-neighbour entries, butterfly codes the XOR
         diagonals, sync-heavy codes the sync variables' home columns.
         """
-        matrix = [[0] * self.num_nodes for _ in range(self.num_nodes)]
-        for (src, dst), count in self._traffic.items():
-            matrix[src][dst] = count
-        return matrix
+        n = self.num_nodes
+        return [self._traffic[src * n:src * n + n] for src in range(n)]
 
     def quiescent(self) -> bool:
         """True when no packets are buffered or in flight (end-of-run drain)."""

@@ -39,6 +39,18 @@ class TestConfirmationChannel:
         channel.tick(2)
         assert channel.pending() == 0
 
+    def test_unheard_confirmation_keeps_only_its_arrival(self):
+        channel = ConfirmationChannel(4, delay=2)
+        fired = []
+        assert channel.send_confirmation(3, None) == 5
+        channel.send_confirmation(4, lambda: fired.append("heard"))
+        assert channel.confirmations_sent == 2
+        assert (channel.pending(), channel.next_event(4)) == (2, 5)
+        channel.tick(5)
+        assert (channel.pending(), channel.next_event(5), fired) == (1, 6, [])
+        channel.tick(6)
+        assert (channel.pending(), channel.next_event(6), fired) == (0, None, ["heard"])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ConfirmationChannel(4, delay=0)

@@ -17,6 +17,14 @@ injection queues everywhere), and asserts:
 * ``quiescent()`` holds exactly when a recount finds nothing pending;
 * sent + refused = offered, sent = delivered + gave_up_lost, and no
   packet arrives twice or without having been accepted;
+* the five latency components' counts and sums, and
+  ``traffic_matrix()``, equal a recount from the arrived packets' own
+  cycle stamps;
+* FSOI confirmations, heard or not (a drawn subset of packets carries
+  an ``on_confirmed`` hook, the confirmation delay is drawn): a hook
+  fires once, at its delivery's confirmation arrival, without a fault
+  plan and at most once under one, and the network drains exactly at
+  the last arrival (under a fault plan, not before it);
 * per-(src, dst, lane) delivery follows acceptance on the transports
   that keep it: L0 / Lr1 / Lr2 (one FIFO channel per source) and Corona
   (one FIFO queue per sender and channel).  FSOI's back-off and the
@@ -30,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cmp.system import NETWORK_KINDS
+from repro.core.lanes import RX_OVERHEAD, LaneConfig
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.core.optimizations import OptimizationConfig
 from repro.corona.network import CoronaConfig, CoronaNetwork
@@ -96,8 +105,10 @@ def transport_config(kind, nodes, seed, data):
                 detect_threshold=data.draw(st.integers(1, 3), "threshold"),
                 giveup_retries=10, seed=seed,
             )
+        delay = data.draw(st.sampled_from((1, 2, 5)), "confirmation_delay")
         return FsoiConfig(
             num_nodes=nodes, seed=seed, faults=plan,
+            lanes=LaneConfig(confirmation_delay=delay),
             phase_array=data.draw(st.booleans(), "phase_array"),
             packet_error_rate=data.draw(st.sampled_from((0.0, 0.05)), "errors"),
             optimizations=OptimizationConfig(resolution_hints=hints, request_spacing=hints),
@@ -124,9 +135,11 @@ NETWORK_OF = {
 
 def holds_packets(net) -> bool:
     """A recount of what ``net`` still holds or owes, from the queues,
-    buffers and calendars themselves."""
+    buffers and calendars themselves (FSOI: and the arrival cycles of
+    the confirmations nothing hears)."""
     if isinstance(net, FsoiNetwork):
-        return bool(net._due or net._conf_due) or any(
+        channel = net.confirmations
+        return bool(net._due or channel._calendar or channel._unheard) or any(
             state.queue or state.retx for states in net._state.values() for state in states
         )
     if isinstance(net, MeshNetwork):
@@ -140,18 +153,27 @@ def holds_packets(net) -> bool:
     )
 
 
-def drive(net, schedule, jump):
+def drive(net, schedule, jump, hook_every=0):
     """Offer ``schedule`` to ``net`` and run it until it drains.
 
     Ticking every cycle (``jump`` false), the contract is checked after
     each tick; jumping, only the offer cycles and the ``next_event``
-    horizons are ticked, with ``skip`` over each gap.  Returns what the
-    run observed: the uids accepted, every arrival, the stat tree, the
-    fault summary and the cycle the run drained at.
+    horizons are ticked, with ``skip`` over each gap.  A packet whose uid
+    is a multiple of ``hook_every`` (when not 0) carries an
+    ``on_confirmed`` hook.  Returns what the run observed: the uids
+    accepted, every arrival with its cycle stamps, each hook's
+    ``(uid, cycle)``, the stat tree, the five latency components'
+    ``(count, total)``, the traffic matrix, the fault summary and the
+    cycle the run drained at.
     """
-    accepted, arrived = [], []
+    accepted, arrived, confirmed = [], [], []
+    clock = [0]
+
     def arrive(p):
-        arrived.append((p.uid, p.src, p.dst, p.lane, p.deliver_cycle, p.retries))
+        arrived.append((
+            p.uid, p.src, p.dst, p.lane, p.deliver_cycle, p.retries,
+            p.enqueue_cycle, p.scheduled_cycle, p.first_tx_cycle, p.final_tx_cycle,
+        ))
 
     for node in range(net.num_nodes):
         net.set_delivery_callback(node, arrive)
@@ -159,10 +181,13 @@ def drive(net, schedule, jump):
     for cycle in sorted(schedule):
         for src, dst, is_data in schedule[cycle]:
             lane = LaneKind.DATA if is_data else LaneKind.META
-            packets.setdefault(cycle, []).append(Packet(
+            packet = Packet(
                 src=src, dst=dst, lane=lane, uid=uid,
                 expects_data_reply=lane is LaneKind.META and uid % 2 == 0,
-            ))
+            )
+            if hook_every and uid % hook_every == 0:
+                packet.on_confirmed = lambda uid=uid: confirmed.append((uid, clock[0]))
+            packets.setdefault(cycle, []).append(packet)
             uid += 1
     stops = sorted(packets, reverse=True)
     last = stops[0] if stops else 0
@@ -172,6 +197,7 @@ def drive(net, schedule, jump):
         for packet in packets.get(cycle, ()):
             if net.try_send(packet, cycle):
                 accepted.append(packet.uid)
+        clock[0] = cycle
         net.tick(cycle)
         if not jump:
             net.audit()
@@ -189,7 +215,44 @@ def drive(net, schedule, jump):
             following = target
         cycle = following
     faults = net.fault_summary() if isinstance(net, FsoiNetwork) else {}
-    return accepted, arrived, net.stats.group.as_dict(), faults, cycle
+    components = {
+        name: (stat.count, stat.total) for name, stat in (
+            ("queuing", net.stats.queuing), ("scheduling", net.stats.scheduling),
+            ("resolution", net.stats.resolution), ("network", net.stats.network),
+            ("total", net.stats.total),
+        )
+    }
+    return (accepted, arrived, confirmed, net.stats.group.as_dict(), components,
+            net.traffic_matrix(), faults, cycle)
+
+
+def recount_components(arrived):
+    """``(count, total)`` of each latency component, from the stamps."""
+    samples = {name: [] for name in ("queuing", "scheduling", "resolution", "network", "total")}
+    for _uid, _src, _dst, _lane, deliver, _retries, enqueue, scheduled, first, final in arrived:
+        samples["queuing"].append(first - scheduled)
+        samples["scheduling"].append(scheduled - enqueue)
+        samples["resolution"].append(final - first)
+        samples["network"].append(deliver - final)
+        samples["total"].append(deliver - enqueue)
+    return {name: (len(values), float(sum(values))) for name, values in samples.items()}
+
+
+def check_confirmations(config, arrived, confirmed, hook_every, drained):
+    """FSOI: each hooked delivery's confirmation, and the drain cycle,
+    against the arrival a delivery implies (reception + delay)."""
+    delay = config.lanes.confirmation_delay
+    arrival = {uid: deliver - RX_OVERHEAD + delay for uid, _s, _d, _l, deliver, *_ in arrived}
+    fired = [uid for uid, _cycle in confirmed]
+    assert len(fired) == len(set(fired)), "a hook fired twice"
+    assert set(fired) <= set(arrival), "a hook fired for a packet never delivered"
+    hooked = {uid for uid in arrival if hook_every and uid % hook_every == 0}
+    if config.faults is None:
+        assert sorted(confirmed) == sorted((uid, arrival[uid]) for uid in hooked)
+        assert drained == max(arrival.values(), default=drained)
+    else:
+        assert all(cycle >= arrival[uid] for uid, cycle in confirmed)
+        assert drained >= max(arrival.values(), default=drained)
 
 
 @pytest.mark.parametrize("shape", ("uniform", "hotspot", "incast", "burst"))
@@ -200,11 +263,13 @@ def drive(net, schedule, jump):
 def test_contract(kind, nodes, shape, seed, load, data):
     schedule = offers(shape, nodes, seed, load)
     config = transport_config(kind, nodes, seed, data)
+    hook_every = data.draw(st.integers(0, 3), "hook_every") if kind == "fsoi" else 0
     ticked, jumped = (
-        drive(NETWORK_OF[type(config)](config), schedule, jump) for jump in (False, True)
+        drive(NETWORK_OF[type(config)](config), schedule, jump, hook_every)
+        for jump in (False, True)
     )
     assert jumped == ticked
-    accepted, arrived, stats, faults, _ = ticked
+    accepted, arrived, confirmed, stats, components, traffic, faults, drained = ticked
     offered = sum(len(batch) for batch in schedule.values())
     assert stats["packets_sent"] + stats["send_refused"] == offered
     assert stats["packets_sent"] == len(accepted)
@@ -212,6 +277,13 @@ def test_contract(kind, nodes, shape, seed, load, data):
     uids = [uid for uid, *_ in arrived]
     assert len(uids) == len(set(uids)) == stats["packets_delivered"]
     assert set(uids) <= set(accepted)
+    assert components == recount_components(arrived)
+    matrix = [[0] * nodes for _ in range(nodes)]
+    for _uid, src, dst, *_ in arrived:
+        matrix[src][dst] += 1
+    assert traffic == matrix
+    if kind == "fsoi":
+        check_confirmations(config, arrived, confirmed, hook_every, drained)
     if kind in KEEPS_ORDER:
         latest = {}
         for uid, src, dst, lane, *_ in arrived:
