@@ -140,6 +140,15 @@ class CmpConfig:
             raise ValueError(
                 f"unknown network {self.network!r}; choose from {NETWORK_KINDS}"
             )
+        if not self.memory_gbps > 0.0:
+            raise ValueError(
+                f"memory_gbps must be positive, got {self.memory_gbps!r}"
+            )
+        if not 0.0 <= self.fsoi_packet_error_rate <= 1.0:
+            raise ValueError(
+                "fsoi_packet_error_rate is a probability in [0, 1], got "
+                f"{self.fsoi_packet_error_rate!r}"
+            )
         opts = self.optimizations
         any_opts = (
             opts.confirmation_ack or opts.llsc_subscription

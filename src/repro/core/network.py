@@ -136,6 +136,13 @@ class FsoiConfig:
     faults: FaultPlan | None = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.packet_error_rate <= 1.0:
+            raise ValueError(
+                "packet_error_rate is a probability in [0, 1], got "
+                f"{self.packet_error_rate!r}"
+            )
+
     @property
     def id_bits(self) -> int:
         """Bits of PID in the header (and of ~PID)."""
@@ -282,13 +289,14 @@ class FsoiNetwork(Interconnect):
             lane: _LaneIndex(config.num_nodes)
             for lane in (LaneKind.META, LaneKind.DATA)
         }
-        # Slot lengths, precomputed once for the tick/horizon hot paths
-        # (the tuple form avoids a dict-view allocation every cycle).
-        self._slot_len = {
-            lane: config.lanes.slot_cycles(lane)
+        # The per-lane constants of the tick, horizon and slot hot paths,
+        # one row a lane: (lane, slot length, packet bits, receivers per
+        # node).  A tuple, so a tick walks it without a dict view.
+        self._slot_table = tuple(
+            (lane, self.lanes.slot_cycles(lane), lane.bits,
+             self.lanes.receivers(lane))
             for lane in (LaneKind.META, LaneKind.DATA)
-        }
-        self._slot_items = tuple(self._slot_len.items())
+        )
         # §5.2 receiver tables, built only for the optimization that
         # reads them: request spacing's reply-slot reservations, and the
         # replies each node awaits (the resolution hint's candidates).
@@ -433,11 +441,11 @@ class FsoiNetwork(Interconnect):
         due = self._due
         while due and due[0][0] <= cycle:  # == self._calendar.run_due(cycle)
             heappop(due)[2]()  # scheduled outcomes
-        for lane, slot_len in self._slot_items:
+        for row in self._slot_table:
             if not self._slotted:
-                self._start_unslotted(lane, cycle)
-            elif cycle % slot_len == 0:
-                self._start_slot(lane, cycle)
+                self._start_unslotted(row[0], cycle)
+            elif cycle % row[1] == 0:
+                self._start_slot(row, cycle)
 
     def quiescent(self) -> bool:
         meta, data = self._index.values()
@@ -467,7 +475,7 @@ class FsoiNetwork(Interconnect):
         c = self._calendar.next_cycle()
         if c is not None and (horizon is None or c < horizon):
             horizon = c
-        for lane, slot_len in self._slot_items:
+        for lane, slot_len, _bits, _receivers in self._slot_table:
             boundary = slot_horizon(self._index[lane].minimum(), cycle, slot_len)
             if boundary is not None and (horizon is None or boundary < horizon):
                 horizon = boundary
@@ -490,7 +498,8 @@ class FsoiNetwork(Interconnect):
     # Slot processing
     # ------------------------------------------------------------------
 
-    def _start_slot(self, lane: LaneKind, cycle: int) -> None:
+    def _start_slot(self, row: tuple, cycle: int) -> None:
+        lane, slot_len, bits, receivers = row
         self._slots_counter[lane].value += 1
         index = self._index[lane]
         if (index.minimum() if index._stale else index._min) > cycle:
@@ -502,8 +511,6 @@ class FsoiNetwork(Interconnect):
         inj = self._injector
         tx_counter = self._lane_stats[lane]["tx"]
         bits_counter = self.stats.bits_sent
-        bits = lane.bits
-        slot_len = self._slot_len[lane]
         states = self._state[lane]
 
         # Gather this slot's transmissions: one per node, retransmissions
@@ -547,7 +554,7 @@ class FsoiNetwork(Interconnect):
                         node=node, lane=lane.value, packet=packet.uid,
                         retries=packet.retries,
                     )
-                self._back_off(lane, packet, cycle)
+                self._back_off(lane, slot_len, packet, cycle)
                 continue
             if packet.first_tx_cycle < 0:
                 packet.first_tx_cycle = cycle
@@ -588,7 +595,6 @@ class FsoiNetwork(Interconnect):
         # Group by (destination, receiver) — the static sender partition,
         # remapped around dead receivers when faults are active.
         groups: dict[tuple[int, int], list[tuple[Packet, int]]] = {}
-        receivers = self.lanes.receivers(lane)
         for packet, setup in sends:
             src, dst = packet.src, packet.dst
             health = inj.receiver_health(dst, lane, cycle) if inj is not None else None
@@ -687,12 +693,16 @@ class FsoiNetwork(Interconnect):
                 other.retries += 1
                 lane_stats["collided_tx"].add()
                 detect = max(cycle + 1, _end - 1 + conf_delay + 1)
-                self._schedule(detect, partial(self._back_off, lane, other, detect))
+                self._schedule(
+                    detect, partial(self._back_off, lane, slot_len, other, detect)
+                )
             packet._corrupted = True
             packet.retries += 1
             lane_stats["collided_tx"].add()
             detect = cycle + slot_len - 1 + conf_delay + 1
-            self._schedule(detect, partial(self._back_off, lane, packet, detect))
+            self._schedule(
+                detect, partial(self._back_off, lane, slot_len, packet, detect)
+            )
             active.append((end, packet))
             self._inflight[key] = active
 
@@ -865,15 +875,23 @@ class FsoiNetwork(Interconnect):
         backs off exactly as for a collision.
         """
         self._fault_lane_stats[lane]["fault_lost"].add()
-        packet.retries += 1
+        self._time_out(lane, slot_len, packet, cycle + slot_len - 1 + setup)
         if TRACE.enabled:
             TRACE.emit(
                 "fault_lost_tx", cat="fault", cycle=cycle, node=packet.src,
                 lane=lane.value, packet=packet.uid, dst=packet.dst,
                 retries=packet.retries,
             )
-        detect = cycle + slot_len + setup + self._conf_delay
-        self._schedule(detect, partial(self._back_off, lane, packet, detect))
+
+    def _time_out(
+        self, lane: LaneKind, slot_len: int, packet: Packet, receive_cycle: int
+    ) -> None:
+        """No confirmation comes back for a transmission that ended at
+        ``receive_cycle``: the sender notices the cycle after it was due
+        and backs off, exactly as after a collision (§4.3.1)."""
+        packet.retries += 1
+        detect = receive_cycle + self._conf_delay + 1
+        self._schedule(detect, partial(self._back_off, lane, slot_len, packet, detect))
 
     def _handle_solo(
         self, lane: LaneKind, cycle: int, slot_len: int, packet: Packet, setup: int
@@ -881,15 +899,57 @@ class FsoiNetwork(Interconnect):
         """A transmission alone on its receiver: delivered and confirmed
         unless a signaling error or an injected fault corrupts it.
 
-        The clean outcome comes first and files its two entries itself:
-        the delivery on the outcome calendar, and the confirmation on the
-        confirmation channel — a bare arrival cycle when nothing hears it
+        A clean or faulted reception files through one tail: the delivery
+        on the outcome calendar, and the confirmation on the confirmation
+        channel — a bare arrival cycle when nothing hears it
         (``on_confirmed`` is ``None``), see :mod:`repro.core.confirmation`.
+        A fault plan adds only its corruption draw, duplicate skip,
+        confirmation drop and fire-once hook.
         """
         inj = self._injector
         receive_cycle = cycle + slot_len - 1 + setup
-        error = self._error_rate > 0.0 and self._error_rng.random() < self._error_rate
-        if not error and inj is None:
+        if self._error_rate > 0.0 and self._error_rng.random() < self._error_rate:
+            # A signaling error corrupts the packet; the sender sees a
+            # missing confirmation, exactly like a collision (§4.3.1).
+            self._lane_stats[lane]["error_tx"].add()
+            if TRACE.enabled:
+                TRACE.emit(
+                    "error_corrupt", cat="fsoi", cycle=cycle,
+                    node=packet.dst, lane=lane.value, packet=packet.uid,
+                )
+            self._time_out(lane, slot_len, packet, receive_cycle)
+            return
+        hook = packet.on_confirmed
+        duplicate = False
+        if inj is not None:
+            probability = inj.corruption_probability(
+                packet.src, lane, cycle, packet.bits
+            )
+            if inj.draw_corruption(probability):
+                # Droop / burst corruption fails the PID integrity check
+                # at the receiver — indistinguishable from a collision.
+                self._fault_lane_stats[lane]["injected_corrupt"].add()
+                if TRACE.enabled:
+                    TRACE.emit(
+                        "fault_corrupt", cat="fault", cycle=cycle,
+                        node=packet.dst, lane=lane.value, packet=packet.uid,
+                        probability=probability,
+                    )
+                self._time_out(lane, slot_len, packet, receive_cycle)
+                return
+            # Under confirmation drops a sender may retransmit a packet the
+            # destination already delivered; such duplicate receptions are
+            # recognized (sequence numbers in the header), not re-delivered.
+            duplicate = packet._fault_delivered
+            if duplicate:
+                self._fault_lane_stats[lane]["duplicate_rx"].add()
+                if TRACE.enabled:
+                    TRACE.emit(
+                        "fault_duplicate_rx", cat="fault", cycle=cycle,
+                        node=packet.dst, lane=lane.value, packet=packet.uid,
+                    )
+            packet._fault_delivered = True
+        if not duplicate:
             packet.final_tx_cycle = cycle
             if packet.retries > 0:
                 self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
@@ -902,93 +962,36 @@ class FsoiNetwork(Interconnect):
             heappush(self._due, (deliver_cycle, seq, deliver))
             if lane is LaneKind.DATA and self._hints:
                 self._expected[packet.dst].fulfil(packet.src)
-            # == self.confirmations.send_confirmation(receive_cycle, hook):
-            # the confirmation arrives back at the sender two cycles after
-            # reception; §5.1 consumers hook it via packet.on_confirmed.
-            confirmations = self.confirmations
-            confirmations.confirmations_sent += 1
-            arrival = receive_cycle + self._conf_delay
-            hook = packet.on_confirmed
-            if hook is None:
-                heappush(self._unheard, arrival)
-            else:
-                confirmations._calendar.schedule(arrival, hook)
-            if TRACE.enabled:
-                TRACE.emit(
-                    "confirm_scheduled", cat="confirmation",
-                    cycle=receive_cycle, arrival=arrival,
-                )
-                TRACE.emit(
-                    "confirmation", cat="fsoi", cycle=arrival,
-                    node=packet.src, lane=lane.value, packet=packet.uid,
-                )
-            return
-        # When the sender notices a confirmation did not come back.
-        detect = receive_cycle + self._conf_delay + 1
-        if error:
-            # A signaling error corrupts the packet; the sender sees a
-            # missing confirmation, exactly like a collision (§4.3.1).
-            self._lane_stats[lane]["error_tx"].add()
-            if TRACE.enabled:
-                TRACE.emit(
-                    "error_corrupt", cat="fsoi", cycle=cycle,
-                    node=packet.dst, lane=lane.value, packet=packet.uid,
-                )
-            packet.retries += 1
-            self._schedule(detect, partial(self._back_off, lane, packet, detect))
-            return
-        # A fault plan is active from here on.
-        probability = inj.corruption_probability(packet.src, lane, cycle, packet.bits)
-        if inj.draw_corruption(probability):
-            # Droop / burst corruption fails the PID integrity check
-            # at the receiver — indistinguishable from a collision.
-            self._fault_lane_stats[lane]["injected_corrupt"].add()
-            if TRACE.enabled:
-                TRACE.emit(
-                    "fault_corrupt", cat="fault", cycle=cycle,
-                    node=packet.dst, lane=lane.value, packet=packet.uid,
-                    probability=probability,
-                )
-            packet.retries += 1
-            self._schedule(detect, partial(self._back_off, lane, packet, detect))
-            return
-        # Under confirmation drops a sender may retransmit a packet the
-        # destination already delivered; such duplicate receptions are
-        # recognized (sequence numbers in the header) and not re-delivered.
-        if packet._fault_delivered:
-            self._fault_lane_stats[lane]["duplicate_rx"].add()
-            if TRACE.enabled:
-                TRACE.emit(
-                    "fault_duplicate_rx", cat="fault", cycle=cycle,
-                    node=packet.dst, lane=lane.value, packet=packet.uid,
-                )
+        arrival = receive_cycle + self._conf_delay
+        if inj is not None:
+            if inj.drop_confirmation(packet.src, arrival):
+                # The packet got through, but the confirmation pulse is
+                # lost: the sender walks the time-out path.
+                self.confirmations.record_dropped(receive_cycle)
+                self._fault_stats["confirm_dropped"].add()
+                self._time_out(lane, slot_len, packet, receive_cycle)
+                return
+            if hook is not None:
+                # The hook fires exactly once even if drops forced
+                # duplicate confirmed receptions.
+                def hook(p: Packet = packet) -> None:
+                    if not p._fault_confirm_fired:
+                        p._fault_confirm_fired = True
+                        p.on_confirmed()
+        # == self.confirmations.send_confirmation(receive_cycle, hook):
+        # the confirmation arrives back at the sender two cycles after
+        # reception; §5.1 consumers hook it via packet.on_confirmed.
+        confirmations = self.confirmations
+        confirmations.confirmations_sent += 1
+        if hook is None:
+            heappush(self._unheard, arrival)
         else:
-            packet.final_tx_cycle = cycle
-            if packet.retries > 0:
-                self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
-            deliver_cycle = receive_cycle + RX_OVERHEAD
-            self._schedule(deliver_cycle, partial(self._deliver, packet, deliver_cycle))
-            packet._fault_delivered = True
-            if lane is LaneKind.DATA and self._hints:
-                self._expected[packet.dst].fulfil(packet.src)
-        if inj.drop_confirmation(packet.src, receive_cycle + self._conf_delay):
-            # The packet got through, but the confirmation pulse is lost:
-            # the sender walks the timeout path as if it had collided.
-            self.confirmations.record_dropped(receive_cycle)
-            self._fault_stats["confirm_dropped"].add()
-            packet.retries += 1
-            self._schedule(detect, partial(self._back_off, lane, packet, detect))
-            return
-        # The hook fires exactly once even if drops forced duplicate
-        # confirmed receptions.
-        callback = None
-        if packet.on_confirmed is not None:
-            def callback(p: Packet = packet) -> None:
-                if not p._fault_confirm_fired:
-                    p._fault_confirm_fired = True
-                    p.on_confirmed()
-        arrival = self.confirmations.send_confirmation(receive_cycle, callback)
+            confirmations._calendar.schedule(arrival, hook)
         if TRACE.enabled:
+            TRACE.emit(
+                "confirm_scheduled", cat="confirmation",
+                cycle=receive_cycle, arrival=arrival,
+            )
             TRACE.emit(
                 "confirmation", cat="fsoi", cycle=arrival,
                 node=packet.src, lane=lane.value, packet=packet.uid,
@@ -1031,7 +1034,8 @@ class FsoiNetwork(Interconnect):
         # backs them off in transmission order (the hint winner is
         # already re-queued by _issue_hint).
         losers = [packet for packet in packets if packet is not winner]
-        self._schedule(detect, partial(self._back_off_all, lane, losers, base))
+        back_off = partial(self._back_off_all, lane, slot_len, losers, base)
+        self._schedule(detect, back_off)
 
     def _classify(self, packets: list[Packet]) -> str:
         """Figure 10's data-collision taxonomy (priority order)."""
@@ -1046,13 +1050,15 @@ class FsoiNetwork(Interconnect):
         return "other"
 
     def _back_off_all(
-        self, lane: LaneKind, packets: list[Packet], base_cycle: int
+        self, lane: LaneKind, slot_len: int, packets: list[Packet], base_cycle: int
     ) -> None:
         """One collision's senders notice it together (one calendar entry)."""
         for packet in packets:
-            self._back_off(lane, packet, base_cycle)
+            self._back_off(lane, slot_len, packet, base_cycle)
 
-    def _back_off(self, lane: LaneKind, packet: Packet, base_cycle: int) -> None:
+    def _back_off(
+        self, lane: LaneKind, slot_len: int, packet: Packet, base_cycle: int
+    ) -> None:
         """Queue ``packet`` for retransmission after a random back-off."""
         inj = self._injector
         if (
@@ -1062,7 +1068,6 @@ class FsoiNetwork(Interconnect):
         ):
             self._give_up(lane, packet, base_cycle)
             return
-        slot_len = self._slot_len[lane]
         draw = self.config.backoff.draw_delay_slots(self._backoff_rng, packet.retries)
         base = base_cycle  # pure ALOHA: any cycle may start a retry
         if self._slotted:  # == lanes.next_slot_start(base_cycle, lane)

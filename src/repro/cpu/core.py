@@ -614,8 +614,9 @@ class Core:
 # ---------------------------------------------------------------------------
 
 #: Most ops one run-ahead window applies: a signature that never misses
-#: and never synchronises would otherwise never park.
-_RUN_AHEAD_OPS = 1024
+#: and never synchronises would otherwise never park.  The cap also
+#: bounds what a cut throws away (docs/performance.md, "Dropped").
+_RUN_AHEAD_OPS = 128
 #: The sync-op cadence of a signature without barriers (or locks).
 _NO_SYNC = 1 << 62
 
@@ -652,8 +653,11 @@ def _fused_issue(core: Core):
     cycle on — RNG cursor (handing back any block it drew:
     ``ReplayRng._ahead``), workload counters, LRU stamps and
     ``cache._clock``, E → M upgrades, hit counters — from journals kept
-    per hit, and hands what those ops generated to the next window,
-    which re-checks them against the L1 instead of drawing them again.
+    per hit.  The core's next window draws the undone ops again from the
+    rewound cursor: ops are a function of the cursor and the workload
+    counters only, and a refill takes the handed-back blocks before it
+    draws new ones, so they come out the same and are checked against
+    the L1 as it is then.
     ``detach()`` cuts and writes the cursor back to the
     :class:`ReplayRng`, for ``Core.workload``'s setter.
 
@@ -774,12 +778,11 @@ def _fused_issue(core: Core):
     wake_slot = -1
     # Where the latest window started — its op count and cursor — and
     # its journals, keyed by op index within the window: per hit, flat,
-    # the way (None: a hit on a line the tag array does not hold, whose
-    # line takes the stamp's place), its previous LRU stamp, the access
-    # kind and the cursor after the op; per block entered, flat, the
-    # block; per E -> M upgrade the line; per workload-counter move the
-    # counters before it.  One set per core, reused: a core has at most
-    # one window.
+    # the way (None: a hit on a line the tag array does not hold), its
+    # previous LRU stamp, the access kind and the cursor after the op;
+    # per block entered, flat, the block; per E -> M upgrade the line;
+    # per workload-counter move the counters before it.  One set per
+    # core, reused: a core has at most one window.
     start_count = 0
     start_words: Optional[list[int]] = None
     start_pos = 0
@@ -789,9 +792,6 @@ def _fused_issue(core: Core):
     drawn: list = []
     flipped: list[tuple] = []
     moved: list[tuple] = []
-    # What a cut undid but had generated, for the next window to apply
-    # again instead of drawing again (see cut()); None when nothing is.
-    replay: Optional[tuple] = None
 
     def counters(n: int) -> tuple:
         return (
@@ -804,32 +804,9 @@ def _fused_issue(core: Core):
         drawn.extend((n, words))
         return words
 
-    def resume(base, blocks, moves, last, upto) -> Optional[list[int]]:
-        """Take up again what a cut window's ops up to op ``upto`` (None:
-        all of them) had drawn: the blocks (from the RNG's look-ahead)
-        and the workload-counter moves.  Returns the block the cursor is
-        in, or None when it is still the one the window started in."""
-        words = None
-        for at in range(0, len(blocks), 2):
-            if upto is not None and blocks[at] > upto:
-                break
-            words = ahead.pop()
-            drawn.extend((blocks[at] - base, words))
-        after = last[4:]
-        for move in moves:
-            if upto is not None and move[0] > upto:
-                after = move[1:]
-                break
-            moved.append((move[0] - base, *move[1:]))
-        (
-            workload._stream_pos, workload._cold_pos,
-            workload._butterfly_stage,
-        ) = after
-        return words
-
     def issue(cycle: int) -> None:
         nonlocal cur_words, cur_pos, cur_has32, cur_stash32
-        nonlocal end_line, end_write, window_ops, wake_slot, replay
+        nonlocal end_line, end_write, window_ops, wake_slot
         nonlocal next_barrier, next_lock, start_count, start_words
         nonlocal start_pos, start_has32, start_stash32
         position = cycle * ipc
@@ -950,14 +927,6 @@ def _fused_issue(core: Core):
                     del moved[:]
                 clock = cache._clock
                 n = writes = 0
-                # A window that starts where a cut left the last one takes
-                # its first ops from what the cut undid, in order; the
-                # first of them that no longer hits ends it.
-                replaying = replay is not None
-                if replaying:
-                    base, tail, tail_ops, blocks, moves, last = replay
-                    replay = None
-                    at = -7
                 while True:
                     if line is not None:
                         state = states_get(line)
@@ -965,10 +934,6 @@ def _fused_issue(core: Core):
                             state is M or state is E
                             or (state is S and not is_write)
                         ):
-                            if replaying:
-                                words = resume(
-                                    base, blocks, moves, last, base + n
-                                ) or words
                             count += 1
                             break
                         # A hit: CacheArray.touch inlined (LRU), journalled
@@ -984,7 +949,7 @@ def _fused_issue(core: Core):
                                 break
                         else:
                             touched += (
-                                n, None, line, is_write, pos, has32, stash32
+                                n, None, None, is_write, pos, has32, stash32
                             )
                         if is_write:
                             writes += 1
@@ -992,22 +957,6 @@ def _fused_issue(core: Core):
                                 states[line] = M
                                 flipped.append((n, line))
                         n += 1
-                    if replaying:
-                        at += 7
-                        if at < len(tail):
-                            n, way, line, is_write, pos, has32, stash32 = (
-                                tail[at:at + 7]
-                            )
-                            n -= base
-                            if way is not None:
-                                line = way.line
-                            continue
-                        # All of it hit again: carry on from where the cut
-                        # window's generator stood.
-                        replaying = False
-                        words = resume(base, blocks, moves, last, None) or words
-                        pos, has32, stash32 = last[1:4]
-                        n = tail_ops - base
                     # A run of WORK ops, one draw each, up to a draw
                     # below mem_fraction (a MEM op) or the window's bound.
                     start = pos
@@ -1213,16 +1162,8 @@ def _fused_issue(core: Core):
 
     def cut() -> None:
         nonlocal cur_words, cur_pos, cur_has32, cur_stash32
-        nonlocal end_line, wake_slot, replay
+        nonlocal end_line, wake_slot
         kept = chip.cycle * ipc - core._run_from  # ops before now
-        # What the window generated past ``kept``, kept for the next
-        # window: its journal entries, the op that ended it, and where
-        # the generator stood at the end (cursor and workload counters).
-        last = (
-            cur_words, cur_pos, cur_has32, cur_stash32,
-            workload._stream_pos, workload._cold_pos,
-            workload._butterfly_stage,
-        )
         # Undo the hits at or after op ``kept``, latest first.
         end = keep = len(journal)
         while keep and journal[keep - 7] >= kept:
@@ -1233,7 +1174,6 @@ def _fused_issue(core: Core):
             if way is not None:
                 way.last_use = journal[at + 2]
             writes += journal[at + 3]
-        tail = journal[keep:end]
         undone = (end - keep) // 7
         cache._clock -= undone
         c_write_hits.value -= writes
@@ -1271,24 +1211,16 @@ def _fused_issue(core: Core):
         cur_words = words
         cur_pos = pos
         ahead.extend(reversed(drawn[at + 1::2]))
-        tail_ops = window_ops
-        if end_line is not None:
-            tail += window_ops, None, end_line, end_write, *last[1:4]
-            tail_ops += 1
-            end_line = None
-        if kept < tail_ops:
-            replay = (kept, tail, tail_ops, drawn[at:], moves, last)
         del drawn[:]
+        end_line = None
         wake_slot = -1
         core._instructions += kept
         core._run_from = -1
         unpark(node)
 
     def detach() -> None:
-        nonlocal replay
         if wake_slot >= 0:
             cut()
-        replay = None
         rng._buffer = cur_words
         rng._pos = cur_pos
         rng._has32 = cur_has32

@@ -16,6 +16,15 @@ class TestConfig:
             CmpConfig(network="mesh", optimizations=OptimizationConfig.all())
         CmpConfig(network="fsoi", optimizations=OptimizationConfig.all())
 
+    @pytest.mark.parametrize("field, value", [
+        ("memory_gbps", 0), ("memory_gbps", -1.0), ("memory_gbps", float("nan")),
+        ("fsoi_packet_error_rate", 1.5), ("fsoi_packet_error_rate", -0.1),
+        ("fsoi_packet_error_rate", float("nan")),
+    ])
+    def test_out_of_range_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} .*{value!r}"):
+            CmpConfig(**{field: value})
+
     def test_memory_channels_default(self):
         assert CmpConfig(num_nodes=16).memory_channels == 4
         assert CmpConfig(num_nodes=64).memory_channels == 8

@@ -182,6 +182,12 @@ class TestErrors:
         assert any(p.retries > 0 for p in packets)
 
 
+    @pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
+    def test_out_of_range_error_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match=f"packet_error_rate .*{rate!r}"):
+            FsoiConfig(packet_error_rate=rate)
+
+
 class TestPhaseArray:
     def test_setup_penalty_on_retarget(self):
         net = make_network(phase_array=True)

@@ -8,7 +8,8 @@ the cores phase first cuts the window back to the current cycle.
 
 * :class:`TestEngagement` spies on the schedule: on barnes over FSOI
   windows must be long and rarely cut, so a silent fall-back to
-  per-cycle issue fails a test, not only the benchmark.
+  per-cycle issue fails a test, not only the benchmark — and none may
+  outrun the ``_RUN_AHEAD_OPS`` cap.
 * :class:`TestCutsAreExact` steps a system with public ``tick()`` and
   ``run(k)`` calls and, after every step, compares what a reader sees —
   L1 states, LRU stamps, the registry snapshot, retired instructions,
@@ -21,6 +22,7 @@ the cores phase first cuts the window back to the current cycle.
 """
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.cmp import CmpConfig, CmpSystem
 from repro.core.optimizations import OptimizationConfig
-from repro.cpu.core import CoreState, DueSchedule
+from repro.cpu.core import _RUN_AHEAD_OPS, CoreState, DueSchedule
 from repro.sweep import canonical_json
 from tests.conftest import NextOpOnly
 
@@ -72,10 +74,13 @@ class ScheduleSpy:
 class TestEngagement:
     def test_windows_are_long_and_rarely_cut(self, monkeypatch):
         spy = ScheduleSpy(monkeypatch)
-        CmpSystem(CmpConfig(app="ba", network="fsoi", seed=3)).run(2000)
+        config = CmpConfig(app="ba", network="fsoi", seed=3)
+        CmpSystem(config).run(2000)
         assert spy.windows, "no core ever ran ahead"
         assert sum(spy.windows) / len(spy.windows) >= 10
         assert spy.cuts <= 0.25 * len(spy.windows)
+        # At most _RUN_AHEAD_OPS ops a window, ipc of them a cycle.
+        assert max(spy.windows) <= math.ceil(_RUN_AHEAD_OPS / config.core.ipc) + 1
 
 
 def app_workload(core):
