@@ -11,8 +11,8 @@ Subpackage map (paper section in parentheses):
   (§4.3.2, Figure 4).
 * :mod:`repro.core.confirmation` — the collision-free confirmation
   channel and its §5.1 one-bit signals (§4.3.2, §5.1).
-* :mod:`repro.core.phase_array` — optical-phase-array beam steering for
-  large systems (§4.1).
+* :mod:`repro.core.phase_array` — the re-steering cost of
+  optical-phase-array beam steering for large systems (§4.1).
 * :mod:`repro.core.analytical` — the paper's closed-form / numerical
   models: collision probability (Fig. 3), collision-resolution delay
   (Fig. 4), optimal meta/data bandwidth split (B_M = 0.285).
@@ -38,7 +38,6 @@ from repro.core.layout import ChipLayout
 from repro.core.link import LinkPower, OpticalLink
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.core.optimizations import OptimizationConfig
-from repro.core.phase_array import PhaseArray
 from repro.core.queueing import (
     aloha_throughput,
     lane_goodput,
@@ -64,7 +63,6 @@ __all__ = [
     "FsoiConfig",
     "FsoiNetwork",
     "OptimizationConfig",
-    "PhaseArray",
     "aloha_throughput",
     "lane_goodput",
     "lane_queuing_delay",

@@ -15,11 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
-
-from repro.obs.trace import TRACE
 
 __all__ = ["BackoffPolicy"]
 
@@ -63,30 +58,19 @@ class BackoffPolicy:
             raise ValueError(f"retry count is 1-based: {retry}")
         return min(self.start_window * self.base ** (retry - 1), self.max_window)
 
-    @lru_cache(maxsize=None)
     def span(self, retry: int) -> int:
         """Integer slot span of the retry's window: ``ceil(window)``, >= 1.
 
-        The single source of truth shared by :meth:`draw_delay_slots`
-        and :meth:`expected_delay_slots` — draws are uniform over
-        ``{1 .. span(retry)}``.  Cached (the policy is frozen, hence
-        hashable): every back-off of the network asks for it.
+        Back-off draws are uniform over ``{1 .. span(retry)}``; the FSOI
+        network tabulates the span at construction, and
+        :meth:`expected_delay_slots` is its mean.
 
         >>> BackoffPolicy(2.7, 1.1).span(1)
         3
         """
         return max(1, int(math.ceil(self.window(retry))))
 
-    def draw_delay_slots(self, rng: np.random.Generator, retry: int) -> int:
-        """Random integer slot delay in ``{1 .. span(retry)}``."""
-        draw = 1 + int(rng.integers(0, self.span(retry)))
-        if TRACE.enabled:
-            TRACE.emit(
-                "backoff_draw", cat="backoff",
-                retry=retry, window=self.window(retry), slots=draw,
-            )
-        return draw
-
     def expected_delay_slots(self, retry: int) -> float:
-        """Mean of :meth:`draw_delay_slots` for a given retry."""
+        """Mean back-off delay, slots, for a given retry: the mean of a
+        uniform draw over ``{1 .. span(retry)}``."""
         return (1 + self.span(retry)) / 2.0

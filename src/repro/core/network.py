@@ -43,7 +43,7 @@ from repro.core.optimizations import (
     OptimizationConfig,
     SlotReservations,
 )
-from repro.core.phase_array import PhaseArray
+from repro.core.phase_array import PHASE_SETUP_CYCLES
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.net.interface import Interconnect
@@ -156,16 +156,20 @@ class _LaneState:
     of ``(release, seq, packet)``: earliest release on top, ``seq``
     (unique per state) breaking ties in back-off order, so the top is
     the next retransmission and two entries never compare packets.
+    On a phase-array network ``target`` is the destination the lane's
+    beam is steered at (-1 before the first send) and ``retargets``
+    counts the transmissions that had to re-steer it.
     """
 
-    __slots__ = ("node", "queue", "retx", "opa", "retx_seq")
+    __slots__ = ("node", "queue", "retx", "retx_seq", "target", "retargets")
 
-    def __init__(self, node: int, phase_array: bool):
+    def __init__(self, node: int):
         self.node = node
         self.queue: deque[Packet] = deque()
         self.retx: list[tuple[int, int, Packet]] = []
-        self.opa = PhaseArray() if phase_array else None
         self.retx_seq = 0
+        self.target = -1
+        self.retargets = 0
 
 
 class _LaneIndex:
@@ -267,10 +271,7 @@ class FsoiNetwork(Interconnect):
             self._injector = None
 
         self._state: dict[LaneKind, list[_LaneState]] = {
-            lane: [
-                _LaneState(node, config.phase_array)
-                for node in range(config.num_nodes)
-            ]
+            lane: [_LaneState(node) for node in range(config.num_nodes)]
             for lane in (LaneKind.META, LaneKind.DATA)
         }
         self.confirmations = ConfirmationChannel(
@@ -350,6 +351,10 @@ class FsoiNetwork(Interconnect):
         self._slotted = config.slotted
         self._conf_delay = self.confirmations.delay
         self._error_rate = config.packet_error_rate
+        self._phase_array = config.phase_array
+        # Back-off span by retry count up to 64 (index 0, no retry, is an
+        # empty range the draw refuses); a deeper retry computes it.
+        self._spans = [0] + [config.backoff.span(retry) for retry in range(1, 65)]
         self._delivered = {
             lane: counters["delivered"] for lane, counters in self._lane_stats.items()
         }
@@ -512,6 +517,7 @@ class FsoiNetwork(Interconnect):
         tx_counter = self._lane_stats[lane]["tx"]
         bits_counter = self.stats.bits_sent
         states = self._state[lane]
+        phase_array = self._phase_array
 
         # Gather this slot's transmissions: one per node, retransmissions
         # take priority over fresh queue heads (they are older traffic).
@@ -554,11 +560,16 @@ class FsoiNetwork(Interconnect):
                         node=node, lane=lane.value, packet=packet.uid,
                         retries=packet.retries,
                     )
-                self._back_off(lane, slot_len, packet, cycle)
+                self._back_off(lane, slot_len, (packet,), cycle)
                 continue
             if packet.first_tx_cycle < 0:
                 packet.first_tx_cycle = cycle
-            setup = state.opa.steer(packet.dst) if state.opa is not None else 0
+            setup = 0
+            if phase_array and packet.dst != state.target:
+                # Re-steer the lane's beam (§4.1): one setup cycle.
+                state.target = packet.dst
+                state.retargets += 1
+                setup = PHASE_SETUP_CYCLES
             tx_counter.value += 1
             bits_counter.value += bits
             if TRACE.enabled:
@@ -649,7 +660,11 @@ class FsoiNetwork(Interconnect):
                 continue
             if packet.first_tx_cycle < 0:
                 packet.first_tx_cycle = cycle
-            setup = state.opa.steer(packet.dst) if state.opa is not None else 0
+            setup = 0
+            if self._phase_array and packet.dst != state.target:
+                state.target = packet.dst
+                state.retargets += 1
+                setup = PHASE_SETUP_CYCLES
             self._tx_busy_until[(node, lane)] = cycle + slot_len
             lane_stats["tx"].add()
             self.stats.bits_sent.add(packet.bits)
@@ -694,14 +709,14 @@ class FsoiNetwork(Interconnect):
                 lane_stats["collided_tx"].add()
                 detect = max(cycle + 1, _end - 1 + conf_delay + 1)
                 self._schedule(
-                    detect, partial(self._back_off, lane, slot_len, other, detect)
+                    detect, partial(self._back_off, lane, slot_len, (other,), detect)
                 )
             packet._corrupted = True
             packet.retries += 1
             lane_stats["collided_tx"].add()
             detect = cycle + slot_len - 1 + conf_delay + 1
             self._schedule(
-                detect, partial(self._back_off, lane, slot_len, packet, detect)
+                detect, partial(self._back_off, lane, slot_len, (packet,), detect)
             )
             active.append((end, packet))
             self._inflight[key] = active
@@ -891,7 +906,7 @@ class FsoiNetwork(Interconnect):
         and backs off, exactly as after a collision (§4.3.1)."""
         packet.retries += 1
         detect = receive_cycle + self._conf_delay + 1
-        self._schedule(detect, partial(self._back_off, lane, slot_len, packet, detect))
+        self._schedule(detect, partial(self._back_off, lane, slot_len, (packet,), detect))
 
     def _handle_solo(
         self, lane: LaneKind, cycle: int, slot_len: int, packet: Packet, setup: int
@@ -1006,8 +1021,8 @@ class FsoiNetwork(Interconnect):
         members: list[tuple[Packet, int]],
     ) -> None:
         lane_stats = self._lane_stats[lane]
-        lane_stats["collision_events"].add()
-        lane_stats["collided_tx"].add(len(members))
+        lane_stats["collision_events"].value += 1
+        lane_stats["collided_tx"].value += len(members)
         packets = [packet for packet, _setup in members]
         if TRACE.enabled:
             TRACE.emit(
@@ -1015,7 +1030,7 @@ class FsoiNetwork(Interconnect):
                 lane=lane.value, senders=sorted(p.src for p in packets),
             )
         if lane is LaneKind.DATA:
-            self._data_collision_types[self._classify(packets)].add()
+            self._data_collision_types[self._classify(packets)].value += 1
 
         winner: Packet | None = None
         if lane is LaneKind.DATA and self._hints:
@@ -1032,54 +1047,81 @@ class FsoiNetwork(Interconnect):
             packet.retries += 1
         # The colliders all notice in the same cycle: one calendar entry
         # backs them off in transmission order (the hint winner is
-        # already re-queued by _issue_hint).
-        losers = [packet for packet in packets if packet is not winner]
-        back_off = partial(self._back_off_all, lane, slot_len, losers, base)
-        self._schedule(detect, back_off)
+        # already re-queued by _issue_hint).  == self._schedule(detect,
+        # ...): detection follows the slot, so it is never in the past.
+        losers = packets if winner is None else [p for p in packets if p is not winner]
+        back_off = partial(self._back_off, lane, slot_len, losers, base)
+        calendar = self._calendar
+        calendar._seq = seq = calendar._seq + 1
+        heappush(self._due, (detect, seq, back_off))
 
     def _classify(self, packets: list[Packet]) -> str:
-        """Figure 10's data-collision taxonomy (priority order)."""
-        if any(p.is_memory for p in packets):
-            return "memory"
-        if any(p.is_writeback for p in packets):
+        """Figure 10's data-collision taxonomy (priority order), one pass."""
+        writeback = retransmission = False
+        replies = True
+        for p in packets:
+            if p.is_memory:
+                return "memory"
+            writeback = writeback or p.is_writeback
+            retransmission = retransmission or p.retries > 0
+            replies = replies and p.is_reply_to_request
+        if writeback:
             return "writeback"
-        if any(p.retries > 0 for p in packets):
+        if retransmission:
             return "retransmission"
-        if all(p.is_reply_to_request for p in packets):
-            return "reply"
-        return "other"
-
-    def _back_off_all(
-        self, lane: LaneKind, slot_len: int, packets: list[Packet], base_cycle: int
-    ) -> None:
-        """One collision's senders notice it together (one calendar entry)."""
-        for packet in packets:
-            self._back_off(lane, slot_len, packet, base_cycle)
+        return "reply" if replies else "other"
 
     def _back_off(
-        self, lane: LaneKind, slot_len: int, packet: Packet, base_cycle: int
+        self, lane: LaneKind, slot_len: int, packets, base_cycle: int
     ) -> None:
-        """Queue ``packet`` for retransmission after a random back-off."""
+        """Queue each of ``packets`` — one collision's losers, or a lone
+        timed-out or suppressed sender — for retransmission after a
+        random back-off, drawn in order.
+
+        Each filing is ``_hold`` written out: a push on the sender's
+        back-off heap, and an index write only when the release lowers
+        the sender's readiness.
+        """
         inj = self._injector
-        if (
-            inj is not None
-            and inj.plan.giveup_retries is not None
-            and packet.retries > inj.plan.giveup_retries
-        ):
-            self._give_up(lane, packet, base_cycle)
-            return
-        draw = self.config.backoff.draw_delay_slots(self._backoff_rng, packet.retries)
+        giveup = inj.plan.giveup_retries if inj is not None else None
         base = base_cycle  # pure ALOHA: any cycle may start a retry
         if self._slotted:  # == lanes.next_slot_start(base_cycle, lane)
             base = ((base_cycle + slot_len - 1) // slot_len) * slot_len
-        release = base + (draw - 1) * slot_len
-        self._hold(lane, packet, release)
-        if TRACE.enabled:
-            TRACE.emit(
-                "backoff", cat="fsoi", cycle=base_cycle, node=packet.src,
-                lane=lane.value, packet=packet.uid,
-                retries=packet.retries, release=release,
-            )
+        spans = self._spans
+        integers = self._backoff_rng.integers
+        states = self._state[lane]
+        index = self._index[lane]
+        ready = index.ready
+        for packet in packets:
+            retries = packet.retries
+            if giveup is not None and retries > giveup:
+                self._give_up(lane, packet, base_cycle)
+                continue
+            draw = 1 + integers(0, spans[retries] if retries < len(spans)
+                                else self.config.backoff.span(retries))
+            release = base + (draw - 1) * slot_len
+            src = packet.src
+            state = states[src]
+            state.retx_seq = seq = state.retx_seq + 1
+            heappush(state.retx, (release, seq, packet))
+            old = ready[src]
+            if release < old:  # == index.update(src, release), a lowering
+                ready[src] = release
+                if old == NEVER:
+                    index.pending.add(src)
+                if release < index._min:
+                    index._min = release
+                    index._stale = False
+            if TRACE.enabled:
+                TRACE.emit(
+                    "backoff_draw", cat="backoff", retry=retries,
+                    window=self.config.backoff.window(retries), slots=draw,
+                )
+                TRACE.emit(
+                    "backoff", cat="fsoi", cycle=base_cycle, node=src,
+                    lane=lane.value, packet=packet.uid,
+                    retries=retries, release=release,
+                )
 
     def _give_up(self, lane: LaneKind, packet: Packet, cycle: int) -> None:
         """Bounded graceful degradation: the sender abandons the packet.
@@ -1279,14 +1321,13 @@ class FsoiNetwork(Interconnect):
 
     def phase_array_summary(self) -> dict[str, float]:
         """Aggregate OPA steering behaviour (empty for dedicated arrays)."""
-        if not self.config.phase_array:
+        if not self._phase_array:
             return {}
-        sends = retargets = 0
-        for lane_states in self._state.values():
-            for state in lane_states:
-                if state.opa is not None:
-                    sends += state.opa.sends
-                    retargets += state.opa.retargets
+        # Every counted transmission steers its lane's beam exactly once.
+        sends = sum(counters["tx"].value for counters in self._lane_stats.values())
+        retargets = sum(
+            state.retargets for states in self._state.values() for state in states
+        )
         return {
             "sends": sends,
             "retargets": retargets,

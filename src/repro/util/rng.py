@@ -11,9 +11,11 @@ The derivation uses SHA-256 over ``(root_seed, name)`` so stream seeds are
 statistically independent and stable across Python versions (unlike
 ``hash()``, which is salted per process).
 
-:class:`ReplayRng` serves the same sample sequence as a stream's
-``Generator`` from block-buffered raw words, for the cores, which draw
-scalars by the million.
+Every stream is a :class:`ReplayRng`: the sample sequence of
+``numpy.random.default_rng(seed)`` served from block-buffered raw words,
+because the simulator draws scalars one event at a time.  A numpy
+``Generator`` remains only off the run path: the array draws of
+:mod:`repro.core.analytical` and the recorder of :mod:`repro.workloads.trace`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def derive_seed(root_seed: int, name: str) -> int:
 
 
 class RngHub:
-    """A factory of independent named :class:`numpy.random.Generator` streams.
+    """A factory of independent named :class:`ReplayRng` streams.
 
     Parameters
     ----------
@@ -56,21 +58,21 @@ class RngHub:
     >>> b = hub.stream("node1.backoff")
     >>> a is hub.stream("node0.backoff")   # streams are cached
     True
-    >>> float(a.random()) != float(b.random())
+    >>> a.random() != b.random()
     True
     """
 
     def __init__(self, root_seed: int = 0):
         self.root_seed = int(root_seed)
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, ReplayRng] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the (cached) generator for ``name``."""
-        generator = self._streams.get(name)
-        if generator is None:
-            generator = np.random.default_rng(derive_seed(self.root_seed, name))
-            self._streams[name] = generator
-        return generator
+    def stream(self, name: str) -> "ReplayRng":
+        """Return the (cached) stream for ``name``."""
+        stream = self._streams.get(name)
+        if stream is None:
+            stream = ReplayRng(derive_seed(self.root_seed, name))
+            self._streams[name] = stream
+        return stream
 
     def child(self, name: str) -> "RngHub":
         """Return a hub whose streams are all namespaced under ``name``.
@@ -103,13 +105,13 @@ def word_threshold(fraction: float) -> int:
 class ReplayRng:
     """Replays ``numpy.random.Generator(PCG64(seed))`` draws from a buffer.
 
-    The cores draw scalars one at a time (op mix, line choice,
-    blocking-fraction), which pays numpy's full ufunc dispatch per draw.
-    This class pulls raw 64-bit words from the bit generator in blocks
-    (``PCG64.random_raw``) and applies the same output transforms the
-    Generator would, so the produced stream is *identical sample for
-    sample* — including PCG64's cross-call stash of the unused high
-    half of a word split for 32-bit output:
+    The simulator draws scalars one event at a time (a core's op mix, a
+    back-off slot, a signaling error), and each ``Generator`` call pays
+    numpy's full dispatch.  This class pulls raw 64-bit words from the
+    bit generator in blocks (``PCG64.random_raw``) and applies the same
+    output transforms the Generator would, so the produced stream is
+    *identical sample for sample* — including PCG64's cross-call stash
+    of the unused high half of a word split for 32-bit output:
 
     * ``random()`` — ``(word >> 11) * 2**-53`` (53-bit mantissa fill).
       Every step is exact, so ``random() < f`` is ``word <
@@ -117,12 +119,14 @@ class ReplayRng:
       fractions (the cores) never converts a word.
     * ``integers(low, high)`` — Lemire's 32-bit multiply-shift bounded
       draw with rejection, the path numpy takes for the default
-      ``int64`` dtype whenever the range fits in 32 bits (every draw
-      the workloads make).  A range of one returns ``low`` without
-      consuming a word, exactly as numpy does.
+      ``int64`` dtype whenever ``high - low`` is at most ``2**32``.  A
+      range of one returns ``low`` without consuming a word, exactly as
+      numpy does.  A wider range (numpy's 64-bit path) or an empty one
+      raises ``ValueError``.
 
-    So ``ReplayRng(derive_seed(root, name))`` yields the samples of
-    ``RngHub(root).stream(name)``.  The equivalence is pinned by
+    So ``RngHub(root).stream(name)``, a ``ReplayRng(derive_seed(root,
+    name))``, yields the samples of ``numpy.random.default_rng(
+    derive_seed(root, name))``.  The equivalence is pinned by
     hypothesis tests interleaving both call types against a real
     ``Generator`` over random seeds.
 
@@ -152,42 +156,45 @@ class ReplayRng:
         self._pos = 0
         return self._buffer
 
-    def _next64(self) -> int:
+    def random(self) -> float:
+        """One double in [0, 1), identical to ``Generator.random()``."""
         pos = self._pos
         buffer = self._buffer
         if pos >= len(buffer):
             buffer = self._refill()
             pos = 0
         self._pos = pos + 1
-        return buffer[pos]
-
-    def _next32(self) -> int:
-        # PCG64 splits one 64-bit word into two 32-bit outputs: the low
-        # half first, the high half stashed for the next 32-bit request
-        # (64-bit requests bypass and preserve the stash).
-        if self._has32:
-            self._has32 = False
-            return self._stash32
-        word = self._next64()
-        self._stash32 = word >> 32
-        self._has32 = True
-        return word & 0xFFFFFFFF
-
-    def random(self) -> float:
-        """One double in [0, 1), identical to ``Generator.random()``."""
-        return (self._next64() >> 11) * _UNIT
+        return (buffer[pos] >> 11) * _UNIT
 
     def integers(self, low: int, high: int) -> int:
         """One int in [low, high), identical to ``Generator.integers``."""
-        rng = high - low - 1  # inclusive range, numpy's convention
-        if rng == 0:
-            return low
-        rng_excl = rng + 1
-        m = self._next32() * rng_excl
-        leftover = m & 0xFFFFFFFF
-        if leftover < rng_excl:
-            threshold = (0xFFFFFFFF - rng) % rng_excl
-            while leftover < threshold:
-                m = self._next32() * rng_excl
-                leftover = m & 0xFFFFFFFF
-        return low + (m >> 32)
+        span = high - low
+        if span <= 1 or span > 0x100000000:
+            if span == 1:
+                return low
+            raise ValueError(
+                f"integers({low}, {high}): ReplayRng replays ranges of 1 to "
+                "2**32 values"
+            )
+        while True:
+            # PCG64 splits one 64-bit word into two 32-bit outputs: the
+            # low half first, the high half stashed for the next 32-bit
+            # request (random() bypasses and preserves the stash).
+            if self._has32:
+                self._has32 = False
+                m = self._stash32 * span
+            else:
+                pos = self._pos
+                buffer = self._buffer
+                if pos >= len(buffer):
+                    buffer = self._refill()
+                    pos = 0
+                self._pos = pos + 1
+                word = buffer[pos]
+                self._stash32 = word >> 32
+                self._has32 = True
+                m = (word & 0xFFFFFFFF) * span
+            leftover = m & 0xFFFFFFFF
+            # Reject only below (2**32 - span) % span, which is < span.
+            if leftover >= span or leftover >= (0x100000000 - span) % span:
+                return low + (m >> 32)

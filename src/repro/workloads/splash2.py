@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro.util.rng import ReplayRng
 from repro.workloads.ops import Op, OpKind
 
 __all__ = ["AppSignature", "AppWorkload", "APPLICATIONS", "signature"]
@@ -257,7 +256,7 @@ class AppWorkload:
                 f"node {node} of a {num_nodes}-node grid has none"
             )
 
-    def next_op(self, rng: np.random.Generator) -> Op:
+    def next_op(self, rng: ReplayRng) -> Op:
         """The next instruction for this core."""
         sig = self.signature
         count = self._ops_generated + 1
@@ -298,7 +297,7 @@ class AppWorkload:
             _SHARED_BASE, _SHARED_BASE + self.signature.shared_pool_lines
         )
 
-    def _pick_line(self, rng: np.random.Generator) -> tuple[int, bool]:
+    def _pick_line(self, rng: ReplayRng) -> tuple[int, bool]:
         """Returns ``(line, is_shared)``."""
         sig = self.signature
         r = rng.random()
@@ -319,7 +318,7 @@ class AppWorkload:
             False,
         )
 
-    def _pick_shared(self, rng: np.random.Generator) -> int:
+    def _pick_shared(self, rng: ReplayRng) -> int:
         """A shared-pool line, spatially biased by the comm pattern.
 
         Lines are home-interleaved (home = line mod N), so targeting a
@@ -338,7 +337,7 @@ class AppWorkload:
         offset = int(rng.integers(0, slots))
         return _SHARED_BASE + (peer % stride) + offset * stride
 
-    def _comm_peer(self, rng: np.random.Generator) -> int:
+    def _comm_peer(self, rng: ReplayRng) -> int:
         n = self.num_nodes
         if self.signature.comm_pattern == "butterfly":
             stage = self._butterfly_stage

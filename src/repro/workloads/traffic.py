@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.net.interface import Interconnect
 from repro.net.packet import LaneKind, Packet
-from repro.util.rng import RngHub
+from repro.util.rng import ReplayRng, RngHub
 
 __all__ = [
     "TrafficPattern",
@@ -28,10 +26,10 @@ __all__ = [
 ]
 
 #: Maps (rng, src, num_nodes) -> destination node (never src).
-TrafficPattern = Callable[[np.random.Generator, int, int], int]
+TrafficPattern = Callable[[ReplayRng, int, int], int]
 
 
-def uniform_pattern(rng: np.random.Generator, src: int, num_nodes: int) -> int:
+def uniform_pattern(rng: ReplayRng, src: int, num_nodes: int) -> int:
     """Uniform random destination over all other nodes."""
     dst = int(rng.integers(0, num_nodes - 1))
     return dst if dst < src else dst + 1
@@ -47,7 +45,7 @@ def hotspot_pattern(
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"hotspot fraction out of [0,1]: {fraction}")
 
-    def pattern(rng: np.random.Generator, src: int, num_nodes: int) -> int:
+    def pattern(rng: ReplayRng, src: int, num_nodes: int) -> int:
         if src != hotspot and rng.random() < fraction:
             return hotspot
         return uniform_pattern(rng, src, num_nodes)
@@ -55,7 +53,7 @@ def hotspot_pattern(
     return pattern
 
 
-def transpose_pattern(rng: np.random.Generator, src: int, num_nodes: int) -> int:
+def transpose_pattern(rng: ReplayRng, src: int, num_nodes: int) -> int:
     """Matrix-transpose permutation traffic (src XOR-reversed)."""
     dst = (num_nodes - 1) - src
     if dst == src:  # middle node of an odd count: fall back to uniform
@@ -85,7 +83,7 @@ class BernoulliTraffic:
             raise ValueError(f"data fraction out of [0,1]: {self.data_fraction}")
 
     def offers(
-        self, rng: np.random.Generator, cycle: int, num_nodes: int
+        self, rng: ReplayRng, cycle: int, num_nodes: int
     ) -> list[Packet]:
         """Packets offered network-wide at ``cycle`` (empty off-slot)."""
         if cycle % self.slot_cycles != 0:

@@ -1,4 +1,9 @@
-"""Tests for the back-off policy, lane/slot configuration and phase array."""
+"""Tests for the back-off policy, lane/slot configuration and phase array.
+
+The phase array's steering lives in the FSOI network's lane state, so
+its checks here script a sender's targets on a network and read each
+packet's setup cycles and ``phase_array_summary``.
+"""
 
 import numpy as np
 import pytest
@@ -7,8 +12,9 @@ from hypothesis import strategies as st
 
 from repro.core.backoff import BackoffPolicy
 from repro.core.lanes import LaneConfig
-from repro.core.phase_array import PhaseArray
-from repro.net.packet import LaneKind
+from repro.core.network import FsoiConfig, FsoiNetwork
+from repro.net.packet import LaneKind, Packet
+from tests.core.backoff_draws import network_draws
 
 
 class TestBackoffPolicy:
@@ -34,14 +40,12 @@ class TestBackoffPolicy:
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**31))
     def test_draw_within_window(self, retry, seed):
         policy = BackoffPolicy(2.7, 1.1)
-        rng = np.random.default_rng(seed)
-        draw = policy.draw_delay_slots(rng, retry)
+        (draw,) = network_draws(policy, retry, 1, seed)
         assert 1 <= draw <= int(np.ceil(policy.window(retry)))
 
     def test_expected_delay_matches_draws(self):
         policy = BackoffPolicy(4.0, 1.0)
-        rng = np.random.default_rng(0)
-        draws = [policy.draw_delay_slots(rng, 1) for _ in range(20_000)]
+        draws = network_draws(policy, 1, 20_000)
         assert np.mean(draws) == pytest.approx(policy.expected_delay_slots(1), rel=0.02)
 
     def test_retry_is_one_based(self):
@@ -114,28 +118,38 @@ class TestLaneConfig:
             LaneConfig(confirmation_delay=0)
 
 
+def steer(targets, num_nodes=8):
+    """Node 0 sends one meta packet to each of ``targets``, one slot
+    apart; returns each packet's steering cycles and the network's
+    ``phase_array_summary``."""
+    net = FsoiNetwork(FsoiConfig(num_nodes=num_nodes, phase_array=True))
+    packets = [Packet(src=0, dst=target, lane=LaneKind.META) for target in targets]
+    for packet in packets:
+        assert net.try_send(packet, 0)
+    for cycle in range(2 * len(packets) + 10):
+        net.tick(cycle)
+    # A solo meta packet is delivered two cycles after its slot starts.
+    setups = [p.deliver_cycle - p.final_tx_cycle - 2 for p in packets]
+    return setups, net.phase_array_summary()
+
+
 class TestPhaseArray:
     def test_first_steer_pays_setup(self):
-        opa = PhaseArray()
-        assert opa.steer(3) == 1
+        setups, summary = steer([3])
+        assert setups == [1]
+        assert summary["retargets"] == 1
 
     def test_same_target_free(self):
-        opa = PhaseArray()
-        opa.steer(3)
-        assert opa.steer(3) == 0
+        setups, summary = steer([3, 3])
+        assert setups == [1, 0]
+        assert summary["retargets"] == 1
 
     def test_retarget_pays_again(self):
-        opa = PhaseArray()
-        opa.steer(3)
-        opa.steer(3)
-        assert opa.steer(7) == 1
+        setups, summary = steer([3, 3, 7])
+        assert setups == [1, 0, 1]
+        assert summary["retargets"] == 2
 
     def test_retarget_fraction(self):
-        opa = PhaseArray()
-        for target in (1, 1, 2, 2, 2, 3):
-            opa.steer(target)
-        assert opa.retarget_fraction == pytest.approx(3 / 6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PhaseArray().steer(-2)
+        setups, summary = steer([1, 1, 2, 2, 2, 3])
+        assert setups == [1, 0, 1, 0, 0, 1]
+        assert summary == {"sends": 6, "retargets": 3, "retarget_fraction": 0.5}

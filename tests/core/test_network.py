@@ -189,12 +189,19 @@ class TestErrors:
 
 
 class TestPhaseArray:
+    """§4.1 steering, read off the network: a send to a target other than
+    the one the lane's beam points at pays one setup cycle, and
+    ``phase_array_summary`` counts sends and retargets."""
+
     def test_setup_penalty_on_retarget(self):
         net = make_network(phase_array=True)
         p = meta(0, 1)
         net.try_send(p, 0)
         run(net, 10)
         assert p.deliver_cycle == 3  # +1 steering cycle
+        assert net.phase_array_summary() == {
+            "sends": 1, "retargets": 1, "retarget_fraction": 1.0
+        }
 
     def test_same_target_no_penalty(self):
         net = make_network(phase_array=True)
@@ -204,6 +211,29 @@ class TestPhaseArray:
         run(net, 12)
         assert first.network_delay == 3
         assert second.network_delay == 2  # already steered at node 1
+        assert net.phase_array_summary()["retargets"] == 1
+
+    def test_negative_target_refused_at_the_door(self):
+        net = make_network(phase_array=True)
+        stray = make_packet(0, -1, LaneKind.META, None, False, False, False, False, 98)
+        with pytest.raises(ValueError):
+            net.try_send(stray, 0)
+        run(net, 10)
+        assert net.phase_array_summary() == {
+            "sends": 0, "retargets": 0, "retarget_fraction": 0.0
+        }
+
+    def test_every_transmission_is_a_send(self):
+        # Senders 0 and 2 collide at destination 3, so each transmits at
+        # least twice, and aims its beam once.
+        net = make_network(phase_array=True)
+        net.try_send(meta(0, 3), 0)
+        net.try_send(meta(2, 3), 0)
+        run(net, 80)
+        transmissions = net.stats.group.as_dict()["meta"]["transmissions"]
+        assert transmissions >= 4
+        assert net.phase_array_summary()["sends"] == transmissions
+        assert net.phase_array_summary()["retargets"] == 2
 
 
 class TestRequestSpacing:

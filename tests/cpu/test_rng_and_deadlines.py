@@ -6,8 +6,9 @@ regression points at the broken piece instead of a diverged end-to-end
 run:
 
 * :class:`ReplayRng` against a real ``numpy.random.Generator`` over
-  interleaved float and bounded-integer draws (including refills and
-  PCG64's cross-call 32-bit stash), and :func:`word_threshold` — the
+  interleaved float and bounded-integer draws of spans up to ``2**32``
+  (including refills and PCG64's cross-call 32-bit stash), its refusal
+  of the ranges it cannot replay, and :func:`word_threshold` — the
   raw-word compare the cores make instead of ``random() < fraction`` —
   against the float it replaces;
 * :func:`hold_release_cycle` / :func:`spin_poll_cycle`, the two
@@ -16,6 +17,7 @@ run:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +28,7 @@ _DRAW = st.one_of(
     st.just(None),  # a float draw
     st.tuples(  # an integers(low, low + span) draw
         st.integers(min_value=-1000, max_value=1000),
-        st.integers(min_value=1, max_value=2**31),
+        st.integers(min_value=1, max_value=2**32),
     ),
 )
 
@@ -83,6 +85,28 @@ class TestReplayRng:
         # The streams stay aligned afterwards.
         for _ in range(32):
             assert replay.random() == reference.random()
+
+    def test_full_32_bit_span_matches_generator(self):
+        # high - low == 2**32: numpy's last 32-bit range, one raw half
+        # per draw with nothing rejected.
+        replay = ReplayRng(99)
+        reference = np.random.Generator(np.random.PCG64(99))
+        for low in (0, -(2**31), 5):
+            for _ in range(64):
+                got = replay.integers(low, low + 2**32)
+                assert got == int(reference.integers(low, low + 2**32))
+
+    @pytest.mark.parametrize("low, high", [(5, 5), (5, 4), (0, -1)])
+    def test_refuses_an_empty_range(self, low, high):
+        with pytest.raises(ValueError, match=f"integers\\({low}, {high}\\)"):
+            ReplayRng(1).integers(low, high)
+
+    @pytest.mark.parametrize("low", [0, -7])
+    def test_refuses_a_range_wider_than_32_bits(self, low):
+        # numpy switches to a 64-bit draw there, which is not replayed.
+        high = low + 2**32 + 1
+        with pytest.raises(ValueError, match=f"integers\\({low}, {high}\\)"):
+            ReplayRng(1).integers(low, high)
 
 
 class TestDeadlineRules:

@@ -206,13 +206,16 @@ class TestRandomDraws:
         which no fault is active: the stream must not advance."""
         inj = make(FaultPlan(bursts=(ErrorBurst(0.5, start=100, end=200),),
                              confirmation_drops=(ConfirmationDrop(0.0),)))
-        before_c = inj._corrupt_rng.bit_generator.state["state"]["state"]
-        before_f = inj._confirm_rng.bit_generator.state["state"]["state"]
+        def cursor(stream):
+            return (list(stream._buffer), stream._pos, stream._has32, stream._stash32)
+
+        before_c = cursor(inj._corrupt_rng)
+        before_f = cursor(inj._confirm_rng)
         assert not inj.draw_corruption(0.0)
         assert not inj.drop_confirmation(0, 50)   # outside window -> p=0
         assert not inj.drop_confirmation(0, 150)  # rate 0 -> p=0
-        assert inj._corrupt_rng.bit_generator.state["state"]["state"] == before_c
-        assert inj._confirm_rng.bit_generator.state["state"]["state"] == before_f
+        assert cursor(inj._corrupt_rng) == before_c
+        assert cursor(inj._confirm_rng) == before_f
 
     def test_plan_seed_offsets_streams(self):
         plan_a = FaultPlan(confirmation_drops=(ConfirmationDrop(0.5),), seed=1)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.util.rng import RngHub, derive_seed
@@ -31,6 +31,10 @@ class TestDeriveSeed:
         assert len(seeds) == 50
 
 
+def draws(stream, count):
+    return [stream.random() for _ in range(count)]
+
+
 class TestRngHub:
     def test_stream_cached(self):
         hub = RngHub(7)
@@ -38,40 +42,70 @@ class TestRngHub:
 
     def test_streams_independent(self):
         hub = RngHub(7)
-        a = hub.stream("a").random(100)
-        b = hub.stream("b").random(100)
+        a = draws(hub.stream("a"), 100)
+        b = draws(hub.stream("b"), 100)
         assert not np.allclose(a, b)
 
     def test_reproducible_across_hubs(self):
-        first = RngHub(11).stream("traffic").random(10)
-        second = RngHub(11).stream("traffic").random(10)
-        assert np.allclose(first, second)
+        first = draws(RngHub(11).stream("traffic"), 10)
+        second = draws(RngHub(11).stream("traffic"), 10)
+        assert first == second
 
     def test_different_seeds_differ(self):
-        first = RngHub(11).stream("traffic").random(10)
-        second = RngHub(12).stream("traffic").random(10)
+        first = draws(RngHub(11).stream("traffic"), 10)
+        second = draws(RngHub(12).stream("traffic"), 10)
         assert not np.allclose(first, second)
 
     def test_construction_order_irrelevant(self):
         hub1 = RngHub(3)
         hub1.stream("a")
-        ones = hub1.stream("b").random(5)
+        ones = draws(hub1.stream("b"), 5)
         hub2 = RngHub(3)
-        twos = hub2.stream("b").random(5)  # "a" never created here
-        assert np.allclose(ones, twos)
+        twos = draws(hub2.stream("b"), 5)  # "a" never created here
+        assert ones == twos
 
     def test_child_namespaced(self):
         hub = RngHub(5)
         child = hub.child("fsoi")
         assert child.root_seed != hub.root_seed
-        a = child.stream("x").random(5)
-        b = hub.stream("x").random(5)
+        a = draws(child.stream("x"), 5)
+        b = draws(hub.stream("x"), 5)
         assert not np.allclose(a, b)
 
     def test_child_deterministic(self):
-        a = RngHub(5).child("net").stream("s").random(4)
-        b = RngHub(5).child("net").stream("s").random(4)
-        assert np.allclose(a, b)
+        a = draws(RngHub(5).child("net").stream("s"), 4)
+        b = draws(RngHub(5).child("net").stream("s"), 4)
+        assert a == b
 
     def test_repr_mentions_seed(self):
         assert "root_seed=9" in repr(RngHub(9))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        root=st.integers(min_value=0, max_value=2**32),
+        name=st.text(max_size=20),
+        ops=st.lists(
+            st.one_of(
+                st.just(None),  # a random() draw
+                st.tuples(  # an integers(low, low + span) draw
+                    st.integers(min_value=-1000, max_value=1000),
+                    st.integers(min_value=1, max_value=2**32),
+                ),
+            ),
+            min_size=1,
+            max_size=300,
+        ),
+    )
+    def test_stream_is_the_named_generator(self, root, name, ops):
+        """A hub stream replays ``default_rng(derive_seed(root, name))``
+        sample for sample, whatever the mix of calls."""
+        stream = RngHub(root).stream(name)
+        reference = np.random.default_rng(derive_seed(root, name))
+        for op in ops:
+            if op is None:
+                assert stream.random() == reference.random()
+            else:
+                low, span = op
+                assert stream.integers(low, low + span) == int(
+                    reference.integers(low, low + span)
+                )
