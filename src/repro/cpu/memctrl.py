@@ -63,13 +63,16 @@ class MemoryConfig:
 class MemoryController:
     """One memory channel attached to a node.
 
-    Driven by :meth:`handle` (MEM_READ / MEM_WRITE messages) and
-    :meth:`tick`; replies (MEM_ACK) go out through the supplied ``send``.
+    Driven by :meth:`handle` (MEM_READ / MEM_WRITE messages); replies
+    (MEM_ACK) go out through the supplied ``send``.  The channel is a
+    deterministic single server, so a transfer's start cycle is known
+    when it is queued: ``schedule(cycle, action)`` files it on the
+    system calendar, after every other entry due in that cycle.
     """
 
     __slots__ = (
-        "node", "send", "config", "_queue", "_busy_until", "stats",
-        "reads", "writes", "queue_wait", "_occupancy",
+        "node", "send", "schedule", "config", "_queue", "_busy_until",
+        "stats", "reads", "writes", "queue_wait", "_occupancy",
         "_reply_delay",
     )
 
@@ -77,22 +80,24 @@ class MemoryController:
         self,
         node: int,
         send: Callable[[CoherenceMessage, int], None],
+        schedule: Callable[[int, Callable[[], None]], None],
         config: Optional[MemoryConfig] = None,
         stats: Optional[StatGroup] = None,
     ):
         self.node = node
         self.send = send
+        self.schedule = schedule
         self.config = config or MemoryConfig()
         #: Queued requests with their arrival cycles, in arrival order.
         self._queue: deque[tuple[CoherenceMessage, int]] = deque()
+        #: The first cycle a new transfer may start: the filed start's
+        #: cycle while the queue is non-empty, else the last one's end.
         self._busy_until = 0
         stats = stats or StatGroup(f"mem.{node}")
         self.stats = stats
         self.reads = stats.counter("reads")
         self.writes = stats.counter("writes")
         self.queue_wait = stats.latency("queue_wait")
-        # tick() runs every cycle for every controller; hoist the two
-        # config-derived constants out of the per-transfer path.
         self._occupancy = self.config.occupancy_cycles
         self._reply_delay = self.config.latency + self._occupancy
 
@@ -100,15 +105,21 @@ class MemoryController:
         mtype = msg.mtype
         if mtype is not MEM_READ and mtype is not MEM_WRITE:
             raise ValueError(f"memory controller got {msg}")
+        if not self._queue:
+            # A request that crossed the network is delivered after this
+            # cycle's starts have run; a local one, from the calendar, before.
+            self._busy_until = max(cycle + (msg.sender != self.node), self._busy_until)
+            self.schedule(self._busy_until, self._start)
         self._queue.append((msg, cycle))
 
-    def tick(self, cycle: int) -> None:
-        """Start the next transfer when the channel frees up."""
-        if not self._queue or self._busy_until > cycle:
-            return
+    def _start(self) -> None:
+        """Start the queued head's transfer, at ``_busy_until``."""
+        cycle = self._busy_until
         msg, arrival = self._queue.popleft()
         self.queue_wait.record(cycle - arrival)
         self._busy_until = cycle + self._occupancy
+        if self._queue:
+            self.schedule(self._busy_until, self._start)
         if msg.mtype is MEM_WRITE:
             self.writes.add()
             return  # fire-and-forget
@@ -119,16 +130,6 @@ class MemoryController:
             ),
             self._reply_delay,
         )
-
-    def next_event(self, cycle: int) -> Optional[int]:
-        """Fast-forward horizon: next cycle a queued transfer can start.
-
-        ``None`` when idle — new work arrives via :meth:`handle`, which
-        is calendar-driven and carries its own horizon.
-        """
-        if not self._queue:
-            return None
-        return max(cycle, self._busy_until)
 
     @property
     def pending(self) -> int:

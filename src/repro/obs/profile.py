@@ -1,7 +1,7 @@
 """Lightweight per-phase wall-time attribution for the cycle loop.
 
 A :class:`PhaseProfiler` accumulates wall seconds against named phases
-("calendar", "memory", "network", "cores", ...).  The cycle loop pays
+("calendar", "overflow", "network", "cores", ...).  The cycle loop pays
 for timing only when profiling is on: ``CmpSystem``'s loop reads
 ``PROFILER.enabled`` once per run call and, when it is set, runs the
 system's one phase table with every step (and the fast-forward

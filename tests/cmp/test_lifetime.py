@@ -5,7 +5,8 @@ the cyclic collector frees it.  The acceptance bar: with the collector
 off, closing and dropping a system that ran frees every object it built,
 on every network and on the paths that add edges of their own (the §5
 optimisations, a fault plan, a bounded directory, tracing, a run stopped
-with cores parked on run-ahead windows).
+with cores parked on run-ahead windows, one stopped with a memory
+transfer start filed on the calendar).
 """
 
 import gc
@@ -62,6 +63,7 @@ VARIANTS = {kind: {"network": kind} for kind in NETWORK_KINDS} | {
     "bounded-directory": {"directory": DirectoryConfig(capacity_lines=64)},
     "traced": {},
     "parked": {},
+    "queued-memory": {"memory_gbps": 0.5},
 }
 
 
@@ -78,6 +80,9 @@ def test_closed_system_is_freed_without_the_collector(variant, no_collector):
     if variant == "parked":
         _stop_mid_run(system, 40)
         assert system._due_cores.parked, "no core parked mid-run"
+    if variant == "queued-memory":
+        _stop_mid_run(system, 40)
+        assert any(c.pending for c in system.memory.values()), "no queue"
     before = canonical_json([results.to_dict(), metrics])
     ref = weakref.ref(system)
     system.close()

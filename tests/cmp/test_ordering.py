@@ -3,8 +3,11 @@
 The paper serializes messages about the same cache line at the sender;
 without it, a meta-lane acknowledgment can overtake the data-lane
 writeback it logically follows and the Table 2 machines see impossible
-events.  These tests pin the mechanism itself.
+events.  These tests pin the mechanism itself, and where in a cycle a memory
+transfer start takes its place in that order.
 """
+
+import itertools
 
 import pytest
 
@@ -120,3 +123,72 @@ class TestPerLineOrdering:
         for _ in range(10):
             system.tick()
         assert received == [MsgType.WRITEBACK, MsgType.DWG_ACK]
+
+
+def line_served_by(system, node):
+    """A line far above the workloads' addresses whose memory channel
+    is at ``node``."""
+    return next(
+        line for line in itertools.count(1 << 24)
+        if system.memory_node_of(line) == node
+    )
+
+
+class TestTransferStartOrder:
+    """A memory transfer start runs where a per-cycle memory phase
+    would: after every calendar entry due in its cycle, even one filed
+    during that cycle's sweep, and the controllers in node order."""
+
+    @pytest.mark.parametrize(
+        "during_sweep", [False, True], ids=["filed-before", "filed-in-sweep"]
+    )
+    def test_reply_queues_behind_a_same_cycle_send_about_its_line(
+        self, during_sweep
+    ):
+        system = make_system(warm_start=False)
+        node = system.controller_nodes[0]
+        line = line_served_by(system, node)
+        home = (node + 1) % system.config.num_nodes
+        system._send_from(home, msg(MsgType.MEM_READ, line, home, node), 0)
+        while not system.memory[node].pending:
+            system.tick()
+        # Delivered in the network phase: the transfer starts this cycle.
+        start = system.cycle
+        inv = msg(MsgType.INV, line, node, home)
+
+        def send():
+            system._send_from(node, inv, 5)
+
+        calendar = system._calendar
+        if during_sweep:
+            calendar.schedule(start, lambda: calendar.schedule(start, send))
+        else:
+            calendar.schedule(start, send)
+        system.tick()
+        assert int(system.memory[node].reads) == 1
+        held = system._line_pending[(node, line)]
+        assert [(m.mtype, delay) for m, delay in held] == [(MsgType.MEM_ACK, 212)]
+        system.close()
+
+    def test_controllers_starting_in_one_cycle_send_in_node_order(self):
+        system = make_system(warm_start=False)
+        nodes = system.controller_nodes
+        sent = []
+        transmit = system._transmit
+
+        def spy(node, message, delay):
+            if message.mtype is MsgType.MEM_ACK:
+                sent.append(node)
+            transmit(node, message, delay)
+
+        system._transmit = spy
+        for node in reversed(nodes):  # delivered in reverse node order
+            home = (node + 1) % system.config.num_nodes
+            system.memory[node].handle(
+                msg(MsgType.MEM_READ, line_served_by(system, node), home, node),
+                system.cycle,
+            )
+        system.tick()
+        system.tick()
+        assert sent == sorted(nodes)
+        system.close()

@@ -59,56 +59,86 @@ class TestMemoryConfig:
 
 
 class TestMemoryController:
+    """The controller files each transfer start through ``schedule``;
+    these tests stand in for the system calendar with a list."""
+
     def make(self, gbps=8.8):
-        log = []
+        log, filed = [], []
         controller = MemoryController(
             node=0,
             send=lambda msg, delay: log.append((msg, delay)),
+            schedule=lambda cycle, action: filed.append((cycle, action)),
             config=MemoryConfig.from_gbps(gbps),
         )
-        return controller, log
+        return controller, log, filed
+
+    @staticmethod
+    def run(filed):
+        """Run the filed starts in cycle order (a start may file the
+        next one); returns the cycles they ran at."""
+        ran = []
+        while filed:
+            filed.sort(key=lambda entry: entry[0])
+            cycle, action = filed.pop(0)
+            ran.append(cycle)
+            action()
+        return ran
 
     def test_read_replies_after_latency(self):
-        controller, log = self.make()
+        controller, log, filed = self.make()
         controller.handle(mem_read(), 0)
-        controller.tick(0)
+        self.run(filed)
         msg, delay = log[0]
         assert msg.mtype is MsgType.MEM_ACK
         assert msg.dest == 3
         assert delay == 200 + 12
 
     def test_write_is_fire_and_forget(self):
-        controller, log = self.make()
+        controller, log, filed = self.make()
         controller.handle(
             CoherenceMessage(
                 mtype=MsgType.MEM_WRITE, line=1, sender=3, dest=0, requester=3
             ),
             0,
         )
-        controller.tick(0)
+        self.run(filed)
         assert log == []
         assert int(controller.writes) == 1
 
     def test_bandwidth_serializes_requests(self):
-        controller, log = self.make()
-        controller.handle(mem_read(0x1), 0)
-        controller.handle(mem_read(0x2), 0)
-        for cycle in range(30):
-            controller.tick(cycle)
+        controller, log, filed = self.make()
+        controller.handle(mem_read(0x1, uid_src=0), 0)
+        controller.handle(mem_read(0x2, uid_src=0), 0)
+        assert len(filed) == 1  # the second start is filed by the first
+        assert self.run(filed) == [0, 12]
         assert len(log) == 2
         # Second transfer started 12 cycles (one occupancy) later.
         assert controller.queue_wait.maximum == 12
 
     def test_higher_bandwidth_less_queuing(self):
-        controller, log = self.make(gbps=52.8)
-        controller.handle(mem_read(0x1), 0)
-        controller.handle(mem_read(0x2), 0)
-        for cycle in range(10):
-            controller.tick(cycle)
+        controller, log, filed = self.make(gbps=52.8)
+        controller.handle(mem_read(0x1, uid_src=0), 0)
+        controller.handle(mem_read(0x2, uid_src=0), 0)
+        assert self.run(filed) == [0, 2]
         assert controller.queue_wait.maximum == 2
 
+    def test_start_cycle_of_a_remote_and_a_local_request(self):
+        """A request that crossed the network is delivered after the
+        cycle's starts ran, so it starts next cycle; a local one is
+        delivered from the calendar and starts in its own cycle."""
+        controller, _, filed = self.make()
+        controller.handle(mem_read(0x1, uid_src=3), 5)
+        assert [cycle for cycle, _ in filed] == [6]
+        assert self.run(filed) == [6]
+        controller.handle(mem_read(0x2, uid_src=0), 30)
+        assert [cycle for cycle, _ in filed] == [30]
+        # Arriving at a busy channel: filed for the cycle it frees up.
+        self.run(filed)
+        controller.handle(mem_read(0x3, uid_src=3), 31)
+        assert [cycle for cycle, _ in filed] == [42]
+
     def test_rejects_foreign_messages(self):
-        controller, _ = self.make()
+        controller, _, filed = self.make()
         with pytest.raises(ValueError):
             controller.handle(
                 CoherenceMessage(
@@ -116,12 +146,12 @@ class TestMemoryController:
                 ),
                 0,
             )
+        assert filed == []
 
     def test_quiescent(self):
-        controller, _ = self.make()
+        controller, _, filed = self.make()
         assert controller.quiescent(0)
         controller.handle(mem_read(), 0)
         assert not controller.quiescent(0)
-        for cycle in range(20):
-            controller.tick(cycle)
+        self.run(filed)
         assert controller.quiescent(20)

@@ -8,7 +8,7 @@ from repro.obs import PROFILER, PhaseProfiler, profiling
 #: Every phase a profiled run reports: the tick's phase table, the
 #: coherence dispatch nested in it and the fast-forward horizon.
 PHASES = (
-    "calendar", "overflow", "memory", "network", "cores", "coherence", "horizon",
+    "calendar", "overflow", "network", "cores", "coherence", "horizon",
 )
 
 
