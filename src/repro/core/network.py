@@ -1174,7 +1174,6 @@ class FsoiNetwork(Interconnect):
         if chosen in actual:
             self._hint_stats["correct"].add()
             winner = actual[chosen]
-            winner.retries += 1
             self._hold(LaneKind.DATA, winner, cycle + slot_len)
             if TRACE.enabled:
                 TRACE.emit(

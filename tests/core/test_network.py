@@ -268,6 +268,8 @@ class TestResolutionHints:
         winner = a if a.final_tx_cycle == 5 else b
         assert winner.final_tx_cycle == 5  # the very next data slot
         assert int(net.stats.delivered) == 2
+        # The winner is a collider like the loser: one collision, one retry.
+        assert (a.retries, b.retries) == (1, 1)
 
     def test_hints_only_on_data_lane(self):
         opts = OptimizationConfig(resolution_hints=True)
