@@ -172,63 +172,19 @@ class _LaneState:
         self.retargets = 0
 
 
-class _LaneIndex:
-    """One lane's scheduling index (docs/performance.md).
-
-    ``ready[node]`` is the earliest cycle the node's oldest eligible
-    packet may transmit — ``min(earliest retransmission release,
-    queue-head scheduled cycle)``, :data:`NEVER` when it has nothing
-    pending — and ``pending`` is the set of nodes whose readiness is not
-    :data:`NEVER`: all a slot boundary, a refold or ``quiescent()``
-    reads.  The lane minimum is cached: a write below it lowers it
-    exactly, a write that raises the cell holding it only marks it
-    stale, and the next reader folds the pending cells once.
-    """
-
-    __slots__ = ("ready", "pending", "_min", "_stale")
-
-    def __init__(self, num_nodes: int):
-        self.ready = [NEVER] * num_nodes
-        self.pending: set[int] = set()
-        self._min = NEVER  # <= the true minimum; equal unless _stale
-        self._stale = False
-
-    def update(self, node: int, ready: int) -> None:
-        old = self.ready[node]
-        if ready == old:
-            return
-        self.ready[node] = ready
-        if ready == NEVER:
-            self.pending.discard(node)
-        elif old == NEVER:
-            self.pending.add(node)
-        if ready < self._min:
-            self._min = ready
-            self._stale = False
-        elif old == self._min:
-            self._stale = True
-
-    def minimum(self) -> int:
-        if self._stale:
-            self._min = min(map(self.ready.__getitem__, self.pending), default=NEVER)
-            self._stale = False
-        return self._min
-
-
 class FsoiNetwork(Interconnect):
     """Cycle-accurate model of the free-space optical interconnect.
 
-    One :class:`_LaneIndex` per lane is the network's summary of
-    pending work.  A slot boundary costs what transmits in it: it
-    visits only the nodes of :attr:`_LaneIndex.pending` whose readiness
-    is due, in ascending node order — the order every RNG draw and
-    trace event follows (a node whose readiness lies in the future
-    would pick nothing and change nothing) — a retransmission is the
+    Per lane, the set of nodes whose queue or back-off heap holds a
+    packet (``_pending``) is the network's one summary of pending work.
+    A slot boundary visits those nodes in ascending node order — the
+    order every RNG draw and trace event follows; a node with nothing
+    due yet picks nothing and changes nothing — a retransmission is the
     top of its node's back-off heap, and the colliders of one event
-    share one calendar entry.  The fast-forward horizon is the lane
-    minimum rounded up to a boundary, and the network is quiescent when
-    both ``pending`` sets, both calendars and the confirmation channel's
-    unheard arrivals are empty.
+    share one calendar entry.  The fast-forward horizon is the earliest
+    head among the pending nodes rounded up to a boundary, and the
+    network is quiescent when both pending sets, both calendars and the
+    confirmation channel's unheard arrivals are empty.
     A fault plan adds no node to a boundary and nothing to the horizon:
     the sender's sparing probe (``FaultInjector.lane_suppressed``)
     answers at any later boundary as a probe at every boundary would
@@ -284,11 +240,11 @@ class FsoiNetwork(Interconnect):
         self._due = self._calendar._heap
         self._conf_due = self.confirmations._calendar._heap
         self._unheard = self.confirmations._unheard
-        # When each (lane, node) can next transmit: which nodes a slot
-        # boundary visits, the fast-forward horizon and quiescence.
-        self._index = {
-            lane: _LaneIndex(config.num_nodes)
-            for lane in (LaneKind.META, LaneKind.DATA)
+        # Per lane, the nodes whose queue or back-off heap holds a
+        # packet: which nodes a slot boundary visits, whose heads the
+        # fast-forward horizon reads, and quiescence.
+        self._pending: dict[LaneKind, set[int]] = {
+            lane: set() for lane in (LaneKind.META, LaneKind.DATA)
         }
         # The per-lane constants of the tick, horizon and slot hot paths,
         # one row a lane: (lane, slot length, packet bits, receivers per
@@ -410,26 +366,13 @@ class FsoiNetwork(Interconnect):
         if self._request_spacing and expects and lane is LaneKind.META:
             spacing = self._reserve_reply_slot(src, cycle)
             self._spacing_delays.record(spacing)
-        packet.scheduled_cycle = scheduled = cycle + spacing
+        packet.scheduled_cycle = cycle + spacing
         if expects and self._hints:
             # The requester will await a data packet from the destination
             # (or whoever it forwards to); used by the resolution hint.
             self._expected[src].expect(dst)
         queue.append(packet)
-        if len(queue) == 1:
-            # Only a new queue head can move the node's readiness, and
-            # only to an earlier cycle (== index.update(src, scheduled),
-            # whose raising branches a lowering write cannot take).
-            index = self._index[lane]
-            ready = index.ready
-            old = ready[src]
-            if scheduled < old:
-                ready[src] = scheduled
-                if old == NEVER:
-                    index.pending.add(src)
-                if scheduled < index._min:
-                    index._min = scheduled
-                    index._stale = False
+        self._pending[lane].add(src)
         self.stats.sent.value += 1  # == .add(), minus the call frame
         return True
 
@@ -453,10 +396,9 @@ class FsoiNetwork(Interconnect):
                 self._start_slot(row, cycle)
 
     def quiescent(self) -> bool:
-        meta, data = self._index.values()
+        meta, data = self._pending.values()
         return not (
-            self._due or self._conf_due or self._unheard
-            or meta.pending or data.pending
+            self._due or self._conf_due or self._unheard or meta or data
         )
 
     # -- fast-forward horizon (see docs/performance.md) -----------------
@@ -468,7 +410,8 @@ class FsoiNetwork(Interconnect):
         calendar and unheard arrivals), the outcome calendar, and — per
         lane with pending transmissions — the first slot boundary at or
         after the earliest packet becomes eligible (:func:`slot_horizon`
-        of the lane index's minimum).
+        of the earliest retransmission release or queue-head scheduled
+        cycle among the lane's pending nodes).
         The pure-ALOHA ablation (``slotted=False``) starts
         transmissions on any cycle, so it pins the horizon to "now"
         (fast-forward inhibited).  A lane its sender has marked down
@@ -481,8 +424,21 @@ class FsoiNetwork(Interconnect):
         if c is not None and (horizon is None or c < horizon):
             horizon = c
         for lane, slot_len, _bits, _receivers in self._slot_table:
-            boundary = slot_horizon(self._index[lane].minimum(), cycle, slot_len)
-            if boundary is not None and (horizon is None or boundary < horizon):
+            pending = self._pending[lane]
+            if not pending:
+                continue
+            # Only the two heads count: the heap top is the earliest
+            # release, and a queue transmits in FIFO order.
+            earliest = NEVER
+            for state in map(self._state[lane].__getitem__, pending):
+                retx = state.retx
+                if retx and retx[0][0] < earliest:
+                    earliest = retx[0][0]
+                queue = state.queue
+                if queue and queue[0].scheduled_cycle < earliest:
+                    earliest = queue[0].scheduled_cycle
+            boundary = slot_horizon(earliest, cycle, slot_len)
+            if horizon is None or boundary < horizon:
                 horizon = boundary
         if horizon is not None and horizon < cycle:
             return cycle
@@ -506,13 +462,9 @@ class FsoiNetwork(Interconnect):
     def _start_slot(self, row: tuple, cycle: int) -> None:
         lane, slot_len, bits, receivers = row
         self._slots_counter[lane].value += 1
-        index = self._index[lane]
-        if (index.minimum() if index._stale else index._min) > cycle:
-            return  # idle lane, or nothing eligible yet
-        ready = index.ready
-        pending = index.pending
-        nodes = [node for node in pending if ready[node] <= cycle]
-        nodes.sort()
+        pending = self._pending[lane]
+        if not pending:
+            return  # idle lane
         inj = self._injector
         tx_counter = self._lane_stats[lane]["tx"]
         bits_counter = self.stats.bits_sent
@@ -522,9 +474,9 @@ class FsoiNetwork(Interconnect):
         # Gather this slot's transmissions: one per node, retransmissions
         # take priority over fresh queue heads (they are older traffic).
         sends: list[tuple[Packet, int]] = []
-        for node in nodes:
-            # The pick and the re-fold of the node's readiness from its two
-            # heads (== _pick_transmission, written out for the hot path).
+        for node in sorted(pending):
+            # == _pick_transmission, written out for the hot path; a node
+            # with nothing due yet takes the `continue` before any effect.
             state = states[node]
             retx = state.retx
             queue = state.queue
@@ -534,19 +486,8 @@ class FsoiNetwork(Interconnect):
                 packet = queue.popleft()
             else:
                 continue
-            new = retx[0][0] if retx else NEVER
-            if queue and queue[0].scheduled_cycle < new:
-                new = queue[0].scheduled_cycle
-            old = ready[node]
-            if new != old:  # == index.update(node, new); old is due, not NEVER
-                ready[node] = new
-                if new == NEVER:
-                    pending.discard(node)
-                if new < index._min:
-                    index._min = new
-                    index._stale = False
-                elif old == index._min:
-                    index._stale = True
+            if not (retx or queue):
+                pending.discard(node)
             if inj is not None and inj.lane_suppressed(node, lane, cycle):
                 # Lane sparing: the sender has detected its dead lane and
                 # stops lighting it — queued traffic fast-fails straight
@@ -756,15 +697,10 @@ class FsoiNetwork(Interconnect):
     def _pick_transmission(
         self, lane: LaneKind, state: _LaneState, cycle: int
     ) -> Packet | None:
-        """Pop ``state``'s due transmission, if any, and re-fold its
-        node's readiness (the unslotted ablation; a slot boundary's
-        gather writes the same steps out).
-
-        Retransmissions go first (they are older traffic).  Only the two
-        *heads* count for readiness — the heap top is the earliest
-        release, and FIFO order means a later packet cannot transmit
-        before the queue head does.  An enqueue or a back-off can only
-        make the node ready earlier and writes the index itself.
+        """Pop ``state``'s due transmission, if any, and drop its node
+        from the lane's pending set once both heads are empty (the
+        unslotted ablation; a slot boundary's gather writes the same
+        steps out).  Retransmissions go first (they are older traffic).
         """
         retx = state.retx
         queue = state.queue
@@ -774,10 +710,8 @@ class FsoiNetwork(Interconnect):
             packet = queue.popleft()
         else:
             return None
-        ready = retx[0][0] if retx else NEVER
-        if queue and queue[0].scheduled_cycle < ready:
-            ready = queue[0].scheduled_cycle
-        self._index[lane].update(state.node, ready)
+        if not (retx or queue):
+            self._pending[lane].discard(state.node)
         return packet
 
     def _hold(self, lane: LaneKind, packet: Packet, release: int) -> None:
@@ -786,19 +720,17 @@ class FsoiNetwork(Interconnect):
         state = self._state[lane][src]
         state.retx_seq += 1
         heappush(state.retx, (release, state.retx_seq, packet))
-        index = self._index[lane]
-        if release < index.ready[src]:  # a later release moves nothing
-            index.update(src, release)
+        self._pending[lane].add(src)
 
     def audit(self) -> None:
         """Two self-checks per lane and one of the confirmation channel,
         each raising an ``AssertionError`` that names what broke (raised,
         not asserted, so ``python -O`` keeps them):
 
-        * the lane index — ``ready``, its cached minimum and ``pending``,
-          which ``quiescent()`` reads — agrees with a recount of the
-          queues and back-off heaps, and every back-off heap is one (so
-          its top is the ``(release, seq)`` minimum);
+        * the lane's pending set — which slot boundaries, the horizon and
+          ``quiescent()`` read — is exactly the nodes whose queue or
+          back-off heap holds a packet, and every back-off heap is one
+          (so its top is the ``(release, seq)`` minimum);
         * no silent loss (§4.3.1): a transmission ends delivered,
           collided or signal-error corrupted — under a fault plan also
           fault-lost, injected-corrupt or a duplicate reception — so the
@@ -823,7 +755,6 @@ class FsoiNetwork(Interconnect):
         quiescent = self.quiescent()
         for lane, states in self._state.items():
             name = lane.value
-            index = self._index[lane]
             for node, state in enumerate(states):
                 keys = [entry[:2] for entry in state.retx]
                 if any(
@@ -833,28 +764,14 @@ class FsoiNetwork(Interconnect):
                     raise AssertionError(
                         f"{name} lane: node {node}'s back-off list is not a heap"
                     )
-                pending = [release for release, _seq in keys]
-                if state.queue:
-                    pending.append(state.queue[0].scheduled_cycle)
-                ready = min(pending, default=NEVER)
-                if index.ready[node] != ready:
-                    raise AssertionError(
-                        f"{name} lane index has node {node} ready at "
-                        f"{index.ready[node]}, its packets at {ready}"
-                    )
+            pending = self._pending[lane]
             holding = {
-                node for node in range(self.num_nodes) if index.ready[node] != NEVER
+                node for node, state in enumerate(states) if state.queue or state.retx
             }
-            if index.pending != holding:
+            if pending != holding:
                 raise AssertionError(
-                    f"{name} lane index lists {len(index.pending)} pending "
+                    f"{name} lane index lists {len(pending)} pending "
                     f"senders but {len(holding)} hold packets"
-                )
-            least = min(index.ready)
-            if index._min > least or (not index._stale and index._min != least):
-                raise AssertionError(
-                    f"{name} lane index caches minimum {index._min}, "
-                    f"recount {least}"
                 )
             counts = self._lane_stats[lane]
             tx = counts["tx"].value
@@ -1079,8 +996,7 @@ class FsoiNetwork(Interconnect):
         random back-off, drawn in order.
 
         Each filing is ``_hold`` written out: a push on the sender's
-        back-off heap, and an index write only when the release lowers
-        the sender's readiness.
+        back-off heap, and the sender joins the lane's pending set.
         """
         inj = self._injector
         giveup = inj.plan.giveup_retries if inj is not None else None
@@ -1090,8 +1006,7 @@ class FsoiNetwork(Interconnect):
         spans = self._spans
         integers = self._backoff_rng.integers
         states = self._state[lane]
-        index = self._index[lane]
-        ready = index.ready
+        pending = self._pending[lane]
         for packet in packets:
             retries = packet.retries
             if giveup is not None and retries > giveup:
@@ -1104,14 +1019,7 @@ class FsoiNetwork(Interconnect):
             state = states[src]
             state.retx_seq = seq = state.retx_seq + 1
             heappush(state.retx, (release, seq, packet))
-            old = ready[src]
-            if release < old:  # == index.update(src, release), a lowering
-                ready[src] = release
-                if old == NEVER:
-                    index.pending.add(src)
-                if release < index._min:
-                    index._min = release
-                    index._stale = False
+            pending.add(src)
             if TRACE.enabled:
                 TRACE.emit(
                     "backoff_draw", cat="backoff", retry=retries,
@@ -1190,11 +1098,6 @@ class FsoiNetwork(Interconnect):
             self._hint_stats["wrong_winner"].add()
             _release, seq, packet = state.retx[0]  # keeps its seq
             heapreplace(state.retx, (cycle + slot_len, seq, packet))
-            # The heap top moved, either way: re-fold the node's readiness.
-            ready = state.retx[0][0]
-            if state.queue and state.queue[0].scheduled_cycle < ready:
-                ready = state.queue[0].scheduled_cycle
-            self._index[LaneKind.DATA].update(chosen, ready)
             outcome = "wrong_winner"
         else:
             self._hint_stats["ignored"].add()

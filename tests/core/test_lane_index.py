@@ -2,16 +2,19 @@
 
 * :func:`repro.core.network.slot_horizon` — the fast-forward horizon —
   against a scalar re-derivation of its contract.
-* The lane index (``_LaneIndex``): after any sequence of readiness
-  writes its cached minimum, its ``pending`` set and the sorted due
-  gather a slot boundary makes from it equal a brute-force scan of
-  ``ready``.
+* The lane index of a real :class:`~repro.core.network.FsoiNetwork`:
+  after every tick under random offers, each lane's pending set is the
+  nodes whose queue or back-off heap holds a packet, and
+  ``next_event`` equals a horizon re-derived from every node's two
+  heads (pending or not) and the two calendars.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.network import NEVER, _LaneIndex, slot_horizon
+from repro.core.network import NEVER, FsoiConfig, FsoiNetwork, slot_horizon
+from repro.core.optimizations import OptimizationConfig
+from repro.net.packet import LaneKind, Packet
 
 #: Readiness values: simulated cycles plus the idle sentinel.
 ready_values = st.one_of(
@@ -46,32 +49,71 @@ class TestSlotHorizon:
         assert horizon % 64 == 0
 
 
-class TestLaneIndex:
-    NODES = 12
+def brute_force_horizon(net: FsoiNetwork, now: int) -> int | None:
+    """The earliest cycle at or after ``now`` at which ``net`` can change
+    state, from every calendar entry, every unheard confirmation and the
+    two heads of every node on both lanes."""
+    candidates = [entry[0] for entry in net._calendar._heap]
+    candidates += [entry[0] for entry in net.confirmations._calendar._heap]
+    candidates += net.confirmations._unheard
+    for lane in (LaneKind.META, LaneKind.DATA):
+        slot_len = net.lanes.slot_cycles(lane)
+        for state in net._state[lane]:
+            heads = [state.retx[0][0]] if state.retx else []
+            if state.queue:
+                heads.append(state.queue[0].scheduled_cycle)
+            for head in heads:
+                eligible = max(head, now)
+                candidates.append(-(-eligible // slot_len) * slot_len)
+    return max(min(candidates), now) if candidates else None
 
-    @settings(deadline=None)
+
+#: One cycle's offers: (src, dst, data lane?, expects a data reply?).
+#: Destinations crowd onto four nodes, so collisions and back-offs occur.
+offers = st.lists(
+    st.tuples(
+        st.integers(0, 63), st.integers(0, 3), st.booleans(), st.booleans()
+    ),
+    max_size=6,
+)
+
+
+class TestLaneIndex:
+    @settings(max_examples=40, deadline=None)
     @given(
-        updates=st.lists(st.tuples(
-            st.integers(0, NODES - 1),
-            st.one_of(st.integers(0, 40), st.just(NEVER)),
-            st.booleans(),
-        ), max_size=60),
-        cycle=st.integers(0, 40),
+        nodes=st.sampled_from((16, 64)),
+        optimized=st.booleans(),
+        seed=st.integers(0, 2**16),
+        schedule=st.lists(offers, max_size=60),
     )
-    def test_matches_brute_force_scan(self, updates, cycle):
-        index = _LaneIndex(self.NODES)
-        model = [NEVER] * self.NODES
-        for node, ready, read_minimum in updates:
-            index.update(node, ready)
-            model[node] = ready
-            assert index.ready == model
-            assert index.pending == {
-                n for n, value in enumerate(model) if value != NEVER
-            }
-            # What _start_slot gathers == the every-node scan it replaced.
-            assert sorted(
-                n for n in index.pending if index.ready[n] <= cycle
-            ) == [n for n, value in enumerate(model) if value <= cycle]
-            if read_minimum:  # unread raises leave the cache stale
-                assert index.minimum() == min(model)
-        assert index.minimum() == min(model)
+    def test_pending_and_horizon_match_brute_force(
+        self, nodes, optimized, seed, schedule
+    ):
+        opts = (
+            OptimizationConfig(request_spacing=True, resolution_hints=True)
+            if optimized else OptimizationConfig()
+        )
+        net = FsoiNetwork(FsoiConfig(num_nodes=nodes, optimizations=opts, seed=seed))
+        cycle = 0
+        while cycle < len(schedule) or not net.quiescent():
+            assert cycle < len(schedule) + 20_000, "network did not drain"
+            for src, dst, is_data, expects in (
+                schedule[cycle] if cycle < len(schedule) else ()
+            ):
+                src %= nodes
+                if src != dst:
+                    lane = LaneKind.DATA if is_data else LaneKind.META
+                    net.try_send(
+                        Packet(src=src, dst=dst, lane=lane,
+                               expects_data_reply=expects),
+                        cycle,
+                    )
+            net.tick(cycle)
+            for lane, states in net._state.items():
+                holding = {
+                    node for node, state in enumerate(states)
+                    if state.queue or state.retx
+                }
+                assert net._pending[lane] == holding, (lane, cycle)
+            cycle += 1
+            assert net.next_event(cycle) == brute_force_horizon(net, cycle), cycle

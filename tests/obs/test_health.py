@@ -188,8 +188,8 @@ class TestEndStateInvariants:
         # List an idle node as pending (or drop a pending one) behind
         # the lane index's back.
         network = finished_system.network
-        lane = next(iter(network._index))
-        network._index[lane].pending ^= {0}
+        lane = next(iter(network._pending))
+        network._pending[lane] ^= {0}
         [event] = detect_audit(finished_system)
         assert event.detector == "audit" and event.severity == "critical"
         assert event.message.startswith(f"{lane.value} lane index lists")
