@@ -136,6 +136,11 @@ class CmpConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.num_nodes < self.memory_channels:
+            raise ValueError(
+                f"num_nodes {self.num_nodes} is below memory_channels "
+                f"{self.memory_channels}: each channel needs a node of its own"
+            )
         if self.network not in NETWORK_KINDS:
             raise ValueError(
                 f"unknown network {self.network!r}; choose from {NETWORK_KINDS}"
@@ -211,10 +216,12 @@ class CmpSystem:
         # deque, or the _LINE_IN_FLIGHT sentinel when nothing is queued.
         self._line_pending: dict[tuple[int, int], "deque | tuple"] = {}
 
-        # Memory controllers, evenly spread over the nodes.
+        # Memory controllers, evenly spread over the nodes: channel i at
+        # the middle of the i-th of `channels` equal shares, so distinct
+        # (n >= channels) and ascending.
         channels = config.memory_channels
         self.controller_nodes = [
-            round((i + 0.5) * n / channels) % n for i in range(channels)
+            (2 * i + 1) * n // (2 * channels) for i in range(channels)
         ]
         # Transfer starts run last in their cycle's calendar sweep, in node order.
         mem_config = MemoryConfig.from_gbps(config.memory_gbps)

@@ -29,6 +29,11 @@ class TestConfig:
         assert CmpConfig(num_nodes=16).memory_channels == 4
         assert CmpConfig(num_nodes=64).memory_channels == 8
 
+    @pytest.mark.parametrize("nodes", [2, 3])
+    def test_fewer_nodes_than_memory_channels_rejected(self, nodes):
+        with pytest.raises(ValueError, match=f"num_nodes {nodes} .* memory_channels 4"):
+            CmpConfig(num_nodes=nodes)
+
     def test_app_lookup(self):
         assert CmpConfig(app="oc").app_signature.name == "ocean"
 
@@ -44,6 +49,18 @@ class TestWiring:
         assert len(system.memory) == 4
         for line in range(64):
             assert system.memory_node_of(line) in system.memory
+
+    def test_memory_controllers_on_distinct_nodes_in_rank_order(self):
+        # One controller per channel, each on its own node, and the
+        # same-cycle start rank (schedule_last) follows node order.
+        for n in range(4, 101):
+            system = CmpSystem(CmpConfig(num_nodes=n, warm_start=False))
+            channels = system.config.memory_channels
+            nodes = system.controller_nodes
+            assert len(set(nodes)) == len(system.memory) == channels, n
+            ranks = [system.memory[node].schedule.args[0] for node in sorted(nodes)]
+            assert ranks == list(range(channels)), n
+            system.close()
 
     def test_phase_array_only_at_64(self):
         small = CmpSystem(CmpConfig(num_nodes=16, network="fsoi"))
