@@ -20,7 +20,7 @@ results to an unobserved one):
   JSONL in the ``chrome://tracing`` trace-event format.
 * :class:`PhaseProfiler` / the global :data:`PROFILER` — per-phase
   wall-time attribution of the cycle loop (the tick's phase table —
-  calendar, overflow, memory, network, cores — plus coherence dispatch
+  calendar, overflow, network, cores — plus coherence dispatch
   and the fast-forward horizon), surfaced through ``repro profile``.
 * :class:`TimelineCollector` / the global :data:`TIMELINE` — windowed
   time-series telemetry, sampled by the cycle loop between segments:
