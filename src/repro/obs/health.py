@@ -17,8 +17,8 @@ into structured :class:`HealthEvent` records:
   progress.
 * **audit** — the transport's own self-check,
   :meth:`~repro.net.interface.Interconnect.audit`, failed: deliveries
-  exceed sends on any network; on FSOI a lane index disagrees with the
-  queues it summarises, or the per-lane transmission fates stop
+  exceed sends on any network; on FSOI a lane's pending set is not the
+  nodes holding packets, or the per-lane transmission fates stop
   balancing (the no-silent-loss law of §4.3.1); on the mesh a router's
   occupancy summaries or VC ownership disagree with its buffers.
 * **counter_leak** — a stat counter has gone negative.
