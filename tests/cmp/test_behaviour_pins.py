@@ -22,6 +22,8 @@ shared by the rest:
 * ``tracing-invisible`` — the run traced moves no result and no counter
   (observation selects no code), and the tracer did record;
 * ``skips`` — fast-forward skips cycles;
+* ``refuses`` — the network refused sends (a full injection queue
+  backs up into the system's overflow queue);
 * ``audit`` (every row) — the run conserves instructions, core cycles
   and packets, its system passes its transport's ``audit()`` and
   :func:`recount_occupancy`, and a capacity-bounded directory evicts.
@@ -41,6 +43,7 @@ from hypothesis import strategies as st
 from repro.cmp import CmpConfig, CmpSystem
 from repro.coherence.directory import DirectoryConfig
 from repro.core.analytical import collision_probability
+from repro.core.lanes import LaneConfig
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.core.optimizations import OptimizationConfig
 from repro.cpu.sync import SYNC_LINE_BASE
@@ -97,6 +100,13 @@ ROWS = dict([
     row(
         "ba-fsoi-16-seed8-per5", "pin",
         app="ba", network="fsoi", seed=8, fsoi_packet_error_rate=0.05,
+    ),
+    # One-packet injection queues: refused sends wait in CmpSystem's
+    # overflow queue, which drains and bounds the horizon.
+    row(
+        "oc-fsoi-16-seed1-q1",
+        "pin pin-every-cycle fast-forward skips generic tracing-invisible refuses",
+        app="oc", network="fsoi", seed=1, fsoi_lanes=LaneConfig(queue_capacity=1),
     ),
     row(
         "oc-fsoi-16-seed4-faults", "pin pin-every-cycle fast-forward generic",
@@ -253,6 +263,9 @@ def check(runs, oracle, pinned=None):
     """Hold ``runs`` to one ``oracle`` (see the module docstring)."""
     if oracle == "skips":
         assert runs["base"][1]["loop"]["skipped_cycles"] > 0
+    elif oracle == "refuses":
+        system = runs["base"][2]
+        assert system.metrics_registry().snapshot()["network"]["send_refused"] > 0
     elif oracle == "audit":
         _, results, system = runs["base"]
         assert sum(results["instructions_per_core"]) == results["instructions"]
