@@ -596,7 +596,7 @@ class CmpSystem:
 
     def _signal(self, core: Core) -> None:
         # llsc_subscription is FSOI-only (CmpConfig validation).
-        self.network.confirmations.send_signal(self.cycle, core.release_signal)
+        self.network.send_signal(self.cycle, core.release_signal)
 
     # ------------------------------------------------------------------
     # the simulation loop
@@ -882,18 +882,18 @@ class CmpSystem:
         if self._is_fsoi:
             reg.gauge(
                 "confirmation.confirmations_sent",
-                lambda: self.network.confirmations.confirmations_sent,
+                lambda: self.network.confirmations_sent,
             )
             reg.gauge(
                 "confirmation.signals_sent",
-                lambda: self.network.confirmations.signals_sent,
+                lambda: self.network.signals_sent,
             )
             if self.network.fault_injector is not None:
                 # Gauges exist only under an active plan so fault-free
                 # metrics snapshots stay byte-identical.
                 reg.gauge(
                     "confirmation.confirmations_dropped",
-                    lambda: self.network.confirmations.confirmations_dropped,
+                    lambda: self.network.confirmations_dropped,
                 )
                 reg.gauge("fault.plan_label", self.config.faults.label)
                 reg.gauge("fault.plan_hash", self.config.faults.content_hash())
@@ -940,8 +940,8 @@ class CmpSystem:
                 ),
                 "data_collision_breakdown": self.network.data_collision_breakdown(),
                 "hints": self.network.hint_summary(),
-                "confirmations": self.network.confirmations.confirmations_sent,
-                "signals": self.network.confirmations.signals_sent,
+                "confirmations": self.network.confirmations_sent,
+                "signals": self.network.signals_sent,
                 "phase_array": self.network.phase_array_summary(),
             }
             if self.network.fault_injector is not None:

@@ -13,9 +13,8 @@ from repro.cmp import CmpConfig
 from repro.coherence.directory import REQUEST_QUEUE_DEPTH, DirectoryConfig
 from repro.coherence.l1 import L1Config
 from repro.core.backoff import BackoffPolicy
-from repro.core.lanes import LaneConfig
+from repro.core.lanes import PHASE_SETUP_CYCLES, LaneConfig
 from repro.core.link import OpticalLink
-from repro.core.phase_array import PHASE_SETUP_CYCLES
 from repro.cpu.core import CoreConfig
 from repro.cpu.memctrl import MemoryConfig
 

@@ -4,20 +4,18 @@ Subpackage map (paper section in parentheses):
 
 * :mod:`repro.core.link` — the single-bit optical link: device chain,
   link budget, BER, power (§4.2, Table 1, Figure 2).
-* :mod:`repro.core.lanes` — lane widths and slotting (§4.3.2, Table 3).
+* :mod:`repro.core.lanes` — lane widths and slotting (§4.3.2, Table 3),
+  and the phase array's re-steering cost (§4.1).
 * :mod:`repro.core.layout` — the Figure 1c chip floorplan: per-pair hop
   geometry, link closure across the die, skew padding, mirror budget.
 * :mod:`repro.core.backoff` — exponential back-off retransmission
   (§4.3.2, Figure 4).
-* :mod:`repro.core.confirmation` — the collision-free confirmation
-  channel and its §5.1 one-bit signals (§4.3.2, §5.1).
-* :mod:`repro.core.phase_array` — the re-steering cost of
-  optical-phase-array beam steering for large systems (§4.1).
 * :mod:`repro.core.analytical` — the paper's closed-form / numerical
   models: collision probability (Fig. 3), collision-resolution delay
   (Fig. 4), optimal meta/data bandwidth split (B_M = 0.285).
 * :mod:`repro.core.network` — the cycle-level FSOI network simulator
-  implementing :class:`repro.net.Interconnect`.
+  implementing :class:`repro.net.Interconnect`, with its collision-free
+  confirmation lane and the §5.1 one-bit signals (§4.3.2, §5.1).
 * :mod:`repro.core.optimizations` — the §5 optimization switches and
   receiver-side machinery (request spacing, resolution hints).
 """
@@ -32,7 +30,6 @@ from repro.core.analytical import (
 )
 from repro.core.backoff import BackoffPolicy
 from repro.core.clocking import ClockDistribution
-from repro.core.confirmation import ConfirmationChannel
 from repro.core.lanes import LaneConfig
 from repro.core.layout import ChipLayout
 from repro.core.link import LinkPower, OpticalLink
@@ -55,7 +52,6 @@ __all__ = [
     "resolution_delay",
     "BackoffPolicy",
     "ClockDistribution",
-    "ConfirmationChannel",
     "LaneConfig",
     "ChipLayout",
     "LinkPower",

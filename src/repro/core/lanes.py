@@ -20,11 +20,15 @@ from typing import Optional, Sequence
 
 from repro.net.packet import DATA_PACKET_BITS, META_PACKET_BITS, LaneKind
 
-__all__ = ["LaneConfig", "RX_OVERHEAD"]
+__all__ = ["LaneConfig", "PHASE_SETUP_CYCLES", "RX_OVERHEAD"]
 
 #: Decode / error-check cycles between a packet's last bit and its
 #: delivery (§4.3.2) — shared by the FSOI and corona-style receivers.
 RX_OVERHEAD = 1
+
+#: Cycles a phase-array lane spends re-steering its beam to a new
+#: destination (§4.1, Table 3).
+PHASE_SETUP_CYCLES = 1
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ Four mechanisms, each independently switchable so the ablation benches
 * **llsc_subscription** (§5.1) — boolean synchronization variables are
   disseminated as single bits over reserved confirmation mini-cycles
   (an update protocol for lock words).  Implemented by the CMP system
-  as one-bit release signals over the confirmation channel
-  (:meth:`repro.core.confirmation.ConfirmationChannel.send_signal`).
+  as one-bit release signals over the confirmation lane
+  (:meth:`repro.core.network.FsoiNetwork.send_signal`).
 * **request_spacing** (§5.2) — a requester predicts the data-lane slot
   its reply will land in and reserves it at its own receiver; if the
   slot is taken it delays issuing the request, trading a small

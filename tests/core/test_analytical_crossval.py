@@ -120,7 +120,7 @@ class TestResolutionDelayCrossValidation:
             backoff.base,
             background_rate=net.transmission_probability(LaneKind.META),
             slot_cycles=net.lanes.slot_cycles(LaneKind.META),
-            confirmation_delay=net.confirmations.delay,
+            confirmation_delay=net.lanes.confirmation_delay,
             trials=8_000,
             seed=seed,
         )

@@ -1,57 +1,80 @@
-"""Tests for the confirmation channel."""
+"""The FSOI confirmation lane (§4.3.2, §5.1) on a real network: its
+fixed delay, filing order within a cycle, its counts, and an unheard
+arrival holding the horizon and quiescence."""
 
-import pytest
+from repro.core.lanes import LaneConfig
+from repro.core.network import FsoiConfig, FsoiNetwork
+from repro.net.packet import LaneKind, Packet
 
-from repro.core.confirmation import ConfirmationChannel
+
+def make_network(delay=2) -> FsoiNetwork:
+    lanes = LaneConfig(confirmation_delay=delay)
+    return FsoiNetwork(FsoiConfig(num_nodes=4, lanes=lanes))
 
 
-class TestConfirmationChannel:
+def meta(src, dst, on_confirmed=None) -> Packet:
+    packet = Packet(src=src, dst=dst, lane=LaneKind.META)
+    packet.on_confirmed = on_confirmed
+    return packet
+
+
+def run(net: FsoiNetwork, start: int, end: int) -> None:
+    for cycle in range(start, end):
+        net.tick(cycle)
+
+
+class TestConfirmationLane:
     def test_fixed_delay(self):
-        channel = ConfirmationChannel(4, delay=2)
-        fired = []
-        arrival = channel.send_confirmation(10, lambda: fired.append("ok"))
-        assert arrival == 12
-        channel.tick(11)
-        assert fired == []
-        channel.tick(12)
-        assert fired == ["ok"]
+        # A meta packet sent in slot [0, 2) is received in cycle 1; its
+        # confirmation and a signal sent then arrive `delay` cycles later.
+        for delay in (1, 2, 4):
+            net = make_network(delay)
+            fired = []
+            net.try_send(meta(0, 1, lambda: fired.append("confirmed")), 0)
+            run(net, 0, 2)
+            assert net.send_signal(1, lambda: fired.append("signal")) == 1 + delay
+            run(net, 2, 1 + delay)
+            assert fired == []
+            net.tick(1 + delay)
+            assert fired == ["confirmed", "signal"]
 
     def test_insertion_order_within_cycle(self):
-        channel = ConfirmationChannel(4)
+        net = make_network()
         fired = []
-        channel.send_confirmation(5, lambda: fired.append("a"))
-        channel.send_confirmation(5, lambda: fired.append("b"))
-        channel.tick(7)
-        assert fired == ["a", "b"]
+        net.try_send(meta(2, 3, lambda: fired.append("2->3")), 0)
+        net.try_send(meta(0, 1, lambda: fired.append("0->1")), 0)
+        net.send_signal(0, lambda: fired.append("early"))  # arrives in cycle 2
+        net.tick(0)  # both confirmations filed for cycle 3, node order
+        net.send_signal(1, lambda: fired.append("signal"))
+        run(net, 1, 4)
+        assert fired == ["early", "0->1", "2->3", "signal"]
 
     def test_counts_confirmations_and_signals(self):
-        channel = ConfirmationChannel(4)
-        channel.send_confirmation(0, lambda: None)
-        channel.send_signal(0, lambda: None)
-        channel.send_signal(0, lambda: None)
-        assert channel.confirmations_sent == 1
-        assert channel.signals_sent == 2
+        net = make_network()
+        net.try_send(meta(0, 1), 0)
+        net.send_signal(0, lambda: None)
+        net.send_signal(0, lambda: None)
+        run(net, 0, 10)
+        assert (net.confirmations_sent, net.signals_sent) == (1, 2)
 
-    def test_pending_drains(self):
-        channel = ConfirmationChannel(4)
-        channel.send_confirmation(0, lambda: None)
-        assert channel.pending() == 1
-        channel.tick(2)
-        assert channel.pending() == 0
+    def test_arrivals_drain(self):
+        net = make_network()
+        net.send_signal(0, lambda: None)
+        run(net, 0, 2)
+        assert (net.quiescent(), net.next_event(1)) == (False, 2)
+        net.tick(2)
+        assert (net.quiescent(), net.next_event(2)) == (True, None)
 
     def test_unheard_confirmation_keeps_only_its_arrival(self):
-        channel = ConfirmationChannel(4, delay=2)
+        net = make_network()
         fired = []
-        assert channel.send_confirmation(3, None) == 5
-        channel.send_confirmation(4, lambda: fired.append("heard"))
-        assert channel.confirmations_sent == 2
-        assert (channel.pending(), channel.next_event(4)) == (2, 5)
-        channel.tick(5)
-        assert (channel.pending(), channel.next_event(5), fired) == (1, 6, [])
-        channel.tick(6)
-        assert (channel.pending(), channel.next_event(6), fired) == (0, None, ["heard"])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConfirmationChannel(4, delay=0)
-
+        net.try_send(meta(0, 1), 0)
+        net.tick(0)
+        assert (net._unheard, net._heard, net.confirmations_sent) == ([3], [], 1)
+        run(net, 1, 3)  # delivered in cycle 2: only the arrival is left
+        assert (net.quiescent(), net.next_event(2)) == (False, 3)
+        net.send_signal(2, lambda: fired.append("heard"))
+        net.tick(3)
+        assert (net.quiescent(), net.next_event(3), fired) == (False, 4, [])
+        net.tick(4)
+        assert (net.quiescent(), net.next_event(4), fired) == (True, None, ["heard"])

@@ -51,11 +51,11 @@ class TestSlotHorizon:
 
 def brute_force_horizon(net: FsoiNetwork, now: int) -> int | None:
     """The earliest cycle at or after ``now`` at which ``net`` can change
-    state, from every calendar entry, every unheard confirmation and the
-    two heads of every node on both lanes."""
+    state, from every calendar entry, every heard and unheard
+    confirmation-lane arrival and the two heads of every node on both lanes."""
     candidates = [entry[0] for entry in net._calendar._heap]
-    candidates += [entry[0] for entry in net.confirmations._calendar._heap]
-    candidates += net.confirmations._unheard
+    candidates += [entry[0] for entry in net._heard]
+    candidates += net._unheard
     for lane in (LaneKind.META, LaneKind.DATA):
         slot_len = net.lanes.slot_cycles(lane)
         for state in net._state[lane]:

@@ -59,7 +59,7 @@ class TestSoloTiming:
         net = make_network()
         net.try_send(meta(0, 1), 0)
         run(net, 10)
-        assert net.confirmations.confirmations_sent == 1
+        assert net.confirmations_sent == 1
 
     def test_on_confirmed_hook_fires(self):
         net = make_network()

@@ -13,7 +13,6 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.confirmation import ConfirmationChannel
 from repro.core.lanes import LaneConfig
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.net.packet import (
@@ -147,20 +146,21 @@ def test_collided_slot_always_detected_per_receiver(traffic):
 )
 @settings(max_examples=100, deadline=None)
 def test_confirmation_delivered_exactly_once_at_fixed_delay(delay, received):
-    """Every scheduled confirmation fires exactly once, at cycle+delay."""
-    channel = ConfirmationChannel(num_nodes=16, delay=delay)
+    """Every arrival filed on the confirmation lane fires exactly once,
+    at its filing cycle plus the delay."""
+    net = FsoiNetwork(FsoiConfig(num_nodes=16, lanes=LaneConfig(confirmation_delay=delay)))
     arrivals: dict[int, list[int]] = {}
     current = {"cycle": 0}
     for index, cycle in enumerate(received):
-        promised = channel.send_confirmation(
+        promised = net.send_signal(
             cycle,
             (lambda i=index: arrivals.setdefault(i, []).append(current["cycle"])),
         )
         assert promised == cycle + delay
     for cycle in range(max(received) + delay + 1):
         current["cycle"] = cycle
-        channel.tick(cycle)
-    assert channel.pending() == 0
+        net.tick(cycle)
+    assert net.quiescent()
     for index, cycle in enumerate(received):
         assert arrivals[index] == [cycle + delay]
 

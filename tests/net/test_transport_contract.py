@@ -135,11 +135,10 @@ NETWORK_OF = {
 
 def holds_packets(net) -> bool:
     """A recount of what ``net`` still holds or owes, from the queues,
-    buffers and calendars themselves (FSOI: and the arrival cycles of
-    the confirmations nothing hears)."""
+    buffers and calendars themselves (FSOI: and both confirmation-lane
+    heaps, heard and unheard)."""
     if isinstance(net, FsoiNetwork):
-        channel = net.confirmations
-        return bool(net._due or channel._calendar or channel._unheard) or any(
+        return bool(net._due or net._heard or net._unheard) or any(
             state.queue or state.retx for states in net._state.values() for state in states
         )
     if isinstance(net, MeshNetwork):
