@@ -206,6 +206,18 @@ class TestBareFsoi:
         assert net.collision_rate(LaneKind.DATA) > 0
         pinned("bare-fsoi-16-unslotted", digests)
 
+    @pytest.mark.parametrize("slotted", [True, False], ids=["slotted", "unslotted"])
+    def test_one_confirmation_per_delivery(self, slotted):
+        # The unslotted pin's schedule: an overlap corrupts packets whose
+        # confirmations are already filed; those are never sent.
+        rng = np.random.default_rng(2303)
+        offers = incast_offers(rng, 16, 3000, period=100, fan=8)
+        _, net = drive_fsoi(
+            FsoiConfig(num_nodes=16, slotted=slotted, seed=2303), 3000, offers
+        )
+        delivered = net.stats.group.as_dict()["packets_delivered"]
+        assert net.confirmations_sent == delivered > 0
+
     def test_packet_errors_16(self, pinned):
         rng = np.random.default_rng(2304)
         offers = incast_offers(rng, 16, 3000, period=100, fan=8)
