@@ -267,14 +267,6 @@ class FsoiNetwork(Interconnect):
         self._pending: dict[LaneKind, set[int]] = {
             lane: set() for lane in (LaneKind.META, LaneKind.DATA)
         }
-        # The per-lane constants of the tick, horizon and slot hot paths,
-        # one row a lane: (lane, slot length, packet bits, receivers per
-        # node).  A tuple, so a tick walks it without a dict view.
-        self._slot_table = tuple(
-            (lane, self.lanes.slot_cycles(lane), lane.bits,
-             self.lanes.receivers(lane))
-            for lane in (LaneKind.META, LaneKind.DATA)
-        )
         # §5.2 receiver tables, built only for the optimization that
         # reads them: request spacing's reply-slot reservations, and the
         # replies each node awaits (the resolution hint's candidates).
@@ -304,10 +296,15 @@ class FsoiNetwork(Interconnect):
                 "slots": group.counter("slots_elapsed"),
                 "delivered": group.counter("delivered"),
             }
-        # Bumped at every slot boundary — the tick hot path.
-        self._slots_counter = {
-            lane: counters["slots"] for lane, counters in self._lane_stats.items()
-        }
+        # The per-lane constants of the tick, horizon and slot hot paths,
+        # one row a lane: (lane, slot length, packet bits, receivers per
+        # node, slots_elapsed counter, pending set).  A tuple, so a tick
+        # walks it without a dict view.
+        self._slot_table = tuple(
+            (lane, self.lanes.slot_cycles(lane), lane.bits,
+             self.lanes.receivers(lane), counters["slots"], self._pending[lane])
+            for lane, counters in self._lane_stats.items()
+        )
         data_group = stats.group(LaneKind.DATA.value)
         self._data_collision_types = {
             kind: data_group.counter(f"collisions_{kind}")
@@ -382,12 +379,13 @@ class FsoiNetwork(Interconnect):
             self.stats.refused.add()
             return False
         packet.enqueue_cycle = cycle
-        spacing = 0
         expects = packet.expects_data_reply
         if self._request_spacing and expects and lane is LaneKind.META:
             spacing = self._reserve_reply_slot(src, cycle)
             self._spacing_delays.record(spacing)
-        packet.scheduled_cycle = cycle + spacing
+            packet.scheduled_cycle = cycle + spacing
+        else:
+            packet.scheduled_cycle = cycle
         if expects and self._hints:
             # The requester will await a data packet from the destination
             # (or whoever it forwards to); used by the resolution hint.
@@ -398,7 +396,8 @@ class FsoiNetwork(Interconnect):
         return True
 
     def tick(self, cycle: int) -> None:
-        if TRACE.enabled:
+        traced = TRACE.enabled
+        if traced:
             TRACE.cycle = cycle
         self._now = cycle
         unheard = self._unheard
@@ -408,13 +407,55 @@ class FsoiNetwork(Interconnect):
         while heard and heard[0][0] <= cycle:
             heappop(heard)[2]()  # an on_confirmed hook or a one-bit signal
         due = self._due
-        while due and due[0][0] <= cycle:  # == self._calendar.run_due(cycle)
-            heappop(due)[2]()  # scheduled outcomes
-        for row in self._slot_table:
-            if not self._slotted:
+        if due and due[0][0] <= cycle:  # == self._calendar.run_due(cycle)
+            by_lane = self._delivered
+            delivered = self.stats.delivered
+            joint = self.stats.joint
+            traffic = self._traffic
+            callbacks = self._callbacks
+            n = self.num_nodes
+            while due and due[0][0] <= cycle:
+                entry = heappop(due)[2]
+                if entry.__class__ is not Packet:
+                    entry()  # a back-off
+                    continue
+                # A delivery: the lane tally and trace event, then the
+                # tail every transport shares (== Interconnect._deliver,
+                # record_delivery included, written out).
+                if entry._corrupted:
+                    continue  # pure ALOHA: an overlap corrupted it in flight
+                by_lane[entry.lane].value += 1
+                if traced:
+                    TRACE.emit(
+                        "deliver", cat="fsoi", cycle=cycle, node=entry.dst,
+                        lane=entry.lane.value, packet=entry.uid, src=entry.src,
+                    )
+                entry.deliver_cycle = cycle
+                delivered.value += 1
+                scheduled = entry.scheduled_cycle
+                first = entry.first_tx_cycle
+                final = entry.final_tx_cycle
+                key = (
+                    first - scheduled, scheduled - entry.enqueue_cycle,
+                    final - first, cycle - final,
+                )
+                joint[key] = joint.get(key, 0) + 1
+                dst = entry.dst
+                traffic[entry.src * n + dst] += 1
+                callback = callbacks[dst]
+                if callback is not None:
+                    callback(entry)
+        if not self._slotted:
+            for row in self._slot_table:
                 self._start_unslotted(row[0], cycle)
-            elif cycle % row[1] == 0:
-                self._start_slot(row, cycle)
+            return
+        for row in self._slot_table:
+            if cycle % row[1] == 0:
+                # A slot boundary counts whether or not the lane (row[5],
+                # its pending set) has a sender to visit.
+                row[4].value += 1
+                if row[5]:
+                    self._start_slot(row, cycle)
 
     def quiescent(self) -> bool:
         meta, data = self._pending.values()
@@ -465,8 +506,7 @@ class FsoiNetwork(Interconnect):
             self._heard[0][0] if self._heard else NEVER,
             self._unheard[0] if self._unheard else NEVER,
         )
-        for lane, slot_len, _bits, _receivers in self._slot_table:
-            pending = self._pending[lane]
+        for lane, slot_len, _bits, _receivers, _slots, pending in self._slot_table:
             if not pending:
                 continue
             # Only the two heads count: the heap top is the earliest
@@ -502,16 +542,25 @@ class FsoiNetwork(Interconnect):
     # ------------------------------------------------------------------
 
     def _start_slot(self, row: tuple, cycle: int) -> None:
-        lane, slot_len, bits, receivers = row
-        self._slots_counter[lane].value += 1
-        pending = self._pending[lane]
-        if not pending:
-            return  # idle lane
+        """A slot boundary on a lane with pending senders: gather one
+        transmission a node, group them by receiver, and file each
+        group's outcome.
+
+        A transmission alone on its receiver is delivered and confirmed
+        unless a signaling error or an injected fault corrupts it: the
+        delivery is the packet itself on the outcome calendar (``tick``
+        runs its tail), the confirmation a bare arrival cycle on
+        ``_unheard`` when nothing hears it (``on_confirmed`` is
+        ``None``), else an entry on ``_heard``.  A fault plan adds only
+        its corruption draw, duplicate skip, confirmation drop and
+        fire-once hook.
+        """
+        lane, slot_len, bits, receivers, _slots, pending = row
         inj = self._injector
-        tx_counter = self._lane_stats[lane]["tx"]
-        bits_counter = self.stats.bits_sent
+        transmissions = 0
         states = self._state[lane]
         phase_array = self._phase_array
+        traced = TRACE.enabled
 
         # Gather this slot's transmissions: one per node, retransmissions
         # take priority over fresh queue heads (they are older traffic).
@@ -537,7 +586,7 @@ class FsoiNetwork(Interconnect):
                 # occupying the medium or counting as a transmission.
                 self._fault_lane_stats[lane]["suppressed"].add()
                 packet.retries += 1
-                if TRACE.enabled:
+                if traced:
                     TRACE.emit(
                         "fault_suppressed", cat="fault", cycle=cycle,
                         node=node, lane=lane.value, packet=packet.uid,
@@ -553,9 +602,8 @@ class FsoiNetwork(Interconnect):
                 state.target = packet.dst
                 state.retargets += 1
                 setup = PHASE_SETUP_CYCLES
-            tx_counter.value += 1
-            bits_counter.value += bits
-            if TRACE.enabled:
+            transmissions += 1
+            if traced:
                 TRACE.emit(
                     "tx", cat="fsoi", cycle=cycle, node=packet.src,
                     lane=lane.value, packet=packet.uid, dur=slot_len,
@@ -568,7 +616,7 @@ class FsoiNetwork(Interconnect):
                     # back; the sender reacts exactly as to a collision.
                     if inj.note_dark_send(node, lane, cycle, slot_len):
                         self._fault_stats["lane_down_events"].add()
-                        if TRACE.enabled:
+                        if traced:
                             TRACE.emit(
                                 "fault_lane_down", cat="fault", cycle=cycle,
                                 node=node, lane=lane.value,
@@ -578,47 +626,152 @@ class FsoiNetwork(Interconnect):
                 inj.note_successful_send(node, lane)
             sends.append((packet, setup))
 
+        self._lane_stats[lane]["tx"].value += transmissions
+        self.stats.bits_sent.value += transmissions * bits
         if not sends:
             return
         if len(sends) == 1 and inj is None:
             # A lone transmission cannot collide whichever receiver it
-            # lands on (the fault-free partition is pure).
-            self._handle_solo(lane, cycle, slot_len, *sends[0])
-            return
+            # lands on (the fault-free partition is pure): its one group.
+            groups = sends
+        else:
+            # Group by (destination, receiver) — the static sender
+            # partition, remapped around dead receivers when faults are
+            # active — keyed dst * R + receiver: a lone (packet, setup),
+            # or the list of colliders.
+            by_receiver: dict[int, tuple | list] = {}
+            for send in sends:
+                packet = send[0]
+                src, dst = packet.src, packet.dst
+                health = inj.receiver_health(dst, lane, cycle) if inj is not None else None
+                if health is None:
+                    # == lanes.receiver_for: the sender's rank among dst's
+                    # N - 1 senders, modulo R (try_send refused src == dst).
+                    receiver = (src if src < dst else src - 1) % receivers
+                else:
+                    receiver = self.lanes.receiver_for(
+                        lane, src, dst, self.num_nodes, healthy=health
+                    )
+                    if receiver < 0:
+                        # Every receiver at the destination is dark.
+                        self._fault_lost(lane, cycle, slot_len, packet, send[1])
+                        continue
+                    if receiver != self.lanes.receiver_for(lane, src, dst, self.num_nodes):
+                        self._fault_stats["receiver_remaps"].add()
+                        if traced:
+                            TRACE.emit(
+                                "fault_receiver_remap", cat="fault", cycle=cycle,
+                                node=dst, lane=lane.value,
+                                packet=packet.uid, receiver=receiver,
+                            )
+                key = dst * receivers + receiver
+                group = by_receiver.get(key)
+                if group is None:
+                    by_receiver[key] = send
+                elif group.__class__ is tuple:
+                    by_receiver[key] = [group, send]
+                else:
+                    group.append(send)
+            groups = by_receiver.values()
 
-        # Group by (destination, receiver) — the static sender partition,
-        # remapped around dead receivers when faults are active.
-        groups: dict[tuple[int, int], list[tuple[Packet, int]]] = {}
-        for packet, setup in sends:
-            src, dst = packet.src, packet.dst
-            health = inj.receiver_health(dst, lane, cycle) if inj is not None else None
-            if health is None:
-                # == lanes.receiver_for: the sender's rank among dst's
-                # N - 1 senders, modulo R (try_send refused src == dst).
-                receiver = (src if src < dst else src - 1) % receivers
-            else:
-                receiver = self.lanes.receiver_for(
-                    lane, src, dst, self.num_nodes, healthy=health
+        error_rate = self._error_rate
+        conf_delay = self._conf_delay
+        calendar = self._calendar
+        due = self._due
+        unheard = self._unheard
+        hints = self._hints and lane is LaneKind.DATA
+        for group in groups:
+            if group.__class__ is list:
+                self._handle_collision(lane, cycle, slot_len, group[0][0].dst, group)
+                continue
+            packet, setup = group
+            receive_cycle = cycle + slot_len - 1 + setup
+            if error_rate and self._error_rng.random() < error_rate:
+                # A signaling error corrupts the packet; the sender sees a
+                # missing confirmation, exactly like a collision (§4.3.1).
+                self._lane_stats[lane]["error_tx"].add()
+                if traced:
+                    TRACE.emit(
+                        "error_corrupt", cat="fsoi", cycle=cycle,
+                        node=packet.dst, lane=lane.value, packet=packet.uid,
+                    )
+                self._time_out(lane, slot_len, packet, receive_cycle)
+                continue
+            hook = packet.on_confirmed
+            duplicate = False
+            if inj is not None:
+                probability = inj.corruption_probability(
+                    packet.src, lane, cycle, packet.bits
                 )
-                if receiver < 0:
-                    # Every receiver at the destination is dark.
-                    self._fault_lost(lane, cycle, slot_len, packet, setup)
-                    continue
-                if receiver != self.lanes.receiver_for(lane, src, dst, self.num_nodes):
-                    self._fault_stats["receiver_remaps"].add()
-                    if TRACE.enabled:
+                if inj.draw_corruption(probability):
+                    # Droop / burst corruption fails the PID integrity check
+                    # at the receiver — indistinguishable from a collision.
+                    self._fault_lane_stats[lane]["injected_corrupt"].add()
+                    if traced:
                         TRACE.emit(
-                            "fault_receiver_remap", cat="fault", cycle=cycle,
-                            node=dst, lane=lane.value,
-                            packet=packet.uid, receiver=receiver,
+                            "fault_corrupt", cat="fault", cycle=cycle,
+                            node=packet.dst, lane=lane.value, packet=packet.uid,
+                            probability=probability,
                         )
-            groups.setdefault((dst, receiver), []).append((packet, setup))
-
-        for (dst, _receiver), members in groups.items():
-            if len(members) == 1:
-                self._handle_solo(lane, cycle, slot_len, *members[0])
+                    self._time_out(lane, slot_len, packet, receive_cycle)
+                    continue
+                # Under confirmation drops a sender may retransmit a packet
+                # the destination already delivered; such duplicate
+                # receptions are recognized (sequence numbers in the
+                # header), not re-delivered.
+                duplicate = packet._fault_delivered
+                if duplicate:
+                    self._fault_lane_stats[lane]["duplicate_rx"].add()
+                    if traced:
+                        TRACE.emit(
+                            "fault_duplicate_rx", cat="fault", cycle=cycle,
+                            node=packet.dst, lane=lane.value, packet=packet.uid,
+                        )
+                packet._fault_delivered = True
+            if not duplicate:
+                packet.final_tx_cycle = cycle
+                if packet.retries > 0:
+                    self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
+                # == self._schedule(deliver_cycle, packet): a reception ends
+                # in this slot or later, so the delivery is never in the past.
+                calendar._seq = seq = calendar._seq + 1
+                heappush(due, (receive_cycle + RX_OVERHEAD, seq, packet))
+                if hints:
+                    self._expected[packet.dst].fulfil(packet.src)
+            arrival = receive_cycle + conf_delay
+            if inj is not None:
+                if inj.drop_confirmation(packet.src, arrival):
+                    # The packet got through, but the confirmation pulse is
+                    # lost: the sender walks the time-out path.
+                    self.confirmations_dropped += 1
+                    if traced:
+                        TRACE.emit("confirm_dropped", cat="fault", cycle=receive_cycle)
+                    self._fault_stats["confirm_dropped"].add()
+                    self._time_out(lane, slot_len, packet, receive_cycle)
+                    continue
+                if hook is not None:
+                    # The hook fires exactly once even if drops forced
+                    # duplicate confirmed receptions.
+                    def hook(p: Packet = packet) -> None:
+                        if not p._fault_confirm_fired:
+                            p._fault_confirm_fired = True
+                            p.on_confirmed()
+            # The confirmation arrives back at the sender two cycles after
+            # reception; §5.1 consumers hook it via packet.on_confirmed.
+            self.confirmations_sent += 1
+            if hook is None:
+                heappush(unheard, arrival)
             else:
-                self._handle_collision(lane, cycle, slot_len, dst, members)
+                self._hear(arrival, hook)
+            if traced:
+                TRACE.emit(
+                    "confirm_scheduled", cat="confirmation",
+                    cycle=receive_cycle, arrival=arrival,
+                )
+                TRACE.emit(
+                    "confirmation", cat="fsoi", cycle=arrival,
+                    node=packet.src, lane=lane.value, packet=packet.uid,
+                )
 
     def _start_unslotted(self, lane: LaneKind, cycle: int) -> None:
         """§4.3.2 ablation: pure-ALOHA transmission (no slot alignment).
@@ -707,18 +860,13 @@ class FsoiNetwork(Interconnect):
     def _succeed_unslotted(
         self, lane: LaneKind, cycle: int, slot_len: int, packet: Packet, setup: int
     ) -> None:
-        """Provisional success: delivery fires unless a later-starting
+        """Provisional success: the delivery (the packet on the outcome
+        calendar) and the confirmation fire unless a later-starting
         transmission overlaps and corrupts this one mid-flight."""
         packet._corrupted = False
+        packet.final_tx_cycle = cycle
         receive_cycle = cycle + slot_len - 1 + setup
-        deliver_cycle = receive_cycle + RX_OVERHEAD
-
-        def deliver() -> None:
-            if not packet._corrupted:
-                packet.final_tx_cycle = cycle
-                self._deliver(packet, deliver_cycle)
-
-        self._schedule(deliver_cycle, deliver)
+        self._schedule(receive_cycle + RX_OVERHEAD, packet)
         hook = packet.on_confirmed
         arrival = receive_cycle + self._conf_delay
 
@@ -728,6 +876,10 @@ class FsoiNetwork(Interconnect):
             self.confirmations_sent += 1
             if TRACE.enabled:
                 TRACE.emit(
+                    "confirm_scheduled", cat="confirmation",
+                    cycle=receive_cycle, arrival=arrival,
+                )
+                TRACE.emit(
                     "confirmation", cat="fsoi", cycle=arrival,
                     node=packet.src, lane=lane.value, packet=packet.uid,
                 )
@@ -735,11 +887,6 @@ class FsoiNetwork(Interconnect):
                 hook()
 
         self._hear(arrival, confirm)
-        if TRACE.enabled:
-            TRACE.emit(
-                "confirm_scheduled", cat="confirmation",
-                cycle=receive_cycle, arrival=arrival,
-            )
 
     def _pick_transmission(
         self, lane: LaneKind, state: _LaneState, cycle: int
@@ -874,110 +1021,6 @@ class FsoiNetwork(Interconnect):
         packet.retries += 1
         detect = receive_cycle + self._conf_delay + 1
         self._schedule(detect, partial(self._back_off, lane, slot_len, (packet,), detect))
-
-    def _handle_solo(
-        self, lane: LaneKind, cycle: int, slot_len: int, packet: Packet, setup: int
-    ) -> None:
-        """A transmission alone on its receiver: delivered and confirmed
-        unless a signaling error or an injected fault corrupts it.
-
-        A clean or faulted reception files through one tail: the delivery
-        on the outcome calendar, and the confirmation on one of the two
-        confirmation heaps — a bare arrival cycle on ``_unheard`` when
-        nothing hears it (``on_confirmed`` is ``None``).
-        A fault plan adds only its corruption draw, duplicate skip,
-        confirmation drop and fire-once hook.
-        """
-        inj = self._injector
-        receive_cycle = cycle + slot_len - 1 + setup
-        if self._error_rate > 0.0 and self._error_rng.random() < self._error_rate:
-            # A signaling error corrupts the packet; the sender sees a
-            # missing confirmation, exactly like a collision (§4.3.1).
-            self._lane_stats[lane]["error_tx"].add()
-            if TRACE.enabled:
-                TRACE.emit(
-                    "error_corrupt", cat="fsoi", cycle=cycle,
-                    node=packet.dst, lane=lane.value, packet=packet.uid,
-                )
-            self._time_out(lane, slot_len, packet, receive_cycle)
-            return
-        hook = packet.on_confirmed
-        duplicate = False
-        if inj is not None:
-            probability = inj.corruption_probability(
-                packet.src, lane, cycle, packet.bits
-            )
-            if inj.draw_corruption(probability):
-                # Droop / burst corruption fails the PID integrity check
-                # at the receiver — indistinguishable from a collision.
-                self._fault_lane_stats[lane]["injected_corrupt"].add()
-                if TRACE.enabled:
-                    TRACE.emit(
-                        "fault_corrupt", cat="fault", cycle=cycle,
-                        node=packet.dst, lane=lane.value, packet=packet.uid,
-                        probability=probability,
-                    )
-                self._time_out(lane, slot_len, packet, receive_cycle)
-                return
-            # Under confirmation drops a sender may retransmit a packet the
-            # destination already delivered; such duplicate receptions are
-            # recognized (sequence numbers in the header), not re-delivered.
-            duplicate = packet._fault_delivered
-            if duplicate:
-                self._fault_lane_stats[lane]["duplicate_rx"].add()
-                if TRACE.enabled:
-                    TRACE.emit(
-                        "fault_duplicate_rx", cat="fault", cycle=cycle,
-                        node=packet.dst, lane=lane.value, packet=packet.uid,
-                    )
-            packet._fault_delivered = True
-        if not duplicate:
-            packet.final_tx_cycle = cycle
-            if packet.retries > 0:
-                self._resolution_collided[lane].record(cycle - packet.first_tx_cycle)
-            # == self._schedule(deliver_cycle, ...): a reception ends in
-            # this slot or later, so the delivery is never in the past.
-            deliver_cycle = receive_cycle + RX_OVERHEAD
-            calendar = self._calendar
-            calendar._seq = seq = calendar._seq + 1
-            deliver = partial(self._deliver, packet, deliver_cycle)
-            heappush(self._due, (deliver_cycle, seq, deliver))
-            if lane is LaneKind.DATA and self._hints:
-                self._expected[packet.dst].fulfil(packet.src)
-        arrival = receive_cycle + self._conf_delay
-        if inj is not None:
-            if inj.drop_confirmation(packet.src, arrival):
-                # The packet got through, but the confirmation pulse is
-                # lost: the sender walks the time-out path.
-                self.confirmations_dropped += 1
-                if TRACE.enabled:
-                    TRACE.emit("confirm_dropped", cat="fault", cycle=receive_cycle)
-                self._fault_stats["confirm_dropped"].add()
-                self._time_out(lane, slot_len, packet, receive_cycle)
-                return
-            if hook is not None:
-                # The hook fires exactly once even if drops forced
-                # duplicate confirmed receptions.
-                def hook(p: Packet = packet) -> None:
-                    if not p._fault_confirm_fired:
-                        p._fault_confirm_fired = True
-                        p.on_confirmed()
-        # The confirmation arrives back at the sender two cycles after
-        # reception; §5.1 consumers hook it via packet.on_confirmed.
-        self.confirmations_sent += 1
-        if hook is None:
-            heappush(self._unheard, arrival)
-        else:
-            self._hear(arrival, hook)
-        if TRACE.enabled:
-            TRACE.emit(
-                "confirm_scheduled", cat="confirmation",
-                cycle=receive_cycle, arrival=arrival,
-            )
-            TRACE.emit(
-                "confirmation", cat="fsoi", cycle=arrival,
-                node=packet.src, lane=lane.value, packet=packet.uid,
-            )
 
     def _handle_collision(
         self,
@@ -1184,23 +1227,6 @@ class FsoiNetwork(Interconnect):
     # ------------------------------------------------------------------
     # Internals & reporting
     # ------------------------------------------------------------------
-
-    def _deliver(self, packet: Packet, cycle: int) -> None:
-        """A delivery's outcome-calendar entry: the lane tally and trace
-        event, then the tail every transport shares
-        (== ``Interconnect._deliver``, written out: one frame a packet)."""
-        self._delivered[packet.lane].value += 1
-        if TRACE.enabled:
-            TRACE.emit(
-                "deliver", cat="fsoi", cycle=cycle, node=packet.dst,
-                lane=packet.lane.value, packet=packet.uid, src=packet.src,
-            )
-        packet.deliver_cycle = cycle
-        self.stats.record_delivery(packet)
-        self._traffic[packet.src * self.num_nodes + packet.dst] += 1
-        callback = self._callbacks[packet.dst]
-        if callback is not None:
-            callback(packet)
 
     def _schedule(self, cycle: int, action) -> None:
         if cycle <= self._now:

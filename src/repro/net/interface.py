@@ -16,6 +16,8 @@ figures are produced identically regardless of the model.
 from __future__ import annotations
 
 import abc
+from functools import partial
+from operator import itemgetter
 from typing import Callable, Optional
 
 from repro.net.packet import Packet
@@ -30,7 +32,10 @@ class InterconnectStats:
     """Common statistics every network records.
 
     Latency components are recorded per delivered packet, split by lane,
-    matching the breakdown of Figures 6(a)/7(a).
+    matching the breakdown of Figures 6(a)/7(a).  A delivery is one
+    sample of ``joint``, ``(queuing, scheduling, resolution, network) ->
+    count``; the five latency stats are read-only views of that table
+    (total = the sum of the four), registered under their usual names.
     """
 
     def __init__(self) -> None:
@@ -39,41 +44,28 @@ class InterconnectStats:
         self.delivered = self.group.counter("packets_delivered")
         self.refused = self.group.counter("send_refused")
         self.bits_sent = self.group.counter("bits_sent")
-        self.queuing = self.group.latency("queuing_delay")
-        self.scheduling = self.group.latency("scheduling_delay")
-        self.network = self.group.latency("network_delay")
-        self.resolution = self.group.latency("resolution_delay")
-        self.total = self.group.latency("total_delay")
-        # The five components' sample tables, bumped in place by
-        # record_delivery as LatencyStat.record does an int sample.
-        self._samples = tuple(
-            stat._counts for stat in (
-                self.queuing, self.scheduling, self.resolution, self.network, self.total
-            )
-        )
+        self.joint: dict[tuple[int, int, int, int], int] = {}
+        view = partial(self.group.view, joint=self.joint, version=self.delivered)
+        self.queuing = view("queuing_delay", fold=itemgetter(0))
+        self.scheduling = view("scheduling_delay", fold=itemgetter(1))
+        self.network = view("network_delay", fold=itemgetter(3))
+        self.resolution = view("resolution_delay", fold=itemgetter(2))
+        self.total = view("total_delay", fold=sum)
 
     def record_delivery(self, packet: Packet) -> None:
-        # One frame per delivered packet on the network phase's hot path:
-        # the component arithmetic is inlined (rather than read through
-        # the Packet delay properties), and the five samples are counted
-        # without a LatencyStat.record frame each (the stamps are ints).
-        enqueue = packet.enqueue_cycle
+        # The component arithmetic is inlined (rather than read through
+        # the Packet delay properties); the stamps are ints.
+        # FsoiNetwork.tick writes this update out for its deliveries.
         scheduled = packet.scheduled_cycle
         first = packet.first_tx_cycle
         final = packet.final_tx_cycle
-        deliver = packet.deliver_cycle
         self.delivered.value += 1
-        queuing, scheduling, resolution, network, total = self._samples
-        value = first - scheduled
-        queuing[value] = queuing.get(value, 0) + 1
-        value = scheduled - enqueue
-        scheduling[value] = scheduling.get(value, 0) + 1
-        value = final - first
-        resolution[value] = resolution.get(value, 0) + 1
-        value = deliver - final
-        network[value] = network.get(value, 0) + 1
-        value = deliver - enqueue
-        total[value] = total.get(value, 0) + 1
+        key = (
+            first - scheduled, scheduled - packet.enqueue_cycle,
+            final - first, packet.deliver_cycle - final,
+        )
+        joint = self.joint
+        joint[key] = joint.get(key, 0) + 1
 
     def breakdown(self) -> dict[str, float]:
         """Mean per-packet latency split into the paper's four components."""

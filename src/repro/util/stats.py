@@ -5,7 +5,8 @@ scheduling, network, collision resolution), collision rates, energy and
 speedups.  All of those are accumulated with the three primitives here:
 
 * :class:`Counter` — a named monotonically increasing count.
-* :class:`LatencyStat` — mean/min/max/percentile accumulator for samples.
+* :class:`LatencyStat` — mean/min/max/percentile accumulator for samples
+  (:class:`LatencyView`: a read-only one folded from a joint table).
 * :class:`Histogram` — fixed-bin histogram (used e.g. for Figure 5's
   reply-latency distribution).
 
@@ -20,7 +21,9 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Iterable
 
-__all__ = ["Counter", "LatencyStat", "Histogram", "StatGroup", "geometric_mean"]
+__all__ = [
+    "Counter", "LatencyStat", "LatencyView", "Histogram", "StatGroup", "geometric_mean",
+]
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -138,6 +141,44 @@ class LatencyStat:
         return f"LatencyStat({self.name}: n={self.count}, mean={self.mean:.2f})"
 
 
+class LatencyView(LatencyStat):
+    """A read-only :class:`LatencyStat` over one marginal of a joint table.
+
+    ``joint`` maps a tuple of one sample's components to a count; the
+    view's samples are ``fold(key)`` for each key, ``count`` times over.
+    The fold runs at most once per change of ``version`` (a counter the
+    table's owner bumps with every sample), and it walks the table in
+    insertion order, so each value keeps its first-seen place: the
+    folded table equals the one :meth:`LatencyStat.record` would have
+    built from the same samples.
+    """
+
+    __slots__ = ("_joint", "_fold", "_version", "_seen", "_table")
+
+    def __init__(self, name: str, joint: dict, fold, version: Counter):
+        self.name = name
+        self._joint = joint
+        self._fold = fold
+        self._version = version
+        self._seen = -1
+        self._table: dict[float, int] = {}
+
+    @property
+    def _counts(self) -> dict[float, int]:
+        if self._seen != self._version.value:
+            table: dict[float, int] = {}
+            fold = self._fold
+            for key, n in self._joint.items():
+                value = fold(key)
+                table[value] = table.get(value, 0) + n
+            self._table = table
+            self._seen = self._version.value
+        return self._table
+
+    def record(self, value: float) -> None:
+        raise TypeError(f"{self.name} is a view of a joint table; record into the table")
+
+
 class Histogram:
     """Fixed-width-bin histogram with an overflow bin.
 
@@ -216,6 +257,11 @@ class StatGroup:
         if name not in self._latencies:
             self._latencies[name] = LatencyStat(name)
         return self._latencies[name]
+
+    def view(self, name: str, joint: dict, fold, version: Counter) -> LatencyView:
+        """Register ``name`` as a :class:`LatencyView` of ``joint``."""
+        self._latencies[name] = view = LatencyView(name, joint, fold, version)
+        return view
 
     def histogram(self, name: str, lo: float, hi: float, nbins: int) -> Histogram:
         if name not in self._histograms:

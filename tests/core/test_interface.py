@@ -1,6 +1,8 @@
 """Tests for the shared Interconnect base class and its statistics."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.network import FsoiConfig, FsoiNetwork
 from repro.corona.network import CoronaConfig, CoronaNetwork
@@ -8,6 +10,7 @@ from repro.mesh.ideal import IdealConfig, IdealNetwork
 from repro.mesh.network import MeshConfig, MeshNetwork
 from repro.net.interface import Interconnect, InterconnectStats
 from repro.net.packet import LaneKind, Packet, make_packet
+from repro.util.stats import LatencyStat
 
 #: Every transport ``CmpSystem`` can build, at 16 nodes.
 TRANSPORTS = {
@@ -149,3 +152,56 @@ class TestStats:
             p.deliver_cycle = total
             stats.record_delivery(p)
         assert stats.breakdown()["total"] == 15
+
+
+#: One delivery's four components, zero and large latencies included.
+_COMPONENT = st.one_of(st.just(0), st.integers(0, 40), st.integers(10**6, 10**9))
+
+
+class TestJointLatencyTable:
+    """The five latency stats are views of one joint table: each reads
+    exactly as a ``LatencyStat`` fed its component sample by sample."""
+
+    @given(st.lists(st.tuples(*[_COMPONENT] * 4), max_size=40))
+    def test_views_equal_per_sample_stats(self, deliveries):
+        stats = InterconnectStats()
+        views = {
+            "queuing": stats.queuing, "scheduling": stats.scheduling,
+            "resolution": stats.resolution, "network": stats.network,
+            "total": stats.total,
+        }
+        plain = {name: LatencyStat(name) for name in views}
+        for queuing, scheduling, resolution, network in deliveries:
+            p = Packet(src=0, dst=1, lane=LaneKind.META)
+            p.enqueue_cycle = 7
+            p.scheduled_cycle = p.enqueue_cycle + scheduling
+            p.first_tx_cycle = p.scheduled_cycle + queuing
+            p.final_tx_cycle = p.first_tx_cycle + resolution
+            p.deliver_cycle = p.final_tx_cycle + network
+            stats.record_delivery(p)
+            samples = {
+                "queuing": queuing, "scheduling": scheduling,
+                "resolution": resolution, "network": network,
+                "total": queuing + scheduling + resolution + network,
+            }
+            for name, value in samples.items():
+                plain[name].record(value)
+                # A read between two deliveries sees the newest sample.
+                assert views[name].count == plain[name].count
+                assert views[name].maximum == plain[name].maximum
+        for name, view in views.items():
+            expected = plain[name]
+            assert list(view._counts.items()) == list(expected._counts.items())
+            assert view.summary() == expected.summary()
+            for q in (0, 1, 50, 95, 99.5, 100):
+                assert view.percentile(q) == expected.percentile(q)
+        registered = stats.group.as_dict()
+        assert registered["total_delay"] == plain["total"].summary()
+
+    def test_views_are_read_only(self):
+        stats = InterconnectStats()
+        for view in (stats.queuing, stats.scheduling, stats.resolution,
+                     stats.network, stats.total):
+            with pytest.raises(TypeError, match="view of a joint table"):
+                view.record(3)
+        assert stats.total.count == 0 and stats.joint == {}

@@ -209,14 +209,18 @@ class TestBareFsoi:
     @pytest.mark.parametrize("slotted", [True, False], ids=["slotted", "unslotted"])
     def test_one_confirmation_per_delivery(self, slotted):
         # The unslotted pin's schedule: an overlap corrupts packets whose
-        # confirmations are already filed; those are never sent.
+        # confirmations are already filed; those are never sent, nor
+        # traced as scheduled.
         rng = np.random.default_rng(2303)
         offers = incast_offers(rng, 16, 3000, period=100, fan=8)
-        _, net = drive_fsoi(
-            FsoiConfig(num_nodes=16, slotted=slotted, seed=2303), 3000, offers
-        )
+        with tracing(capacity=1 << 20, categories=("fsoi", "confirmation")) as tracer:
+            _, net = drive_fsoi(
+                FsoiConfig(num_nodes=16, slotted=slotted, seed=2303), 3000, offers
+            )
         delivered = net.stats.group.as_dict()["packets_delivered"]
         assert net.confirmations_sent == delivered > 0
+        for name in ("confirm_scheduled", "confirmation", "deliver"):
+            assert sum(1 for _ in tracer.events(name=name)) == delivered, name
 
     def test_packet_errors_16(self, pinned):
         rng = np.random.default_rng(2304)
