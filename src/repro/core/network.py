@@ -46,6 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush, heapreplace
+from operator import itemgetter
 from typing import Callable
 
 from repro.core.backoff import BackoffPolicy
@@ -1033,7 +1034,7 @@ class FsoiNetwork(Interconnect):
         lane_stats = self._lane_stats[lane]
         lane_stats["collision_events"].value += 1
         lane_stats["collided_tx"].value += len(members)
-        packets = [packet for packet, _setup in members]
+        packets = list(map(itemgetter(0), members))  # no comprehension frame
         if TRACE.enabled:
             TRACE.emit(
                 "collision", cat="fsoi", cycle=cycle, node=dst,

@@ -19,9 +19,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.mesh.routing import mesh_hops, mesh_side
+from repro.mesh.routing import mesh_side
 from repro.net.interface import Interconnect
-from repro.net.packet import Packet
+from repro.net.packet import LaneKind, Packet
 
 __all__ = ["IdealConfig", "IdealNetwork"]
 
@@ -78,19 +78,29 @@ class IdealNetwork(Interconnect):
         self._channel_free_at = [0] * config.num_nodes
         self._active: set[int] = set()  # nodes with a non-empty queue
         self._deliveries: dict[int, list[Packet]] = {}
+        # Per lane: serialization cycles (one a flit), and bits.
+        self._lane_flits = {lane: lane.flits for lane in LaneKind}
+        self._lane_bits = {lane: lane.bits for lane in LaneKind}
+        hops = config.router_cycles_per_hop
+        self._per_hop = 0 if hops is None else LINK_CYCLES_PER_HOP + hops
 
     def try_send(self, packet: Packet, cycle: int) -> bool:
-        self._check_packet(packet)
-        queue = self._queues[packet.src]
+        src = packet.src
+        dst = packet.dst
+        n = self.num_nodes
+        if src < 0 or src >= n or dst < 0 or dst >= n or src == dst:
+            self._check_packet(packet)  # raises; the test above inlines it
+        queue = self._queues[src]
+        stats = self.stats
         if len(queue) >= self.config.injection_queue:
-            self.stats.refused.add()
+            stats.refused.value += 1
             return False
         packet.enqueue_cycle = cycle
         packet.scheduled_cycle = cycle
         queue.append(packet)
-        self._active.add(packet.src)
-        self.stats.sent.add()
-        self.stats.bits_sent.add(packet.bits)
+        self._active.add(src)
+        stats.sent.value += 1  # == .add(), minus the call frame
+        stats.bits_sent.value += self._lane_bits[packet.lane]
         return True
 
     def tick(self, cycle: int) -> None:
@@ -113,17 +123,19 @@ class IdealNetwork(Interconnect):
             self._active.discard(node)
         packet.first_tx_cycle = cycle
         packet.final_tx_cycle = cycle
-        serialization = packet.lane.flits
+        serialization = self._lane_flits[packet.lane]
         self._channel_free_at[node] = cycle + serialization
         latency = serialization + self._hop_latency(packet)
         self._deliveries.setdefault(cycle + latency, []).append(packet)
 
     def _hop_latency(self, packet: Packet) -> int:
-        if self.config.router_cycles_per_hop is None:
+        """Manhattan hops (``mesh_hops``, inline) times the per-hop
+        cycles; 0 for L0."""
+        per_hop = self._per_hop
+        if not per_hop:
             return 0
-        hops = mesh_hops(packet.src, packet.dst, self.side)
-        per_hop = LINK_CYCLES_PER_HOP + self.config.router_cycles_per_hop
-        return hops * per_hop
+        src, dst, side = packet.src, packet.dst, self.side
+        return (abs(src % side - dst % side) + abs(src // side - dst // side)) * per_hop
 
     def quiescent(self) -> bool:
         return not self._deliveries and not self._active

@@ -20,32 +20,34 @@ route port, its downstream VC and ``left``, its flits still to leave.
 A buffered flit is just its ready cycle; the front flit is a head while
 the VC has no downstream VC, and a tail when one flit is left.
 
-Scheduling: the router keeps ``_ready_min``, the earliest cycle any of
-its buffered front flits becomes processable (:data:`NEVER` when empty).
-``tick`` returns at once before that cycle, and the mesh network ticks
-only routers whose ``_ready_min`` is due (docs/performance.md).
+Scheduling: a non-empty VC's front flit is in exactly one place.  From
+its ready cycle on it is in ``_ready[route port]``, the output's ready
+requesters; before that it is filed, once, on the readiness calendar the
+router shares with its network (``calendar[ready cycle]``, a list of
+``(ready set, k, node)`` entries), which
+:class:`repro.mesh.network.MeshNetwork` promotes into the ready sets at
+the start of that cycle.  :meth:`Router.switch` therefore arbitrates
+among ready fronts only, and files a front it leaves behind that is not
+yet ready (docs/performance.md).
 
 Data layout: input VC ``vc`` of port ``in_port`` is buffer ``k = in_port
 * num_vcs + vc`` — its arbitration index minus one — and that one
-integer keys the flat buffer list, the occupied set and the per-output
-requester sets, in this router and (for the flits it forwards) in the
-downstream one.  ``inputs[port][vc]`` is the same buffers by port.
+integer keys the flat buffer list and the per-output ready sets, in this
+router and (for the flits it forwards) in the downstream one.
+``inputs[port][vc]`` is the same buffers by port.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from itertools import compress
+from typing import Optional
 
 from repro.mesh.routing import Port, mesh_coordinates, opposite
 from repro.net.packet import Packet
 from repro.obs.trace import TRACE
 
-__all__ = ["NEVER", "Router", "free_vc"]
-
-#: "Nothing buffered" value of ``Router._ready_min``: later than any
-#: simulated cycle.
-NEVER = 1 << 62
+__all__ = ["Router"]
 
 _EAST, _WEST, _NORTH, _SOUTH, _LOCAL = (
     Port.EAST, Port.WEST, Port.NORTH, Port.SOUTH, Port.LOCAL
@@ -66,16 +68,6 @@ class _VcBuffer:
         self.left = 0                           # owner's flits still to leave
 
 
-def free_vc(buffers: list[_VcBuffer]) -> Optional[int]:
-    """First VC of an input port that a new packet's head flit may
-    enter — unallocated (packet-granularity VC allocation), hence empty
-    and with a credit — or ``None``."""
-    for vc, buffer in enumerate(buffers):
-        if buffer.owner is None:
-            return vc
-    return None
-
-
 class Router:
     """One mesh router.
 
@@ -88,11 +80,11 @@ class Router:
     num_vcs, buffer_flits:
         Virtual channels per input port and flits per VC buffer
         (validated by :class:`repro.mesh.network.MeshConfig`).
-    router_latency, link_latency:
-        Cycles per router traversal and per link.
-    deliver:
-        Callback ``(packet, cycle)`` invoked when a tail flit ejects at
-        the local port.
+    router_latency:
+        Cycles per router traversal.
+    calendar:
+        The readiness calendar shared by every router of one network:
+        ``ready cycle -> [(ready set, k, node), ...]``.
     """
 
     def __init__(
@@ -102,16 +94,14 @@ class Router:
         num_vcs: int,
         buffer_flits: int,
         router_latency: int,
-        link_latency: int,
-        deliver: Callable[[Packet, int], None],
+        calendar: dict[int, list],
     ):
         self.node = node
         self.side = side
         self.num_vcs = num_vcs
         self.buffer_flits = buffer_flits
         self.router_latency = router_latency
-        self._hop_cycles = router_latency + link_latency
-        self.deliver = deliver
+        self._calendar = calendar
         # XY route (repro.mesh.routing.xy_route) to ``dst``: ``_x_route[dst
         # % side] or _y_route[dst // side]`` (None = same column; LOCAL,
         # the falsy port, is only in the row table).
@@ -128,19 +118,19 @@ class Router:
         # every pointer, whatever num_vcs is.
         self._arbiter_state: list[int] = [0] * len(Port)
         self._arb_bound = len(self._bufs) + 2
-        self._occupied: set[int] = set()  # k of every non-empty buffer
-        # The non-empty buffers grouped by their owner's route port, so
-        # arbitration walks exactly the VCs requesting each output.  A
-        # non-empty buffer always has an owner and so a route port.
-        self._requesters: list[set[int]] = [set() for _ in Port]
-        # Per output in port order: (its requester set, (port,
-        # downstream router, the input port it feeds there, that port's
-        # buffers)).  Ejection has no downstream; connect() adds the
-        # rest.
+        # Per output port, the k of every buffer whose front flit is
+        # ready (its ready cycle has been swept) and whose owner routes
+        # there.
+        self._ready: list[set[int]] = [set() for _ in Port]
+        # Per output in port order: (its ready set, (port, downstream
+        # router, the input port it feeds there, that port's buffers)).
+        # Ejection has no downstream; connect() adds the rest.
         self._outputs: list[tuple] = [
-            (self._requesters[_LOCAL], (_LOCAL, None, None, None))
+            (self._ready[_LOCAL], (_LOCAL, None, None, None))
         ]
-        self._ready_min = NEVER
+        # The outputs' ready sets in the same order: the selectors that
+        # let switch() visit only the outputs with a ready requester.
+        self._selectors: list[set[int]] = [self._ready[_LOCAL]]
         # Counters consumed by the Orion-style energy model.  A routed
         # flit is read from its input buffer exactly once, so buffer
         # reads are ``flits_routed`` and ``buffer_writes - flits_routed``
@@ -152,19 +142,22 @@ class Router:
     def connect(self, out_port: Port, downstream: "Router") -> None:
         """Wire ``out_port`` to the facing input port of ``downstream``."""
         in_port = opposite(out_port)
-        self._outputs.append((self._requesters[out_port], (
+        self._outputs.append((self._ready[out_port], (
             out_port, downstream, in_port, downstream.inputs[in_port],
         )))
         self._outputs.sort(key=lambda output: output[1][0])
+        self._selectors = [output[0] for output in self._outputs]
 
     # -- upstream-facing ----------------------------------------------------
 
     def accept_flit(self, port: Port, vc: int, ready_cycle: int,
                     packet: Optional[Packet] = None, flits: int = 0) -> None:
-        """Place a flit into input buffer ``vc`` of ``port`` (its slot
-        was reserved by credits): with ``packet``, the head of a
-        ``flits``-flit packet, which takes the VC; else the owner's next
-        flit.  ``tick`` enters forwarded flits under the same checks."""
+        """Place a flit into input buffer ``vc`` of ``port`` from outside
+        a switch (its slot reserved by credits): with ``packet``, the head
+        of a ``flits``-flit packet, which takes the VC; else the owner's
+        next flit.  ``ready_cycle`` must follow the last swept cycle.
+        :meth:`switch` and ``MeshNetwork.tick`` enter the flits they
+        forward and inject under the same checks and filing, written out."""
         k = port * self.num_vcs + vc
         buffer = self._bufs[k]
         if len(buffer.flits) >= self.buffer_flits:
@@ -190,91 +183,103 @@ class Router:
                     node=self.node, packet=packet.uid,
                     port=port.name, vc=vc, route=route.name,
                 )
-        if not buffer.flits:
-            self._occupied.add(k)
-            self._requesters[buffer.route_port].add(k)
-            if ready_cycle < self._ready_min:
-                self._ready_min = ready_cycle
+        if not buffer.flits:  # a new front: file it
+            self._calendar.setdefault(ready_cycle, []).append(
+                (self._ready[buffer.route_port], k, self.node)
+            )
         buffer.flits.append(ready_cycle)
         self.buffer_writes += 1
 
     # -- per-cycle operation ---------------------------------------------
 
-    def tick(self, cycle: int) -> None:
-        """One cycle: each output port forwards at most one flit.
+    def switch(self, cycle: int, ready: int, arrivals: list,
+               ejected: list[Packet]) -> bool:
+        """One cycle: each output port forwards at most one ready flit.
 
-        Round-robin among the requesters of each output whose front
-        flit is ready and passes flow control: the winner is the one
-        whose arbitration index ``k + 1`` is cyclically nearest at or
-        after the arbiter pointer (indices are distinct, so set order
-        does not matter), or the lone requester, and the pointer moves
-        just past it.  A head takes the first unallocated downstream VC
-        (looked up once per output: nothing changes it during the pass)
-        and gives it the owner, route and flit count; a body flit
-        follows into the VC its head took.  Both enter under the credit
-        check of :meth:`accept_flit`.
+        Round-robin among the ready requesters of each output that pass
+        flow control: the winner is the one whose arbitration index
+        ``k + 1`` is cyclically nearest at or after the arbiter pointer
+        (indices are distinct, so set order does not matter), or the
+        lone requester, and the pointer moves just past it.  A head
+        takes the first unallocated downstream VC (looked up once per
+        output: nothing changes it during the pass) and gives it the
+        owner, route and flit count; a body flit follows into the VC its
+        head took.  A forwarded flit is stamped ``ready`` (``cycle +
+        router_latency + link_latency``), and one entering an empty
+        downstream VC is filed in ``arrivals``, the calendar's list for
+        ``ready``; the winner's next flit, if any, stays ready or is
+        filed under its own stamp.  An ejected tail is appended to
+        ``ejected``.
 
-        ``_ready_min`` is re-folded once, after the last output: until
-        then only this tick reads the buffers, a neighbour's forward
-        lowers it by min-update whichever of the two ticks first, and
-        the network reads it only between ticks.
+        Returns whether a ready front is left (a flow-control blocked
+        one included), i.e. whether the router stays live.
         """
-        if self._ready_min > cycle:
-            return
         bufs = self._bufs
         capacity = self.buffer_flits
         arbiter = self._arbiter_state
-        bound = self._arb_bound
-        occupied = self._occupied
-        forwarded = link_flits = 0
-        for requesters, output in self._outputs:
-            if not requesters:
-                continue
+        # A switch changes no ready set but the one it is visiting.
+        for requesters, output in compress(self._outputs, self._selectors):
             out_port, downstream, in_port, dinputs = output
-            lone = len(requesters) == 1
-            start = arbiter[out_port]
-            best = bound
-            best_k = -1
-            free = -1  # first unallocated downstream VC; None: there is none
-            for k in requesters:
-                candidate = bufs[k]
-                if candidate.flits[0] > cycle:
-                    continue
+            if len(requesters) == 1:
+                # Most outputs: one ready requester, the round-robin
+                # loop's flow-control test below without the pointer.
+                (best_k,) = requesters
+                buffer = bufs[best_k]
                 if dinputs is not None:  # ejection is never blocked
-                    out_vc = candidate.out_vc
+                    out_vc = buffer.out_vc
                     if out_vc is None:
-                        if free == -1:
-                            for free, dbuf in enumerate(dinputs):
-                                if dbuf.owner is None:
-                                    break
-                            else:
-                                free = None
-                        if free is None:
+                        for free, dbuf in enumerate(dinputs):
+                            if dbuf.owner is None:
+                                break
+                        else:
                             continue
                     elif len(dinputs[out_vc].flits) >= capacity:
                         continue
-                if lone:
-                    best_k = k
-                    buffer = candidate
-                    break
-                distance = k + 1 - start
-                if distance < 0:
-                    distance += bound
-                if distance < best:
-                    best = distance
-                    best_k = k
-                    buffer = candidate
-            if best_k < 0:
-                continue
+            else:
+                start = arbiter[out_port]
+                best = bound = self._arb_bound
+                best_k = -1
+                free = -1  # first unallocated downstream VC; None: there is none
+                for k in requesters:
+                    candidate = bufs[k]
+                    if dinputs is not None:
+                        out_vc = candidate.out_vc
+                        if out_vc is None:
+                            if free == -1:
+                                for free, dbuf in enumerate(dinputs):
+                                    if dbuf.owner is None:
+                                        break
+                                else:
+                                    free = None
+                            if free is None:
+                                continue
+                        elif len(dinputs[out_vc].flits) >= capacity:
+                            continue
+                    distance = k + 1 - start
+                    if distance < 0:
+                        distance += bound
+                    if distance < best:
+                        best = distance
+                        best_k = k
+                        buffer = candidate
+                if best_k < 0:
+                    continue
             arbiter[out_port] = best_k + 2  # winner's index + 1
 
             # Switch traversal of the winner's front flit.
             flits = buffer.flits
             flits.popleft()
             if not flits:
-                occupied.discard(best_k)
                 requesters.discard(best_k)
-            forwarded += 1
+            elif flits[0] > cycle:  # the next flit is not ready yet
+                requesters.discard(best_k)
+                calendar = self._calendar
+                entries = calendar.get(flits[0])
+                if entries is None:
+                    calendar[flits[0]] = [(requesters, best_k, self.node)]
+                else:
+                    entries.append((requesters, best_k, self.node))
+            self.flits_routed += 1
             left = buffer.left
             if dinputs is None:
                 if left == 1:
@@ -285,10 +290,9 @@ class Router:
                             cycle=cycle + self.router_latency,
                             node=self.node, packet=packet.uid, src=packet.src,
                         )
-                    self.deliver(packet, cycle + self.router_latency)
+                    ejected.append(packet)
             else:
-                link_flits += 1
-                ready = cycle + self._hop_cycles
+                self.link_flits += 1
                 out_vc = buffer.out_vc
                 head = out_vc is None
                 if head:
@@ -319,12 +323,11 @@ class Router:
                             node=downstream.node, packet=packet.uid,
                             port=in_port.name, vc=out_vc, route=route.name,
                         )
-                if not dflits:
-                    dk = in_port * self.num_vcs + out_vc
-                    downstream._occupied.add(dk)
-                    downstream._requesters[dbuf.route_port].add(dk)
-                    if ready < downstream._ready_min:
-                        downstream._ready_min = ready
+                if not dflits:  # a new downstream front: file it
+                    arrivals.append((
+                        downstream._ready[dbuf.route_port],
+                        in_port * self.num_vcs + out_vc, downstream.node,
+                    ))
                 dflits.append(ready)
                 downstream.buffer_writes += 1
             if left == 1:  # the tail left: the VC is free
@@ -333,16 +336,7 @@ class Router:
                 buffer.out_vc = None
             buffer.left = left - 1
 
-        if forwarded:
-            self.flits_routed += forwarded
-            self.link_flits += link_flits
-            # Front flits left: recompute the earliest remaining readiness.
-            ready_min = NEVER
-            for k in occupied:
-                ready = bufs[k].flits[0]
-                if ready < ready_min:
-                    ready_min = ready
-            self._ready_min = ready_min
+        return any(self._ready)
 
     def occupancy(self) -> int:
         """Buffered flits, recounted from the buffers (``audit`` checks

@@ -70,8 +70,8 @@ def test_no_frame_per_delivery():
     assert events > 0
     assert calls["_back_off"] == events  # no errors or faults: one a collision
     others = sum(calls.values()) - calls["try_send"] - calls["tick"]
-    # A collision opens _handle_collision, its list of packets and (data
-    # lane) _classify; its losers back off in one later call.
-    bound = busy + 3 * events + calls["_back_off"]
+    # A collision opens _handle_collision and (data lane) _classify; its
+    # losers back off in one later call.
+    bound = busy + 2 * events + calls["_back_off"]
     assert others <= bound, calls
     assert bound - others < len(delivered), "the pin would miss a frame a delivery"

@@ -1,12 +1,15 @@
 """Router-internal corner cases: VC exhaustion, credit discipline, and
 round-robin switch arbitration.
 
-The arbitration tests drive a stand-alone :class:`Router`: with ``k``
-ready requesters on one output port and the arbiter pointer at
-``start``, the flit forwarded is the one ``min((index - start) % 1000)``
-names (``index = in_port * num_vcs + vc + 1``) — the first element of a
-``sorted`` pick by cyclic distance — and the pointer advances just past
-it.
+The arbitration tests drive one router of a bare 4x4 mesh: flits are
+placed with :meth:`Router.accept_flit`, and ``MeshNetwork.tick`` moves
+the fronts due into the ready sets and runs :meth:`Router.switch`, the
+one switch implementation.  With ``k`` ready requesters on one output
+port and the arbiter pointer at ``start``, the flit forwarded is the one
+``min((index - start) % 1000)`` names (``index = in_port * num_vcs + vc
++ 1``) — the first element of a ``sorted`` pick by cyclic distance —
+and the pointer advances just past it.  An ejected tail is delivered
+``router_latency`` (4) cycles later.
 """
 
 import pytest
@@ -14,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mesh.network import MeshConfig, MeshNetwork
-from repro.mesh.router import Router
 from repro.mesh.routing import Port
 from repro.net.packet import LaneKind, Packet
 
@@ -65,16 +67,13 @@ class TestVcExhaustion:
 
 class TestCreditDiscipline:
     def make_router(self):
+        net = MeshNetwork(MeshConfig(num_nodes=16, num_vcs=2, buffer_flits=2))
         deliveries = []
-        router = Router(
-            node=0, side=4, num_vcs=2, buffer_flits=2,
-            router_latency=4, link_latency=1,
-            deliver=lambda p, c: deliveries.append((p, c)),
-        )
-        return router, deliveries
+        net.set_delivery_callback(0, lambda p: deliveries.append((p, p.deliver_cycle)))
+        return net, net.routers[0], deliveries
 
     def test_overflow_raises(self):
-        router, _ = self.make_router()
+        _, router, _ = self.make_router()
         packet = Packet(src=1, dst=0, lane=LaneKind.DATA)
         router.accept_flit(Port.EAST, 0, 0, packet, 5)
         router.accept_flit(Port.EAST, 0, 0)
@@ -82,7 +81,7 @@ class TestCreditDiscipline:
             router.accept_flit(Port.EAST, 0, 0)
 
     def test_double_head_raises(self):
-        router, _ = self.make_router()
+        _, router, _ = self.make_router()
         first = Packet(src=1, dst=0, lane=LaneKind.META)
         second = Packet(src=2, dst=0, lane=LaneKind.META)
         router.accept_flit(Port.EAST, 0, 0, first, 1)
@@ -90,10 +89,10 @@ class TestCreditDiscipline:
             router.accept_flit(Port.EAST, 0, 0, second, 1)
 
     def test_local_ejection_delivers_on_tail(self):
-        router, deliveries = self.make_router()
+        net, router, deliveries = self.make_router()
         packet = Packet(src=1, dst=0, lane=LaneKind.META)
         router.accept_flit(Port.EAST, 0, 0, packet, 1)
-        router.tick(0)
+        drain(net)
         assert len(deliveries) == 1
         delivered, cycle = deliveries[0]
         assert delivered is packet
@@ -119,12 +118,12 @@ class TestArbitrationBound:
         return key[0] * self.NUM_VCS + key[1] + 1
 
     def ejection_order(self, start):
-        delivered = []
-        router = Router(
-            node=5, side=4, num_vcs=self.NUM_VCS, buffer_flits=2,
-            router_latency=4, link_latency=1,
-            deliver=lambda packet, cycle: delivered.append(packet),
+        net = MeshNetwork(
+            MeshConfig(num_nodes=16, num_vcs=self.NUM_VCS, buffer_flits=2)
         )
+        delivered = []
+        net.set_delivery_callback(5, delivered.append)
+        router = net.routers[5]
         packet_of = {}
         for key in self.KEYS:
             packet_of[key] = Packet(src=0, dst=5, lane=LaneKind.META)
@@ -132,8 +131,9 @@ class TestArbitrationBound:
         router._arbiter_state[Port.LOCAL] = start
         pointers = []
         for cycle in range(len(self.KEYS)):
-            router.tick(cycle)
+            net.tick(cycle)
             pointers.append(router._arbiter_state[Port.LOCAL])
+        drain(net, len(self.KEYS))
         order = [
             next(k for k, p in packet_of.items() if p is packet)
             for packet in delivered
@@ -170,19 +170,18 @@ def arbitration_index(key):
 
 
 def ejecting_router(keys, start, flits=1, not_ready=()):
-    """A stand-alone router with one packet for the local port waiting
-    in each of ``keys`` and the ejection arbiter pointer at ``start``.
+    """A bare 4x4 mesh whose router ``NODE`` holds one packet for its
+    local port in each of ``keys``, the ejection arbiter pointer at
+    ``start``.
 
-    Returns ``(router, delivered, packet_of)``; tail ejections append to
-    ``delivered``.  Heads in ``not_ready`` become processable only at
-    cycle 100.
+    Returns ``(net, router, delivered, packet_of)``; deliveries at
+    ``NODE`` append to ``delivered``.  Heads in ``not_ready`` become
+    processable only at cycle 100.
     """
+    net = MeshNetwork(MeshConfig(num_nodes=16, num_vcs=NUM_VCS, buffer_flits=4))
     delivered = []
-    router = Router(
-        node=NODE, side=4, num_vcs=NUM_VCS, buffer_flits=4,
-        router_latency=4, link_latency=1,
-        deliver=lambda packet, cycle: delivered.append(packet),
-    )
+    net.set_delivery_callback(NODE, delivered.append)
+    router = net.routers[NODE]
     packet_of = {}
     for key in sorted(keys):
         packet = Packet(src=0, dst=NODE, lane=LaneKind.META)
@@ -192,22 +191,33 @@ def ejecting_router(keys, start, flits=1, not_ready=()):
         for _ in range(flits - 1):
             router.accept_flit(*key, ready)
     router._arbiter_state[Port.LOCAL] = start
-    return router, delivered, packet_of
+    return net, router, delivered, packet_of
+
+
+def eject_once(net):
+    """Switch cycle 0 and return the ejection arbiter pointer it left;
+    tick on until cycle 0's ejection is delivered (later ones are
+    delivered later)."""
+    net.tick(0)
+    pointer = net.routers[NODE]._arbiter_state[Port.LOCAL]
+    for cycle in range(1, 5):
+        net.tick(cycle)
+    return pointer
 
 
 class TestRrPick:
     @settings(deadline=None)
     @given(keys=requester_keys, start=pointers)
     def test_matches_sorted_pick(self, keys, start):
-        router, delivered, packet_of = ejecting_router(keys, start)
-        router.tick(0)
+        net, router, delivered, packet_of = ejecting_router(keys, start)
+        pointer = eject_once(net)
         # The rule as a stable sort by cyclic distance from the arbiter
         # pointer, winner first.
         winner = sorted(
             keys, key=lambda key: (arbitration_index(key) - start) % 1000
         )[0]
         assert delivered == [packet_of[winner]]
-        assert router._arbiter_state[Port.LOCAL] == arbitration_index(winner) + 1
+        assert pointer == arbitration_index(winner) + 1
 
     @settings(deadline=None)
     @given(data=st.data(), keys=requester_keys, start=pointers)
@@ -215,14 +225,14 @@ class TestRrPick:
         # Only ready heads compete: the winner is cyclically nearest the
         # pointer among them, however near a future-ready head sits.
         not_ready = data.draw(st.sets(st.sampled_from(sorted(keys))))
-        router, delivered, packet_of = ejecting_router(
+        net, router, delivered, packet_of = ejecting_router(
             keys, start, not_ready=not_ready
         )
-        router.tick(0)
+        pointer = eject_once(net)
         ready = keys - not_ready
         if not ready:
             assert delivered == []
-            assert router._arbiter_state[Port.LOCAL] == start
+            assert pointer == start
             return
         (winner,) = [key for key in ready if packet_of[key] is delivered[0]]
         winner_distance = (arbitration_index(winner) - start) % 1000
@@ -237,13 +247,14 @@ class TestRrPick:
         # — the property that makes the scheme fair.  Two 2-flit packets
         # (arbitration indices 5 and 10) alternate on the ejection port.
         first, second = (Port.EAST, 0), (Port.WEST, 1)
-        router, delivered, packet_of = ejecting_router(
+        net, router, delivered, packet_of = ejecting_router(
             {first, second}, start=0, flits=2
         )
         granted = []
         for cycle in range(4):
-            router.tick(cycle)
+            net.tick(cycle)
             granted.append(router._arbiter_state[Port.LOCAL] - 1)
+        drain(net, 4)
         assert granted == [
             arbitration_index(first), arbitration_index(second),
             arbitration_index(first), arbitration_index(second),

@@ -227,10 +227,12 @@ class TestEndStateInvariants:
         )
         system.run(1500)
         assert check_health(system=system) == []
-        system.network.routers[5]._ready_min = -7
+        system.network._filed.setdefault(system.cycle + 1, []).append(
+            (system.network.routers[5]._ready[0], 0, 5)
+        )
         [event] = check_health(system=system)
         assert event.detector == "audit" and event.severity == "critical"
-        assert "_ready_min" in event.message
+        assert "_filed" in event.message
 
 
 class TestReporting:
